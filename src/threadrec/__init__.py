@@ -21,7 +21,7 @@ from .synth import GroundTruth, SynthConfig, algo_like, generate
 from .text import (LdaModel, TopicDistribution, Vocabulary, build_vocabulary,
                    course_topics, lda_fit, lda_infer, preprocess,
                    term_frequency)
-from .train import TrainConfig, fit, gradient_check, grid_search, t_batch
+from .train import TrainConfig, fit, gradient_check, t_batch
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "algo_like", "average_precision", "baseline_pop", "baseline_rec",
     "baseline_user_rec", "build_model_ranker", "build_vocabulary",
     "course_topics", "evaluate", "excitation", "fit", "generate",
-    "gradient_check", "grid_search", "ingest_jsonl", "lda_fit", "lda_infer",
+    "gradient_check", "ingest_jsonl", "lda_fit", "lda_infer",
     "load_checkpoint", "load_schedule", "predict_next", "preprocess",
     "project_student", "project_thread", "rank_threads", "reply_history",
     "save_checkpoint", "split_by_time", "t_batch", "term_frequency", "update",

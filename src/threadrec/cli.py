@@ -151,14 +151,11 @@ def _load_text_artifacts(lda_dir):
     return lda, vocab, week_topics
 
 
-def _train_subset(ds: corpus.Dataset, train_end: float | None) -> corpus.Dataset:
-    if train_end is None:
-        return ds
-    events = [ev for ev in ds.events if ev.timestamp < train_end]
-    if not events:
-        raise corpus.EmptyDatasetError("no events before train end %r" % train_end)
-    return corpus.Dataset(events, ds.num_students, ds.num_threads, ds.course,
-                          ds.student_ids, ds.thread_ids)
+def _checkpoint_flags(meta: dict) -> model.AblationFlags:
+    """Ablation flags the checkpoint was trained with, from its metadata."""
+    config = meta.get("config", {})
+    return model.AblationFlags(**{name: bool(config.get(name, False))
+                                  for name in model.AblationFlags.NAMES})
 
 
 def cmd_synth(args) -> int:
@@ -207,7 +204,7 @@ def cmd_lda(args) -> int:
     data = Path(args.data)
     ds = _load_dataset(data)
     train_end = parse_duration(args.train_end) if args.train_end else None
-    window = _train_subset(ds, train_end)
+    window = ds if train_end is None else corpus.events_before(ds, train_end)
 
     num_topics = args.num_topics or ds.course.num_weeks
     seed = (args.seed if args.seed is not None else 0) + SEED_OFFSETS["lda"]
@@ -263,7 +260,7 @@ def cmd_train(args) -> int:
     ds = _load_dataset(data)
     lda, vocab, week_topics = _load_text_artifacts(args.lda)
     train_end = parse_duration(args.train_end) if args.train_end else None
-    window = _train_subset(ds, train_end)
+    window = ds if train_end is None else corpus.events_before(ds, train_end)
     cfg = _build_train_config(args)
 
     sink = [] if args.export_trajectories else None
@@ -320,9 +317,7 @@ def cmd_eval(args) -> int:
             raise UsageError("need --checkpoint or --baseline")
         inputs.append(Path(args.checkpoint))
         params, store, week_topics, meta = model.load_checkpoint(args.checkpoint)
-        flags = model.AblationFlags(**{
-            name: bool(meta.get("config", {}).get(name, False))
-            for name in model.AblationFlags.NAMES})
+        flags = _checkpoint_flags(meta)
         if args.per_event:
             report = recommend.evaluate_per_event(params, store, week_topics,
                                                   train_ds, test_ds,
@@ -365,6 +360,8 @@ def _ablate_worker(payload):
 
 def cmd_ablate(args) -> int:
     started = time.perf_counter()
+    if args.seeds < 1:
+        raise UsageError("--seeds must be >= 1, got %d" % args.seeds)
     out = _out_dir(args)
     cfg_map = _collect_overrides(args)
     try:
@@ -432,11 +429,9 @@ def cmd_recommend(args) -> int:
     data = Path(args.data)
     ds = _load_dataset(data)
     params, store, week_topics, meta = model.load_checkpoint(args.checkpoint)
-    flags = model.AblationFlags(**{
-        name: bool(meta.get("config", {}).get(name, False))
-        for name in model.AblationFlags.NAMES})
+    flags = _checkpoint_flags(meta)
     t_query = parse_duration(args.at)
-    window = _train_subset(ds, t_query)
+    window = corpus.events_before(ds, t_query)
     try:
         student = ds.student_ids.index(args.student)
     except ValueError:

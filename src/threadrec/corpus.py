@@ -279,21 +279,27 @@ def load_id_map(path) -> dict[str, dict[int, int]]:
     return out
 
 
+def events_before(ds: Dataset, t_end: float) -> Dataset:
+    """Training window [0, t_end) of ds, sharing its id registries and
+    course schedule. An empty window is an error."""
+    events = [ev for ev in ds.events if ev.timestamp < t_end]
+    if not events:
+        raise EmptyDatasetError("no events before train_end=%r" % t_end)
+    return Dataset(events, ds.num_students, ds.num_threads, ds.course,
+                   ds.student_ids, ds.thread_ids)
+
+
 def split_by_time(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Partition events into a training window [0, train_end) and a test
     window [train_end, test_end). Both halves share the id registries and
     the course schedule. An empty training window is an error; an empty
     test window only warns."""
-    train_events = [ev for ev in ds.events if ev.timestamp < spec.train_end]
+    train = events_before(ds, spec.train_end)
     test_events = [
         ev for ev in ds.events if spec.train_end <= ev.timestamp < spec.test_end
     ]
-    if not train_events:
-        raise EmptyDatasetError("no events before train_end=%r" % spec.train_end)
     if not test_events:
         log.warning("test window [%r, %r) contains no events", spec.train_end, spec.test_end)
-    train = Dataset(train_events, ds.num_students, ds.num_threads, ds.course,
-                    ds.student_ids, ds.thread_ids)
     test = Dataset(test_events, ds.num_students, ds.num_threads, ds.course,
                    ds.student_ids, ds.thread_ids)
     return train, test

@@ -18,7 +18,7 @@ finite differences; see train.gradient_check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -378,85 +378,86 @@ def loss(pred: PredictedThreadEmbedding, target_static: StaticEmbedding,
 
 
 @dataclass
-class EventInputs:
-    """Everything the per-event loss needs besides the parameters. State
-    vectors are the values entering the current batch and are treated as
-    constants by the backward pass."""
+class EventFeatures:
+    """Per-event quantities that depend only on the data, computed once
+    before the epoch loop. Elapsed times are already normalized; the
+    student's elapsed time is also the projection horizon."""
     student: int
-    target_thread: int
+    thread: int
     last_thread: int | None          # thread of the student's previous post
-    student_vec: np.ndarray          # stored student embedding
-    target_thread_vec: np.ndarray    # stored embedding of the target thread
-    last_thread_vec: np.ndarray      # stored embedding of last_thread, zeros if none
     theta: np.ndarray                # topic distribution of the current post
-    delta_student: float             # normalized time since student's last post
-    delta_thread: float              # normalized time since last post on target thread
-    delta_proj: float                # normalized projection horizon
+    delta_student: float
+    delta_thread: float
     week: int                        # course week context for the projection
     excitation_value: float
+    timestamp: float
+    post_id: int
 
 
-def _event_forward(ev: EventInputs, params: ModelParams, flags: AblationFlags):
-    if flags.no_student_projection:
-        u_hat, gain = ev.student_vec, None
+def _event_forward(ev: EventFeatures, store: DynamicStateStore,
+                   params: ModelParams, flags: AblationFlags):
+    # states entering the batch are read in place: the backward pass treats
+    # them as constants and fit writes the new ones after the whole batch
+    u_vec = store.student_vecs[ev.student]
+    p_vec = store.thread_vecs[ev.thread]
+    if ev.last_thread is None:
+        last_vec = np.zeros(params.embed_dim)
     else:
-        u_hat, gain = _project_student_kernel(ev.student_vec, ev.delta_proj, ev.week, params)
+        last_vec = store.thread_vecs[ev.last_thread]
 
-    q = _predict_kernel(u_hat, ev.student, ev.last_thread_vec, ev.last_thread, params)
+    if flags.no_student_projection:
+        u_hat = u_vec
+    else:
+        u_hat = _project_student_kernel(u_vec, ev.delta_student, ev.week, params)[0]
+
+    q = _predict_kernel(u_hat, ev.student, last_vec, ev.last_thread, params)
 
     if flags.no_thread_projection:
-        p_hat = ev.target_thread_vec
+        p_hat = p_vec
     else:
-        p_hat = project_thread(ev.student_vec, ev.target_thread_vec, ev.excitation_value)
+        p_hat = project_thread(u_vec, p_vec, ev.excitation_value)
 
     n = params.num_threads
     target = np.zeros(n + params.embed_dim)
-    target[ev.target_thread] = 1.0
+    target[ev.thread] = 1.0
     target[n:] = p_hat
 
     theta_eff = np.zeros(params.num_topics) if flags.no_text_features else ev.theta
     u_new, p_new, xu, xp = _update_kernel(
-        ev.student_vec, ev.target_thread_vec, theta_eff,
-        ev.delta_student, ev.delta_thread, params,
+        u_vec, p_vec, theta_eff, ev.delta_student, ev.delta_thread, params,
     )
     if flags.no_dynamic_student:
-        u_new = ev.student_vec
+        u_new = u_vec
     if flags.no_dynamic_thread:
-        p_new = ev.target_thread_vec
+        p_new = p_vec
 
     residual = q - target
     pred_term, _ = _norm_grad(residual)
-    du = u_new - ev.student_vec
-    dp = p_new - ev.target_thread_vec
+    du = u_new - u_vec
+    dp = p_new - p_vec
     reg_u = params.lambda_student * float(np.linalg.norm(du))
     reg_p = params.lambda_thread * float(np.linalg.norm(dp))
     total = pred_term + reg_u + reg_p
-    return total, (u_hat, q, residual, u_new, p_new, xu, xp, du, dp)
+    return total, (u_vec, last_vec, u_hat, residual, u_new, p_new, xu, xp, du, dp)
 
 
-def event_loss(ev: EventInputs, params: ModelParams,
+def event_loss(ev: EventFeatures, store: DynamicStateStore, params: ModelParams,
                flags: AblationFlags = AblationFlags()) -> float:
-    return _event_forward(ev, params, flags)[0]
+    return _event_forward(ev, store, params, flags)[0]
 
 
-def event_state_updates(ev: EventInputs, params: ModelParams,
-                        flags: AblationFlags = AblationFlags()):
-    """New (student, thread) embeddings the event writes back."""
-    _, inter = _event_forward(ev, params, flags)
-    return inter[3], inter[4]
-
-
-def event_grads(ev: EventInputs, params: ModelParams,
-                flags: AblationFlags = AblationFlags()):
-    """Loss, parameter gradients, and the new state pair for one event.
+def event_grads(ev: EventFeatures, store: DynamicStateStore, params: ModelParams,
+                grads: dict[str, np.ndarray], flags: AblationFlags = AblationFlags()):
+    """Add one event's parameter gradients into grads, a dict the caller
+    owns, and return (loss, (student_embedding, thread_embedding)) with the
+    new state pair the event writes back.
 
     The backward pass is hand derived. State vectors entering the event are
     constants, so the prediction term reaches only the projection context
     and the prediction head, while the smoothness terms reach the two
     update matrices."""
-    total, inter = _event_forward(ev, params, flags)
-    u_hat, q, residual, u_new, p_new, xu, xp, du, dp = inter
-    grads = params.zero_grads()
+    total, inter = _event_forward(ev, store, params, flags)
+    u_vec, last_vec, u_hat, residual, u_new, p_new, xu, xp, du, dp = inter
     d, m = params.embed_dim, params.num_students
 
     _, g_q = _norm_grad(residual)
@@ -464,14 +465,14 @@ def event_grads(ev: EventInputs, params: ModelParams,
     Wg = grads["predictor"]
     Wg[:d] += np.outer(u_hat, g_q)
     Wg[d + ev.student] += g_q
-    Wg[d + m : 2 * d + m] += np.outer(ev.last_thread_vec, g_q)
+    Wg[d + m : 2 * d + m] += np.outer(last_vec, g_q)
     if ev.last_thread is not None:
         Wg[2 * d + m + ev.last_thread] += g_q
 
     if not flags.no_student_projection:
         g_uhat = params.predictor[:d] @ g_q
-        g_gain = g_uhat * ev.student_vec
-        grads["time_context"][:, 0] += g_gain * ev.delta_proj
+        g_gain = g_uhat * u_vec
+        grads["time_context"][:, 0] += g_gain * ev.delta_student
         grads["week_context"][:, ev.week] += g_gain
 
     if not flags.no_dynamic_student:
@@ -486,7 +487,7 @@ def event_grads(ev: EventInputs, params: ModelParams,
             g_pre = params.lambda_thread * g_dp * _act_deriv(p_new, params.activation)
             grads["thread_update"] += np.outer(xp, g_pre)
 
-    return total, grads, (u_new, p_new)
+    return total, (u_new, p_new)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +521,6 @@ class DynamicStateStore:
     def student_state(self, s: int) -> DynamicState:
         last = float(self.student_last_t[s]) if self.student_seen[s] else None
         return DynamicState(self.student_vecs[s].copy(), last)
-
-    def thread_state(self, p: int) -> DynamicState:
-        last = float(self.thread_last_t[p]) if self.thread_seen[p] else None
-        return DynamicState(self.thread_vecs[p].copy(), last)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import recommend
 from .corpus import Dataset, EmptyDatasetError, ThreadEventIndex
 from .model import (
     AblationFlags,
     DynamicStateStore,
-    EventInputs,
+    EventFeatures,
     ModelParams,
     TENSOR_NAMES,
     assign_course_topic,
@@ -31,7 +29,7 @@ from .model import (
     event_loss,
     excitation,
 )
-from .text import LdaModel, Vocabulary, lda_infer, term_frequency
+from .text import LdaModel, TopicDistribution, Vocabulary, lda_infer, term_frequency
 
 
 class TrainingDiverged(RuntimeError):
@@ -161,22 +159,6 @@ def t_batch(events) -> list[list[int]]:
 # feature preparation
 
 
-@dataclass
-class EventFeatures:
-    """Per-event quantities that depend only on the data, computed once
-    before the epoch loop. Elapsed times are already normalized."""
-    student: int
-    thread: int
-    last_thread: int | None
-    theta: np.ndarray
-    delta_student: float
-    delta_thread: float
-    week: int
-    excitation_value: float
-    timestamp: float
-    post_id: int
-
-
 def mean_event_gap(events) -> float:
     """Mean gap between consecutive event timestamps; 1.0 when undefined
     or zero so normalization is always well posed."""
@@ -200,7 +182,7 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
 
     last_t_student: dict[int, float] = {}
     last_t_thread: dict[int, float] = {}
-    last_theta: dict[int, np.ndarray] = {}
+    last_theta: dict[int, TopicDistribution] = {}
     last_thread: dict[int, int] = {}
     feats = []
     for ev in train.events:
@@ -209,7 +191,7 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
         if prev_theta is None:
             week = train.course.week_of(ev.timestamp)
         else:
-            week = assign_course_topic(_Wrap(prev_theta), week_topics)
+            week = assign_course_topic(prev_theta, week_topics)
         hist = index.history(ev.student_id, ev.thread_id, ev.timestamp)
         exc = excitation(hist, ev.timestamp, config.post_decay, config.reply_decay, time_scale)
         feats.append(EventFeatures(
@@ -226,17 +208,9 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
         ))
         last_t_student[ev.student_id] = ev.timestamp
         last_t_thread[ev.thread_id] = ev.timestamp
-        last_theta[ev.student_id] = theta.probs
+        last_theta[ev.student_id] = theta
         last_thread[ev.student_id] = ev.thread_id
     return feats, time_scale
-
-
-class _Wrap:
-    """Duck-typed stand-in for TopicDistribution when re-wrapping stored
-    probability vectors without re-validation."""
-
-    def __init__(self, probs):
-        self.probs = probs
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +303,11 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
             writes = []
             for i in batch:
                 f = feats[i]
-                ev = EventInputs(
-                    student=f.student,
-                    target_thread=f.thread,
-                    last_thread=f.last_thread,
-                    student_vec=store.student_vecs[f.student].copy(),
-                    target_thread_vec=store.thread_vecs[f.thread].copy(),
-                    last_thread_vec=(np.zeros(config.embed_dim) if f.last_thread is None
-                                     else store.thread_vecs[f.last_thread].copy()),
-                    theta=f.theta,
-                    delta_student=f.delta_student,
-                    delta_thread=f.delta_thread,
-                    delta_proj=f.delta_student,
-                    week=f.week,
-                    excitation_value=f.excitation_value,
-                )
-                loss_i, grads_i, (u_new, p_new) = event_grads(ev, params, flags)
+                loss_i, (u_new, p_new) = event_grads(f, store, params, grads, flags)
                 if not np.isfinite(loss_i):
                     raise TrainingDiverged(
                         "non-finite loss at epoch %d batch %d post %d" % (epoch, b, f.post_id))
                 epoch_loss += loss_i
-                for name in TENSOR_NAMES:
-                    grads[name] += grads_i[name]
                 writes.append((f, u_new, p_new))
 
             # state writes land after the whole batch so every event read
@@ -392,27 +349,29 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
 
 
 def random_event(rng: np.random.Generator, params: ModelParams,
-                 cold_start: bool = False) -> EventInputs:
-    """Random but well-posed per-event inputs for gradient checking."""
+                 cold_start: bool = False) -> tuple[EventFeatures, DynamicStateStore]:
+    """Random but well-posed event and entering states for gradient
+    checking."""
     d, k = params.embed_dim, params.num_topics
-    last = None if cold_start else int(rng.integers(params.num_threads))
-    return EventInputs(
+    store = DynamicStateStore(params.num_students, params.num_threads, d, k)
+    store.student_vecs[:] = rng.uniform(0.05, 0.95, store.student_vecs.shape)
+    store.thread_vecs[:] = rng.uniform(0.05, 0.95, store.thread_vecs.shape)
+    ev = EventFeatures(
         student=int(rng.integers(params.num_students)),
-        target_thread=int(rng.integers(params.num_threads)),
-        last_thread=last,
-        student_vec=rng.uniform(0.05, 0.95, d),
-        target_thread_vec=rng.uniform(0.05, 0.95, d),
-        last_thread_vec=np.zeros(d) if last is None else rng.uniform(0.05, 0.95, d),
+        thread=int(rng.integers(params.num_threads)),
+        last_thread=None if cold_start else int(rng.integers(params.num_threads)),
         theta=rng.dirichlet(np.ones(k)),
         delta_student=float(rng.uniform(0.1, 2.0)),
         delta_thread=float(rng.uniform(0.1, 2.0)),
-        delta_proj=float(rng.uniform(0.1, 2.0)),
         week=int(rng.integers(params.num_weeks)),
         excitation_value=float(rng.uniform(0.0, 3.0)),
+        timestamp=0.0,
+        post_id=0,
     )
+    return ev, store
 
 
-def gradient_check(params: ModelParams, ev: EventInputs,
+def gradient_check(params: ModelParams, ev: EventFeatures, store: DynamicStateStore,
                    flags: AblationFlags = AblationFlags(),
                    eps: float = 1e-5, analytic: dict | None = None) -> float:
     """Compare analytic per-event gradients against central finite
@@ -420,7 +379,8 @@ def gradient_check(params: ModelParams, ev: EventInputs,
     maximum relative error. Pass analytic to check an externally supplied
     gradient set instead of the model's own."""
     if analytic is None:
-        _, analytic, _ = event_grads(ev, params, flags)
+        analytic = params.zero_grads()
+        event_grads(ev, store, params, analytic, flags)
     worst = 0.0
     for name in TENSOR_NAMES:
         tensor = params.tensor(name)
@@ -430,50 +390,12 @@ def gradient_check(params: ModelParams, ev: EventInputs,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = event_loss(ev, params, flags)
+            up = event_loss(ev, store, params, flags)
             flat[i] = orig - eps
-            down = event_loss(ev, params, flags)
+            down = event_loss(ev, store, params, flags)
             flat[i] = orig
             numeric = (up - down) / (2.0 * eps)
             err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
             if err > worst:
                 worst = err
     return worst
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter grid
-
-
-def grid_search(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
-                base_config: TrainConfig, grid: dict, holdout_seconds: float = 86400.0,
-                n_cutoff: int = 5):
-    """Exhaustive search over config-field grids, selecting by ranking
-    quality on the trailing holdout_seconds of the training window.
-
-    Returns (best_config, rows) with one (values, map) row per combination;
-    ties keep the earliest combination in iteration order."""
-    if not grid:
-        raise ValueError("empty grid")
-    t_end = train.events[-1].timestamp
-    t_cut = t_end - holdout_seconds
-    inner = [ev for ev in train.events if ev.timestamp < t_cut]
-    held = [ev for ev in train.events if ev.timestamp >= t_cut]
-    if not inner or not held:
-        raise ValueError("holdout window leaves an empty training or validation set")
-    inner_ds = Dataset(inner, train.num_students, train.num_threads, train.course,
-                       train.student_ids, train.thread_ids)
-
-    keys = sorted(grid)
-    rows = []
-    best = None
-    for values in itertools.product(*(grid[k] for k in keys)):
-        cfg = replace(base_config, **dict(zip(keys, values)))
-        params, store = fit(inner_ds, lda, vocab, week_topics, cfg)
-        ranker = recommend.build_model_ranker(params, store, week_topics, inner_ds,
-                                              t_cut, flags=cfg.flags)
-        report = recommend.evaluate(ranker, held, n_cutoff)
-        rows.append((dict(zip(keys, values)), report.map_at_n))
-        if best is None or report.map_at_n > best[1]:
-            best = (cfg, report.map_at_n)
-    return best[0], rows

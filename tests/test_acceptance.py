@@ -39,8 +39,8 @@ def test_1_gradients_match_finite_differences(capsys):
         params = ModelParams.init(rng, embed_dim=3, num_topics=2, num_weeks=2,
                                   num_students=4, num_threads=4,
                                   lambda_student=0.7, lambda_thread=0.4)
-        ev = train.random_event(rng, params, cold_start=(i % 5 == 4))
-        worst = max(worst, train.gradient_check(params, ev, eps=1e-5))
+        ev, store = train.random_event(rng, params, cold_start=(i % 5 == 4))
+        worst = max(worst, train.gradient_check(params, ev, store, eps=1e-5))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-4 and elapsed < 10.0
     report(capsys, 1, "per-event gradients vs central differences", ok,

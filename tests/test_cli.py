@@ -181,6 +181,10 @@ def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
     assert main(["eval", "--data", str(pipeline["data"]),
                  "--out", str(tmp_path / "z"), "--baseline", "pop",
                  "--train-end", "oops", "--test-end", "3w"]) == 2
+    assert main(["ablate", "--data", str(pipeline["data"]),
+                 "--lda", str(pipeline["lda"]), "--out", str(tmp_path / "a"),
+                 "--train-end", "2w", "--test-end", "3w", "--seeds", "0"]) == 2
+    assert not (tmp_path / "a").exists()
     # argparse's own rejections surface as exit code 2 as well
     assert main(["eval"]) == 2
     assert main(["not-a-command"]) == 2

@@ -279,21 +279,42 @@ def test_ablation_flags_from_names():
 def test_ablation_flags_change_forward_pass(small_params):
     rng = np.random.default_rng(10)
     from threadrec.train import random_event
-    ev = random_event(rng, small_params)
-    base = model.event_loss(ev, small_params, AblationFlags())
+    ev, store = random_event(rng, small_params)
+    base = model.event_loss(ev, store, small_params, AblationFlags())
     for name in AblationFlags.NAMES:
-        variant = model.event_loss(ev, small_params, AblationFlags.from_names([name]))
+        variant = model.event_loss(ev, store, small_params, AblationFlags.from_names([name]))
         assert variant != base, name
 
 
 def test_frozen_embedding_ablations_keep_states(small_params):
     rng = np.random.default_rng(11)
     from threadrec.train import random_event
-    ev = random_event(rng, small_params)
+    ev, store = random_event(rng, small_params)
     flags = AblationFlags.from_names(["no_dynamic_student", "no_dynamic_thread"])
-    u_new, p_new = model.event_state_updates(ev, small_params, flags)
-    assert np.array_equal(u_new, ev.student_vec)
-    assert np.array_equal(p_new, ev.target_thread_vec)
+    _, (u_new, p_new) = model.event_grads(ev, store, small_params,
+                                          small_params.zero_grads(), flags)
+    assert np.array_equal(u_new, store.student_vecs[ev.student])
+    assert np.array_equal(p_new, store.thread_vecs[ev.thread])
+
+
+def test_event_grads_add_into_shared_dict(small_params):
+    rng = np.random.default_rng(13)
+    from dataclasses import replace
+    from threadrec.train import random_event
+    ev, store = random_event(rng, small_params)
+    events = [replace(ev, student=0, thread=0, last_thread=3),
+              replace(ev, student=1, thread=1, last_thread=None, week=1),
+              replace(ev, student=2, thread=2, last_thread=0)]
+    shared = small_params.zero_grads()
+    separate = []
+    for e in events:
+        model.event_grads(e, store, small_params, shared)
+        own = small_params.zero_grads()
+        model.event_grads(e, store, small_params, own)
+        separate.append(own)
+    for name in TENSOR_NAMES:
+        total = separate[0][name] + separate[1][name] + separate[2][name]
+        assert np.array_equal(shared[name], total), name
 
 
 # parameter container

@@ -3,7 +3,7 @@ import pytest
 
 from threadrec import train
 from threadrec.corpus import Dataset
-from threadrec.model import TENSOR_NAMES, AblationFlags, ModelParams
+from threadrec.model import TENSOR_NAMES, AblationFlags, ModelParams, event_grads
 from threadrec.text import build_vocabulary, lda_fit, lda_infer, term_frequency
 from threadrec.train import (Adam, TrainConfig, TrainingDiverged, clip_gradients,
                              gradient_check, mean_event_gap, random_event, t_batch)
@@ -154,25 +154,25 @@ def test_clip_gradients_scales_to_max_norm():
 def test_gradient_check_passes_on_random_events(small_params):
     rng = np.random.default_rng(2)
     for i in range(6):
-        ev = random_event(rng, small_params, cold_start=(i % 3 == 2))
-        assert gradient_check(small_params, ev) <= 1e-4
+        ev, store = random_event(rng, small_params, cold_start=(i % 3 == 2))
+        assert gradient_check(small_params, ev, store) <= 1e-4
 
 
 def test_gradient_check_catches_corrupted_gradients(small_params):
     rng = np.random.default_rng(3)
-    ev = random_event(rng, small_params)
-    from threadrec.model import event_grads
-    _, grads, _ = event_grads(ev, small_params, AblationFlags())
+    ev, store = random_event(rng, small_params)
+    grads = small_params.zero_grads()
+    event_grads(ev, store, small_params, grads, AblationFlags())
     grads["predictor"] = -grads["predictor"]  # sign flip
-    err = gradient_check(small_params, ev, analytic=grads)
+    err = gradient_check(small_params, ev, store, analytic=grads)
     assert err > 1e-2
 
 
 def test_gradient_check_restores_params(small_params):
     rng = np.random.default_rng(4)
-    ev = random_event(rng, small_params)
+    ev, store = random_event(rng, small_params)
     before = {name: small_params.tensor(name).copy() for name in TENSOR_NAMES}
-    gradient_check(small_params, ev)
+    gradient_check(small_params, ev, store)
     for name in TENSOR_NAMES:
         assert np.array_equal(before[name], small_params.tensor(name))
 
@@ -182,9 +182,9 @@ def test_regularizer_gradient_vanishes_when_lambdas_zero(small_params):
     params = small_params.copy()
     params.lambda_student = 0.0
     params.lambda_thread = 0.0
-    ev = random_event(rng, params)
-    from threadrec.model import event_grads
-    _, grads, _ = event_grads(ev, params, AblationFlags())
+    ev, store = random_event(rng, params)
+    grads = params.zero_grads()
+    event_grads(ev, store, params, grads, AblationFlags())
     # with no smoothness penalty the prediction term cannot reach the
     # recurrent update weights inside one batch
     assert np.abs(grads["student_update"]).max() <= 1e-12
@@ -322,16 +322,3 @@ def test_fit_validates_week_topics(tiny_ds):
     cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5)
     with pytest.raises(ValueError):
         train.fit(tiny_ds, lda, vocab, week_topics[:1], cfg)
-
-
-def test_grid_search_returns_best(tiny_ds):
-    lda, vocab, week_topics = _small_pipeline(tiny_ds)
-    base = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5)
-    best, rows = train.grid_search(tiny_ds, lda, vocab, week_topics, base,
-                                   {"embed_dim": [2, 3]},
-                                   holdout_seconds=tiny_ds.events[-1].timestamp - 400.0)
-    assert best.embed_dim in (2, 3)
-    assert len(rows) == 2
-    scores = [r[1] for r in rows]
-    best_row = max(range(2), key=lambda i: (scores[i], -i))
-    assert rows[best_row][0]["embed_dim"] == best.embed_dim

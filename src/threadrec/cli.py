@@ -99,7 +99,9 @@ def _file_sha256(path: Path) -> str:
 
 def write_manifest(out_dir: Path, command: str, seed, config: dict,
                    inputs: list[Path], outputs: list[Path],
-                   logs: list[Path], seconds: float) -> Path:
+                   logs: list[Path], seconds: float,
+                   timings: dict[str, float] | None = None) -> Path:
+    """timings, if given, holds the seconds of each stage of the command."""
     manifest = {
         "command": command,
         "seed": seed,
@@ -109,6 +111,8 @@ def write_manifest(out_dir: Path, command: str, seed, config: dict,
         "logs": [Path(p).name for p in logs],
         "seconds": round(seconds, 3),
     }
+    if timings is not None:
+        manifest["timings"] = {name: round(value, 3) for name, value in timings.items()}
     path = out_dir / MANIFEST_FILE
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -211,10 +215,12 @@ def cmd_lda(args) -> int:
     post_docs = [ev.tokens for ev in window.events]
     week_docs = ds.course.week_docs
 
+    t_vocab = time.perf_counter()
     vocab = text.build_vocabulary(post_docs + week_docs, min_count=args.min_count)
     vocab_size = len(vocab.word_to_index)
     post_tf = [text.term_frequency(doc, vocab) for doc in post_docs]
     week_tf = [text.term_frequency(doc, vocab) for doc in week_docs]
+    t_fit = time.perf_counter()
     if args.separate_course_model:
         lda = text.lda_fit(post_tf, num_topics, iters=args.iters, seed=seed,
                            vocab_size=vocab_size)
@@ -224,7 +230,10 @@ def cmd_lda(args) -> int:
         lda = text.lda_fit(post_tf + week_tf, num_topics, iters=args.iters,
                            seed=seed, vocab_size=vocab_size)
         course_lda = lda
+    t_topics = time.perf_counter()
     week_topics = text.course_topics(ds.course, course_lda, vocab)
+    timings = {"vocabulary_s": t_fit - t_vocab, "lda_fit_s": t_topics - t_fit,
+               "course_topics_s": time.perf_counter() - t_topics}
 
     text.save_vocabulary(vocab, out / VOCAB_FILE)
     text.save_lda(lda, out / LDA_FILE)
@@ -236,7 +245,7 @@ def cmd_lda(args) -> int:
     inputs = [data / POSTS_FILE, data / SCHEDULE_FILE]
     outputs = [out / VOCAB_FILE, out / LDA_FILE, out / COURSE_TOPICS_FILE]
     write_manifest(out, "lda", seed, config, inputs, outputs, [],
-                   time.perf_counter() - started)
+                   time.perf_counter() - started, timings)
     print("lda: %d topics over %d terms, final log-likelihood %.2f -> %s"
           % (num_topics, lda.topic_word.shape[1], lda.loglik_history[-1], out))
     return 0
@@ -300,7 +309,6 @@ def _baseline_rank_fn(name: str, train_ds: corpus.Dataset, ascending: bool):
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
-    out = _out_dir(args)
     data = Path(args.data)
     ds = _load_dataset(data)
     spec = corpus.SplitSpec(parse_duration(args.train_end), parse_duration(args.test_end))
@@ -317,6 +325,10 @@ def cmd_eval(args) -> int:
             raise UsageError("need --checkpoint or --baseline")
         inputs.append(Path(args.checkpoint))
         params, store, week_topics, meta = model.load_checkpoint(args.checkpoint)
+        trained_to = meta.get("train_end")
+        if trained_to is not None and trained_to != spec.train_end:
+            raise UsageError("--train-end %r differs from the checkpoint's train_end %r"
+                             % (spec.train_end, trained_to))
         flags = _checkpoint_flags(meta)
         if args.per_event:
             report = recommend.evaluate_per_event(params, store, week_topics,
@@ -328,6 +340,7 @@ def cmd_eval(args) -> int:
                                                    flags=flags)
             report = recommend.evaluate(rank_fn, test_ds, n_cutoff=args.n_cutoff)
 
+    out = _out_dir(args)
     recommend.write_report_json(report, out / REPORT_FILE)
     recommend.write_report_csv(report, out / PER_USER_FILE)
     config = {"train_end": spec.train_end, "test_end": spec.test_end,
@@ -431,6 +444,11 @@ def cmd_recommend(args) -> int:
     params, store, week_topics, meta = model.load_checkpoint(args.checkpoint)
     flags = _checkpoint_flags(meta)
     t_query = parse_duration(args.at)
+    trained_to = meta.get("train_end")
+    if trained_to is not None and t_query < trained_to:
+        # the trained states already hold the posts between the two times
+        raise UsageError("--at %r is before the checkpoint's train_end %r"
+                         % (t_query, trained_to))
     window = corpus.events_before(ds, t_query)
     try:
         student = ds.student_ids.index(args.student)

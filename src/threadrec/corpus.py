@@ -306,30 +306,36 @@ def split_by_time(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 
 class ThreadEventIndex:
-    """Per-thread event lists plus a post author lookup, for repeated
-    interaction-history queries against a fixed dataset."""
+    """Per-thread events and their timestamps, the post times of each
+    student on each thread, and a post author lookup, for repeated
+    interaction-history queries against a fixed dataset. Queries bisect the
+    timestamp lists, so the events must be in time order, as
+    validate_dataset requires."""
 
     def __init__(self, ds: Dataset):
         self.by_thread: dict[int, list[PostEvent]] = {}
+        self.thread_times: dict[int, list[float]] = {}
+        self.own_times: dict[tuple[int, int], list[float]] = {}
         self.author_of: dict[int, int] = {}
         for ev in ds.events:
             self.by_thread.setdefault(ev.thread_id, []).append(ev)
+            self.thread_times.setdefault(ev.thread_id, []).append(ev.timestamp)
+            self.own_times.setdefault((ev.student_id, ev.thread_id), []).append(ev.timestamp)
             self.author_of[ev.post_id] = ev.student_id
 
     def history(self, student: int, thread: int, t_end: float) -> ReplyHistory:
-        events = self.by_thread.get(thread, ())
-        t_up = None
-        for ev in events:
-            if ev.student_id == student and ev.timestamp < t_end:
-                t_up = ev.timestamp
-        if t_up is None:
+        own = self.own_times.get((student, thread), ())
+        n_own = bisect.bisect_left(own, t_end)
+        if n_own == 0:
             return ReplyHistory(None, [], [])
+        t_up = own[n_own - 1]
+        times = self.thread_times[thread]
+        lo = bisect.bisect_right(times, t_up)
+        hi = bisect.bisect_left(times, t_end, lo)
         posts = []
         replies = []
-        for ev in events:
-            if ev.timestamp >= t_end:
-                break
-            if ev.timestamp <= t_up or ev.student_id == student:
+        for ev in self.by_thread[thread][lo:hi]:
+            if ev.student_id == student:
                 continue
             parent = ev.parent_post_id
             if parent is not None and self.author_of.get(parent) == student:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -186,27 +187,49 @@ def _expand_docs(docs: Sequence[Mapping[int, int]], vocab_size: int | None):
     )
 
 
+def _draw(cum, u):
+    """Index of the first cumulative weight greater than u times the total,
+    clamped to the last index: np.searchsorted(cum, u * cum[-1],
+    side="right") and the clamp, on a list. The weights are positive, so
+    cum never decreases and bisect_right finds that index."""
+    k = bisect_right(cum, u * cum[-1])
+    return k if k < len(cum) else len(cum) - 1
+
+
 def _gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
     """One full sampling pass. Counts are updated in place; uniforms supplies
-    one draw per token so the sweep is a pure function of its inputs."""
-    vocab_size = n_kw.shape[1]
-    beta_sum = beta * vocab_size
-    for i in range(len(words)):
-        w = words[i]
-        d = doc_of[i]
-        k = z[i]
-        n_dk[d, k] -= 1
-        n_kw[k, w] -= 1
-        n_k[k] -= 1
-        p = (n_dk[d] + alpha) * (n_kw[:, w] + beta) / (n_k + beta_sum)
-        c = np.cumsum(p)
-        k = int(np.searchsorted(c, uniforms[i] * c[-1], side="right"))
-        if k >= len(c):
-            k = len(c) - 1
-        n_dk[d, k] += 1
-        n_kw[k, w] += 1
-        n_k[k] += 1
-        z[i] = k
+    one draw per token so the sweep is a pure function of its inputs.
+
+    The per-token step runs on Python lists, taken once per sweep and
+    written back at its end, with the float64 operations of the array form
+    in the same order: each weight is (n_dk + alpha) * (n_kw + beta) /
+    (n_k + beta_sum), summed left to right into the cumulative weights."""
+    beta_sum = beta * n_kw.shape[1]
+    z_list = z.tolist()
+    dk_rows = n_dk.tolist()
+    wk_rows = n_kw.T.tolist()
+    nk = n_k.tolist()
+    for i, (w, d, u) in enumerate(zip(words.tolist(), doc_of.tolist(), uniforms.tolist())):
+        k = z_list[i]
+        dk = dk_rows[d]
+        wk = wk_rows[w]
+        dk[k] -= 1
+        wk[k] -= 1
+        nk[k] -= 1
+        cum = []
+        total = 0.0
+        for a, b, c in zip(dk, wk, nk):
+            total += (a + alpha) * (b + beta) / (c + beta_sum)
+            cum.append(total)
+        k = _draw(cum, u)
+        dk[k] += 1
+        wk[k] += 1
+        nk[k] += 1
+        z_list[i] = k
+    z[:] = z_list
+    n_dk[:] = dk_rows
+    n_kw.T[:] = wk_rows
+    n_k[:] = nk
 
 
 def _joint_loglik(n_dk, n_kw, n_k, lengths, alpha, beta):
@@ -298,28 +321,29 @@ def lda_infer(
     if not tokens:
         return TopicDistribution(np.full(K, 1.0 / K))
 
-    words = np.array(tokens, dtype=np.int64)
-    L = len(words)
+    L = len(tokens)
+    columns = model.topic_word.T[tokens].tolist()
     rng = np.random.default_rng(model.rng_seed + 0x5EED)
-    z = rng.integers(0, K, size=L)
-    n_dk = np.bincount(z, minlength=K).astype(np.float64)
+    z = rng.integers(0, K, size=L).tolist()
+    n_dk = [float(z.count(k)) for k in range(K)]
 
+    # the step of _gibbs_sweep with the topic-word matrix fixed
     theta_acc = np.zeros(K)
     samples = 0
     for sweep in range(iters):
-        uniforms = rng.random(L)
-        for i in range(L):
+        for i, (col, u) in enumerate(zip(columns, rng.random(L).tolist())):
             k = z[i]
             n_dk[k] -= 1
-            p = (n_dk + alpha) * model.topic_word[:, words[i]]
-            c = np.cumsum(p)
-            k = int(np.searchsorted(c, uniforms[i] * c[-1], side="right"))
-            if k >= K:
-                k = K - 1
+            cum = []
+            total = 0.0
+            for n, t in zip(n_dk, col):
+                total += (n + alpha) * t
+                cum.append(total)
+            k = _draw(cum, u)
             n_dk[k] += 1
             z[i] = k
         if sweep >= burn_in:
-            theta_acc += (n_dk + alpha) / (L + K * alpha)
+            theta_acc += (np.array(n_dk) + alpha) / (L + K * alpha)
             samples += 1
     theta = theta_acc / samples
     theta /= theta.sum()

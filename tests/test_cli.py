@@ -71,6 +71,9 @@ def test_lda_outputs(pipeline):
     manifest = json.loads((lda / "manifest.json").read_text())
     assert manifest["command"] == "lda"
     assert manifest["seed"] == 3  # base 2 plus the lda stage offset
+    timings = manifest["timings"]
+    assert set(timings) == {"vocabulary_s", "lda_fit_s", "course_topics_s"}
+    assert all(seconds >= 0 for seconds in timings.values())
 
 
 def test_train_outputs(pipeline):
@@ -185,6 +188,16 @@ def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
                  "--lda", str(pipeline["lda"]), "--out", str(tmp_path / "a"),
                  "--train-end", "2w", "--test-end", "3w", "--seeds", "0"]) == 2
     assert not (tmp_path / "a").exists()
+    # a checkpoint trained through 2w: an eval split at another time, or a
+    # ranking query before 2w, would read states that hold later posts
+    assert main(["eval", "--data", str(pipeline["data"]),
+                 "--out", str(tmp_path / "b"),
+                 "--checkpoint", str(pipeline["run"] / "checkpoint.bin"),
+                 "--train-end", "1w", "--test-end", "3w"]) == 2
+    assert not (tmp_path / "b").exists()
+    assert main(["recommend", "--data", str(pipeline["data"]),
+                 "--checkpoint", str(pipeline["run"] / "checkpoint.bin"),
+                 "--student", "0", "--at", "1w"]) == 2
     # argparse's own rejections surface as exit code 2 as well
     assert main(["eval"]) == 2
     assert main(["not-a-command"]) == 2

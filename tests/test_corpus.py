@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from threadrec import corpus
@@ -230,6 +231,59 @@ def test_reply_history_matches_index(tiny_ds):
                 a = corpus.reply_history(tiny_ds, student, thread, t)
                 b = index.history(student, thread, t)
                 assert a == b
+
+
+def _history_by_linear_scan(ds, student, thread, t_end):
+    # the index's former query: walk the whole thread
+    events = [ev for ev in ds.events if ev.thread_id == thread]
+    author_of = {ev.post_id: ev.student_id for ev in ds.events}
+    t_up = None
+    for ev in events:
+        if ev.student_id == student and ev.timestamp < t_end:
+            t_up = ev.timestamp
+    if t_up is None:
+        return corpus.ReplyHistory(None, [], [])
+    posts = []
+    replies = []
+    for ev in events:
+        if ev.timestamp >= t_end:
+            break
+        if ev.timestamp <= t_up or ev.student_id == student:
+            continue
+        parent = ev.parent_post_id
+        if parent is not None and author_of.get(parent) == student:
+            replies.append(ev.timestamp)
+        else:
+            posts.append(ev.timestamp)
+    return corpus.ReplyHistory(t_up, posts, replies)
+
+
+def test_history_matches_linear_scan_with_ties_and_replies(course2):
+    # timestamps on a coarse grid, so many posts tie, in and across threads;
+    # about half the posts reply to an earlier post of the same thread
+    rng = np.random.default_rng(11)
+    events = []
+    for post_id in range(160):
+        t = float(rng.integers(0, 40))
+        thread = int(rng.integers(0, 3))
+        earlier = [ev for ev in events if ev.thread_id == thread and ev.timestamp < t]
+        parent = None
+        if earlier and rng.random() < 0.5:
+            parent = earlier[int(rng.integers(0, len(earlier)))].post_id
+        events.append(make_event(post_id, int(rng.integers(0, 4)), thread, t, parent=parent))
+    events.sort(key=lambda ev: (ev.timestamp, ev.post_id))
+    ds = Dataset(events, 4, 3, course2, [0, 1, 2, 3], [0, 1, 2])
+    corpus.validate_dataset(ds)
+    index = corpus.ThreadEventIndex(ds)
+    queries = sorted({ev.timestamp + dt for ev in ds.events for dt in (-0.5, 0.0, 0.5)})
+    with_replies = 0
+    for student in range(4):
+        for thread in range(3):
+            for t in queries:
+                expect = _history_by_linear_scan(ds, student, thread, t)
+                assert index.history(student, thread, t) == expect
+                with_replies += bool(expect.reply_times)
+    assert with_replies > 0
 
 
 def test_id_map_roundtrip(tmp_path, tiny_ds):

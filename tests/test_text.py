@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,111 @@ def test_topic_distribution_roundtrip_is_exact(tmp_path):
     assert len(loaded) == 3
     for a, b in zip(loaded, thetas):
         assert np.array_equal(a.probs, b.probs)
+
+
+# Frozen oracles of the collapsed Gibbs sampler, recorded from the numpy
+# per-token step (cumsum, then searchsorted side="right", then the clamp).
+# Any change to the sampler must reproduce them bit for bit.
+
+def _sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _oracle_corpus():
+    docs, _, half = _two_topic_corpus(np.random.default_rng(1), docs_per_topic=10)
+    return docs, 2 * half
+
+
+@pytest.mark.parametrize("k, topic_word_sha, loglik_sha", [
+    (2, "545ff879a8633322f32686bfc6dcce6ca185e3e70088fa4833380354af21fd3f",
+     "e13dfd7363b9d59f69f0aef759e91947f3538db47a5d92c0ff29d837985600ea"),
+    (4, "b9a27261272cef8105654e251e5dcde91672e7821a2f4bb7e420b56ed030ae2a",
+     "0a00201e46f9baa75521c16c8aff612983fdd3964ea3a9d722ad4d1490ba5863"),
+])
+def test_lda_fit_frozen_oracle(k, topic_word_sha, loglik_sha):
+    docs, vocab_size = _oracle_corpus()
+    model = text.lda_fit(docs, k, iters=30, seed=7, vocab_size=vocab_size)
+    assert _sha(model.topic_word) == topic_word_sha
+    assert _sha(model.loglik_history) == loglik_sha
+
+
+def test_lda_fit_single_topic_frozen_oracle():
+    model = text.lda_fit([{0: 3, 1: 1}, {1: 2, 2: 2}], 1, iters=5, seed=0, vocab_size=3)
+    assert _sha(model.topic_word) == (
+        "e3c5bba0928ba4f71b22e10555cfb41a5a50dea1f3dcfd991c341333d6d798c2")
+    assert _sha(model.loglik_history) == (
+        "040f86a1603aa43e3d9ce1e3a1445a095f40169ec3de40f46d18bac93db463a5")
+
+
+@pytest.mark.parametrize("k, iters, expect", [
+    (2, 10, [0.3125, 0.6875]),
+    (2, 50, [0.3125, 0.6875]),
+    (4, 10, [0.15625, 0.28375, 0.32875, 0.23125]),
+    (4, 50, [0.15625000000000003, 0.28125000000000006, 0.33124999999999993,
+             0.23125000000000012]),
+])
+def test_lda_infer_frozen_oracle(k, iters, expect):
+    docs, vocab_size = _oracle_corpus()
+    model = text.lda_fit(docs, k, iters=30, seed=7, vocab_size=vocab_size)
+    theta = text.lda_infer(model, docs[0], iters=iters, burn_in=iters // 2)
+    assert theta.probs.tolist() == expect
+
+
+def _one_token_sweep(u):
+    # with alpha = beta = 1 and one word, the token's three topics weigh
+    # 1, 1 and 2 once it is removed: cumulative weights 1, 2, 4
+    z = np.array([0])
+    n_dk = np.array([[1, 0, 1]])
+    n_kw = np.array([[1], [0], [1]])
+    n_k = np.array([1, 0, 1])
+    text._gibbs_sweep(np.array([0]), np.array([0]), z, n_dk, n_kw, n_k, 1.0, 1.0,
+                      np.array([u]))
+    assert n_dk.tolist() == [[int(z[0] == 0), int(z[0] == 1), 1 + int(z[0] == 2)]]
+    assert n_kw[:, 0].tolist() == n_dk[0].tolist() and n_k.tolist() == n_dk[0].tolist()
+    return int(z[0])
+
+
+def test_gibbs_draw_rule_ties_and_clamp():
+    assert _one_token_sweep(0.2499) == 0
+    # u * total lands exactly on a cumulative weight: the next topic wins
+    assert _one_token_sweep(0.25) == 1
+    assert _one_token_sweep(0.5) == 2
+    # u * total reaches the total: clamped to the last topic
+    assert _one_token_sweep(1.0) == 2
+
+
+def _numpy_gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
+    # the array form of the per-token step, kept as the reference
+    beta_sum = beta * n_kw.shape[1]
+    for i in range(len(words)):
+        w, d, k = words[i], doc_of[i], z[i]
+        n_dk[d, k] -= 1
+        n_kw[k, w] -= 1
+        n_k[k] -= 1
+        c = np.cumsum((n_dk[d] + alpha) * (n_kw[:, w] + beta) / (n_k + beta_sum))
+        k = min(int(np.searchsorted(c, uniforms[i] * c[-1], side="right")), len(c) - 1)
+        n_dk[d, k] += 1
+        n_kw[k, w] += 1
+        n_k[k] += 1
+        z[i] = k
+
+
+def test_gibbs_sweep_matches_array_reference():
+    docs, vocab_size = _oracle_corpus()
+    words, doc_of, _, _ = text._expand_docs(docs, vocab_size)
+    rng = np.random.default_rng(5)
+    k = 9
+    z = rng.integers(0, k, size=len(words))
+    n_dk = np.zeros((len(docs), k), dtype=np.int64)
+    n_kw = np.zeros((k, vocab_size), dtype=np.int64)
+    n_k = np.zeros(k, dtype=np.int64)
+    np.add.at(n_dk, (doc_of, z), 1)
+    np.add.at(n_kw, (z, words), 1)
+    np.add.at(n_k, z, 1)
+    ref = [a.copy() for a in (z, n_dk, n_kw, n_k)]
+    for _ in range(3):
+        uniforms = rng.random(len(words))
+        text._gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, 50.0 / k, 0.01, uniforms)
+        _numpy_gibbs_sweep(words, doc_of, *ref, 50.0 / k, 0.01, uniforms)
+        for got, expect in zip((z, n_dk, n_kw, n_k), ref):
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)

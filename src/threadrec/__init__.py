@@ -12,11 +12,11 @@ from .corpus import (CourseSchedule, Dataset, EmptyDatasetError, IntegrityError,
                      load_schedule, reply_history, split_by_time,
                      validate_dataset)
 from .model import (AblationFlags, DynamicStateStore, ModelParams,
-                    excitation, load_checkpoint, predict_next, project_student,
-                    project_thread, save_checkpoint, update)
+                    excitation, load_checkpoint, project_thread,
+                    save_checkpoint)
 from .recommend import (EvalReport, average_precision, baseline_pop,
                         baseline_rec, baseline_user_rec, build_model_ranker,
-                        evaluate, rank_threads)
+                        evaluate)
 from .synth import GroundTruth, SynthConfig, algo_like, generate
 from .text import (LdaModel, TopicDistribution, Vocabulary, build_vocabulary,
                    course_topics, lda_fit, lda_infer, preprocess,
@@ -34,8 +34,7 @@ __all__ = [
     "baseline_user_rec", "build_model_ranker", "build_vocabulary",
     "course_topics", "evaluate", "excitation", "fit", "generate",
     "gradient_check", "ingest_jsonl", "lda_fit", "lda_infer",
-    "load_checkpoint", "load_schedule", "predict_next", "preprocess",
-    "project_student", "project_thread", "rank_threads", "reply_history",
-    "save_checkpoint", "split_by_time", "t_batch", "term_frequency", "update",
-    "validate_dataset", "__version__",
+    "load_checkpoint", "load_schedule", "preprocess", "project_thread",
+    "reply_history", "save_checkpoint", "split_by_time", "t_batch",
+    "term_frequency", "validate_dataset", "__version__",
 ]

@@ -162,6 +162,15 @@ def _checkpoint_flags(meta: dict) -> model.AblationFlags:
                                   for name in model.AblationFlags.NAMES})
 
 
+def _check_after_training(meta: dict, t_query: float, flag: str) -> None:
+    """The trained states hold every training post, so a query at or before
+    the last of them would score posts the model has already seen."""
+    last_post = meta.get("last_post_time")
+    if last_post is not None and t_query <= last_post:
+        raise UsageError("%s %r is at or before the checkpoint's last training post at %r"
+                         % (flag, t_query, last_post))
+
+
 def cmd_synth(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
@@ -272,24 +281,33 @@ def cmd_train(args) -> int:
     window = ds if train_end is None else corpus.events_before(ds, train_end)
     cfg = _build_train_config(args)
 
+    t_fit = time.perf_counter()
     sink = [] if args.export_trajectories else None
     params, store = train.fit(window, lda, vocab, week_topics, cfg,
                               log_path=out / TRAIN_LOG_FILE,
                               trajectory_sink=sink)
+    t_save = time.perf_counter()
+    # the data enter by content, so the bytes do not depend on where it lives;
+    # the last post time bounds the queries the trained states can answer
     meta = {"config": cfg.as_dict(), "train_end": train_end,
-            "data": str(data), "num_events": len(window.events)}
+            "data_sha256": {name: _file_sha256(data / name)
+                            for name in (POSTS_FILE, SCHEDULE_FILE)},
+            "last_post_time": window.events[-1].timestamp,
+            "num_events": len(window.events)}
     model.save_checkpoint(out / CHECKPOINT_FILE, params, store, week_topics, meta)
     outputs = [out / CHECKPOINT_FILE]
     logs = [out / TRAIN_LOG_FILE]
     if sink is not None:
         recommend.write_trajectories(sink, out / TRAJECTORIES_FILE)
         outputs.append(out / TRAJECTORIES_FILE)
+    timings = {"ingest_s": t_fit - started, "fit_s": t_save - t_fit,
+               "save_s": time.perf_counter() - t_save}
 
     inputs = [data / POSTS_FILE, data / SCHEDULE_FILE,
               Path(args.lda) / VOCAB_FILE, Path(args.lda) / LDA_FILE,
               Path(args.lda) / COURSE_TOPICS_FILE]
     write_manifest(out, "train", cfg.seed, cfg.as_dict(), inputs, outputs, logs,
-                   time.perf_counter() - started)
+                   time.perf_counter() - started, timings)
     print("train: %d events, %d epochs -> %s" % (len(window.events), cfg.epochs, out))
     return 0
 
@@ -313,10 +331,12 @@ def cmd_eval(args) -> int:
     ds = _load_dataset(data)
     spec = corpus.SplitSpec(parse_duration(args.train_end), parse_duration(args.test_end))
     train_ds, test_ds = corpus.split_by_time(ds, spec)
+    timings = {"ingest_s": time.perf_counter() - started}
 
     inputs = [data / POSTS_FILE, data / SCHEDULE_FILE]
     if args.baseline:
         method = args.baseline
+        t_rank = time.perf_counter()
         rank_fn = _baseline_rank_fn(args.baseline, train_ds, args.rec_ascending)
         report = recommend.evaluate(rank_fn, test_ds, n_cutoff=args.n_cutoff,
                                     method=method)
@@ -324,11 +344,15 @@ def cmd_eval(args) -> int:
         if not args.checkpoint:
             raise UsageError("need --checkpoint or --baseline")
         inputs.append(Path(args.checkpoint))
+        t_load = time.perf_counter()
         params, store, week_topics, meta = model.load_checkpoint(args.checkpoint)
+        t_rank = time.perf_counter()
+        timings["load_checkpoint_s"] = t_rank - t_load
         trained_to = meta.get("train_end")
         if trained_to is not None and trained_to != spec.train_end:
             raise UsageError("--train-end %r differs from the checkpoint's train_end %r"
                              % (spec.train_end, trained_to))
+        _check_after_training(meta, spec.train_end, "--train-end")
         flags = _checkpoint_flags(meta)
         if args.per_event:
             report = recommend.evaluate_per_event(params, store, week_topics,
@@ -339,6 +363,7 @@ def cmd_eval(args) -> int:
                                                    train_ds, spec.train_end,
                                                    flags=flags)
             report = recommend.evaluate(rank_fn, test_ds, n_cutoff=args.n_cutoff)
+    timings["rank_s"] = time.perf_counter() - t_rank
 
     out = _out_dir(args)
     recommend.write_report_json(report, out / REPORT_FILE)
@@ -349,7 +374,7 @@ def cmd_eval(args) -> int:
               "rec_ascending": bool(args.rec_ascending)}
     write_manifest(out, "eval", args.seed, config, inputs,
                    [out / REPORT_FILE, out / PER_USER_FILE], [],
-                   time.perf_counter() - started)
+                   time.perf_counter() - started, timings)
     print("eval: MAP@%d = %.6f over %d students (%s)"
           % (report.n_cutoff, report.map_at_n, report.users_evaluated, report.method))
     return 0
@@ -449,6 +474,7 @@ def cmd_recommend(args) -> int:
         # the trained states already hold the posts between the two times
         raise UsageError("--at %r is before the checkpoint's train_end %r"
                          % (t_query, trained_to))
+    _check_after_training(meta, t_query, "--at")
     window = corpus.events_before(ds, t_query)
     try:
         student = ds.student_ids.index(args.student)

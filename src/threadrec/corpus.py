@@ -307,7 +307,8 @@ def split_by_time(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 class ThreadEventIndex:
     """Per-thread events and their timestamps, the post times of each
-    student on each thread, and a post author lookup, for repeated
+    student on each thread, the threads each student posted on (in order of
+    their first post there), and a post author lookup, for repeated
     interaction-history queries against a fixed dataset. Queries bisect the
     timestamp lists, so the events must be in time order, as
     validate_dataset requires."""
@@ -316,11 +317,15 @@ class ThreadEventIndex:
         self.by_thread: dict[int, list[PostEvent]] = {}
         self.thread_times: dict[int, list[float]] = {}
         self.own_times: dict[tuple[int, int], list[float]] = {}
+        self.student_threads: dict[int, list[int]] = {}
         self.author_of: dict[int, int] = {}
         for ev in ds.events:
             self.by_thread.setdefault(ev.thread_id, []).append(ev)
             self.thread_times.setdefault(ev.thread_id, []).append(ev.timestamp)
-            self.own_times.setdefault((ev.student_id, ev.thread_id), []).append(ev.timestamp)
+            own = self.own_times.setdefault((ev.student_id, ev.thread_id), [])
+            if not own:
+                self.student_threads.setdefault(ev.student_id, []).append(ev.thread_id)
+            own.append(ev.timestamp)
             self.author_of[ev.post_id] = ev.student_id
 
     def history(self, student: int, thread: int, t_end: float) -> ReplyHistory:

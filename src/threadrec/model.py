@@ -37,36 +37,6 @@ TENSOR_NAMES = (
 )
 
 
-@dataclass
-class DynamicState:
-    """Evolving embedding of one entity and the time it was last written.
-
-    last_update is None before the entity's first interaction; embeddings
-    start at the zero vector."""
-    embedding: np.ndarray
-    last_update: float | None = None
-
-
-@dataclass
-class StaticEmbedding:
-    """One-hot identity of an entity, kept as an index so the dense vector
-    is never materialized."""
-    index: int
-    dimension: int
-
-    def __post_init__(self):
-        if not (0 <= self.index < self.dimension):
-            raise ValueError("one-hot index %d outside dimension %d" % (self.index, self.dimension))
-
-
-@dataclass
-class PredictedThreadEmbedding:
-    """Output of the prediction head: first num_threads entries score the
-    thread identities, the last embed_dim entries estimate the projected
-    embedding of the next thread."""
-    vector: np.ndarray
-
-
 @dataclass(frozen=True)
 class AblationFlags:
     no_dynamic_student: bool = False
@@ -213,20 +183,11 @@ def _norm_grad(vec: np.ndarray) -> tuple[float, np.ndarray]:
 # forward operations
 
 
-def update(u_prev: DynamicState, p_prev: DynamicState, theta: TopicDistribution,
-           delta_student: float, delta_thread: float, params: ModelParams):
-    """Joint recurrent update at a post: both new embeddings are computed
-    from the pre-update pair, the post's topic distribution, and the two
-    normalized elapsed times. Returns (student_embedding, thread_embedding)."""
-    theta_vec = np.asarray(theta.probs, dtype=np.float64)
-    return _update_kernel(
-        np.asarray(u_prev.embedding, dtype=np.float64),
-        np.asarray(p_prev.embedding, dtype=np.float64),
-        theta_vec, delta_student, delta_thread, params,
-    )[:2]
-
-
 def _update_kernel(u_vec, p_vec, theta_vec, delta_student, delta_thread, params):
+    """Joint recurrent update at a post: both new embeddings are computed
+    from the pre-update pair, the post's topic vector, and the two
+    normalized elapsed times. Returns (student_embedding, thread_embedding)
+    and the two cell inputs."""
     d, k = params.embed_dim, params.num_topics
     if u_vec.shape != (d,) or p_vec.shape != (d,):
         raise ValueError("embedding dimension mismatch")
@@ -256,22 +217,14 @@ def assign_course_topic(theta: TopicDistribution, week_topics: Sequence[TopicDis
     return best
 
 
-def project_student(state: DynamicState, delta: float, week: int,
-                    params: ModelParams) -> np.ndarray:
+def _project_student_kernel(u_vec, delta, week, params):
     """Drift the student's embedding forward by elapsed time delta within
     course week `week`: an elementwise gain of one plus a time term plus a
-    week term multiplies the stored embedding."""
+    week term multiplies the stored embedding. Returns (projection, gain)."""
     if delta < 0:
         raise ValueError("elapsed time must be nonnegative")
     if not (0 <= week < params.num_weeks):
         raise ValueError("week %d outside schedule of %d weeks" % (week, params.num_weeks))
-    vec = np.asarray(state.embedding, dtype=np.float64)
-    if vec.shape != (params.embed_dim,):
-        raise ValueError("embedding dimension mismatch")
-    return _project_student_kernel(vec, delta, week, params)[0]
-
-
-def _project_student_kernel(u_vec, delta, week, params):
     gain = 1.0 + params.time_context[:, 0] * delta + params.week_context[:, week]
     return gain * u_vec, gain
 
@@ -319,30 +272,18 @@ def project_thread(student_vec: np.ndarray, thread_vec: np.ndarray,
     return w * student_vec + (1.0 - w) * thread_vec
 
 
-def predict_next(student_proj: np.ndarray, student_static: StaticEmbedding,
-                 thread_dyn: np.ndarray, thread_static: StaticEmbedding | None,
-                 params: ModelParams) -> PredictedThreadEmbedding:
-    """Apply the prediction head. thread_dyn and thread_static describe the
-    thread of the student's previous post; pass zeros and None for a student
-    with no history, which contributes nothing from those blocks. One-hot
-    blocks are applied by row selection, never as dense vectors."""
-    if student_static.dimension != params.num_students:
-        raise ValueError("student one-hot dimension mismatch")
-    if thread_static is not None and thread_static.dimension != params.num_threads:
-        raise ValueError("thread one-hot dimension mismatch")
-    student_proj = np.asarray(student_proj, dtype=np.float64)
-    thread_dyn = np.asarray(thread_dyn, dtype=np.float64)
-    d = params.embed_dim
-    if student_proj.shape != (d,) or thread_dyn.shape != (d,):
-        raise ValueError("embedding dimension mismatch")
-    q = _predict_kernel(student_proj, student_static.index, thread_dyn,
-                        None if thread_static is None else thread_static.index,
-                        params)
-    return PredictedThreadEmbedding(q)
-
-
 def _predict_kernel(u_hat, student, p_dyn, last_thread, params):
+    """Prediction head: first num_threads entries score the thread
+    identities, the last embed_dim entries estimate the projected embedding
+    of the next thread. p_dyn and last_thread describe the thread of the
+    student's previous post; pass zeros and None for a student with no
+    history, which contributes nothing from those blocks. One-hot blocks are
+    applied by row selection, never as dense vectors."""
     d, m = params.embed_dim, params.num_students
+    if not (0 <= student < m):
+        raise ValueError("student %d outside %d students" % (student, m))
+    if last_thread is not None and not (0 <= last_thread < params.num_threads):
+        raise ValueError("thread %d outside %d threads" % (last_thread, params.num_threads))
     W = params.predictor
     q = u_hat @ W[:d]
     q = q + W[d + student]
@@ -350,27 +291,6 @@ def _predict_kernel(u_hat, student, p_dyn, last_thread, params):
     if last_thread is not None:
         q = q + W[2 * d + m + last_thread]
     return q + params.predictor_bias
-
-
-def loss(pred: PredictedThreadEmbedding, target_static: StaticEmbedding,
-         target_proj: np.ndarray, u_new, u_prev, p_new, p_prev,
-         params: ModelParams) -> float:
-    """Per-event objective: unsquared Euclidean distance from the prediction
-    to the concatenated target (next thread one-hot, projected embedding),
-    plus smoothness penalties on the two embedding jumps."""
-    if target_static.dimension != params.num_threads:
-        raise ValueError("target one-hot dimension mismatch")
-    n, d = params.num_threads, params.embed_dim
-    target_proj = np.asarray(target_proj, dtype=np.float64)
-    if target_proj.shape != (d,):
-        raise ValueError("target projection dimension mismatch")
-    target = np.zeros(n + d)
-    target[target_static.index] = 1.0
-    target[n:] = target_proj
-    pred_term = float(np.linalg.norm(pred.vector - target))
-    reg_u = params.lambda_student * float(np.linalg.norm(np.asarray(u_new) - np.asarray(u_prev)))
-    reg_p = params.lambda_thread * float(np.linalg.norm(np.asarray(p_new) - np.asarray(p_prev)))
-    return pred_term + reg_u + reg_p
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +437,6 @@ class DynamicStateStore:
     @property
     def num_threads(self):
         return self.thread_vecs.shape[0]
-
-    def student_state(self, s: int) -> DynamicState:
-        last = float(self.student_last_t[s]) if self.student_seen[s] else None
-        return DynamicState(self.student_vecs[s].copy(), last)
 
 
 # ---------------------------------------------------------------------------

@@ -6,28 +6,31 @@ scores the ranking with mean average precision at a cutoff against the
 threads the student actually posted on inside the window. Candidates are
 the threads with at least one training post, and the excitation weights
 entering the candidate targets are computed from training history only.
+
+A candidate's target is its one-hot identity next to its projected state,
+so the distance from the prediction q has the closed form
+sqrt(|q[:N]|^2 - 2 q[c] + 1 + |q[N:] - p_c|^2) and no target vector is
+built. Only threads the student has posted on can have non-zero
+excitation; every other candidate keeps its stored state.
 """
 from __future__ import annotations
 
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Dataset, ThreadEventIndex
 from .model import (
     AblationFlags,
-    DynamicState,
     DynamicStateStore,
     ModelParams,
-    PredictedThreadEmbedding,
-    StaticEmbedding,
+    _predict_kernel,
+    _project_student_kernel,
     assign_course_topic,
     excitation,
-    predict_next,
-    project_student,
     project_thread,
 )
 from .text import TopicDistribution
@@ -45,27 +48,25 @@ class RankedRecommendation:
     distances: list[float]
 
 
-def rank_threads(query, candidates: Mapping[int, np.ndarray],
-                 top_k: int | None = None) -> RankedRecommendation:
-    """Order candidate threads by Euclidean distance between the query
-    vector and each thread's target vector."""
-    if isinstance(query, PredictedThreadEmbedding):
-        query = query.vector
-    query = np.asarray(query, dtype=np.float64)
-    if not candidates:
+def _rank_by_distance(q: np.ndarray, ids: np.ndarray, p_hat: np.ndarray,
+                      top_k: int | None = None) -> RankedRecommendation:
+    """Order the candidate threads ids by the Euclidean distance from the
+    prediction q to their targets [one-hot(c), p_hat[i]], where row i of
+    p_hat is the projected state of thread ids[i]."""
+    if len(ids) == 0:
         raise EvaluationError("no candidate threads to rank")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be >= 1")
-    ids = np.array(sorted(candidates), dtype=np.int64)
-    mat = np.stack([np.asarray(candidates[int(i)], dtype=np.float64) for i in ids])
-    if mat.shape[1] != query.shape[0]:
-        raise ValueError("candidate vectors do not match the query dimension")
-    dists = np.linalg.norm(mat - query, axis=1)
+    n = q.shape[0] - p_hat.shape[1]
+    head = q[:n] @ q[:n]
+    diff = q[n:] - p_hat
+    sq = head - 2.0 * q[ids] + 1.0 + np.einsum("ij,ij->i", diff, diff)
+    # the sum of squares is nonnegative; rounding must not make it negative
+    dists = np.sqrt(np.maximum(sq, 0.0))
     order = np.lexsort((ids, dists))
     if top_k is not None:
         order = order[:top_k]
-    return RankedRecommendation([int(ids[i]) for i in order],
-                                [float(dists[i]) for i in order])
+    return RankedRecommendation(ids[order].tolist(), dists[order].tolist())
 
 
 def average_precision(ranked: Sequence[int], relevant: set, n_cutoff: int) -> float:
@@ -125,56 +126,55 @@ def evaluate(rank_fn: Callable[[int], object], test_events, n_cutoff: int = 5,
 # model ranker
 
 
-def _candidate_threads(train: Dataset) -> list[int]:
-    seen = sorted({ev.thread_id for ev in train.events})
-    if not seen:
-        raise EvaluationError("training window has no posted threads")
-    return seen
+class _Scorer:
+    """Ranks the threads with a training post for any student at any query
+    time, reading the trained states from the store at call time and the
+    interaction histories from index."""
 
+    def __init__(self, params: ModelParams, store: DynamicStateStore,
+                 week_topics: Sequence[TopicDistribution], train: Dataset,
+                 index: ThreadEventIndex, flags: AblationFlags):
+        self.ids = np.array(sorted({ev.thread_id for ev in train.events}), dtype=np.int64)
+        if len(self.ids) == 0:
+            raise EvaluationError("training window has no posted threads")
+        self.row = {int(c): i for i, c in enumerate(self.ids)}
+        self.params, self.store, self.week_topics = params, store, week_topics
+        self.course, self.index, self.flags = train.course, index, flags
 
-def _rank_student(params: ModelParams, store: DynamicStateStore,
-                  week_topics: Sequence[TopicDistribution], course, index,
-                  candidates: Sequence[int], student: int, t_query: float,
-                  flags: AblationFlags, top_k: int | None) -> RankedRecommendation:
-    d, n = params.embed_dim, params.num_threads
-    u_vec = store.student_vecs[student]
-
-    if flags.no_student_projection:
-        u_hat = u_vec
-    else:
-        last_t = store.student_last_t[student] if store.student_seen[student] else 0.0
-        delta = max(t_query - last_t, 0.0) / store.time_scale
-        if store.student_seen[student]:
-            week = assign_course_topic(
-                TopicDistribution(store.student_last_theta[student]), week_topics)
+    def rank(self, student: int, t_query: float,
+             top_k: int | None = None) -> RankedRecommendation:
+        params, store, flags = self.params, self.store, self.flags
+        u_vec = store.student_vecs[student]
+        if flags.no_student_projection:
+            u_hat = u_vec
         else:
-            week = course.week_of(t_query)
-        u_hat = project_student(DynamicState(u_vec, None), delta, week, params)
+            seen = store.student_seen[student]
+            last_t = store.student_last_t[student] if seen else 0.0
+            delta = max(t_query - last_t, 0.0) / store.time_scale
+            if seen:
+                week = assign_course_topic(
+                    TopicDistribution(store.student_last_theta[student]), self.week_topics)
+            else:
+                week = self.course.week_of(t_query)
+            u_hat = _project_student_kernel(u_vec, delta, week, params)[0]
 
-    last_thread = int(store.student_last_thread[student])
-    if last_thread < 0:
-        p_dyn = np.zeros(d)
-        p_static = None
-    else:
-        p_dyn = store.thread_vecs[last_thread]
-        p_static = StaticEmbedding(last_thread, n)
-    q = predict_next(u_hat, StaticEmbedding(student, params.num_students),
-                     p_dyn, p_static, params)
-
-    targets = {}
-    for c in candidates:
-        if flags.no_thread_projection:
-            p_hat = store.thread_vecs[c]
+        last_thread = int(store.student_last_thread[student])
+        if last_thread < 0:
+            q = _predict_kernel(u_hat, student, np.zeros(params.embed_dim), None, params)
         else:
-            hist = index.history(student, c, t_query)
-            z = excitation(hist, t_query, params.post_decay, params.reply_decay,
-                           store.time_scale)
-            p_hat = project_thread(u_vec, store.thread_vecs[c], z)
-        target = np.zeros(n + d)
-        target[c] = 1.0
-        target[n:] = p_hat
-        targets[c] = target
-    return rank_threads(q, targets, top_k)
+            q = _predict_kernel(u_hat, student, store.thread_vecs[last_thread],
+                                last_thread, params)
+
+        p_hat = store.thread_vecs[self.ids]
+        if not flags.no_thread_projection:
+            for c in self.index.student_threads.get(student, ()):
+                i = self.row.get(c)
+                if i is None:
+                    continue
+                z = excitation(self.index.history(student, c, t_query), t_query,
+                               params.post_decay, params.reply_decay, store.time_scale)
+                p_hat[i] = project_thread(u_vec, p_hat[i], z)
+        return _rank_by_distance(q, self.ids, p_hat, top_k)
 
 
 def build_model_ranker(params: ModelParams, store: DynamicStateStore,
@@ -184,14 +184,12 @@ def build_model_ranker(params: ModelParams, store: DynamicStateStore,
     """Ranking function over training-active threads for any student at a
     fixed query time. Interaction histories come from the training window
     only."""
-    candidates = _candidate_threads(train)
-    index = ThreadEventIndex(train)
+    scorer = _Scorer(params, store, week_topics, train, ThreadEventIndex(train), flags)
 
     def rank(student: int) -> RankedRecommendation:
         if not (0 <= student < params.num_students):
             raise EvaluationError("unknown student %d" % student)
-        return _rank_student(params, store, week_topics, train.course, index,
-                             candidates, student, t_query, flags, top_k)
+        return scorer.rank(student, t_query, top_k)
 
     return rank
 
@@ -212,13 +210,11 @@ def evaluate_per_event(params: ModelParams, store: DynamicStateStore,
         raise EvaluationError("test window contains no students to evaluate")
     merged = Dataset(list(train.events) + list(test_events), train.num_students,
                      train.num_threads, train.course, train.student_ids, train.thread_ids)
-    index = ThreadEventIndex(merged)
-    candidates = _candidate_threads(train)
+    scorer = _Scorer(params, store, week_topics, train, ThreadEventIndex(merged), flags)
 
     scores: dict[int, list[float]] = {}
     for ev in test_events:
-        ranking = _rank_student(params, store, week_topics, train.course, index,
-                                candidates, ev.student_id, ev.timestamp, flags, None)
+        ranking = scorer.rank(ev.student_id, ev.timestamp)
         ap = average_precision(ranking.thread_ids, {ev.thread_id}, n_cutoff)
         scores.setdefault(ev.student_id, []).append(ap)
     per_user = {u: sum(v) / len(v) for u, v in sorted(scores.items())}

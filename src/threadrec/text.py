@@ -8,6 +8,7 @@ artifacts.
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -26,6 +27,10 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _SPLIT_RE = re.compile(r"[^a-z0-9]+")
 
 _DEFAULT_STOPWORDS: frozenset[str] | None = None
+
+# stem is pure, so each distinct word is stemmed once; the cache keeps one
+# entry per distinct word for the life of the process
+_stem = functools.lru_cache(maxsize=None)(stem)
 
 
 def load_stopwords(path=None) -> frozenset[str]:
@@ -63,7 +68,7 @@ def preprocess(raw_text: str, stopwords: frozenset[str] | None = None) -> list[s
             continue
         if tok in stopwords:
             continue
-        stemmed = stem(tok)
+        stemmed = _stem(tok)
         if stemmed in stopwords:
             continue
         out.append(stemmed)

@@ -14,8 +14,8 @@ import pytest
 
 from threadrec import cli, recommend, train
 from threadrec.corpus import PostEvent, ReplyHistory, SplitSpec, split_by_time
-from threadrec.model import (DynamicState, ModelParams, excitation,
-                             project_student, project_thread)
+from threadrec.model import (ModelParams, _project_student_kernel, excitation,
+                             project_thread)
 from threadrec.synth import algo_like, generate
 from threadrec.text import build_vocabulary, course_topics, lda_fit, term_frequency
 from threadrec.train import TrainConfig
@@ -67,7 +67,7 @@ def test_3_projection_identities(capsys):
     params.time_context[:] = 0.0
     params.week_context[:] = 0.0
     vec = rng.uniform(-1.0, 1.0, 4)
-    projected = project_student(DynamicState(vec.copy(), 3.0), 1234.5, 2, params)
+    projected, _ = _project_student_kernel(vec.copy(), 1234.5, 2, params)
     student_identity = projected.tobytes() == vec.tobytes()
 
     u = rng.uniform(-1.0, 1.0, 4)

@@ -87,6 +87,9 @@ def test_train_outputs(pipeline):
     assert "training_log.csv" not in manifest["outputs"]
     assert "checkpoint.bin" in manifest["outputs"]
     assert verify_manifest(run / "manifest.json") == []
+    timings = manifest["timings"]
+    assert set(timings) == {"ingest_s", "fit_s", "save_s"}
+    assert all(seconds >= 0 for seconds in timings.values())
 
 
 def test_eval_model_and_baselines(pipeline, capsys):
@@ -99,12 +102,19 @@ def test_eval_model_and_baselines(pipeline, capsys):
     assert report["method"] == "model"
     assert 0.0 <= report["map_at_n"] <= 1.0
     assert (out / "per_user_ap.csv").exists()
+    # timings live in the manifest only, so reports stay byte-deterministic
+    assert "timings" not in report
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"ingest_s", "load_checkpoint_s", "rank_s"}
+    assert all(seconds >= 0 for seconds in timings.values())
 
     for baseline in ("pop", "rec", "user-rec"):
         bout = pipeline["root"] / ("eval-" + baseline)
         assert main(["eval", "--out", str(bout), "--baseline", baseline] + args) == 0
         payload = json.loads((bout / "report.json").read_text())
         assert payload["method"] == baseline
+        timings = json.loads((bout / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"ingest_s", "rank_s"}
     capsys.readouterr()
 
 
@@ -197,6 +207,20 @@ def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
     assert not (tmp_path / "b").exists()
     assert main(["recommend", "--data", str(pipeline["data"]),
                  "--checkpoint", str(pipeline["run"] / "checkpoint.bin"),
+                 "--student", "0", "--at", "1w"]) == 2
+    # a checkpoint trained on every post records no train_end; queries at
+    # or before its last training post are refused all the same
+    whole = tmp_path / "whole"
+    assert main(["train", "--data", str(pipeline["data"]),
+                 "--lda", str(pipeline["lda"]), "--out", str(whole),
+                 "--seed", "2", "--set", "epochs=1", "--set", "embed_dim=4"]) == 0
+    assert main(["eval", "--data", str(pipeline["data"]),
+                 "--out", str(tmp_path / "c"),
+                 "--checkpoint", str(whole / "checkpoint.bin"),
+                 "--train-end", "1w", "--test-end", "2w"]) == 2
+    assert not (tmp_path / "c").exists()
+    assert main(["recommend", "--data", str(pipeline["data"]),
+                 "--checkpoint", str(whole / "checkpoint.bin"),
                  "--student", "0", "--at", "1w"]) == 2
     # argparse's own rejections surface as exit code 2 as well
     assert main(["eval"]) == 2

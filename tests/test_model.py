@@ -5,8 +5,8 @@ import pytest
 
 from threadrec import model
 from threadrec.corpus import ReplyHistory
-from threadrec.model import (AblationFlags, DynamicState, DynamicStateStore,
-                             ModelParams, StaticEmbedding, TENSOR_NAMES)
+from threadrec.model import (AblationFlags, DynamicStateStore, EventFeatures,
+                             ModelParams, TENSOR_NAMES)
 from threadrec.text import TopicDistribution
 
 
@@ -25,18 +25,24 @@ def theta(*probs):
 # update operation
 
 
+def update(u_vec, p_vec, theta, delta_student, delta_thread, params):
+    """The recurrent update kernel's pair of new embeddings."""
+    return model._update_kernel(np.asarray(u_vec, dtype=np.float64),
+                                np.asarray(p_vec, dtype=np.float64),
+                                theta.probs, delta_student, delta_thread, params)[:2]
+
+
 def test_update_zero_weights_gives_midpoint_sigmoid():
     params = zero_params()
-    u = DynamicState(np.array([0.2, 0.4]))
-    p = DynamicState(np.array([0.6, 0.1]))
-    u2, p2 = model.update(u, p, theta(0.5, 0.5), 1.0, 2.0, params)
+    u = np.array([0.2, 0.4])
+    p = np.array([0.6, 0.1])
+    u2, p2 = update(u, p, theta(0.5, 0.5), 1.0, 2.0, params)
     assert np.allclose(u2, 0.5) and np.allclose(p2, 0.5)
 
 
 def test_update_zero_weights_gives_zero_tanh():
     params = zero_params(activation="tanh")
-    u2, p2 = model.update(DynamicState(np.zeros(2)), DynamicState(np.zeros(2)),
-                          theta(1.0, 0.0), 0.0, 0.0, params)
+    u2, p2 = update(np.zeros(2), np.zeros(2), theta(1.0, 0.0), 0.0, 0.0, params)
     assert np.allclose(u2, 0.0) and np.allclose(p2, 0.0)
 
 
@@ -44,8 +50,7 @@ def test_update_single_weight_oracle():
     # route only the elapsed-time input to the first output coordinate
     params = zero_params()
     params.student_update[-1, 0] = 1.0
-    u2, _ = model.update(DynamicState(np.zeros(2)), DynamicState(np.zeros(2)),
-                         theta(1.0, 0.0), 3.0, 0.0, params)
+    u2, _ = update(np.zeros(2), np.zeros(2), theta(1.0, 0.0), 3.0, 0.0, params)
     assert u2[0] == pytest.approx(1.0 / (1.0 + math.exp(-3.0)), abs=1e-15)
     assert u2[1] == 0.5
 
@@ -57,11 +62,11 @@ def test_update_is_symmetric_in_construction():
     w = rng.normal(size=params.student_update.shape)
     params.student_update[...] = w
     params.thread_update[...] = w
-    u = DynamicState(rng.random(2))
-    p = DynamicState(rng.random(2))
+    u = rng.random(2)
+    p = rng.random(2)
     th = theta(0.3, 0.7)
-    u2, p2 = model.update(u, p, th, 1.5, 1.5, params)
-    u3, p3 = model.update(p, u, th, 1.5, 1.5, params)
+    u2, p2 = update(u, p, th, 1.5, 1.5, params)
+    u3, p3 = update(p, u, th, 1.5, 1.5, params)
     assert np.allclose(u2, p3) and np.allclose(p2, u3)
 
 
@@ -71,24 +76,24 @@ def test_update_uses_pre_update_values():
     params = zero_params()
     params.student_update[...] = rng.normal(size=params.student_update.shape)
     params.thread_update[...] = rng.normal(size=params.thread_update.shape)
-    u = DynamicState(np.array([0.9, 0.1]))
-    p = DynamicState(np.array([0.2, 0.8]))
+    u = np.array([0.9, 0.1])
+    p = np.array([0.2, 0.8])
     th = theta(0.5, 0.5)
-    _, p2 = model.update(u, p, th, 1.0, 1.0, params)
-    xp = np.concatenate([p.embedding, u.embedding, [0.5, 0.5], [1.0]])
+    _, p2 = update(u, p, th, 1.0, 1.0, params)
+    xp = np.concatenate([p, u, [0.5, 0.5], [1.0]])
     expect = 1.0 / (1.0 + np.exp(-(xp @ params.thread_update)))
     assert np.allclose(p2, expect, atol=1e-14)
 
 
 def test_update_validates_inputs():
     params = zero_params()
-    good = DynamicState(np.zeros(2))
+    good = np.zeros(2)
     with pytest.raises(ValueError):
-        model.update(DynamicState(np.zeros(3)), good, theta(1.0, 0.0), 1.0, 1.0, params)
+        update(np.zeros(3), good, theta(1.0, 0.0), 1.0, 1.0, params)
     with pytest.raises(ValueError):
-        model.update(good, good, theta(1.0, 0.0), -1.0, 1.0, params)
+        update(good, good, theta(1.0, 0.0), -1.0, 1.0, params)
     with pytest.raises(ValueError):
-        model.update(good, good, TopicDistribution(np.array([1.0])), 1.0, 1.0, params)
+        update(good, good, TopicDistribution(np.array([1.0])), 1.0, 1.0, params)
 
 
 # student projection
@@ -98,7 +103,7 @@ def test_project_student_oracle():
     params = zero_params()
     params.time_context[:, 0] = [0.25, 0.0]
     params.week_context[:, 1] = [0.25, 0.0]
-    out = model.project_student(DynamicState(np.array([1.0, 1.0])), 1.0, 1, params)
+    out, _ = model._project_student_kernel(np.array([1.0, 1.0]), 1.0, 1, params)
     assert np.array_equal(out, [1.5, 1.0])
 
 
@@ -106,16 +111,16 @@ def test_project_student_zero_context_is_identity():
     rng = np.random.default_rng(7)
     params = zero_params()
     vec = rng.random(2)
-    out = model.project_student(DynamicState(vec), 123.0, 0, params)
+    out, _ = model._project_student_kernel(vec, 123.0, 0, params)
     assert np.array_equal(out, vec)
 
 
 def test_project_student_validates():
     params = zero_params()
     with pytest.raises(ValueError):
-        model.project_student(DynamicState(np.zeros(2)), -0.5, 0, params)
+        model._project_student_kernel(np.zeros(2), -0.5, 0, params)
     with pytest.raises(ValueError):
-        model.project_student(DynamicState(np.zeros(2)), 1.0, 9, params)
+        model._project_student_kernel(np.zeros(2), 1.0, 9, params)
 
 
 # excitation
@@ -203,12 +208,11 @@ def test_predict_next_matches_dense_formula():
     u_hat = rng.normal(size=d)
     p_dyn = rng.normal(size=d)
     student, last_thread = 2, 3
-    pred = model.predict_next(u_hat, StaticEmbedding(student, m), p_dyn,
-                              StaticEmbedding(last_thread, n), params)
+    q = model._predict_kernel(u_hat, student, p_dyn, last_thread, params)
     dense_in = np.concatenate([u_hat, np.eye(m)[student], p_dyn, np.eye(n)[last_thread]])
     expect = dense_in @ params.predictor + params.predictor_bias
-    assert np.allclose(pred.vector, expect, atol=1e-12)
-    assert pred.vector.shape == (n + d,)
+    assert np.allclose(q, expect, atol=1e-12)
+    assert q.shape == (n + d,)
 
 
 def test_predict_next_cold_start_omits_thread_blocks():
@@ -216,29 +220,46 @@ def test_predict_next_cold_start_omits_thread_blocks():
     d, k, weeks, m, n = 2, 2, 2, 3, 3
     params = ModelParams.init(rng, d, k, weeks, m, n)
     u_hat = rng.normal(size=d)
-    pred = model.predict_next(u_hat, StaticEmbedding(0, m), np.zeros(d), None, params)
+    q = model._predict_kernel(u_hat, 0, np.zeros(d), None, params)
     dense_in = np.concatenate([u_hat, np.eye(m)[0], np.zeros(d), np.zeros(n)])
     expect = dense_in @ params.predictor + params.predictor_bias
-    assert np.allclose(pred.vector, expect, atol=1e-12)
+    assert np.allclose(q, expect, atol=1e-12)
 
 
 def test_predict_next_validates_one_hot_sizes():
     params = zero_params()
     with pytest.raises(ValueError):
-        model.predict_next(np.zeros(2), StaticEmbedding(0, 7), np.zeros(2), None, params)
+        model._predict_kernel(np.zeros(2), 7, np.zeros(2), None, params)
+    with pytest.raises(ValueError):
+        model._predict_kernel(np.zeros(2), 0, np.zeros(2), 3, params)
 
 
 # loss
 
 
+def loss_event(params, bias, u_vec, p_vec, thread):
+    """A zero-weight head predicts its bias; the event's student 0 and the
+    target thread carry the given states, with no excitation."""
+    params.predictor_bias[:] = bias
+    store = DynamicStateStore(params.num_students, params.num_threads,
+                              params.embed_dim, params.num_topics)
+    store.student_vecs[0] = u_vec
+    store.thread_vecs[thread] = p_vec
+    ev = EventFeatures(student=0, thread=thread, last_thread=None,
+                       theta=np.array([0.5, 0.5]), delta_student=1.0,
+                       delta_thread=1.0, week=0, excitation_value=0.0,
+                       timestamp=1.0, post_id=0)
+    return ev, store
+
+
 def test_loss_pythagorean_oracle():
     params = zero_params(d=2, n=3)
-    # prediction differs from the target by (3, 4) in the one-hot block
-    target = StaticEmbedding(2, 3)
-    u = np.zeros(2)
-    base = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    pred = model.PredictedThreadEmbedding(base + np.array([3.0, 4.0, 0.0, 0.0, 0.0]))
-    value = model.loss(pred, target, np.zeros(2), u, u, u, u, params)
+    # prediction differs from the target [one-hot(2), p] by (3, 4) in the
+    # one-hot block; the states equal what the zero-weight cells write
+    u = np.full(2, 0.5)
+    bias = np.array([3.0, 4.0, 1.0, 0.5, 0.5])
+    ev, store = loss_event(params, bias, u, u, 2)
+    value = model.event_loss(ev, store, params)
     assert value == pytest.approx(5.0, abs=1e-12)
 
 
@@ -246,11 +267,12 @@ def test_loss_is_unsquared_distance_plus_penalties():
     params = zero_params(d=2, n=3)
     params.lambda_student = 2.0
     params.lambda_thread = 0.5
-    pred = model.PredictedThreadEmbedding(np.zeros(5))
-    target = StaticEmbedding(0, 3)
-    u_prev, u_new = np.zeros(2), np.array([3.0, 4.0])
-    p_prev, p_new = np.zeros(2), np.array([0.0, 2.0])
-    value = model.loss(pred, target, np.zeros(2), u_new, u_prev, p_new, p_prev, params)
+    # the zero-weight sigmoid cells write 0.5, so the jumps are (3, 4) and (0, 2)
+    u_prev = np.array([-2.5, -3.5])
+    p_prev = np.array([0.5, -1.5])
+    bias = np.concatenate([np.zeros(3), p_prev])
+    ev, store = loss_event(params, bias, u_prev, p_prev, 0)
+    value = model.event_loss(ev, store, params)
     # prediction residual is the bare one-hot: norm 1
     assert value == pytest.approx(1.0 + 2.0 * 5.0 + 0.5 * 2.0, abs=1e-12)
 
@@ -258,10 +280,10 @@ def test_loss_is_unsquared_distance_plus_penalties():
 def test_loss_zero_at_perfect_prediction():
     params = zero_params(d=2, n=3)
     proj = np.array([0.25, 0.5])
-    vec = np.concatenate([np.eye(3)[1], proj])
-    pred = model.PredictedThreadEmbedding(vec)
-    u = np.ones(2)
-    value = model.loss(pred, StaticEmbedding(1, 3), proj, u, u, u, u, params)
+    bias = np.concatenate([np.eye(3)[1], proj])
+    ev, store = loss_event(params, bias, np.ones(2), proj, 1)
+    frozen = AblationFlags.from_names(["no_dynamic_student", "no_dynamic_thread"])
+    value = model.event_loss(ev, store, params, frozen)
     assert value == 0.0
 
 
@@ -353,9 +375,8 @@ def test_state_store_initial_state():
     assert np.all(store.student_vecs == 0.0)
     assert np.all(store.thread_vecs == 0.0)
     assert not store.student_seen.any() and not store.thread_seen.any()
-    state = store.student_state(1)
-    assert state.last_update is None
-    assert np.array_equal(state.embedding, np.zeros(4))
+    assert store.student_last_thread[1] == -1
+    assert np.array_equal(store.student_vecs[1], np.zeros(4))
 
 
 def test_checkpoint_roundtrip(tmp_path, small_params):

@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from threadrec import recommend, train
-from threadrec.corpus import Dataset, SplitSpec, split_by_time
-from threadrec.model import AblationFlags, PredictedThreadEmbedding
-from threadrec.recommend import (EvaluationError, average_precision,
-                                 baseline_pop, baseline_rec, baseline_user_rec,
-                                 build_model_ranker, evaluate, rank_threads)
-from threadrec.text import build_vocabulary, lda_fit, lda_infer, term_frequency
+from threadrec import model, recommend, train
+from threadrec.corpus import Dataset, SplitSpec, ThreadEventIndex, split_by_time
+from threadrec.model import (AblationFlags, DynamicStateStore, ModelParams,
+                             assign_course_topic, excitation, project_thread)
+from threadrec.recommend import (EvaluationError, _rank_by_distance,
+                                 average_precision, baseline_pop, baseline_rec,
+                                 baseline_user_rec, build_model_ranker, evaluate)
+from threadrec.text import (TopicDistribution, build_vocabulary, lda_fit,
+                            lda_infer, term_frequency)
 from threadrec.train import TrainConfig
 
 from conftest import WEEK, make_event
@@ -19,30 +21,163 @@ from conftest import WEEK, make_event
 
 
 def test_rank_threads_orders_by_distance():
-    candidates = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 0.0]),
-                  2: np.array([5.0, 5.0])}
-    out = rank_threads(np.array([0.1, 0.0]), candidates)
+    # three threads, two embedding coordinates; the prediction's one-hot
+    # block points at thread 1, whose projected state is 0.1 away
+    q = np.array([0.0, 1.0, 0.0, 0.1, 0.0])
+    p_hat = np.array([[1.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+    out = _rank_by_distance(q, np.array([0, 1, 2]), p_hat)
     assert out.thread_ids == [1, 0, 2]
     assert out.distances == sorted(out.distances)
     assert out.distances[0] == pytest.approx(0.1)
 
 
 def test_rank_threads_breaks_ties_by_id():
-    candidates = {3: np.array([1.0]), 1: np.array([-1.0]), 2: np.array([1.0])}
-    out = rank_threads(np.array([0.0]), candidates)
+    # every target is sqrt(2) from a zero prediction
+    q = np.zeros(5)
+    out = _rank_by_distance(q, np.array([1, 2, 3]), np.array([[-1.0], [1.0], [1.0]]))
     assert out.thread_ids == [1, 2, 3]
 
 
-def test_rank_threads_top_k_and_wrapper():
-    candidates = {i: np.array([float(i)]) for i in range(10)}
-    out = rank_threads(PredictedThreadEmbedding(np.array([0.0])), candidates, top_k=3)
+def test_rank_threads_top_k():
+    q = np.zeros(11)
+    p_hat = np.arange(10.0).reshape(10, 1)
+    out = _rank_by_distance(q, np.arange(10), p_hat, top_k=3)
     assert out.thread_ids == [0, 1, 2]
     assert len(out.distances) == 3
 
 
 def test_rank_threads_empty_candidates_raise():
     with pytest.raises(EvaluationError):
-        rank_threads(np.zeros(2), {})
+        _rank_by_distance(np.zeros(2), np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+
+
+# the closed-form scorer against the stacked-target ranker it replaced
+
+
+def stacked_target_ranking(params, store, week_topics, course, index, candidates,
+                           student, t_query, flags, top_k=None):
+    """Reference: one dense [one-hot(c), p_hat_c] target per candidate, with
+    excitation computed for every candidate, and distances by norm."""
+    d, n = params.embed_dim, params.num_threads
+    u_vec = store.student_vecs[student]
+    if flags.no_student_projection:
+        u_hat = u_vec
+    else:
+        last_t = store.student_last_t[student] if store.student_seen[student] else 0.0
+        delta = max(t_query - last_t, 0.0) / store.time_scale
+        if store.student_seen[student]:
+            week = assign_course_topic(
+                TopicDistribution(store.student_last_theta[student]), week_topics)
+        else:
+            week = course.week_of(t_query)
+        u_hat = model._project_student_kernel(u_vec, delta, week, params)[0]
+    last_thread = int(store.student_last_thread[student])
+    if last_thread < 0:
+        q = model._predict_kernel(u_hat, student, np.zeros(d), None, params)
+    else:
+        q = model._predict_kernel(u_hat, student, store.thread_vecs[last_thread],
+                                  last_thread, params)
+    ids = np.array(sorted(candidates), dtype=np.int64)
+    targets = []
+    for c in ids:
+        if flags.no_thread_projection:
+            p_hat = store.thread_vecs[c]
+        else:
+            z = excitation(index.history(student, int(c), t_query), t_query,
+                           params.post_decay, params.reply_decay, store.time_scale)
+            p_hat = project_thread(u_vec, store.thread_vecs[c], z)
+        target = np.zeros(n + d)
+        target[c] = 1.0
+        target[n:] = p_hat
+        targets.append(target)
+    dists = np.linalg.norm(np.stack(targets) - q, axis=1)
+    order = np.lexsort((ids, dists))[:top_k]
+    return [int(ids[i]) for i in order], [float(dists[i]) for i in order]
+
+
+def assert_same_ranking(got, ref):
+    assert got.thread_ids == ref[0]
+    got_d, ref_d = np.array(got.distances), np.array(ref[1])
+    assert np.all(np.abs(got_d - ref_d) <= 1e-12 * ref_d)
+
+
+@pytest.fixture
+def scored(course2):
+    """Four students and six threads with random trained states. Student 3
+    never posts in training (cold start), thread 5 only in the test window
+    (not a candidate); students 0 and 1 have own threads with later posts
+    and replies by others, in training and inside the test window."""
+    s = [(0, 0, 0, 100.0, None), (1, 1, 0, 200.0, None), (2, 2, 0, 300.0, 0),
+         (3, 1, 1, 400.0, None), (4, 0, 1, 500.0, 3), (5, 2, 2, 600.0, None),
+         (6, 1, 2, 700.0, 5), (7, 0, 3, 800.0, None), (8, 2, 4, 900.0, None),
+         (9, 1, 4, 1000.0, 8),
+         (10, 0, 2, WEEK + 100.0, None), (11, 2, 2, WEEK + 200.0, 10),
+         (12, 1, 2, WEEK + 300.0, None), (13, 0, 2, WEEK + 400.0, None),
+         (14, 3, 5, WEEK + 500.0, None), (15, 3, 0, WEEK + 600.0, None),
+         (16, 1, 0, WEEK + 700.0, None), (17, 0, 0, WEEK + 800.0, 2)]
+    events = [make_event(pid, st, th, t, parent=parent) for pid, st, th, t, parent in s]
+    ds = Dataset(events, 4, 6, course2, [0, 1, 2, 3], list(range(6)))
+    train_ds, test_ds = split_by_time(ds, SplitSpec(WEEK, 2 * WEEK))
+
+    rng = np.random.default_rng(21)
+    params = ModelParams.init(rng, embed_dim=3, num_topics=2, num_weeks=2,
+                              num_students=4, num_threads=6, init_std=0.5)
+    store = DynamicStateStore(4, 6, 3, 2, time_scale=500.0)
+    store.student_vecs[:] = rng.uniform(0.0, 1.0, (4, 3))
+    store.thread_vecs[:] = rng.uniform(0.0, 1.0, (6, 3))
+    for ev in train_ds.events:
+        store.student_seen[ev.student_id] = True
+        store.student_last_t[ev.student_id] = ev.timestamp
+        store.student_last_thread[ev.student_id] = ev.thread_id
+        store.student_last_theta[ev.student_id] = rng.dirichlet([1.0, 1.0])
+    week_topics = [TopicDistribution(np.array([0.8, 0.2])),
+                   TopicDistribution(np.array([0.3, 0.7]))]
+    assert store.student_last_thread[3] == -1
+    return params, store, week_topics, train_ds, test_ds
+
+
+def flag_sets():
+    return [AblationFlags()] + [AblationFlags.from_names([n]) for n in AblationFlags.NAMES]
+
+
+@pytest.mark.parametrize("flags", flag_sets(), ids=lambda f: "+".join(f.active()) or "full")
+@pytest.mark.parametrize("top_k", [None, 2])
+def test_scorer_matches_stacked_targets(scored, flags, top_k):
+    params, store, week_topics, train_ds, _ = scored
+    index = ThreadEventIndex(train_ds)
+    # student 0 on thread 0 has both a later post and a reply by others
+    hist = index.history(0, 0, WEEK)
+    assert hist.post_times and hist.reply_times
+    rank = build_model_ranker(params, store, week_topics, train_ds, WEEK,
+                              flags=flags, top_k=top_k)
+    for student in range(4):
+        ref = stacked_target_ranking(params, store, week_topics, train_ds.course,
+                                     index, [0, 1, 2, 3, 4], student, WEEK, flags, top_k)
+        assert_same_ranking(rank(student), ref)
+
+
+@pytest.mark.parametrize("flags", flag_sets(), ids=lambda f: "+".join(f.active()) or "full")
+def test_per_event_scorer_matches_stacked_targets(scored, flags):
+    params, store, week_topics, train_ds, test_ds = scored
+    merged = Dataset(train_ds.events + test_ds.events, 4, 6, train_ds.course,
+                     train_ds.student_ids, train_ds.thread_ids)
+    index = ThreadEventIndex(merged)
+    # the history grows inside the test window: a reply and a post after
+    # student 0's first post on thread 2
+    z = excitation(index.history(0, 2, WEEK + 400.0), WEEK + 400.0,
+                   params.post_decay, params.reply_decay, store.time_scale)
+    assert z > 0.0
+    scorer = recommend._Scorer(params, store, week_topics, train_ds, index, flags)
+    expect: dict[int, list[float]] = {}
+    for ev in test_ds.events:
+        ref = stacked_target_ranking(params, store, week_topics, train_ds.course, index,
+                                     [0, 1, 2, 3, 4], ev.student_id, ev.timestamp, flags)
+        assert_same_ranking(scorer.rank(ev.student_id, ev.timestamp), ref)
+        expect.setdefault(ev.student_id, []).append(
+            average_precision(ref[0], {ev.thread_id}, 5))
+    report = recommend.evaluate_per_event(params, store, week_topics, train_ds,
+                                          test_ds, n_cutoff=5, flags=flags)
+    assert report.per_user_ap == {u: sum(v) / len(v) for u, v in sorted(expect.items())}
 
 
 # average precision

@@ -9,8 +9,7 @@ jointly predicted thread state.
 
 from .corpus import (CourseSchedule, Dataset, EmptyDatasetError, IntegrityError,
                      ParseError, PostEvent, SplitSpec, ingest_jsonl,
-                     load_schedule, reply_history, split_by_time,
-                     validate_dataset)
+                     load_schedule, split_by_time, validate_dataset)
 from .model import (AblationFlags, DynamicStateStore, ModelParams,
                     excitation, load_checkpoint, project_thread,
                     save_checkpoint)
@@ -35,6 +34,6 @@ __all__ = [
     "course_topics", "evaluate", "excitation", "fit", "generate",
     "gradient_check", "ingest_jsonl", "lda_fit", "lda_infer",
     "load_checkpoint", "load_schedule", "preprocess", "project_thread",
-    "reply_history", "save_checkpoint", "split_by_time", "t_batch",
+    "save_checkpoint", "split_by_time", "t_batch",
     "term_frequency", "validate_dataset", "__version__",
 ]

@@ -162,9 +162,16 @@ def _checkpoint_flags(meta: dict) -> model.AblationFlags:
                                   for name in model.AblationFlags.NAMES})
 
 
-def _check_after_training(meta: dict, t_query: float, flag: str) -> None:
-    """The trained states hold every training post, so a query at or before
-    the last of them would score posts the model has already seen."""
+def _check_checkpoint(params: model.ModelParams, meta: dict, ds: corpus.Dataset,
+                      t_query: float, flag: str) -> None:
+    """A checkpoint answers only for the course shape it was trained on. Its
+    states hold every training post, so a query at or before the last of
+    them would score posts the model has already seen."""
+    trained = (params.num_students, params.num_threads, params.num_weeks)
+    given = (ds.num_students, ds.num_threads, ds.course.num_weeks)
+    if trained != given:
+        raise UsageError("the checkpoint has %d students, %d threads and %d weeks, "
+                         "the data %d, %d and %d" % (trained + given))
     last_post = meta.get("last_post_time")
     if last_post is not None and t_query <= last_post:
         raise UsageError("%s %r is at or before the checkpoint's last training post at %r"
@@ -352,7 +359,7 @@ def cmd_eval(args) -> int:
         if trained_to is not None and trained_to != spec.train_end:
             raise UsageError("--train-end %r differs from the checkpoint's train_end %r"
                              % (spec.train_end, trained_to))
-        _check_after_training(meta, spec.train_end, "--train-end")
+        _check_checkpoint(params, meta, ds, spec.train_end, "--train-end")
         flags = _checkpoint_flags(meta)
         if args.per_event:
             report = recommend.evaluate_per_event(params, store, week_topics,
@@ -380,20 +387,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _ablate_worker(payload):
-    (data_dir, lda_dir, cfg_map, variant, seed, train_end, test_end, n_cutoff) = payload
-    ds = _load_dataset(data_dir)
-    lda, vocab, week_topics = _load_text_artifacts(lda_dir)
-    spec = corpus.SplitSpec(train_end, test_end)
-    train_ds, test_ds = corpus.split_by_time(ds, spec)
-    cfg = train.TrainConfig.from_mapping(cfg_map)
-    cfg = dataclasses.replace(cfg, seed=seed)
-    cfg = train.ablation_variant(cfg, variant)
-    params, store = train.fit(train_ds, lda, vocab, week_topics, cfg)
+_ablate_inputs = None  # what every ablation job shares, set by the pool initializer
+
+
+def _set_ablate_inputs(inputs) -> None:
+    global _ablate_inputs
+    _ablate_inputs = inputs
+
+
+def _ablate_job(job, shared=None):
+    base_cfg, train_ds, test_ds, lda, vocab, week_topics, features, train_end, n_cutoff = (
+        shared or _ablate_inputs)
+    variant, seed = job
+    cfg = train.ablation_variant(dataclasses.replace(base_cfg, seed=seed), variant)
+    params, store = train.fit(train_ds, lda, vocab, week_topics, cfg, features=features)
     rank_fn = recommend.build_model_ranker(params, store, week_topics, train_ds,
-                                           spec.train_end, flags=cfg.flags)
+                                           train_end, flags=cfg.flags)
     report = recommend.evaluate(rank_fn, test_ds, n_cutoff=n_cutoff, method=variant)
-    return variant, seed, report.map_at_n, report.users_evaluated
+    return report.map_at_n, report.users_evaluated
 
 
 def cmd_ablate(args) -> int:
@@ -412,26 +423,31 @@ def cmd_ablate(args) -> int:
     test_end = parse_duration(args.test_end)
     seeds = [base_seed + i for i in range(args.seeds)]
 
-    jobs = []
-    for variant in train.ABLATION_VARIANTS:
-        for seed in seeds:
-            jobs.append((str(args.data), str(args.lda), cfg_map, variant, seed,
-                         train_end, test_end, args.n_cutoff))
+    # the features depend on neither the flags nor the seed
+    train_ds, test_ds = corpus.split_by_time(_load_dataset(args.data),
+                                             corpus.SplitSpec(train_end, test_end))
+    lda, vocab, week_topics = _load_text_artifacts(args.lda)
+    t_features = time.perf_counter()
+    features = train.prepare_event_features(train_ds, lda, vocab, week_topics, base_cfg)
+    t_fits = time.perf_counter()
+    shared = (base_cfg, train_ds, test_ds, lda, vocab, week_topics, features, train_end,
+              args.n_cutoff)
+    jobs = [(variant, seed) for variant in train.ABLATION_VARIANTS for seed in seeds]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_ablate_worker, jobs))
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_ablate_inputs,
+                                 initargs=(shared,)) as pool:
+            results = list(pool.map(_ablate_job, jobs))
     else:
-        results = [_ablate_worker(job) for job in jobs]
+        results = [_ablate_job(job, shared) for job in jobs]
+    timings = {"ingest_s": t_features - started, "features_s": t_fits - t_features,
+               "fits_s": time.perf_counter() - t_fits}
 
-    by_variant: dict[str, dict[int, float]] = {}
-    users = 0
-    for variant, seed, map_at_n, users_evaluated in results:
-        by_variant.setdefault(variant, {})[seed] = map_at_n
-        users = users_evaluated
+    # results come in job order: every seed of one variant, then the next
     rows = []
-    for variant in train.ABLATION_VARIANTS:
-        scores = [by_variant[variant][seed] for seed in seeds]
+    for i, variant in enumerate(train.ABLATION_VARIANTS):
+        scores = [map_at_n for map_at_n, _ in results[i * len(seeds):(i + 1) * len(seeds)]]
         rows.append((variant, scores, sum(scores) / len(scores)))
+    users = results[-1][1]
 
     with open(out / ABLATION_CSV, "w") as fh:
         fh.write("variant," + ",".join("seed_%d" % s for s in seeds) + ",mean\n")
@@ -459,7 +475,7 @@ def cmd_ablate(args) -> int:
                    "n_cutoff": args.n_cutoff, "seeds": args.seeds})
     write_manifest(out, "ablate", base_seed, config, inputs,
                    [out / ABLATION_CSV, out / ABLATION_JSON], [],
-                   time.perf_counter() - started)
+                   time.perf_counter() - started, timings)
     return 0
 
 
@@ -474,7 +490,7 @@ def cmd_recommend(args) -> int:
         # the trained states already hold the posts between the two times
         raise UsageError("--at %r is before the checkpoint's train_end %r"
                          % (t_query, trained_to))
-    _check_after_training(meta, t_query, "--at")
+    _check_checkpoint(params, meta, ds, t_query, "--at")
     window = corpus.events_before(ds, t_query)
     try:
         student = ds.student_ids.index(args.student)

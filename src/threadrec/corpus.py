@@ -349,12 +349,3 @@ class ThreadEventIndex:
                 posts.append(ev.timestamp)
         return ReplyHistory(t_up, posts, replies)
 
-
-def reply_history(ds: Dataset, student: int, thread: int, t_end: float) -> ReplyHistory:
-    """Interaction history of one student on one thread before t_end; see
-    ReplyHistory for the exact window semantics."""
-    if not (0 <= student < ds.num_students):
-        raise IntegrityError("unknown student %d" % student)
-    if not (0 <= thread < ds.num_threads):
-        raise IntegrityError("unknown thread %d" % thread)
-    return ThreadEventIndex(ds).history(student, thread, t_end)

@@ -314,23 +314,44 @@ class EventFeatures:
     post_id: int
 
 
+def _student_context(store: DynamicStateStore, student: int, t: float, course,
+                     week_topics: Sequence[TopicDistribution]):
+    """(normalized time since the student's last post, clamped at zero; the
+    course week that post's topics point to, else the week of t; that
+    post's thread, else None), read from the store's trackers."""
+    delta = max(t - store.student_last_t[student], 0.0) / store.time_scale
+    if store.student_seen[student]:
+        week = assign_course_topic(TopicDistribution(store.student_last_theta[student]),
+                                   week_topics)
+    else:
+        week = course.week_of(t)
+    last_thread = int(store.student_last_thread[student])
+    return delta, week, None if last_thread < 0 else last_thread
+
+
+def _predict_from_store(store: DynamicStateStore, student: int, delta: float, week: int,
+                        last_thread: int | None, params: ModelParams, flags: AblationFlags):
+    """Project the student's stored state by (delta, week) and predict from
+    it and the previous thread's state (zeros for none): (q, u, u_hat, last)."""
+    u_vec = store.student_vecs[student]
+    if flags.no_student_projection:
+        u_hat = u_vec
+    else:
+        u_hat = _project_student_kernel(u_vec, delta, week, params)[0]
+    if last_thread is None:
+        last_vec = np.zeros(params.embed_dim)
+    else:
+        last_vec = store.thread_vecs[last_thread]
+    return _predict_kernel(u_hat, student, last_vec, last_thread, params), u_vec, u_hat, last_vec
+
+
 def _event_forward(ev: EventFeatures, store: DynamicStateStore,
                    params: ModelParams, flags: AblationFlags):
     # states entering the batch are read in place: the backward pass treats
     # them as constants and fit writes the new ones after the whole batch
-    u_vec = store.student_vecs[ev.student]
+    q, u_vec, u_hat, last_vec = _predict_from_store(
+        store, ev.student, ev.delta_student, ev.week, ev.last_thread, params, flags)
     p_vec = store.thread_vecs[ev.thread]
-    if ev.last_thread is None:
-        last_vec = np.zeros(params.embed_dim)
-    else:
-        last_vec = store.thread_vecs[ev.last_thread]
-
-    if flags.no_student_projection:
-        u_hat = u_vec
-    else:
-        u_hat = _project_student_kernel(u_vec, ev.delta_student, ev.week, params)[0]
-
-    q = _predict_kernel(u_hat, ev.student, last_vec, ev.last_thread, params)
 
     if flags.no_thread_projection:
         p_hat = p_vec
@@ -416,8 +437,9 @@ def event_grads(ev: EventFeatures, store: DynamicStateStore, params: ModelParams
 
 class DynamicStateStore:
     """Dense dynamic state for every student and thread during replay, plus
-    the per-student context needed to rank later: last post time, topic of
-    the last post, and the thread it was on."""
+    six trackers that hold the context needed to project a student: the
+    last post time and seen flag of every student and thread, and the topic
+    and thread of every student's last post."""
 
     def __init__(self, num_students, num_threads, embed_dim, num_topics, time_scale=1.0):
         self.student_vecs = np.zeros((num_students, embed_dim))
@@ -430,13 +452,14 @@ class DynamicStateStore:
         self.student_last_thread = np.full(num_students, -1, dtype=np.int64)
         self.time_scale = float(time_scale)
 
-    @property
-    def num_students(self):
-        return self.student_vecs.shape[0]
-
-    @property
-    def num_threads(self):
-        return self.thread_vecs.shape[0]
+    def advance(self, student: int, thread: int, t: float, theta: np.ndarray) -> None:
+        """Move the trackers, not the embeddings, past one post."""
+        self.student_last_t[student] = t
+        self.student_seen[student] = True
+        self.thread_last_t[thread] = t
+        self.thread_seen[thread] = True
+        self.student_last_theta[student] = theta
+        self.student_last_thread[student] = thread
 
 
 # ---------------------------------------------------------------------------

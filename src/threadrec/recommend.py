@@ -27,9 +27,8 @@ from .model import (
     AblationFlags,
     DynamicStateStore,
     ModelParams,
-    _predict_kernel,
-    _project_student_kernel,
-    assign_course_topic,
+    _predict_from_store,
+    _student_context,
     excitation,
     project_thread,
 )
@@ -144,27 +143,8 @@ class _Scorer:
     def rank(self, student: int, t_query: float,
              top_k: int | None = None) -> RankedRecommendation:
         params, store, flags = self.params, self.store, self.flags
-        u_vec = store.student_vecs[student]
-        if flags.no_student_projection:
-            u_hat = u_vec
-        else:
-            seen = store.student_seen[student]
-            last_t = store.student_last_t[student] if seen else 0.0
-            delta = max(t_query - last_t, 0.0) / store.time_scale
-            if seen:
-                week = assign_course_topic(
-                    TopicDistribution(store.student_last_theta[student]), self.week_topics)
-            else:
-                week = self.course.week_of(t_query)
-            u_hat = _project_student_kernel(u_vec, delta, week, params)[0]
-
-        last_thread = int(store.student_last_thread[student])
-        if last_thread < 0:
-            q = _predict_kernel(u_hat, student, np.zeros(params.embed_dim), None, params)
-        else:
-            q = _predict_kernel(u_hat, student, store.thread_vecs[last_thread],
-                                last_thread, params)
-
+        context = _student_context(store, student, t_query, self.course, self.week_topics)
+        q, u_vec = _predict_from_store(store, student, *context, params, flags)[:2]
         p_hat = store.thread_vecs[self.ids]
         if not flags.no_thread_projection:
             for c in self.index.student_threads.get(student, ()):

@@ -5,11 +5,13 @@ Events are grouped into t-batches: each event lands one batch after the
 latest batch touching its student or its thread, so no batch repeats an
 entity and replaying batches in order preserves every per-entity timeline.
 Gradients are accumulated per batch with the dynamic states entering the
-batch treated as constants, then applied with Adam. Dynamic states reset to
-zero at the start of every epoch.
+batch treated as constants, then applied with Adam. The features come from
+one replay of the window through a state store's trackers, which training
+keeps; only the embeddings restart from zero at every epoch.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import time
@@ -24,12 +26,12 @@ from .model import (
     EventFeatures,
     ModelParams,
     TENSOR_NAMES,
-    assign_course_topic,
+    _student_context,
     event_grads,
     event_loss,
     excitation,
 )
-from .text import LdaModel, TopicDistribution, Vocabulary, lda_infer, term_frequency
+from .text import LdaModel, Vocabulary, lda_infer, term_frequency
 
 
 class TrainingDiverged(RuntimeError):
@@ -169,48 +171,34 @@ def mean_event_gap(events) -> float:
     return mean if mean > 0 else 1.0
 
 
-def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
-                           week_topics, config: TrainConfig) -> tuple[list[EventFeatures], float]:
-    """Topic-infer every post and derive the replay features: elapsed times
-    (normalized by the training mean event gap), the course-week context of
-    the student at the event, the previous thread, and the excitation
-    weight of the target thread."""
-    time_scale = mean_event_gap(train.events)
+def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
+                           config: TrainConfig) -> tuple[list[EventFeatures], DynamicStateStore]:
+    """Topic-infer every post and replay the window once through the
+    trackers of a state store whose time scale is the training mean event
+    gap. Before a post advances them, its record reads from them the
+    student's context, as ranking does, and the thread's elapsed time.
+    Returns (features, trackers), the trackers after the last post without
+    embeddings; neither depends on the embedding size, seed or flags."""
+    trackers = DynamicStateStore(train.num_students, train.num_threads, 0, lda.num_topics,
+                                 mean_event_gap(train.events))
     index = ThreadEventIndex(train)
     iters = config.topic_infer_iters
-    burn = iters // 2
-
-    last_t_student: dict[int, float] = {}
-    last_t_thread: dict[int, float] = {}
-    last_theta: dict[int, TopicDistribution] = {}
-    last_thread: dict[int, int] = {}
     feats = []
     for ev in train.events:
-        theta = lda_infer(lda, term_frequency(ev.tokens, vocab), iters=iters, burn_in=burn)
-        prev_theta = last_theta.get(ev.student_id)
-        if prev_theta is None:
-            week = train.course.week_of(ev.timestamp)
-        else:
-            week = assign_course_topic(prev_theta, week_topics)
-        hist = index.history(ev.student_id, ev.thread_id, ev.timestamp)
-        exc = excitation(hist, ev.timestamp, config.post_decay, config.reply_decay, time_scale)
+        s, c, t = ev.student_id, ev.thread_id, ev.timestamp
+        theta = lda_infer(lda, term_frequency(ev.tokens, vocab), iters=iters,
+                          burn_in=iters // 2).probs
+        delta, week, last_thread = _student_context(trackers, s, t, train.course, week_topics)
+        exc = excitation(index.history(s, c, t), t, config.post_decay, config.reply_decay,
+                         trackers.time_scale)
         feats.append(EventFeatures(
-            student=ev.student_id,
-            thread=ev.thread_id,
-            last_thread=last_thread.get(ev.student_id),
-            theta=theta.probs,
-            delta_student=(ev.timestamp - last_t_student.get(ev.student_id, 0.0)) / time_scale,
-            delta_thread=(ev.timestamp - last_t_thread.get(ev.thread_id, 0.0)) / time_scale,
-            week=week,
-            excitation_value=exc,
-            timestamp=ev.timestamp,
-            post_id=ev.post_id,
+            student=s, thread=c, last_thread=last_thread, theta=theta,
+            delta_student=delta,
+            delta_thread=(t - trackers.thread_last_t[c]) / trackers.time_scale,
+            week=week, excitation_value=exc, timestamp=t, post_id=ev.post_id,
         ))
-        last_t_student[ev.student_id] = ev.timestamp
-        last_t_thread[ev.thread_id] = ev.timestamp
-        last_theta[ev.student_id] = theta
-        last_thread[ev.student_id] = ev.thread_id
-    return feats, time_scale
+        trackers.advance(s, c, t, theta)
+    return feats, trackers
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +247,7 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
 def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
         config: TrainConfig, log_path=None, trajectory_sink: list | None = None,
-        features: tuple[list[EventFeatures], float] | None = None):
+        features: tuple[list[EventFeatures], DynamicStateStore] | None = None):
     """Train the model on a time-ordered event list.
 
     Returns (params, store) where store holds the dynamic states after the
@@ -267,8 +255,10 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
     CSV with one row per epoch (epoch, mean_loss, seconds) is written. If
     trajectory_sink is a list, rows (kind, entity, timestamp, *embedding)
     are appended for every state write of the final epoch. `features` lets
-    sweeps over seeds or ablations reuse one prepare_event_features result,
-    which is valid as long as the decay and topic-inference settings match.
+    sweeps over seeds, ablations, embedding sizes or optimizer settings
+    reuse one prepare_event_features result, which is valid as long as the
+    decay and topic-inference settings match. The returned store starts
+    from a copy of its trackers, and fit never writes into the features.
     """
     if not train.events:
         raise EmptyDatasetError("cannot fit on an empty training window")
@@ -285,17 +275,19 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
     )
     if features is None:
         features = prepare_event_features(train, lda, vocab, week_topics, config)
-    feats, time_scale = features
+    feats, trackers = features
     batches = t_batch(train.events)
     flags = config.flags
     opt = Adam(params, config.learning_rate)
 
     log_rows = []
-    store = None
+    # the trackers already hold the whole window and training never reads
+    # them; only the embeddings restart from zero every epoch
+    store = copy.deepcopy(trackers)
     for epoch in range(config.epochs):
         start = time.perf_counter()
-        store = DynamicStateStore(train.num_students, train.num_threads,
-                                  config.embed_dim, lda.num_topics, time_scale)
+        store.student_vecs = np.zeros((train.num_students, config.embed_dim))
+        store.thread_vecs = np.zeros((train.num_threads, config.embed_dim))
         collect = trajectory_sink is not None and epoch == config.epochs - 1
         epoch_loss = 0.0
         for b, batch in enumerate(batches):
@@ -313,16 +305,8 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
             # state writes land after the whole batch so every event read
             # the values from the previous batch
             for f, u_new, p_new in writes:
-                if not flags.no_dynamic_student:
-                    store.student_vecs[f.student] = u_new
-                if not flags.no_dynamic_thread:
-                    store.thread_vecs[f.thread] = p_new
-                store.student_last_t[f.student] = f.timestamp
-                store.student_seen[f.student] = True
-                store.thread_last_t[f.thread] = f.timestamp
-                store.thread_seen[f.thread] = True
-                store.student_last_theta[f.student] = f.theta
-                store.student_last_thread[f.student] = f.thread
+                store.student_vecs[f.student] = u_new
+                store.thread_vecs[f.thread] = p_new
                 if collect:
                     trajectory_sink.append(
                         ("student", f.student, f.timestamp, *store.student_vecs[f.student]))

@@ -181,6 +181,18 @@ def test_ablate_writes_table(pipeline, capsys):
     assert len(lines) == 7
     for variant in payload["variants"]:
         assert variant in table
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"ingest_s", "features_s", "fits_s"}
+    assert all(seconds >= 0 for seconds in timings.values())
+    # two worker processes write the same bytes
+    pool_out = pipeline["root"] / "ablate-pool"
+    assert main(["ablate", "--data", str(pipeline["data"]),
+                 "--lda", str(pipeline["lda"]), "--out", str(pool_out),
+                 "--train-end", "2w", "--test-end", "3w", "--seed", "2", "--jobs", "2",
+                 "--set", "epochs=1", "--set", "embed_dim=3"]) == 0
+    for name in ("ablation.csv", "ablation.json"):
+        assert (pool_out / name).read_bytes() == (out / name).read_bytes()
+    capsys.readouterr()
 
 
 def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
@@ -222,6 +234,16 @@ def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
     assert main(["recommend", "--data", str(pipeline["data"]),
                  "--checkpoint", str(whole / "checkpoint.bin"),
                  "--student", "0", "--at", "1w"]) == 2
+    # a checkpoint scored against another course: seed 5 has one thread more
+    other = tmp_path / "other"
+    assert main(["synth", "--out", str(other), "--seed", "5"] + SYNTH_ARGS) == 0
+    assert main(["eval", "--data", str(other), "--out", str(tmp_path / "d"),
+                 "--checkpoint", str(pipeline["run"] / "checkpoint.bin"),
+                 "--train-end", "2w", "--test-end", "3w"]) == 2
+    assert not (tmp_path / "d").exists()
+    assert main(["recommend", "--data", str(other),
+                 "--checkpoint", str(pipeline["run"] / "checkpoint.bin"),
+                 "--student", "0", "--at", "2w"]) == 2
     # argparse's own rejections surface as exit code 2 as well
     assert main(["eval"]) == 2
     assert main(["not-a-command"]) == 2

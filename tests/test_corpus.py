@@ -191,7 +191,7 @@ def test_reply_history_worked_example(course2):
         make_event(2, 2, 0, 12.0, parent=0),
     ]
     ds = Dataset(events, 3, 1, course2, [0, 1, 2], [0])
-    hist = corpus.reply_history(ds, 0, 0, 13.0)
+    hist = corpus.ThreadEventIndex(ds).history(0, 0, 13.0)
     assert hist.last_own_post == 10.0
     assert hist.post_times == [11.0]
     assert hist.reply_times == [12.0]
@@ -200,7 +200,7 @@ def test_reply_history_worked_example(course2):
 def test_reply_history_no_own_post(course2):
     events = [make_event(0, 1, 0, 10.0)]
     ds = Dataset(events, 2, 1, course2, [0, 1], [0])
-    hist = corpus.reply_history(ds, 0, 0, 20.0)
+    hist = corpus.ThreadEventIndex(ds).history(0, 0, 20.0)
     assert hist.last_own_post is None
     assert hist.post_times == [] and hist.reply_times == []
 
@@ -217,20 +217,10 @@ def test_reply_history_window_is_open(course2):
         make_event(5, 1, 0, 15.0),
     ]
     ds = Dataset(events, 3, 1, course2, [0, 1, 2], [0])
-    hist = corpus.reply_history(ds, 0, 0, 15.0)
+    hist = corpus.ThreadEventIndex(ds).history(0, 0, 15.0)
     assert hist.last_own_post == 12.0
     assert hist.post_times == [13.0]
     assert hist.reply_times == [14.0]
-
-
-def test_reply_history_matches_index(tiny_ds):
-    index = corpus.ThreadEventIndex(tiny_ds)
-    for student in range(3):
-        for thread in range(4):
-            for t in (250.0, WEEK, 2 * WEEK):
-                a = corpus.reply_history(tiny_ds, student, thread, t)
-                b = index.history(student, thread, t)
-                assert a == b
 
 
 def _history_by_linear_scan(ds, student, thread, t_end):

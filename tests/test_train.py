@@ -1,14 +1,18 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from threadrec import train
-from threadrec.corpus import Dataset
-from threadrec.model import TENSOR_NAMES, AblationFlags, ModelParams, event_grads
+from threadrec.corpus import Dataset, ThreadEventIndex
+from threadrec.model import (TENSOR_NAMES, AblationFlags, DynamicStateStore, ModelParams,
+                             assign_course_topic, event_grads, excitation)
 from threadrec.text import build_vocabulary, lda_fit, lda_infer, term_frequency
 from threadrec.train import (Adam, TrainConfig, TrainingDiverged, clip_gradients,
                              gradient_check, mean_event_gap, random_event, t_batch)
 
-from conftest import make_event
+from conftest import WEEK, make_event
 
 
 # t-batching
@@ -208,8 +212,9 @@ def _small_pipeline(ds):
 def test_prepare_event_features(tiny_ds):
     lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=1, topic_infer_iters=10)
-    feats, time_scale = train.prepare_event_features(tiny_ds, lda, vocab,
-                                                     week_topics, cfg)
+    feats, trackers = train.prepare_event_features(tiny_ds, lda, vocab,
+                                                   week_topics, cfg)
+    time_scale = trackers.time_scale
     assert time_scale == mean_event_gap(tiny_ds.events)
     assert len(feats) == len(tiny_ds.events)
     first = feats[0]
@@ -229,6 +234,117 @@ def test_prepare_event_features(tiny_ds):
     assert 0 <= revisit.week < tiny_ds.course.num_weeks
     for f in feats:
         assert abs(float(np.sum(f.theta)) - 1.0) < 1e-9
+
+
+# the single replay against the per-dict feature loop and the per-epoch
+# tracker writes it replaced
+
+
+def reference_features(ds, lda, vocab, week_topics, config):
+    time_scale = mean_event_gap(ds.events)
+    index = ThreadEventIndex(ds)
+    iters = config.topic_infer_iters
+    last_t_student, last_t_thread, last_theta, last_thread = {}, {}, {}, {}
+    feats = []
+    for ev in ds.events:
+        theta = lda_infer(lda, term_frequency(ev.tokens, vocab), iters=iters,
+                          burn_in=iters // 2)
+        prev_theta = last_theta.get(ev.student_id)
+        if prev_theta is None:
+            week = ds.course.week_of(ev.timestamp)
+        else:
+            week = assign_course_topic(prev_theta, week_topics)
+        hist = index.history(ev.student_id, ev.thread_id, ev.timestamp)
+        exc = excitation(hist, ev.timestamp, config.post_decay, config.reply_decay,
+                         time_scale)
+        feats.append(train.EventFeatures(
+            student=ev.student_id, thread=ev.thread_id,
+            last_thread=last_thread.get(ev.student_id), theta=theta.probs,
+            delta_student=(ev.timestamp - last_t_student.get(ev.student_id, 0.0)) / time_scale,
+            delta_thread=(ev.timestamp - last_t_thread.get(ev.thread_id, 0.0)) / time_scale,
+            week=week, excitation_value=exc, timestamp=ev.timestamp, post_id=ev.post_id,
+        ))
+        last_t_student[ev.student_id] = ev.timestamp
+        last_t_thread[ev.thread_id] = ev.timestamp
+        last_theta[ev.student_id] = theta
+        last_thread[ev.student_id] = ev.thread_id
+    return feats, time_scale
+
+
+def reference_trackers(ds, feats, time_scale, num_topics, epochs):
+    """The tracker writes fit made after every t-batch of every epoch, on a
+    store made fresh for each epoch."""
+    for _ in range(epochs):
+        store = DynamicStateStore(ds.num_students, ds.num_threads, 1, num_topics, time_scale)
+        for batch in t_batch(ds.events):
+            for f in (feats[i] for i in batch):
+                store.student_last_t[f.student] = f.timestamp
+                store.student_seen[f.student] = True
+                store.thread_last_t[f.thread] = f.timestamp
+                store.thread_seen[f.thread] = True
+                store.student_last_theta[f.student] = f.theta
+                store.student_last_thread[f.student] = f.thread
+    return store
+
+
+TRACKERS = ("student_last_t", "thread_last_t", "student_seen", "thread_seen",
+            "student_last_theta", "student_last_thread")
+
+
+def assert_same_features(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        for name in ("student", "thread", "last_thread", "delta_student", "delta_thread",
+                     "week", "excitation_value", "timestamp", "post_id"):
+            assert getattr(a, name) == getattr(b, name), name
+        assert np.array_equal(a.theta, b.theta)
+
+
+def assert_same_trackers(got, ref):
+    for name in TRACKERS:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.time_scale == ref.time_scale
+
+
+@pytest.fixture
+def replay_ds(course2):
+    """Five students and five threads over both weeks. Student 4 never
+    posts (cold start throughout); student 3 first posts in week two;
+    student 0 returns to thread 0 after replies and posts by others; two
+    posts share a timestamp."""
+    s = [(0, 0, 0, 100.0, None), (1, 1, 0, 200.0, 0), (2, 2, 1, 200.0, None),
+         (3, 1, 1, 350.0, 2), (4, 2, 0, 500.0, 1), (5, 0, 2, 900.0, None),
+         (6, 0, 0, WEEK + 50.0, 4), (7, 3, 2, WEEK + 60.0, 5), (8, 1, 3, WEEK + 400.0, None),
+         (9, 3, 0, WEEK + 400.0, 6), (10, 0, 3, WEEK + 800.0, 8), (11, 2, 2, WEEK + 900.0, 7)]
+    events = [make_event(pid, st, th, t, parent=parent) for pid, st, th, t, parent in s]
+    return Dataset(events, 5, 5, course2, list(range(5)), list(range(5)))
+
+
+@pytest.mark.parametrize("name", ["tiny_ds", "replay_ds"])
+def test_features_match_dict_replay(name, request):
+    ds = request.getfixturevalue(name)
+    lda, vocab, week_topics = _small_pipeline(ds)
+    cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=10)
+    feats, trackers = train.prepare_event_features(ds, lda, vocab, week_topics, cfg)
+    ref_feats, time_scale = reference_features(ds, lda, vocab, week_topics, cfg)
+    assert_same_features(feats, ref_feats)
+    assert any(f.last_thread is None for f in feats[1:])
+    assert any(f.excitation_value > 0.0 for f in feats)
+    ref_store = reference_trackers(ds, ref_feats, time_scale, lda.num_topics, 1)
+    assert_same_trackers(trackers, ref_store)
+
+    snapshot = (copy.deepcopy(feats), copy.deepcopy(trackers))
+    for flags in [AblationFlags()] + [AblationFlags.from_names([n])
+                                      for n in AblationFlags.NAMES]:
+        run = replace(cfg, **{n: True for n in flags.active()})
+        _, store = train.fit(ds, lda, vocab, week_topics, run, features=(feats, trackers))
+        assert_same_trackers(store, reference_trackers(ds, ref_feats, time_scale,
+                                                       lda.num_topics, run.epochs))
+    # six fits later the shared features are as they were prepared
+    assert_same_features(feats, snapshot[0])
+    for name, value in vars(snapshot[1]).items():
+        assert np.array_equal(getattr(trackers, name), value), name
 
 
 def test_fit_ignores_learning_when_rate_is_tiny(tiny_ds):
@@ -259,10 +375,16 @@ def test_fit_accepts_precomputed_features(tiny_ds):
     lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=4)
     feats = train.prepare_event_features(tiny_ds, lda, vocab, week_topics, cfg)
-    a_params, _ = train.fit(tiny_ds, lda, vocab, week_topics, cfg)
-    b_params, _ = train.fit(tiny_ds, lda, vocab, week_topics, cfg, features=feats)
-    for name in TENSOR_NAMES:
-        assert np.array_equal(a_params.tensor(name), b_params.tensor(name))
+    # features prepared for one embedding size serve any other
+    for embed_dim in (3, 4):
+        run = replace(cfg, embed_dim=embed_dim)
+        a_params, a_store = train.fit(tiny_ds, lda, vocab, week_topics, run)
+        b_params, b_store = train.fit(tiny_ds, lda, vocab, week_topics, run, features=feats)
+        for name in TENSOR_NAMES:
+            assert np.array_equal(a_params.tensor(name), b_params.tensor(name))
+        assert b_store.student_vecs.shape == (3, embed_dim)
+        assert np.array_equal(a_store.student_vecs, b_store.student_vecs)
+        assert np.array_equal(a_store.thread_vecs, b_store.thread_vecs)
 
 
 def test_fit_training_states_update(tiny_ds):

@@ -59,6 +59,17 @@ def parse_duration(value: str) -> float:
     return float(m.group(1)) * _DURATION_UNITS[m.group(2)]
 
 
+def _positive(kind):
+    """argparse type: a number of the given kind above zero."""
+    def parse(value: str):
+        number = kind(value)
+        if not number > 0:
+            raise argparse.ArgumentTypeError("must be > 0, got %s" % value)
+        return number
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def read_config_file(path) -> dict[str, str]:
     """Flat 'key = value' file; '#' starts a comment."""
     mapping: dict[str, str] = {}
@@ -181,9 +192,7 @@ def _check_checkpoint(params: model.ModelParams, meta: dict, ds: corpus.Dataset,
 def cmd_synth(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
-    if args.preset is not None:
-        if args.preset != "algo-like":
-            raise UsageError("unknown preset %r" % (args.preset,))
+    if args.preset is not None:  # argparse allows only algo-like
         base = synth.algo_like(scale=args.scale)
     else:
         base = synth.SynthConfig()
@@ -409,8 +418,6 @@ def _ablate_job(job, shared=None):
 
 def cmd_ablate(args) -> int:
     started = time.perf_counter()
-    if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1, got %d" % args.seeds)
     out = _out_dir(args)
     cfg_map = _collect_overrides(args)
     try:
@@ -522,15 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic forum dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--preset", choices=["algo-like"])
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive(float), default=1.0)
     common(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("lda", help="fit the topic model and course-week topics")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--num-topics", type=int)
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--num-topics", type=_positive(int))
+    p.add_argument("--iters", type=_positive(int), default=500)
     p.add_argument("--min-count", type=int, default=10)
     p.add_argument("--train-end", help="fit on posts before this time (e.g. 8w)")
     p.add_argument("--separate-course-model", action="store_true",
@@ -554,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=["pop", "rec", "user-rec"])
     p.add_argument("--train-end", required=True)
     p.add_argument("--test-end", required=True)
-    p.add_argument("--n-cutoff", type=int, default=5)
+    p.add_argument("--n-cutoff", type=_positive(int), default=5)
     p.add_argument("--rec-ascending", action="store_true",
                    help="order the recency baseline oldest first")
     p.add_argument("--per-event", action="store_true",
@@ -568,9 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--train-end", required=True)
     p.add_argument("--test-end", required=True)
-    p.add_argument("--n-cutoff", type=int, default=5)
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds to average")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--n-cutoff", type=_positive(int), default=5)
+    p.add_argument("--seeds", type=_positive(int), default=1,
+                   help="number of seeds to average")
+    p.add_argument("--jobs", type=_positive(int), default=1,
+                   help="parallel worker processes")
     common(p)
     p.set_defaults(func=cmd_ablate)
 
@@ -580,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--student", type=int, required=True,
                    help="student id as it appears in the source data")
     p.add_argument("--at", required=True, help="query time (e.g. 8w)")
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--top-k", type=_positive(int), default=5)
     common(p)
     p.set_defaults(func=cmd_recommend)
     return parser
@@ -597,11 +606,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (corpus.ParseError, corpus.IntegrityError, corpus.EmptyDatasetError,
-            recommend.EvaluationError, train.TrainingDiverged) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, train.TrainingDiverged) as exc:
+        # ParseError, IntegrityError, EmptyDatasetError and EvaluationError
+        # are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

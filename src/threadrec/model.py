@@ -12,13 +12,15 @@ one-hot with its projected embedding.
 
 Training minimizes, per event, the unsquared Euclidean distance between
 prediction and target plus two smoothness penalties on the embedding jumps.
-Gradients are derived by hand in event_grads and validated against central
-finite differences; see train.gradient_check.
+batch_grads runs the forward pass and the hand-derived backward pass over a
+whole t-batch at once; train.gradient_check validates it against central
+finite differences.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +66,23 @@ class AblationFlags:
         return [n for n in self.NAMES if getattr(self, n)]
 
 
+_DIMS = ("embed_dim", "num_topics", "num_weeks", "num_students", "num_threads")
+# what a checkpoint header records of ModelParams besides the tensors
+_SCALARS = _DIMS + ("post_decay", "reply_decay", "lambda_student", "lambda_thread",
+                    "activation")
+
+
+def _tensor_shapes(d, k, s, m, n) -> dict[str, tuple[int, ...]]:
+    return {
+        "student_update": (2 * d + k + 1, d),
+        "thread_update": (2 * d + k + 1, d),
+        "time_context": (d, 1),
+        "week_context": (d, s),
+        "predictor": (m + n + 2 * d, n + d),
+        "predictor_bias": (n + d,),
+    }
+
+
 @dataclass
 class ModelParams:
     """All trainable tensors plus the fixed hyperparameters they were
@@ -96,16 +115,8 @@ class ModelParams:
     activation: str = "sigmoid"
 
     def __post_init__(self):
-        d, k = self.embed_dim, self.num_topics
-        s, m, n = self.num_weeks, self.num_students, self.num_threads
-        expected = {
-            "student_update": (2 * d + k + 1, d),
-            "thread_update": (2 * d + k + 1, d),
-            "time_context": (d, 1),
-            "week_context": (d, s),
-            "predictor": (m + n + 2 * d, n + d),
-            "predictor_bias": (n + d,),
-        }
+        expected = _tensor_shapes(self.embed_dim, self.num_topics, self.num_weeks,
+                                  self.num_students, self.num_threads)
         for name, shape in expected.items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
@@ -123,28 +134,18 @@ class ModelParams:
              num_students, num_threads, init_std=0.1, post_decay=0.5,
              reply_decay=0.001, lambda_student=1.0, lambda_thread=1.0,
              activation="sigmoid") -> "ModelParams":
-        """Gaussian-initialized weights with zero bias."""
-        d, k, s = embed_dim, num_topics, num_weeks
-        m, n = num_students, num_threads
-        if min(d, k, s, m, n) < 1:
+        """Gaussian-initialized weights, drawn in TENSOR_NAMES order, with
+        zero bias."""
+        dims = dict(zip(_DIMS, (embed_dim, num_topics, num_weeks, num_students, num_threads)))
+        if min(dims.values()) < 1:
             raise ValueError("all dimensions must be >= 1")
-        def g(*shape):
-            return rng.normal(0.0, init_std, size=shape)
-        return cls(
-            student_update=g(2 * d + k + 1, d),
-            thread_update=g(2 * d + k + 1, d),
-            time_context=g(d, 1),
-            week_context=g(d, s),
-            predictor=g(m + n + 2 * d, n + d),
-            predictor_bias=np.zeros(n + d),
-            post_decay=post_decay,
-            reply_decay=reply_decay,
-            lambda_student=lambda_student,
-            lambda_thread=lambda_thread,
-            embed_dim=d, num_topics=k, num_weeks=s,
-            num_students=m, num_threads=n,
-            activation=activation,
-        )
+        shapes = _tensor_shapes(*dims.values())
+        weights = {name: rng.normal(0.0, init_std, size=shape)
+                   for name, shape in shapes.items() if name != "predictor_bias"}
+        return cls(**weights, predictor_bias=np.zeros(shapes["predictor_bias"]),
+                   post_decay=post_decay, reply_decay=reply_decay,
+                   lambda_student=lambda_student, lambda_thread=lambda_thread,
+                   activation=activation, **dims)
 
     def tensor(self, name: str) -> np.ndarray:
         if name not in TENSOR_NAMES:
@@ -171,34 +172,48 @@ def _act_deriv(out: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - out * out
 
 
-def _norm_grad(vec: np.ndarray) -> tuple[float, np.ndarray]:
-    """Euclidean norm and its subgradient, zero at the origin."""
-    n = float(np.linalg.norm(vec))
-    if n == 0.0:
-        return 0.0, np.zeros_like(vec)
-    return n, vec / n
+# Every kernel below takes one event or a stack of rows, one per event. Row
+# products and norms run as one BLAS call per row, so each row rounds as the
+# same event would alone; a 2-D gemm would sum in another order.
+
+
+def _rows_dot(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x @ W for one vector or every row of a stack."""
+    return np.matmul(x[..., None, :], W)[..., 0, :]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, rounded as np.linalg.norm of that row."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _has_last(last_thread):
+    """Zeroing mask of the previous-thread terms where last_thread is -1:
+    a bool for one event (cheaper than an array) or a column for rows."""
+    has = last_thread >= 0
+    return has[:, None] if isinstance(has, np.ndarray) else has
 
 
 # ---------------------------------------------------------------------------
 # forward operations
 
 
-def _update_kernel(u_vec, p_vec, theta_vec, delta_student, delta_thread, params):
-    """Joint recurrent update at a post: both new embeddings are computed
-    from the pre-update pair, the post's topic vector, and the two
-    normalized elapsed times. Returns (student_embedding, thread_embedding)
-    and the two cell inputs."""
+def _update_kernel(u_rows, p_rows, theta_rows, delta_student, delta_thread, params):
+    """Joint recurrent update at a t-batch of posts, one row per post: both
+    new embeddings are computed from the pre-update pair, the post's topic
+    vector, and the two normalized elapsed times. Returns
+    (student_embeddings, thread_embeddings) and the two cell inputs."""
     d, k = params.embed_dim, params.num_topics
-    if u_vec.shape != (d,) or p_vec.shape != (d,):
+    if u_rows.shape[1:] != (d,) or p_rows.shape[1:] != (d,):
         raise ValueError("embedding dimension mismatch")
-    if theta_vec.shape != (k,):
-        raise ValueError("topic vector has length %d, expected %d" % (len(theta_vec), k))
-    if delta_student < 0 or delta_thread < 0:
+    if theta_rows.shape[1:] != (k,):
+        raise ValueError("topic vectors have length %d, expected %d" % (theta_rows.shape[-1], k))
+    if np.any(delta_student < 0) or np.any(delta_thread < 0):
         raise ValueError("elapsed times must be nonnegative")
-    xu = np.concatenate([u_vec, p_vec, theta_vec, [delta_student]])
-    xp = np.concatenate([p_vec, u_vec, theta_vec, [delta_thread]])
-    u_new = _act(xu @ params.student_update, params.activation)
-    p_new = _act(xp @ params.thread_update, params.activation)
+    xu = np.concatenate([u_rows, p_rows, theta_rows, delta_student[:, None]], axis=1)
+    xp = np.concatenate([p_rows, u_rows, theta_rows, delta_thread[:, None]], axis=1)
+    u_new = _act(_rows_dot(xu, params.student_update), params.activation)
+    p_new = _act(_rows_dot(xp, params.thread_update), params.activation)
     return u_new, p_new, xu, xp
 
 
@@ -220,12 +235,9 @@ def assign_course_topic(theta: TopicDistribution, week_topics: Sequence[TopicDis
 def _project_student_kernel(u_vec, delta, week, params):
     """Drift the student's embedding forward by elapsed time delta within
     course week `week`: an elementwise gain of one plus a time term plus a
-    week term multiplies the stored embedding. Returns (projection, gain)."""
-    if delta < 0:
-        raise ValueError("elapsed time must be nonnegative")
-    if not (0 <= week < params.num_weeks):
-        raise ValueError("week %d outside schedule of %d weeks" % (week, params.num_weeks))
-    gain = 1.0 + params.time_context[:, 0] * delta + params.week_context[:, week]
+    week term multiplies the stored embedding. For rows, delta is a column
+    and week an index array. Returns (projection, gain)."""
+    gain = 1.0 + params.time_context[:, 0] * delta + params.week_context.T[week]
     return gain * u_vec, gain
 
 
@@ -255,180 +267,178 @@ def excitation(history: ReplyHistory, t_query: float, post_decay: float,
     return total
 
 
-def project_thread(student_vec: np.ndarray, thread_vec: np.ndarray,
-                   excitation_value: float) -> np.ndarray:
+def project_thread(student_vec: np.ndarray, thread_vec: np.ndarray, excitation_value):
     """Convex combination pulling the thread embedding toward the student:
     weight excitation/(1+excitation) on the student, the rest on the thread.
-    With zero excitation the thread embedding is returned unchanged."""
-    if excitation_value < 0:
+    With zero excitation the thread embedding comes back unchanged. For
+    rows, the excitation is a column."""
+    negative = excitation_value < 0  # np.any costs more than one projection
+    if negative.any() if isinstance(negative, np.ndarray) else negative:
         raise ValueError("excitation must be nonnegative")
-    student_vec = np.asarray(student_vec, dtype=np.float64)
-    thread_vec = np.asarray(thread_vec, dtype=np.float64)
-    if student_vec.shape != thread_vec.shape:
-        raise ValueError("embedding dimension mismatch")
-    if excitation_value == 0.0:
-        return thread_vec.copy()
     w = excitation_value / (1.0 + excitation_value)
-    return w * student_vec + (1.0 - w) * thread_vec
+    return w * np.asarray(student_vec) + (1.0 - w) * np.asarray(thread_vec)
 
 
 def _predict_kernel(u_hat, student, p_dyn, last_thread, params):
     """Prediction head: first num_threads entries score the thread
     identities, the last embed_dim entries estimate the projected embedding
     of the next thread. p_dyn and last_thread describe the thread of the
-    student's previous post; pass zeros and None for a student with no
+    student's previous post; pass zeros and -1 for a student with no
     history, which contributes nothing from those blocks. One-hot blocks are
-    applied by row selection, never as dense vectors."""
+    applied by row selection, never as dense vectors. Indices are not
+    range-checked here: load_checkpoint checks those a file brings in."""
     d, m = params.embed_dim, params.num_students
-    if not (0 <= student < m):
-        raise ValueError("student %d outside %d students" % (student, m))
-    if last_thread is not None and not (0 <= last_thread < params.num_threads):
-        raise ValueError("thread %d outside %d threads" % (last_thread, params.num_threads))
     W = params.predictor
-    q = u_hat @ W[:d]
-    q = q + W[d + student]
-    q = q + p_dyn @ W[d + m : 2 * d + m]
-    if last_thread is not None:
-        q = q + W[2 * d + m + last_thread]
-    return q + params.predictor_bias
+    q = _rows_dot(u_hat, W[:d])  # a new array, so the sums below go in place
+    q += W[d + student]
+    q += _rows_dot(p_dyn, W[d + m : 2 * d + m])
+    q += W[2 * d + m + last_thread] * _has_last(last_thread)
+    q += params.predictor_bias
+    return q
 
 
 # ---------------------------------------------------------------------------
-# per-event training graph
+# t-batch training graph
 
 
 @dataclass
 class EventFeatures:
     """Per-event quantities that depend only on the data, computed once
-    before the epoch loop. Elapsed times are already normalized; the
-    student's elapsed time is also the projection horizon."""
-    student: int
-    thread: int
-    last_thread: int | None          # thread of the student's previous post
-    theta: np.ndarray                # topic distribution of the current post
-    delta_student: float
-    delta_thread: float
-    week: int                        # course week context for the projection
-    excitation_value: float
-    timestamp: float
-    post_id: int
+    before the epoch loop: one array per field, one entry per event.
+    Elapsed times are already normalized; the student's elapsed time is also
+    the projection horizon."""
+    student: np.ndarray
+    thread: np.ndarray
+    last_thread: np.ndarray          # thread of the student's previous post, -1 for none
+    theta: np.ndarray                # (events, topics): topic distribution of each post
+    delta_student: np.ndarray
+    delta_thread: np.ndarray
+    week: np.ndarray                 # course week context for the projection
+    excitation_value: np.ndarray
+    timestamp: np.ndarray
+    post_id: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.student)
+
+    def take(self, idx) -> "EventFeatures":
+        """The events at positions idx, in that order, such as one t-batch."""
+        return EventFeatures(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 def _student_context(store: DynamicStateStore, student: int, t: float, course,
                      week_topics: Sequence[TopicDistribution]):
     """(normalized time since the student's last post, clamped at zero; the
     course week that post's topics point to, else the week of t; that
-    post's thread, else None), read from the store's trackers."""
+    post's thread, else -1), read from the store's trackers."""
     delta = max(t - store.student_last_t[student], 0.0) / store.time_scale
     if store.student_seen[student]:
         week = assign_course_topic(TopicDistribution(store.student_last_theta[student]),
                                    week_topics)
     else:
         week = course.week_of(t)
-    last_thread = int(store.student_last_thread[student])
-    return delta, week, None if last_thread < 0 else last_thread
+    return delta, week, int(store.student_last_thread[student])
 
 
-def _predict_from_store(store: DynamicStateStore, student: int, delta: float, week: int,
-                        last_thread: int | None, params: ModelParams, flags: AblationFlags):
-    """Project the student's stored state by (delta, week) and predict from
-    it and the previous thread's state (zeros for none): (q, u, u_hat, last)."""
+def _predict_from_store(store: DynamicStateStore, student, delta, week, last_thread,
+                        params: ModelParams, flags: AblationFlags):
+    """Project the stored student state by (delta, week) and predict from
+    it and the previous thread's state (zeros for none): (q, u, u_hat, last).
+    Takes one student or index arrays, with delta as a column."""
     u_vec = store.student_vecs[student]
     if flags.no_student_projection:
         u_hat = u_vec
     else:
         u_hat = _project_student_kernel(u_vec, delta, week, params)[0]
-    if last_thread is None:
-        last_vec = np.zeros(params.embed_dim)
-    else:
-        last_vec = store.thread_vecs[last_thread]
+    last_vec = store.thread_vecs[last_thread] * _has_last(last_thread)
     return _predict_kernel(u_hat, student, last_vec, last_thread, params), u_vec, u_hat, last_vec
 
 
-def _event_forward(ev: EventFeatures, store: DynamicStateStore,
-                   params: ModelParams, flags: AblationFlags):
-    # states entering the batch are read in place: the backward pass treats
-    # them as constants and fit writes the new ones after the whole batch
-    q, u_vec, u_hat, last_vec = _predict_from_store(
-        store, ev.student, ev.delta_student, ev.week, ev.last_thread, params, flags)
-    p_vec = store.thread_vecs[ev.thread]
+def _unit_rows(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Every row divided by its norm: the norm's subgradient, zero at the
+    origin."""
+    return np.divide(x, norms[:, None], out=np.zeros_like(x), where=norms[:, None] > 0.0)
 
+
+def _sum_at(index: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """(count, width) array whose row r sums, in batch order, the rows
+    whose index is r; sum(axis=0) would sum one-wide rows pairwise."""
+    out = np.zeros((count, rows.shape[1]))
+    np.add.at(out, index, rows)
+    return out
+
+
+def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelParams,
+                grads: dict[str, np.ndarray], flags: AblationFlags = AblationFlags()):
+    """Add the gradients of a t-batch's summed loss into grads, a dict the
+    caller owns, and return (losses, student_rows, thread_rows): every
+    event's loss and the new state pair it writes back.
+
+    No student or thread appears twice in a t-batch, so its events run as
+    the rows of one pass. The backward pass is hand derived. States
+    entering the batch are constants, so the prediction term reaches only
+    the projection context and the prediction head, while the smoothness
+    terms reach the two update matrices. Every row rounds as its event
+    would alone, and each gradient entry sums the events in batch order,
+    so the result is what adding the events one at a time gives."""
+    d, m, n = params.embed_dim, params.num_students, params.num_threads
+    delta = batch.delta_student[:, None]
+    q, u_vec, u_hat, last_vec = _predict_from_store(
+        store, batch.student, delta, batch.week, batch.last_thread, params, flags)
+    p_vec = store.thread_vecs[batch.thread]
     if flags.no_thread_projection:
         p_hat = p_vec
     else:
-        p_hat = project_thread(u_vec, p_vec, ev.excitation_value)
+        p_hat = project_thread(u_vec, p_vec, batch.excitation_value[:, None])
 
-    n = params.num_threads
-    target = np.zeros(n + params.embed_dim)
-    target[ev.thread] = 1.0
-    target[n:] = p_hat
-
-    theta_eff = np.zeros(params.num_topics) if flags.no_text_features else ev.theta
+    theta = np.zeros_like(batch.theta) if flags.no_text_features else batch.theta
     u_new, p_new, xu, xp = _update_kernel(
-        u_vec, p_vec, theta_eff, ev.delta_student, ev.delta_thread, params,
-    )
+        u_vec, p_vec, theta, batch.delta_student, batch.delta_thread, params)
     if flags.no_dynamic_student:
         u_new = u_vec
     if flags.no_dynamic_thread:
         p_new = p_vec
 
-    residual = q - target
-    pred_term, _ = _norm_grad(residual)
+    # the target is the thread's one-hot next to its projected state
+    residual = q
+    residual[np.arange(len(batch)), batch.thread] -= 1.0
+    residual[:, n:] -= p_hat
     du = u_new - u_vec
     dp = p_new - p_vec
-    reg_u = params.lambda_student * float(np.linalg.norm(du))
-    reg_p = params.lambda_thread * float(np.linalg.norm(dp))
-    total = pred_term + reg_u + reg_p
-    return total, (u_vec, last_vec, u_hat, residual, u_new, p_new, xu, xp, du, dp)
+    norm_q, norm_u, norm_p = _row_norms(residual), _row_norms(du), _row_norms(dp)
+    losses = norm_q + params.lambda_student * norm_u + params.lambda_thread * norm_p
 
-
-def event_loss(ev: EventFeatures, store: DynamicStateStore, params: ModelParams,
-               flags: AblationFlags = AblationFlags()) -> float:
-    return _event_forward(ev, store, params, flags)[0]
-
-
-def event_grads(ev: EventFeatures, store: DynamicStateStore, params: ModelParams,
-                grads: dict[str, np.ndarray], flags: AblationFlags = AblationFlags()):
-    """Add one event's parameter gradients into grads, a dict the caller
-    owns, and return (loss, (student_embedding, thread_embedding)) with the
-    new state pair the event writes back.
-
-    The backward pass is hand derived. State vectors entering the event are
-    constants, so the prediction term reaches only the projection context
-    and the prediction head, while the smoothness terms reach the two
-    update matrices."""
-    total, inter = _event_forward(ev, store, params, flags)
-    u_vec, last_vec, u_hat, residual, u_new, p_new, xu, xp, du, dp = inter
-    d, m = params.embed_dim, params.num_students
-
-    _, g_q = _norm_grad(residual)
-    grads["predictor_bias"] += g_q
+    g_q = _unit_rows(residual, norm_q)
+    grads["predictor_bias"] += g_q.sum(axis=0)
     Wg = grads["predictor"]
-    Wg[:d] += np.outer(u_hat, g_q)
-    Wg[d + ev.student] += g_q
-    Wg[d + m : 2 * d + m] += np.outer(last_vec, g_q)
-    if ev.last_thread is not None:
-        Wg[2 * d + m + ev.last_thread] += g_q
+    # one (events, n + d) product at a time: the summed outer products of
+    # the two embedding blocks, without an (events, d, n + d) array
+    for j in range(d):
+        Wg[j] += (u_hat[:, j, None] * g_q).sum(axis=0)
+        Wg[d + m + j] += (last_vec[:, j, None] * g_q).sum(axis=0)
+    Wg[d + batch.student] += g_q
+    # previous threads and weeks may repeat within a batch
+    has_last = batch.last_thread >= 0
+    last, at = np.unique(batch.last_thread[has_last], return_inverse=True)
+    Wg[2 * d + m + last] += _sum_at(at, g_q[has_last], len(last))
 
     if not flags.no_student_projection:
-        g_uhat = params.predictor[:d] @ g_q
+        g_uhat = np.matmul(params.predictor[:d], g_q[:, :, None])[:, :, 0]
         g_gain = g_uhat * u_vec
-        grads["time_context"][:, 0] += g_gain * ev.delta_student
-        grads["week_context"][:, ev.week] += g_gain
+        grads["time_context"] += _sum_at(np.zeros(len(batch), dtype=np.intp),
+                                         g_gain * delta, 1).T
+        grads["week_context"] += _sum_at(batch.week, g_gain, params.num_weeks).T
 
-    if not flags.no_dynamic_student:
-        norm_du, g_du = _norm_grad(du)
-        if norm_du > 0.0:
-            g_pre = params.lambda_student * g_du * _act_deriv(u_new, params.activation)
-            grads["student_update"] += np.outer(xu, g_pre)
-
-    if not flags.no_dynamic_thread:
-        norm_dp, g_dp = _norm_grad(dp)
-        if norm_dp > 0.0:
-            g_pre = params.lambda_thread * g_dp * _act_deriv(p_new, params.activation)
-            grads["thread_update"] += np.outer(xp, g_pre)
-
-    return total, (u_new, p_new)
+    # each smoothness term lam * |new - old| reaches its update cell through
+    # the rows that moved; a frozen side moves no row
+    for name, lam, jump, norms, new, x in (
+            ("student_update", params.lambda_student, du, norm_u, u_new, xu),
+            ("thread_update", params.lambda_thread, dp, norm_p, p_new, xp)):
+        moved = norms > 0.0
+        g_jump = _unit_rows(jump[moved], norms[moved])
+        g_pre = lam * g_jump * _act_deriv(new[moved], params.activation)
+        grads[name] += (x[moved, :, None] * g_pre[:, None, :]).sum(axis=0)
+    return losses, u_new, p_new
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +477,31 @@ class DynamicStateStore:
 
 _CKPT_MAGIC = "threadrec checkpoint v1"
 
+# every store array with its dtype and its shape in header scalars
 _STORE_ARRAYS = (
-    ("student_vecs", np.float64),
-    ("thread_vecs", np.float64),
-    ("student_last_t", np.float64),
-    ("thread_last_t", np.float64),
-    ("student_seen", np.bool_),
-    ("thread_seen", np.bool_),
-    ("student_last_theta", np.float64),
-    ("student_last_thread", np.int64),
+    ("student_vecs", np.float64, ("num_students", "embed_dim")),
+    ("thread_vecs", np.float64, ("num_threads", "embed_dim")),
+    ("student_last_t", np.float64, ("num_students",)),
+    ("thread_last_t", np.float64, ("num_threads",)),
+    ("student_seen", np.bool_, ("num_students",)),
+    ("thread_seen", np.bool_, ("num_threads",)),
+    ("student_last_theta", np.float64, ("num_students", "num_topics")),
+    ("student_last_thread", np.int64, ("num_students",)),
 )
+
+
+def _checkpoint_layout(scalars: dict) -> list[tuple[str, str, list[int]]]:
+    """(name, dtype, shape) of every array save_checkpoint writes for these
+    header scalars, in file order."""
+    if not all(isinstance(scalars.get(k), int) and scalars[k] >= 1 for k in _DIMS):
+        raise ValueError("checkpoint dimensions %s must be positive integers" % ", ".join(_DIMS))
+    f8 = np.dtype(np.float64).str
+    layout = [("params." + name, f8, list(shape))
+              for name, shape in _tensor_shapes(*(scalars[k] for k in _DIMS)).items()]
+    layout += [("store." + name, np.dtype(dtype).str, [scalars[k] for k in dims])
+               for name, dtype, dims in _STORE_ARRAYS]
+    layout.append(("week_topics", f8, [scalars["num_weeks"], scalars["num_topics"]]))
+    return layout
 
 
 def save_checkpoint(path, params: ModelParams, store: DynamicStateStore,
@@ -485,31 +510,16 @@ def save_checkpoint(path, params: ModelParams, store: DynamicStateStore,
     course week topics, and a JSON metadata block. The layout is a magic
     line, a JSON header describing the arrays, then raw little-endian array
     bytes in header order. Writing is byte-deterministic."""
-    arrays: list[tuple[str, np.ndarray]] = []
-    for name in TENSOR_NAMES:
-        arrays.append(("params." + name, params.tensor(name)))
-    for name, dtype in _STORE_ARRAYS:
-        arrays.append(("store." + name, np.asarray(getattr(store, name), dtype=dtype)))
+    arrays = [("params." + name, params.tensor(name)) for name in TENSOR_NAMES]
+    arrays += [("store." + name, np.asarray(getattr(store, name), dtype=dtype))
+               for name, dtype, _ in _STORE_ARRAYS]
     arrays.append(("week_topics", np.stack([t.probs for t in week_topics])))
 
     header = {
-        "arrays": [
-            {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
-            for name, arr in arrays
-        ],
-        "scalars": {
-            "embed_dim": params.embed_dim,
-            "num_topics": params.num_topics,
-            "num_weeks": params.num_weeks,
-            "num_students": params.num_students,
-            "num_threads": params.num_threads,
-            "post_decay": params.post_decay,
-            "reply_decay": params.reply_decay,
-            "lambda_student": params.lambda_student,
-            "lambda_thread": params.lambda_thread,
-            "activation": params.activation,
-            "time_scale": store.time_scale,
-        },
+        "arrays": [{"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
+                   for name, arr in arrays],
+        "scalars": {**{key: getattr(params, key) for key in _SCALARS},
+                    "time_scale": store.time_scale},
         "meta": meta,
     }
     with open(path, "wb") as fh:
@@ -520,35 +530,45 @@ def save_checkpoint(path, params: ModelParams, store: DynamicStateStore,
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint. Returns (params, store, week_topics, meta)."""
+    """Inverse of save_checkpoint. Returns (params, store, week_topics, meta).
+    The file is outside input: its array layout must be the one
+    save_checkpoint writes for its header scalars, its previous threads
+    must name threads or -1, and its time scale must be positive; a
+    ValueError names the first array that is not."""
     with open(path, "rb") as fh:
         magic = fh.readline().decode().strip()
         if magic != _CKPT_MAGIC:
             raise ValueError("%s is not a checkpoint file" % path)
         header = json.loads(fh.readline().decode())
+        sc = header["scalars"]
+        layout = _checkpoint_layout(sc)
+        given = [(a.get("name"), a.get("dtype"), a.get("shape")) for a in header["arrays"]]
+        for want, got in zip_longest(layout, given, fillvalue=(None,)):
+            if want != got:
+                raise ValueError("checkpoint array %s does not match its header scalars: "
+                                 "expected %s, found %s" % (want[0] or got[0], want, got))
         data = {}
-        for spec in header["arrays"]:
-            dtype = np.dtype(spec["dtype"])
-            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        for name, dtype, shape in layout:
+            dtype = np.dtype(dtype)
+            count = int(np.prod(shape))
             buf = fh.read(count * dtype.itemsize)
             if len(buf) != count * dtype.itemsize:
-                raise ValueError("checkpoint truncated at array %s" % spec["name"])
-            data[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(spec["shape"]).copy()
+                raise ValueError("checkpoint truncated at array %s" % name)
+            data[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
 
-    sc = header["scalars"]
-    params = ModelParams(
-        *(data["params." + name] for name in TENSOR_NAMES),
-        post_decay=sc["post_decay"], reply_decay=sc["reply_decay"],
-        lambda_student=sc["lambda_student"], lambda_thread=sc["lambda_thread"],
-        embed_dim=sc["embed_dim"], num_topics=sc["num_topics"],
-        num_weeks=sc["num_weeks"], num_students=sc["num_students"],
-        num_threads=sc["num_threads"], activation=sc["activation"],
-    )
+    last = data["store.student_last_thread"]
+    if np.any((last < -1) | (last >= sc["num_threads"])):
+        raise ValueError("checkpoint array store.student_last_thread names a thread "
+                         "outside [-1, %d)" % sc["num_threads"])
+    if not (isinstance(sc.get("time_scale"), (int, float)) and sc["time_scale"] > 0):
+        raise ValueError("checkpoint time_scale must be positive, got %r" % sc.get("time_scale"))
+    params = ModelParams(*(data["params." + name] for name in TENSOR_NAMES),
+                         **{key: sc[key] for key in _SCALARS})
     store = DynamicStateStore(sc["num_students"], sc["num_threads"],
                               sc["embed_dim"], sc["num_topics"], sc["time_scale"])
-    for name, dtype in _STORE_ARRAYS:
-        setattr(store, name, data["store." + name].astype(dtype))
+    for name, _, _ in _STORE_ARRAYS:
+        setattr(store, name, data["store." + name])
     week_topics = [TopicDistribution(row) for row in data["week_topics"]]
     return params, store, week_topics, header["meta"]

@@ -26,8 +26,6 @@ if TYPE_CHECKING:
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _SPLIT_RE = re.compile(r"[^a-z0-9]+")
 
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
-
 # stem is pure, so each distinct word is stemmed once; the cache keeps one
 # entry per distinct word for the life of the process
 _stem = functools.lru_cache(maxsize=None)(stem)
@@ -44,11 +42,9 @@ def load_stopwords(path=None) -> frozenset[str]:
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
+@functools.cache
 def _default_stopwords() -> frozenset[str]:
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        _DEFAULT_STOPWORDS = load_stopwords()
-    return _DEFAULT_STOPWORDS
+    return load_stopwords()
 
 
 def preprocess(raw_text: str, stopwords: frozenset[str] | None = None) -> list[str]:
@@ -424,6 +420,9 @@ def load_lda(path) -> LdaModel:
         if not parts or parts[0] != "lda":
             raise ValueError("not a topic model file")
         meta = dict(p.split("=", 1) for p in parts[1:])
+        missing = [key for key in ("K", "W", "alpha", "beta", "seed") if key not in meta]
+        if missing:
+            raise ValueError("topic model header lacks %s" % ", ".join(missing))
         K = int(meta["K"])
         W = int(meta["W"])
         rows = []

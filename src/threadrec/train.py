@@ -4,10 +4,11 @@ and the finite-difference gradient checker.
 Events are grouped into t-batches: each event lands one batch after the
 latest batch touching its student or its thread, so no batch repeats an
 entity and replaying batches in order preserves every per-entity timeline.
-Gradients are accumulated per batch with the dynamic states entering the
-batch treated as constants, then applied with Adam. The features come from
-one replay of the window through a state store's trackers, which training
-keeps; only the embeddings restart from zero at every epoch.
+model.batch_grads computes a batch's gradients in one pass with the dynamic
+states entering the batch treated as constants, and Adam applies them. The
+features come from one replay of the window through a state store's
+trackers, which training keeps; only the embeddings restart from zero at
+every epoch.
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ from .model import (
     ModelParams,
     TENSOR_NAMES,
     _student_context,
-    event_grads,
-    event_loss,
+    batch_grads,
     excitation,
 )
 from .text import LdaModel, Vocabulary, lda_infer, term_frequency
@@ -81,11 +81,7 @@ class TrainConfig:
 
     @property
     def flags(self) -> AblationFlags:
-        return AblationFlags(
-            self.no_dynamic_student, self.no_dynamic_thread,
-            self.no_student_projection, self.no_thread_projection,
-            self.no_text_features,
-        )
+        return AblationFlags(**{name: getattr(self, name) for name in AblationFlags.NAMES})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -172,18 +168,20 @@ def mean_event_gap(events) -> float:
 
 
 def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
-                           config: TrainConfig) -> tuple[list[EventFeatures], DynamicStateStore]:
+                           config: TrainConfig) -> tuple[EventFeatures, DynamicStateStore]:
     """Topic-infer every post and replay the window once through the
     trackers of a state store whose time scale is the training mean event
     gap. Before a post advances them, its record reads from them the
     student's context, as ranking does, and the thread's elapsed time.
     Returns (features, trackers), the trackers after the last post without
     embeddings; neither depends on the embedding size, seed or flags."""
+    if not train.events:
+        raise EmptyDatasetError("cannot fit on an empty training window")
     trackers = DynamicStateStore(train.num_students, train.num_threads, 0, lda.num_topics,
                                  mean_event_gap(train.events))
     index = ThreadEventIndex(train)
     iters = config.topic_infer_iters
-    feats = []
+    rows = []
     for ev in train.events:
         s, c, t = ev.student_id, ev.thread_id, ev.timestamp
         theta = lda_infer(lda, term_frequency(ev.tokens, vocab), iters=iters,
@@ -191,14 +189,12 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary, wee
         delta, week, last_thread = _student_context(trackers, s, t, train.course, week_topics)
         exc = excitation(index.history(s, c, t), t, config.post_decay, config.reply_decay,
                          trackers.time_scale)
-        feats.append(EventFeatures(
-            student=s, thread=c, last_thread=last_thread, theta=theta,
-            delta_student=delta,
-            delta_thread=(t - trackers.thread_last_t[c]) / trackers.time_scale,
-            week=week, excitation_value=exc, timestamp=t, post_id=ev.post_id,
-        ))
+        rows.append((s, c, last_thread, theta, delta,
+                     (t - trackers.thread_last_t[c]) / trackers.time_scale,
+                     week, exc, t, ev.post_id))
         trackers.advance(s, c, t, theta)
-    return feats, trackers
+    # one array per field, in EventFeatures field order
+    return EventFeatures(*map(np.array, zip(*rows))), trackers
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +243,21 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
 def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
         config: TrainConfig, log_path=None, trajectory_sink: list | None = None,
-        features: tuple[list[EventFeatures], DynamicStateStore] | None = None):
+        features: tuple[EventFeatures, DynamicStateStore] | None = None):
     """Train the model on a time-ordered event list.
 
     Returns (params, store) where store holds the dynamic states after the
     final epoch, ready for ranking at later times. If log_path is given, a
-    CSV with one row per epoch (epoch, mean_loss, seconds) is written. If
-    trajectory_sink is a list, rows (kind, entity, timestamp, *embedding)
-    are appended for every state write of the final epoch. `features` lets
-    sweeps over seeds, ablations, embedding sizes or optimizer settings
-    reuse one prepare_event_features result, which is valid as long as the
-    decay and topic-inference settings match. The returned store starts
-    from a copy of its trackers, and fit never writes into the features.
+    CSV with one row per epoch (epoch, mean_loss, seconds, grad_norm_max,
+    clipped_batches) is written: the largest pre-clip gradient norm of the
+    epoch's batches and how many of them were clipped. If trajectory_sink
+    is a list, rows (kind, entity, timestamp, *embedding) are appended for
+    every state write of the final epoch. `features` lets sweeps over seeds,
+    ablations, embedding sizes or optimizer settings reuse one
+    prepare_event_features result, which is valid as long as the decay and
+    topic-inference settings match. The returned store starts from a copy
+    of its trackers, and fit never writes into the features.
     """
-    if not train.events:
-        raise EmptyDatasetError("cannot fit on an empty training window")
     if len(week_topics) != train.course.num_weeks:
         raise ValueError("week topic count does not match the schedule")
 
@@ -276,7 +272,7 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
     if features is None:
         features = prepare_event_features(train, lda, vocab, week_topics, config)
     feats, trackers = features
-    batches = t_batch(train.events)
+    batches = [feats.take(batch) for batch in t_batch(train.events)]
     flags = config.flags
     opt = Adam(params, config.learning_rate)
 
@@ -289,42 +285,41 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
         store.student_vecs = np.zeros((train.num_students, config.embed_dim))
         store.thread_vecs = np.zeros((train.num_threads, config.embed_dim))
         collect = trajectory_sink is not None and epoch == config.epochs - 1
-        epoch_loss = 0.0
+        epoch_loss, grad_norm_max, clipped = 0.0, 0.0, 0
         for b, batch in enumerate(batches):
             grads = params.zero_grads()
-            writes = []
-            for i in batch:
-                f = feats[i]
-                loss_i, (u_new, p_new) = event_grads(f, store, params, grads, flags)
-                if not np.isfinite(loss_i):
-                    raise TrainingDiverged(
-                        "non-finite loss at epoch %d batch %d post %d" % (epoch, b, f.post_id))
-                epoch_loss += loss_i
-                writes.append((f, u_new, p_new))
+            losses, u_new, p_new = batch_grads(batch, store, params, grads, flags)
+            finite = np.isfinite(losses)
+            if not finite.all():
+                raise TrainingDiverged("non-finite loss at epoch %d batch %d post %d"
+                                       % (epoch, b, batch.post_id[np.argmin(finite)]))
+            for loss in losses.tolist():  # a running sum in event order, not pairwise
+                epoch_loss += loss
 
             # state writes land after the whole batch so every event read
             # the values from the previous batch
-            for f, u_new, p_new in writes:
-                store.student_vecs[f.student] = u_new
-                store.thread_vecs[f.thread] = p_new
-                if collect:
-                    trajectory_sink.append(
-                        ("student", f.student, f.timestamp, *store.student_vecs[f.student]))
-                    trajectory_sink.append(
-                        ("thread", f.thread, f.timestamp, *store.thread_vecs[f.thread]))
+            store.student_vecs[batch.student] = u_new
+            store.thread_vecs[batch.thread] = p_new
+            if collect:
+                for s, c, t, u, p in zip(batch.student.tolist(), batch.thread.tolist(),
+                                         batch.timestamp.tolist(), u_new, p_new):
+                    trajectory_sink += [("student", s, t, *u), ("thread", c, t, *p)]
 
             total = clip_gradients(grads, config.clip_norm)
             if not np.isfinite(total):
                 raise TrainingDiverged("non-finite gradient at epoch %d batch %d" % (epoch, b))
+            grad_norm_max = max(grad_norm_max, total)
+            clipped += 0 < config.clip_norm < total
             opt.step(params, grads)
-        log_rows.append((epoch, epoch_loss / len(feats), time.perf_counter() - start))
+        log_rows.append([epoch, repr(epoch_loss / len(feats)),
+                         "%.6f" % (time.perf_counter() - start), repr(float(grad_norm_max)),
+                         clipped])
 
     if log_path is not None:
         with open(log_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "mean_loss", "seconds"])
-            for row in log_rows:
-                writer.writerow([row[0], repr(float(row[1])), "%.6f" % row[2]])
+            writer.writerow(["epoch", "mean_loss", "seconds", "grad_norm_max", "clipped_batches"])
+            writer.writerows(log_rows)
     return params, store
 
 
@@ -332,39 +327,17 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
 # gradient checking
 
 
-def random_event(rng: np.random.Generator, params: ModelParams,
-                 cold_start: bool = False) -> tuple[EventFeatures, DynamicStateStore]:
-    """Random but well-posed event and entering states for gradient
-    checking."""
-    d, k = params.embed_dim, params.num_topics
-    store = DynamicStateStore(params.num_students, params.num_threads, d, k)
-    store.student_vecs[:] = rng.uniform(0.05, 0.95, store.student_vecs.shape)
-    store.thread_vecs[:] = rng.uniform(0.05, 0.95, store.thread_vecs.shape)
-    ev = EventFeatures(
-        student=int(rng.integers(params.num_students)),
-        thread=int(rng.integers(params.num_threads)),
-        last_thread=None if cold_start else int(rng.integers(params.num_threads)),
-        theta=rng.dirichlet(np.ones(k)),
-        delta_student=float(rng.uniform(0.1, 2.0)),
-        delta_thread=float(rng.uniform(0.1, 2.0)),
-        week=int(rng.integers(params.num_weeks)),
-        excitation_value=float(rng.uniform(0.0, 3.0)),
-        timestamp=0.0,
-        post_id=0,
-    )
-    return ev, store
-
-
-def gradient_check(params: ModelParams, ev: EventFeatures, store: DynamicStateStore,
+def gradient_check(params: ModelParams, batch: EventFeatures, store: DynamicStateStore,
                    flags: AblationFlags = AblationFlags(),
                    eps: float = 1e-5, analytic: dict | None = None) -> float:
-    """Compare analytic per-event gradients against central finite
-    differences of the loss over every entry of every tensor. Returns the
-    maximum relative error. Pass analytic to check an externally supplied
-    gradient set instead of the model's own."""
+    """Compare the analytic gradients of a t-batch's summed loss against
+    central finite differences of that sum over every entry of every
+    tensor. Returns the maximum relative error. Pass analytic to check an
+    externally supplied gradient set instead of the model's own."""
     if analytic is None:
         analytic = params.zero_grads()
-        event_grads(ev, store, params, analytic, flags)
+        batch_grads(batch, store, params, analytic, flags)
+    spare = params.zero_grads()  # the loss is all the checker reads
     worst = 0.0
     for name in TENSOR_NAMES:
         tensor = params.tensor(name)
@@ -374,9 +347,9 @@ def gradient_check(params: ModelParams, ev: EventFeatures, store: DynamicStateSt
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = event_loss(ev, store, params, flags)
+            up = batch_grads(batch, store, params, spare, flags)[0].sum()
             flat[i] = orig - eps
-            down = event_loss(ev, store, params, flags)
+            down = batch_grads(batch, store, params, spare, flags)[0].sum()
             flat[i] = orig
             numeric = (up - down) / (2.0 * eps)
             err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))

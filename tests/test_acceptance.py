@@ -20,6 +20,8 @@ from threadrec.synth import algo_like, generate
 from threadrec.text import build_vocabulary, course_topics, lda_fit, term_frequency
 from threadrec.train import TrainConfig
 
+from conftest import random_batch
+
 WEEK = 604800.0
 
 
@@ -39,11 +41,11 @@ def test_1_gradients_match_finite_differences(capsys):
         params = ModelParams.init(rng, embed_dim=3, num_topics=2, num_weeks=2,
                                   num_students=4, num_threads=4,
                                   lambda_student=0.7, lambda_thread=0.4)
-        ev, store = train.random_event(rng, params, cold_start=(i % 5 == 4))
-        worst = max(worst, train.gradient_check(params, ev, store, eps=1e-5))
+        batch, store = random_batch(rng, params, cold_start=(i % 5 == 4))
+        worst = max(worst, train.gradient_check(params, batch, store, eps=1e-5))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-4 and elapsed < 10.0
-    report(capsys, 1, "per-event gradients vs central differences", ok,
+    report(capsys, 1, "t-batch gradients vs central differences", ok,
            "max rel err %.2e, %.1fs" % (worst, elapsed))
     assert ok, "worst relative error %g in %.1fs" % (worst, elapsed)
 

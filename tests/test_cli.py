@@ -247,6 +247,21 @@ def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
     # argparse's own rejections surface as exit code 2 as well
     assert main(["eval"]) == 2
     assert main(["not-a-command"]) == 2
+    # counts and sizes below one are refused before anything runs
+    data, lda, ckpt = (str(pipeline["data"]), str(pipeline["lda"]),
+                       str(pipeline["run"] / "checkpoint.bin"))
+    refused = tmp_path / "refused"
+    for argv in (["lda", "--data", data, "--out", str(refused), "--num-topics", "0"],
+                 ["lda", "--data", data, "--out", str(refused), "--iters", "0"],
+                 ["eval", "--data", data, "--out", str(refused), "--checkpoint", ckpt,
+                  "--train-end", "2w", "--test-end", "3w", "--n-cutoff", "0"],
+                 ["recommend", "--data", data, "--checkpoint", ckpt, "--student", "0",
+                  "--at", "2w", "--top-k", "0"],
+                 ["synth", "--out", str(refused), "--preset", "algo-like", "--scale", "0"],
+                 ["ablate", "--data", data, "--lda", lda, "--out", str(refused),
+                  "--train-end", "2w", "--test-end", "3w", "--jobs", "0"]):
+        assert main(argv) == 2, argv
+    assert not refused.exists()
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from threadrec.corpus import ReplyHistory
 from threadrec.model import (AblationFlags, DynamicStateStore, EventFeatures,
                              ModelParams, TENSOR_NAMES)
 from threadrec.text import TopicDistribution
+
+from conftest import random_batch
 
 
 def zero_params(d=2, k=2, weeks=2, m=3, n=3, activation="sigmoid"):
@@ -26,10 +29,12 @@ def theta(*probs):
 
 
 def update(u_vec, p_vec, theta, delta_student, delta_thread, params):
-    """The recurrent update kernel's pair of new embeddings."""
-    return model._update_kernel(np.asarray(u_vec, dtype=np.float64),
-                                np.asarray(p_vec, dtype=np.float64),
-                                theta.probs, delta_student, delta_thread, params)[:2]
+    """The recurrent update kernel's pair of new embeddings for a t-batch
+    of one post."""
+    u_new, p_new, _, _ = model._update_kernel(
+        np.asarray(u_vec, dtype=np.float64)[None], np.asarray(p_vec, dtype=np.float64)[None],
+        theta.probs[None], np.array([delta_student]), np.array([delta_thread]), params)
+    return u_new[0], p_new[0]
 
 
 def test_update_zero_weights_gives_midpoint_sigmoid():
@@ -115,14 +120,6 @@ def test_project_student_zero_context_is_identity():
     assert np.array_equal(out, vec)
 
 
-def test_project_student_validates():
-    params = zero_params()
-    with pytest.raises(ValueError):
-        model._project_student_kernel(np.zeros(2), -0.5, 0, params)
-    with pytest.raises(ValueError):
-        model._project_student_kernel(np.zeros(2), 1.0, 9, params)
-
-
 # excitation
 
 
@@ -178,6 +175,8 @@ def test_project_thread_unit_excitation_is_exact_midpoint():
 def test_project_thread_oracle():
     out = model.project_thread(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 3.0)
     assert np.allclose(out, [0.75, 0.25], atol=1e-15)
+    # plain sequences work as well
+    assert np.array_equal(model.project_thread([1.0, 0.0], [0.0, 1.0], 3.0), out)
 
 
 def test_project_thread_rejects_negative_excitation():
@@ -220,36 +219,59 @@ def test_predict_next_cold_start_omits_thread_blocks():
     d, k, weeks, m, n = 2, 2, 2, 3, 3
     params = ModelParams.init(rng, d, k, weeks, m, n)
     u_hat = rng.normal(size=d)
-    q = model._predict_kernel(u_hat, 0, np.zeros(d), None, params)
+    q = model._predict_kernel(u_hat, 0, np.zeros(d), -1, params)
     dense_in = np.concatenate([u_hat, np.eye(m)[0], np.zeros(d), np.zeros(n)])
     expect = dense_in @ params.predictor + params.predictor_bias
     assert np.allclose(q, expect, atol=1e-12)
 
 
-def test_predict_next_validates_one_hot_sizes():
-    params = zero_params()
-    with pytest.raises(ValueError):
-        model._predict_kernel(np.zeros(2), 7, np.zeros(2), None, params)
-    with pytest.raises(ValueError):
-        model._predict_kernel(np.zeros(2), 0, np.zeros(2), 3, params)
+def test_predict_rows_match_single_predictions():
+    # one implementation serves ranking (scalars) and training (rows)
+    rng = np.random.default_rng(14)
+    d, k, weeks, m, n = 3, 2, 2, 4, 5
+    params = ModelParams.init(rng, d, k, weeks, m, n)
+    store = DynamicStateStore(m, n, d, k)
+    store.student_vecs[:] = rng.normal(size=(m, d))
+    store.thread_vecs[:] = rng.normal(size=(n, d))
+    student, delta = np.array([2, 0, 3]), np.array([0.5, 1.5, 0.0])
+    week, last = np.array([1, 1, 0]), np.array([4, -1, 4])
+    rows = model._predict_from_store(store, student, delta[:, None], week, last, params,
+                                     AblationFlags())
+    for i in range(3):
+        one = model._predict_from_store(store, int(student[i]), float(delta[i]),
+                                        int(week[i]), int(last[i]), params, AblationFlags())
+        for got, want in zip(rows, one):
+            assert np.array_equal(got[i], want)
+    z = np.array([0.0, 0.5, 2.0])
+    projected = model.project_thread(rows[1], store.thread_vecs[:3], z[:, None])
+    for i in range(3):
+        assert np.array_equal(projected[i],
+                              model.project_thread(rows[1][i], store.thread_vecs[i], z[i]))
 
 
 # loss
 
 
 def loss_event(params, bias, u_vec, p_vec, thread):
-    """A zero-weight head predicts its bias; the event's student 0 and the
-    target thread carry the given states, with no excitation."""
+    """A t-batch of one event: a zero-weight head predicts its bias; the
+    event's student 0 and the target thread carry the given states, with no
+    excitation."""
     params.predictor_bias[:] = bias
     store = DynamicStateStore(params.num_students, params.num_threads,
                               params.embed_dim, params.num_topics)
     store.student_vecs[0] = u_vec
     store.thread_vecs[thread] = p_vec
-    ev = EventFeatures(student=0, thread=thread, last_thread=None,
-                       theta=np.array([0.5, 0.5]), delta_student=1.0,
-                       delta_thread=1.0, week=0, excitation_value=0.0,
-                       timestamp=1.0, post_id=0)
-    return ev, store
+    batch = EventFeatures(student=np.array([0]), thread=np.array([thread]),
+                          last_thread=np.array([-1]), theta=np.array([[0.5, 0.5]]),
+                          delta_student=np.array([1.0]), delta_thread=np.array([1.0]),
+                          week=np.array([0]), excitation_value=np.array([0.0]),
+                          timestamp=np.array([1.0]), post_id=np.array([0]))
+    return batch, store
+
+
+def batch_loss(batch, store, params, flags=AblationFlags()):
+    """The summed loss of a t-batch."""
+    return model.batch_grads(batch, store, params, params.zero_grads(), flags)[0].sum()
 
 
 def test_loss_pythagorean_oracle():
@@ -259,7 +281,7 @@ def test_loss_pythagorean_oracle():
     u = np.full(2, 0.5)
     bias = np.array([3.0, 4.0, 1.0, 0.5, 0.5])
     ev, store = loss_event(params, bias, u, u, 2)
-    value = model.event_loss(ev, store, params)
+    value = batch_loss(ev, store, params)
     assert value == pytest.approx(5.0, abs=1e-12)
 
 
@@ -272,7 +294,7 @@ def test_loss_is_unsquared_distance_plus_penalties():
     p_prev = np.array([0.5, -1.5])
     bias = np.concatenate([np.zeros(3), p_prev])
     ev, store = loss_event(params, bias, u_prev, p_prev, 0)
-    value = model.event_loss(ev, store, params)
+    value = batch_loss(ev, store, params)
     # prediction residual is the bare one-hot: norm 1
     assert value == pytest.approx(1.0 + 2.0 * 5.0 + 0.5 * 2.0, abs=1e-12)
 
@@ -283,7 +305,7 @@ def test_loss_zero_at_perfect_prediction():
     bias = np.concatenate([np.eye(3)[1], proj])
     ev, store = loss_event(params, bias, np.ones(2), proj, 1)
     frozen = AblationFlags.from_names(["no_dynamic_student", "no_dynamic_thread"])
-    value = model.event_loss(ev, store, params, frozen)
+    value = batch_loss(ev, store, params, frozen)
     assert value == 0.0
 
 
@@ -300,39 +322,34 @@ def test_ablation_flags_from_names():
 
 def test_ablation_flags_change_forward_pass(small_params):
     rng = np.random.default_rng(10)
-    from threadrec.train import random_event
-    ev, store = random_event(rng, small_params)
-    base = model.event_loss(ev, store, small_params, AblationFlags())
+    batch, store = random_batch(rng, small_params)
+    base = batch_loss(batch, store, small_params, AblationFlags())
     for name in AblationFlags.NAMES:
-        variant = model.event_loss(ev, store, small_params, AblationFlags.from_names([name]))
+        variant = batch_loss(batch, store, small_params, AblationFlags.from_names([name]))
         assert variant != base, name
 
 
 def test_frozen_embedding_ablations_keep_states(small_params):
     rng = np.random.default_rng(11)
-    from threadrec.train import random_event
-    ev, store = random_event(rng, small_params)
+    batch, store = random_batch(rng, small_params)
     flags = AblationFlags.from_names(["no_dynamic_student", "no_dynamic_thread"])
-    _, (u_new, p_new) = model.event_grads(ev, store, small_params,
-                                          small_params.zero_grads(), flags)
-    assert np.array_equal(u_new, store.student_vecs[ev.student])
-    assert np.array_equal(p_new, store.thread_vecs[ev.thread])
+    _, u_new, p_new = model.batch_grads(batch, store, small_params,
+                                        small_params.zero_grads(), flags)
+    assert np.array_equal(u_new, store.student_vecs[batch.student])
+    assert np.array_equal(p_new, store.thread_vecs[batch.thread])
 
 
-def test_event_grads_add_into_shared_dict(small_params):
+def test_batch_grads_add_into_shared_dict(small_params):
     rng = np.random.default_rng(13)
-    from dataclasses import replace
-    from threadrec.train import random_event
-    ev, store = random_event(rng, small_params)
-    events = [replace(ev, student=0, thread=0, last_thread=3),
-              replace(ev, student=1, thread=1, last_thread=None, week=1),
-              replace(ev, student=2, thread=2, last_thread=0)]
+    batch, store = random_batch(rng, small_params)
+    batch.last_thread[:] = [3, -1, 0]
+    batches = [batch.take([0, 1]), batch.take([2]), batch]
     shared = small_params.zero_grads()
     separate = []
-    for e in events:
-        model.event_grads(e, store, small_params, shared)
+    for b in batches:
+        model.batch_grads(b, store, small_params, shared)
         own = small_params.zero_grads()
-        model.event_grads(e, store, small_params, own)
+        model.batch_grads(b, store, small_params, own)
         separate.append(own)
     for name in TENSOR_NAMES:
         total = separate[0][name] + separate[1][name] + separate[2][name]
@@ -412,6 +429,66 @@ def test_checkpoint_bytes_are_deterministic(tmp_path, small_params):
     model.save_checkpoint(a, small_params, store, weeks, {"k": 1})
     model.save_checkpoint(b, small_params, store, weeks, {"k": 1})
     assert a.read_bytes() == b.read_bytes()
+
+
+def saved_checkpoint(tmp_path, num_week_topics=2, time_scale=1.0, last_thread=2):
+    """A checkpoint of 3 students, 4 threads and 2 weeks, embed_dim 2."""
+    params = ModelParams.init(np.random.default_rng(15), 2, 2, 2, 3, 4)
+    store = DynamicStateStore(params.num_students, params.num_threads, params.embed_dim,
+                              params.num_topics, time_scale=time_scale)
+    store.student_last_thread[1] = last_thread
+    weeks = [TopicDistribution(np.array([0.5, 0.5]))] * num_week_topics
+    path = tmp_path / "ck.bin"
+    model.save_checkpoint(path, params, store, weeks, {})
+    return path
+
+
+def rewrite_header(path, edit):
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    edit(header)
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+
+
+def test_checkpoint_rejects_bad_shapes_and_last_threads(tmp_path):
+    # the head's one-hot rows are read without range checks, so a file may
+    # bring in only students and previous threads of the trained course
+    path = saved_checkpoint(tmp_path)
+    model.load_checkpoint(path)
+
+    def transpose_students(header):
+        spec = next(a for a in header["arrays"] if a["name"] == "store.student_vecs")
+        spec["shape"] = spec["shape"][::-1]  # same byte count
+    rewrite_header(path, transpose_students)
+    with pytest.raises(ValueError, match="store.student_vecs"):
+        model.load_checkpoint(path)
+
+    path = saved_checkpoint(tmp_path)
+    rewrite_header(path, lambda h: h["scalars"].update(num_students=4))
+    with pytest.raises(ValueError, match="params.predictor"):
+        model.load_checkpoint(path)
+
+    path = saved_checkpoint(tmp_path)
+    rewrite_header(path, lambda h: h["arrays"].pop())
+    with pytest.raises(ValueError, match="week_topics"):
+        model.load_checkpoint(path)
+
+    for last in (4, -2):
+        path = saved_checkpoint(tmp_path, last_thread=last)
+        with pytest.raises(ValueError, match="store.student_last_thread"):
+            model.load_checkpoint(path)
+    model.load_checkpoint(saved_checkpoint(tmp_path, last_thread=-1))
+
+
+def test_checkpoint_rejects_bad_time_scale_and_week_topics(tmp_path):
+    # the projection takes the elapsed time over the time scale and the
+    # week a student's last topics point to, without range checks
+    with pytest.raises(ValueError, match="time_scale"):
+        model.load_checkpoint(saved_checkpoint(tmp_path, time_scale=0.0))
+    with pytest.raises(ValueError, match="time_scale"):
+        model.load_checkpoint(saved_checkpoint(tmp_path, time_scale=-1.0))
+    with pytest.raises(ValueError, match="week_topics"):
+        model.load_checkpoint(saved_checkpoint(tmp_path, num_week_topics=3))
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

@@ -73,7 +73,7 @@ def stacked_target_ranking(params, store, week_topics, course, index, candidates
         u_hat = model._project_student_kernel(u_vec, delta, week, params)[0]
     last_thread = int(store.student_last_thread[student])
     if last_thread < 0:
-        q = model._predict_kernel(u_hat, student, np.zeros(d), None, params)
+        q = model._predict_kernel(u_hat, student, np.zeros(d), -1, params)
     else:
         q = model._predict_kernel(u_hat, student, store.thread_vecs[last_thread],
                                   last_thread, params)

@@ -219,6 +219,19 @@ def test_lda_roundtrip_is_exact(tmp_path):
     assert loaded.rng_seed == model.rng_seed
 
 
+@pytest.mark.parametrize("key", ["K", "W", "alpha", "beta", "seed"])
+def test_load_lda_rejects_header_without_a_scalar(tmp_path, key):
+    model = text.lda_fit([{0: 3, 1: 2}, {1: 4, 2: 1}], 2, iters=10, seed=5,
+                         vocab_size=3)
+    path = tmp_path / "lda.csv"
+    text.save_lda(model, path)
+    header, rest = path.read_text().split("\n", 1)
+    header = " ".join(p for p in header.split() if not p.startswith(key + "="))
+    path.write_text(header + "\n" + rest)
+    with pytest.raises(ValueError, match=key):
+        text.load_lda(path)
+
+
 def test_topic_distribution_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(6)
     thetas = [text.TopicDistribution(rng.dirichlet(np.ones(4))) for _ in range(3)]

@@ -1,5 +1,10 @@
 """Command line pipeline: synth -> lda -> train -> eval / ablate / recommend.
 
+A thin layer over the library: each subcommand parses only the flags its
+handler reads. synth, train and ablate take config overrides (--config and
+--set), which become a SynthConfig or TrainConfig through one parser, and
+eval and recommend open a checkpoint through one gate.
+
 Every run writes a manifest.json into its output directory recording the
 command, the effective config, the seed, and sha256 checksums of inputs and
 outputs, so results can be audited later. Timing logs are listed in the
@@ -36,10 +41,12 @@ PER_USER_FILE = "per_user_ap.csv"
 ABLATION_CSV = "ablation.csv"
 ABLATION_JSON = "ablation.json"
 MANIFEST_FILE = "manifest.json"
+DATA_FILES = (POSTS_FILE, SCHEDULE_FILE)
+LDA_FILES = (VOCAB_FILE, LDA_FILE, COURSE_TOPICS_FILE)
 
 # Fixed per-stage seed offsets so one --seed reproduces a whole pipeline
 # without the stages sharing RNG streams.
-SEED_OFFSETS = {"synth": 0, "lda": 1, "train": 2, "eval": 3, "ablate": 4}
+SEED_OFFSETS = {"synth": 0, "lda": 1, "train": 2, "ablate": 4}
 
 
 class UsageError(Exception):
@@ -90,14 +97,45 @@ def read_config_file(path) -> dict[str, str]:
 
 def _collect_overrides(args) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         mapping.update(read_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise UsageError("--set expects key=value, got %r" % (item,))
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping
+
+
+def _parse_bool(value: str) -> bool:
+    word = value.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("not a boolean")
+
+
+_COERCE = {"bool": _parse_bool, "int": int, "float": float}
+
+
+def _config(base, overrides: dict[str, str]):
+    """Copy of the dataclass config base with string overrides, each
+    coerced by its field's type. An unknown key, a value that does not
+    parse and a config the dataclass rejects are usage errors."""
+    kinds = {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(base)}
+    changes = {}
+    for key, value in overrides.items():
+        if key not in kinds:
+            raise UsageError("unknown config key %r" % (key,))
+        try:
+            changes[key] = _COERCE.get(kinds[key], str)(value)
+        except ValueError:
+            raise UsageError("bad value %r for config key %r" % (value, key))
+    try:
+        return dataclasses.replace(base, **changes)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _file_sha256(path: Path) -> str:
@@ -166,18 +204,14 @@ def _load_text_artifacts(lda_dir):
     return lda, vocab, week_topics
 
 
-def _checkpoint_flags(meta: dict) -> model.AblationFlags:
-    """Ablation flags the checkpoint was trained with, from its metadata."""
-    config = meta.get("config", {})
-    return model.AblationFlags(**{name: bool(config.get(name, False))
-                                  for name in model.AblationFlags.NAMES})
-
-
-def _check_checkpoint(params: model.ModelParams, meta: dict, ds: corpus.Dataset,
-                      t_query: float, flag: str) -> None:
-    """A checkpoint answers only for the course shape it was trained on. Its
+def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
+    """Load a checkpoint to rank on ds at t_query, the time given by flag.
+    A checkpoint answers only for the course shape it was trained on. Its
     states hold every training post, so a query at or before the last of
-    them would score posts the model has already seen."""
+    them would score posts the model has already seen. Returns (params,
+    store, week_topics, meta, flags), flags being the ablation flags it was
+    trained with."""
+    params, store, week_topics, meta = model.load_checkpoint(path)
     trained = (params.num_students, params.num_threads, params.num_weeks)
     given = (ds.num_students, ds.num_threads, ds.course.num_weeks)
     if trained != given:
@@ -187,30 +221,19 @@ def _check_checkpoint(params: model.ModelParams, meta: dict, ds: corpus.Dataset,
     if last_post is not None and t_query <= last_post:
         raise UsageError("%s %r is at or before the checkpoint's last training post at %r"
                          % (flag, t_query, last_post))
+    config = meta.get("config", {})
+    flags = model.AblationFlags(**{name: bool(config.get(name, False))
+                                   for name in model.AblationFlags.NAMES})
+    return params, store, week_topics, meta, flags
 
 
 def cmd_synth(args) -> int:
     started = time.perf_counter()
-    out = _out_dir(args)
-    if args.preset is not None:  # argparse allows only algo-like
-        base = synth.algo_like(scale=args.scale)
-    else:
-        base = synth.SynthConfig()
-    mapping = base.as_dict()
-    for key, value in _collect_overrides(args).items():
-        if key not in mapping:
-            raise UsageError("unknown synth option %r" % (key,))
-        kind = type(mapping[key])
-        try:
-            mapping[key] = kind(float(value)) if kind is int else kind(value)
-        except ValueError:
-            raise UsageError("bad value %r for synth option %r" % (value, key))
+    base = synth.algo_like(scale=args.scale) if args.preset else synth.SynthConfig()
+    cfg = _config(base, _collect_overrides(args))
     if args.seed is not None:
-        mapping["seed"] = args.seed + SEED_OFFSETS["synth"]
-    try:
-        cfg = synth.SynthConfig(**mapping)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        cfg = dataclasses.replace(cfg, seed=args.seed + SEED_OFFSETS["synth"])
+    out = _out_dir(args)
 
     ds, gt = synth.generate(cfg)
     corpus.write_jsonl(ds, out / POSTS_FILE)
@@ -220,7 +243,7 @@ def cmd_synth(args) -> int:
 
     outputs = [out / POSTS_FILE, out / SCHEDULE_FILE, out / ID_MAP_FILE,
                out / GROUND_TRUTH_FILE]
-    write_manifest(out, "synth", cfg.seed, cfg.as_dict(), [], outputs, [],
+    write_manifest(out, "synth", cfg.seed, dataclasses.asdict(cfg), [], outputs, [],
                    time.perf_counter() - started)
     print("synth: %d posts, %d students, %d threads -> %s"
           % (len(ds.events), ds.num_students, ds.num_threads, out))
@@ -229,34 +252,24 @@ def cmd_synth(args) -> int:
 
 def cmd_lda(args) -> int:
     started = time.perf_counter()
+    train_end = parse_duration(args.train_end) if args.train_end else None
     out = _out_dir(args)
     data = Path(args.data)
     ds = _load_dataset(data)
-    train_end = parse_duration(args.train_end) if args.train_end else None
     window = ds if train_end is None else corpus.events_before(ds, train_end)
 
     num_topics = args.num_topics or ds.course.num_weeks
     seed = (args.seed if args.seed is not None else 0) + SEED_OFFSETS["lda"]
-    post_docs = [ev.tokens for ev in window.events]
-    week_docs = ds.course.week_docs
+    # one topic model over the window's posts and the week descriptions
+    docs = [ev.tokens for ev in window.events] + ds.course.week_docs
 
     t_vocab = time.perf_counter()
-    vocab = text.build_vocabulary(post_docs + week_docs, min_count=args.min_count)
-    vocab_size = len(vocab.word_to_index)
-    post_tf = [text.term_frequency(doc, vocab) for doc in post_docs]
-    week_tf = [text.term_frequency(doc, vocab) for doc in week_docs]
+    vocab = text.build_vocabulary(docs, min_count=args.min_count)
+    tf = [text.term_frequency(doc, vocab) for doc in docs]
     t_fit = time.perf_counter()
-    if args.separate_course_model:
-        lda = text.lda_fit(post_tf, num_topics, iters=args.iters, seed=seed,
-                           vocab_size=vocab_size)
-        course_lda = text.lda_fit(week_tf, num_topics, iters=args.iters,
-                                  seed=seed + 1, vocab_size=vocab_size)
-    else:
-        lda = text.lda_fit(post_tf + week_tf, num_topics, iters=args.iters,
-                           seed=seed, vocab_size=vocab_size)
-        course_lda = lda
+    lda = text.lda_fit(tf, num_topics, iters=args.iters, seed=seed, vocab_size=len(vocab))
     t_topics = time.perf_counter()
-    week_topics = text.course_topics(ds.course, course_lda, vocab)
+    week_topics = text.course_topics(ds.course, lda, vocab)
     timings = {"vocabulary_s": t_fit - t_vocab, "lda_fit_s": t_topics - t_fit,
                "course_topics_s": time.perf_counter() - t_topics}
 
@@ -265,10 +278,9 @@ def cmd_lda(args) -> int:
     text.save_topic_distributions(week_topics, out / COURSE_TOPICS_FILE)
 
     config = {"num_topics": num_topics, "iters": args.iters,
-              "min_count": args.min_count, "train_end": train_end,
-              "separate_course_model": bool(args.separate_course_model)}
-    inputs = [data / POSTS_FILE, data / SCHEDULE_FILE]
-    outputs = [out / VOCAB_FILE, out / LDA_FILE, out / COURSE_TOPICS_FILE]
+              "min_count": args.min_count, "train_end": train_end}
+    inputs = [data / n for n in DATA_FILES]
+    outputs = [out / n for n in LDA_FILES]
     write_manifest(out, "lda", seed, config, inputs, outputs, [],
                    time.perf_counter() - started, timings)
     print("lda: %d topics over %d terms, final log-likelihood %.2f -> %s"
@@ -276,26 +288,17 @@ def cmd_lda(args) -> int:
     return 0
 
 
-def _build_train_config(args) -> train.TrainConfig:
-    mapping = _collect_overrides(args)
-    try:
-        cfg = train.TrainConfig.from_mapping(mapping)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed + SEED_OFFSETS["train"])
-    return cfg
-
-
 def cmd_train(args) -> int:
     started = time.perf_counter()
+    cfg = _config(train.TrainConfig(), _collect_overrides(args))
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed + SEED_OFFSETS["train"])
+    train_end = parse_duration(args.train_end) if args.train_end else None
     out = _out_dir(args)
     data = Path(args.data)
     ds = _load_dataset(data)
     lda, vocab, week_topics = _load_text_artifacts(args.lda)
-    train_end = parse_duration(args.train_end) if args.train_end else None
     window = ds if train_end is None else corpus.events_before(ds, train_end)
-    cfg = _build_train_config(args)
 
     t_fit = time.perf_counter()
     sink = [] if args.export_trajectories else None
@@ -305,9 +308,8 @@ def cmd_train(args) -> int:
     t_save = time.perf_counter()
     # the data enter by content, so the bytes do not depend on where it lives;
     # the last post time bounds the queries the trained states can answer
-    meta = {"config": cfg.as_dict(), "train_end": train_end,
-            "data_sha256": {name: _file_sha256(data / name)
-                            for name in (POSTS_FILE, SCHEDULE_FILE)},
+    meta = {"config": dataclasses.asdict(cfg), "train_end": train_end,
+            "data_sha256": {name: _file_sha256(data / name) for name in DATA_FILES},
             "last_post_time": window.events[-1].timestamp,
             "num_events": len(window.events)}
     model.save_checkpoint(out / CHECKPOINT_FILE, params, store, week_topics, meta)
@@ -319,57 +321,46 @@ def cmd_train(args) -> int:
     timings = {"ingest_s": t_fit - started, "fit_s": t_save - t_fit,
                "save_s": time.perf_counter() - t_save}
 
-    inputs = [data / POSTS_FILE, data / SCHEDULE_FILE,
-              Path(args.lda) / VOCAB_FILE, Path(args.lda) / LDA_FILE,
-              Path(args.lda) / COURSE_TOPICS_FILE]
-    write_manifest(out, "train", cfg.seed, cfg.as_dict(), inputs, outputs, logs,
+    inputs = [data / n for n in DATA_FILES] + [Path(args.lda) / n for n in LDA_FILES]
+    write_manifest(out, "train", cfg.seed, dataclasses.asdict(cfg), inputs, outputs, logs,
                    time.perf_counter() - started, timings)
     print("train: %d events, %d epochs -> %s" % (len(window.events), cfg.epochs, out))
     return 0
 
 
-def _baseline_rank_fn(name: str, train_ds: corpus.Dataset, ascending: bool):
-    if name == "pop":
-        ranking = recommend.baseline_pop(train_ds)
-        return lambda student: ranking
-    if name == "rec":
-        ranking = recommend.baseline_rec(train_ds, ascending=ascending)
-        return lambda student: ranking
+def _baseline_rank_fn(name: str, train_ds: corpus.Dataset):
     if name == "user-rec":
-        return lambda student: recommend.baseline_user_rec(train_ds, student,
-                                                           ascending=ascending)
-    raise UsageError("unknown baseline %r" % (name,))
+        return lambda student: recommend.baseline_user_rec(train_ds, student)
+    ranking = (recommend.baseline_pop if name == "pop" else recommend.baseline_rec)(train_ds)
+    return lambda student: ranking
 
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
+    if args.baseline and args.per_event:
+        raise UsageError("--per-event re-ranks with a --checkpoint, not a --baseline")
     data = Path(args.data)
     ds = _load_dataset(data)
     spec = corpus.SplitSpec(parse_duration(args.train_end), parse_duration(args.test_end))
     train_ds, test_ds = corpus.split_by_time(ds, spec)
     timings = {"ingest_s": time.perf_counter() - started}
 
-    inputs = [data / POSTS_FILE, data / SCHEDULE_FILE]
+    inputs = [data / n for n in DATA_FILES]
     if args.baseline:
-        method = args.baseline
         t_rank = time.perf_counter()
-        rank_fn = _baseline_rank_fn(args.baseline, train_ds, args.rec_ascending)
-        report = recommend.evaluate(rank_fn, test_ds, n_cutoff=args.n_cutoff,
-                                    method=method)
+        report = recommend.evaluate(_baseline_rank_fn(args.baseline, train_ds), test_ds,
+                                    n_cutoff=args.n_cutoff, method=args.baseline)
     else:
-        if not args.checkpoint:
-            raise UsageError("need --checkpoint or --baseline")
         inputs.append(Path(args.checkpoint))
         t_load = time.perf_counter()
-        params, store, week_topics, meta = model.load_checkpoint(args.checkpoint)
+        params, store, week_topics, meta, flags = _open_checkpoint(
+            args.checkpoint, ds, spec.train_end, "--train-end")
         t_rank = time.perf_counter()
         timings["load_checkpoint_s"] = t_rank - t_load
         trained_to = meta.get("train_end")
         if trained_to is not None and trained_to != spec.train_end:
             raise UsageError("--train-end %r differs from the checkpoint's train_end %r"
                              % (spec.train_end, trained_to))
-        _check_checkpoint(params, meta, ds, spec.train_end, "--train-end")
-        flags = _checkpoint_flags(meta)
         if args.per_event:
             report = recommend.evaluate_per_event(params, store, week_topics,
                                                   train_ds, test_ds,
@@ -386,8 +377,7 @@ def cmd_eval(args) -> int:
     recommend.write_report_csv(report, out / PER_USER_FILE)
     config = {"train_end": spec.train_end, "test_end": spec.test_end,
               "n_cutoff": args.n_cutoff, "method": report.method,
-              "per_event": bool(args.per_event),
-              "rec_ascending": bool(args.rec_ascending)}
+              "per_event": args.per_event}
     write_manifest(out, "eval", args.seed, config, inputs,
                    [out / REPORT_FILE, out / PER_USER_FILE], [],
                    time.perf_counter() - started, timings)
@@ -418,16 +408,13 @@ def _ablate_job(job, shared=None):
 
 def cmd_ablate(args) -> int:
     started = time.perf_counter()
-    out = _out_dir(args)
     cfg_map = _collect_overrides(args)
-    try:
-        base_cfg = train.TrainConfig.from_mapping(cfg_map)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    base_cfg = _config(train.TrainConfig(), cfg_map)
     base_seed = (args.seed + SEED_OFFSETS["ablate"]
                  if args.seed is not None else base_cfg.seed)
     train_end = parse_duration(args.train_end)
     test_end = parse_duration(args.test_end)
+    out = _out_dir(args)
     seeds = [base_seed + i for i in range(args.seeds)]
 
     # the features depend on neither the flags nor the seed
@@ -474,9 +461,8 @@ def cmd_ablate(args) -> int:
     for variant, _, mean in rows:
         print(variant.ljust(width) + "  %.6f" % mean)
 
-    inputs = [Path(args.data) / POSTS_FILE, Path(args.data) / SCHEDULE_FILE,
-              Path(args.lda) / VOCAB_FILE, Path(args.lda) / LDA_FILE,
-              Path(args.lda) / COURSE_TOPICS_FILE]
+    inputs = ([Path(args.data) / n for n in DATA_FILES]
+              + [Path(args.lda) / n for n in LDA_FILES])
     config = dict(cfg_map)
     config.update({"train_end": train_end, "test_end": test_end,
                    "n_cutoff": args.n_cutoff, "seeds": args.seeds})
@@ -487,17 +473,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    data = Path(args.data)
-    ds = _load_dataset(data)
-    params, store, week_topics, meta = model.load_checkpoint(args.checkpoint)
-    flags = _checkpoint_flags(meta)
     t_query = parse_duration(args.at)
+    ds = _load_dataset(args.data)
+    params, store, week_topics, meta, flags = _open_checkpoint(args.checkpoint, ds, t_query,
+                                                               "--at")
     trained_to = meta.get("train_end")
     if trained_to is not None and t_query < trained_to:
         # the trained states already hold the posts between the two times
         raise UsageError("--at %r is before the checkpoint's train_end %r"
                          % (t_query, trained_to))
-    _check_checkpoint(params, meta, ds, t_query, "--at")
     window = corpus.events_before(ds, t_query)
     try:
         student = ds.student_ids.index(args.student)
@@ -519,12 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dynamic thread recommendation for course forums.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=None):
-        p.add_argument("--seed", type=int, default=seed_default,
-                       help="base seed; each stage adds a fixed offset")
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one config key (repeatable)")
+    def common(p, overrides=True):
+        p.add_argument("--seed", type=int, help="base seed; each stage adds a fixed offset")
+        if overrides:
+            p.add_argument("--config", help="flat key = value config file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override one config key (repeatable)")
 
     p = sub.add_parser("synth", help="generate a synthetic forum dataset")
     p.add_argument("--out", required=True)
@@ -540,9 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_positive(int), default=500)
     p.add_argument("--min-count", type=int, default=10)
     p.add_argument("--train-end", help="fit on posts before this time (e.g. 8w)")
-    p.add_argument("--separate-course-model", action="store_true",
-                   help="fit week descriptions with their own topic model")
-    common(p)
+    common(p, overrides=False)
     p.set_defaults(func=cmd_lda)
 
     p = sub.add_parser("train", help="train the recommendation model")
@@ -557,16 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="rank held-out posts and report MAP")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--baseline", choices=["pop", "rec", "user-rec"])
+    method = p.add_mutually_exclusive_group(required=True)
+    method.add_argument("--checkpoint")
+    method.add_argument("--baseline", choices=["pop", "rec", "user-rec"])
     p.add_argument("--train-end", required=True)
     p.add_argument("--test-end", required=True)
     p.add_argument("--n-cutoff", type=_positive(int), default=5)
-    p.add_argument("--rec-ascending", action="store_true",
-                   help="order the recency baseline oldest first")
     p.add_argument("--per-event", action="store_true",
                    help="re-rank before every held-out post instead of once")
-    common(p)
+    common(p, overrides=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and evaluate every ablation variant")
@@ -590,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="student id as it appears in the source data")
     p.add_argument("--at", required=True, help="query time (e.g. 8w)")
     p.add_argument("--top-k", type=_positive(int), default=5)
-    common(p)
     p.set_defaults(func=cmd_recommend)
     return parser
 

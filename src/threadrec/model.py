@@ -217,19 +217,13 @@ def _update_kernel(u_rows, p_rows, theta_rows, delta_student, delta_thread, para
     return u_new, p_new, xu, xp
 
 
-def assign_course_topic(theta: TopicDistribution, week_topics: Sequence[TopicDistribution]) -> int:
-    """Index of the course week whose topic profile is closest to theta in
-    Euclidean distance; ties resolve to the smallest index."""
-    if not week_topics:
+def assign_course_topic(probs: np.ndarray, week_matrix: np.ndarray) -> int:
+    """Index of the course week whose topic profile, a row of the (weeks,
+    topics) week_matrix, is closest to the topic vector probs in Euclidean
+    distance; ties resolve to the smallest index."""
+    if len(week_matrix) == 0:
         raise ValueError("no course week topics given")
-    probs = np.asarray(theta.probs)
-    best = 0
-    best_dist = None
-    for i, wk in enumerate(week_topics):
-        dist = float(np.linalg.norm(probs - wk.probs))
-        if best_dist is None or dist < best_dist:
-            best, best_dist = i, dist
-    return best
+    return int(np.argmin(_row_norms(week_matrix - probs)))
 
 
 def _project_student_kernel(u_vec, delta, week, params):
@@ -327,14 +321,14 @@ class EventFeatures:
 
 
 def _student_context(store: DynamicStateStore, student: int, t: float, course,
-                     week_topics: Sequence[TopicDistribution]):
+                     week_matrix: np.ndarray):
     """(normalized time since the student's last post, clamped at zero; the
     course week that post's topics point to, else the week of t; that
-    post's thread, else -1), read from the store's trackers."""
+    post's thread, else -1), read from the store's trackers. week_matrix
+    stacks the week topic vectors."""
     delta = max(t - store.student_last_t[student], 0.0) / store.time_scale
     if store.student_seen[student]:
-        week = assign_course_topic(TopicDistribution(store.student_last_theta[student]),
-                                   week_topics)
+        week = assign_course_topic(store.student_last_theta[student], week_matrix)
     else:
         week = course.week_of(t)
     return delta, week, int(store.student_last_thread[student])
@@ -369,10 +363,11 @@ def _sum_at(index: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
 
 
 def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelParams,
-                grads: dict[str, np.ndarray], flags: AblationFlags = AblationFlags()):
+                grads: dict[str, np.ndarray] | None, flags: AblationFlags = AblationFlags()):
     """Add the gradients of a t-batch's summed loss into grads, a dict the
     caller owns, and return (losses, student_rows, thread_rows): every
-    event's loss and the new state pair it writes back.
+    event's loss and the new state pair it writes back. With grads None
+    the backward pass is skipped.
 
     No student or thread appears twice in a t-batch, so its events run as
     the rows of one pass. The backward pass is hand derived. States
@@ -407,6 +402,8 @@ def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelPar
     dp = p_new - p_vec
     norm_q, norm_u, norm_p = _row_norms(residual), _row_norms(du), _row_norms(dp)
     losses = norm_q + params.lambda_student * norm_u + params.lambda_thread * norm_p
+    if grads is None:
+        return losses, u_new, p_new
 
     g_q = _unit_rows(residual, norm_q)
     grads["predictor_bias"] += g_q.sum(axis=0)

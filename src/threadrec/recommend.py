@@ -137,13 +137,14 @@ class _Scorer:
         if len(self.ids) == 0:
             raise EvaluationError("training window has no posted threads")
         self.row = {int(c): i for i, c in enumerate(self.ids)}
-        self.params, self.store, self.week_topics = params, store, week_topics
-        self.course, self.index, self.flags = train.course, index, flags
+        self.params, self.store, self.flags = params, store, flags
+        self.week_matrix = np.array([w.probs for w in week_topics])
+        self.course, self.index = train.course, index
 
     def rank(self, student: int, t_query: float,
              top_k: int | None = None) -> RankedRecommendation:
         params, store, flags = self.params, self.store, self.flags
-        context = _student_context(store, student, t_query, self.course, self.week_topics)
+        context = _student_context(store, student, t_query, self.course, self.week_matrix)
         q, u_vec = _predict_from_store(store, student, *context, params, flags)[:2]
         p_hat = store.thread_vecs[self.ids]
         if not flags.no_thread_projection:
@@ -215,27 +216,26 @@ def baseline_pop(train: Dataset) -> list[int]:
     return sorted(range(train.num_threads), key=lambda t: (-counts[t], t))
 
 
-def baseline_rec(train: Dataset, ascending: bool = False) -> list[int]:
-    """Threads by recency of their latest training post, most recent first
-    by default (ascending=True reverses the active part). Threads never
-    posted on always come last, in id order."""
+def baseline_rec(train: Dataset) -> list[int]:
+    """Threads by recency of their latest training post, most recent first.
+    Threads never posted on come last, in id order."""
     last: dict[int, float] = {}
     for ev in train.events:
         last[ev.thread_id] = ev.timestamp
-    active = sorted(last, key=lambda t: (last[t], t) if ascending else (-last[t], t))
+    active = sorted(last, key=lambda t: (-last[t], t))
     inactive = [t for t in range(train.num_threads) if t not in last]
     return active + inactive
 
 
-def baseline_user_rec(train: Dataset, student: int, ascending: bool = False) -> list[int]:
+def baseline_user_rec(train: Dataset, student: int) -> list[int]:
     """The student's own threads ordered by the recency of their own last
     post on each, followed by the remaining threads in baseline_rec order."""
     own: dict[int, float] = {}
     for ev in train.events:
         if ev.student_id == student:
             own[ev.thread_id] = ev.timestamp
-    head = sorted(own, key=lambda t: (own[t], t) if ascending else (-own[t], t))
-    tail = [t for t in baseline_rec(train, ascending) if t not in own]
+    head = sorted(own, key=lambda t: (-own[t], t))
+    tail = [t for t in baseline_rec(train) if t not in own]
     return head + tail
 
 

@@ -12,7 +12,6 @@ ingestion.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -57,9 +56,6 @@ class SynthConfig:
             raise ValueError("week_seconds must be positive")
         if self.vocab_size < self.num_topics:
             raise ValueError("vocab_size must be at least num_topics")
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def algo_like(scale: float = 1.0, seed: int = 0) -> SynthConfig:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import dataclasses
 import time
 from dataclasses import dataclass, replace
 
@@ -83,40 +82,6 @@ class TrainConfig:
     def flags(self) -> AblationFlags:
         return AblationFlags(**{name: getattr(self, name) for name in AblationFlags.NAMES})
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        """Build a config from string-valued keys, as read from a config
-        file. Unknown keys are an error."""
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, value in mapping.items():
-            f = fields.get(key)
-            if f is None:
-                raise ValueError("unknown config key %r" % key)
-            if f.type in ("bool", bool):
-                kwargs[key] = _parse_bool(key, value)
-            elif f.type in ("int", int):
-                kwargs[key] = int(value)
-            elif f.type in ("float", float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = str(value)
-        return cls(**kwargs)
-
-
-def _parse_bool(key, value):
-    if isinstance(value, bool):
-        return value
-    v = str(value).strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("config key %r expects a boolean, got %r" % (key, value))
-
 
 def ablation_variant(config: TrainConfig, names) -> TrainConfig:
     """Copy of config with the named ablation flags switched on. 'full'
@@ -180,13 +145,14 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary, wee
     trackers = DynamicStateStore(train.num_students, train.num_threads, 0, lda.num_topics,
                                  mean_event_gap(train.events))
     index = ThreadEventIndex(train)
+    week_matrix = np.array([w.probs for w in week_topics])
     iters = config.topic_infer_iters
     rows = []
     for ev in train.events:
         s, c, t = ev.student_id, ev.thread_id, ev.timestamp
         theta = lda_infer(lda, term_frequency(ev.tokens, vocab), iters=iters,
                           burn_in=iters // 2).probs
-        delta, week, last_thread = _student_context(trackers, s, t, train.course, week_topics)
+        delta, week, last_thread = _student_context(trackers, s, t, train.course, week_matrix)
         exc = excitation(index.history(s, c, t), t, config.post_decay, config.reply_decay,
                          trackers.time_scale)
         rows.append((s, c, last_thread, theta, delta,
@@ -337,7 +303,6 @@ def gradient_check(params: ModelParams, batch: EventFeatures, store: DynamicStat
     if analytic is None:
         analytic = params.zero_grads()
         batch_grads(batch, store, params, analytic, flags)
-    spare = params.zero_grads()  # the loss is all the checker reads
     worst = 0.0
     for name in TENSOR_NAMES:
         tensor = params.tensor(name)
@@ -347,9 +312,9 @@ def gradient_check(params: ModelParams, batch: EventFeatures, store: DynamicStat
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = batch_grads(batch, store, params, spare, flags)[0].sum()
+            up = batch_grads(batch, store, params, None, flags)[0].sum()
             flat[i] = orig - eps
-            down = batch_grads(batch, store, params, spare, flags)[0].sum()
+            down = batch_grads(batch, store, params, None, flags)[0].sum()
             flat[i] = orig
             numeric = (up - down) / (2.0 * eps)
             err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))

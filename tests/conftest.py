@@ -39,6 +39,17 @@ def small_params():
                             num_students=3, num_threads=4)
 
 
+def nearest_week_loop(probs, week_topics):
+    """Reference week assignment, one np.linalg.norm per week: the index of
+    the week topics nearest to probs, the smallest on ties."""
+    best, best_dist = 0, None
+    for i, wk in enumerate(week_topics):
+        dist = float(np.linalg.norm(probs - wk.probs))
+        if best_dist is None or dist < best_dist:
+            best, best_dist = i, dist
+    return best
+
+
 def random_batch(rng, params, cold_start=False):
     """Random but well-posed t-batch and entering states for gradient
     checking: one event per student or per thread, whichever is fewer, no

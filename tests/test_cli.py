@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -6,6 +7,8 @@ import pytest
 from threadrec import cli
 from threadrec.cli import (UsageError, main, parse_duration, read_config_file,
                            verify_manifest)
+from threadrec.synth import SynthConfig
+from threadrec.train import TrainConfig
 
 
 def sha(path):
@@ -34,6 +37,48 @@ def test_read_config_file(tmp_path):
         read_config_file(bad)
     with pytest.raises(UsageError):
         read_config_file(tmp_path / "missing.cfg")
+
+
+def test_config_coerces_types():
+    cfg = cli._config(TrainConfig(), {"epochs": "7", "learning_rate": "0.01",
+                                      "no_text_features": "true", "seed": "3"})
+    assert cfg.epochs == 7
+    assert cfg.learning_rate == 0.01
+    assert cfg.no_text_features is True
+    assert cfg.seed == 3
+    with pytest.raises(UsageError):
+        cli._config(TrainConfig(), {"not_a_key": "1"})
+    with pytest.raises(UsageError):
+        cli._config(TrainConfig(), {"no_text_features": "maybe"})
+    with pytest.raises(UsageError):  # refused by TrainConfig itself
+        cli._config(TrainConfig(), {"epochs": "0"})
+    synth = cli._config(SynthConfig(), {"num_students": "15", "drift_strength": "0.25"})
+    assert synth.num_students == 15 and type(synth.num_students) is int
+    assert synth.drift_strength == 0.25
+    with pytest.raises(UsageError):
+        cli._config(SynthConfig(), {"num_students": "15.7"})
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {opt for action in p._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, p in sub.choices.items()}
+    overrides = {"--seed", "--config", "--set"}
+    assert flags == {
+        "synth": {"--out", "--preset", "--scale"} | overrides,
+        "lda": {"--data", "--out", "--num-topics", "--iters", "--min-count",
+                "--train-end", "--seed"},
+        "train": {"--data", "--lda", "--out", "--train-end",
+                  "--export-trajectories"} | overrides,
+        "eval": {"--data", "--out", "--checkpoint", "--baseline", "--train-end",
+                 "--test-end", "--n-cutoff", "--per-event", "--seed"},
+        "ablate": {"--data", "--lda", "--out", "--train-end", "--test-end", "--n-cutoff",
+                   "--seeds", "--jobs"} | overrides,
+        "recommend": {"--data", "--checkpoint", "--student", "--at", "--top-k"},
+    }
+    assert sum(map(len, flags.values())) == 46
 
 
 SYNTH_ARGS = ["--set", "num_students=15", "--set", "num_threads=10",
@@ -251,6 +296,24 @@ def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
     data, lda, ckpt = (str(pipeline["data"]), str(pipeline["lda"]),
                        str(pipeline["run"] / "checkpoint.bin"))
     refused = tmp_path / "refused"
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("n_cutoff = 3\n")
+    pop = ["eval", "--data", data, "--out", str(refused), "--baseline", "pop",
+           "--train-end", "2w", "--test-end", "3w"]
+    for argv in (
+            # flags a command does not read, and flags that are gone
+            ["lda", "--data", data, "--out", str(refused), "--set", "x=1"],
+            pop + ["--config", str(cfg)],
+            ["recommend", "--data", data, "--checkpoint", ckpt, "--student", "0",
+             "--at", "2w", "--seed", "1"],
+            ["lda", "--data", data, "--out", str(refused), "--separate-course-model"],
+            pop + ["--rec-ascending"],
+            # a baseline scores neither a checkpoint nor per event
+            pop + ["--checkpoint", ckpt],
+            pop + ["--per-event"],
+            # synth integers parse as train integers do
+            ["synth", "--out", str(refused), "--set", "num_students=15.7"]):
+        assert main(argv) == 2, argv
     for argv in (["lda", "--data", data, "--out", str(refused), "--num-topics", "0"],
                  ["lda", "--data", data, "--out", str(refused), "--iters", "0"],
                  ["eval", "--data", data, "--out", str(refused), "--checkpoint", ckpt,

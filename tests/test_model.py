@@ -10,7 +10,7 @@ from threadrec.model import (AblationFlags, DynamicStateStore, EventFeatures,
                              ModelParams, TENSOR_NAMES)
 from threadrec.text import TopicDistribution
 
-from conftest import random_batch
+from conftest import nearest_week_loop, random_batch
 
 
 def zero_params(d=2, k=2, weeks=2, m=3, n=3, activation="sigmoid"):
@@ -188,13 +188,24 @@ def test_project_thread_rejects_negative_excitation():
 
 
 def test_assign_course_topic_nearest_and_ties():
-    weeks = [theta(1.0, 0.0), theta(0.0, 1.0), theta(0.5, 0.5)]
-    assert model.assign_course_topic(theta(0.9, 0.1), weeks) == 0
-    assert model.assign_course_topic(theta(0.1, 0.9), weeks) == 1
+    weeks = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    assert model.assign_course_topic(np.array([0.9, 0.1]), weeks) == 0
+    assert model.assign_course_topic(np.array([0.1, 0.9]), weeks) == 1
     # equidistant between weeks 0 and 1: smallest index wins
-    assert model.assign_course_topic(theta(0.5, 0.5), [theta(1.0, 0.0), theta(0.0, 1.0)]) == 0
+    assert model.assign_course_topic(np.array([0.5, 0.5]), weeks[:2]) == 0
     with pytest.raises(ValueError):
-        model.assign_course_topic(theta(1.0, 0.0), [])
+        model.assign_course_topic(np.array([1.0, 0.0]), np.empty((0, 2)))
+
+
+def test_assign_course_topic_matches_norm_loop_with_exact_ties():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        k = int(rng.integers(2, 6))
+        weeks = [theta(*row) for row in rng.dirichlet(np.ones(k), 4)]
+        weeks += weeks[::-1]  # every week twice: exact ties
+        matrix = np.array([w.probs for w in weeks])
+        for probs in list(rng.dirichlet(np.ones(k), 5)) + [w.probs for w in weeks[:2]]:
+            assert model.assign_course_topic(probs, matrix) == nearest_week_loop(probs, weeks)
 
 
 # prediction head

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from threadrec import train
+from threadrec import synth, train
 from threadrec.corpus import Dataset, ThreadEventIndex
 from threadrec.model import (TENSOR_NAMES, AblationFlags, DynamicStateStore, EventFeatures,
                              ModelParams, assign_course_topic, batch_grads, excitation)
-from threadrec.text import build_vocabulary, lda_fit, lda_infer, term_frequency
+from threadrec.text import (build_vocabulary, course_topics, lda_fit, lda_infer,
+                            term_frequency)
 from threadrec.train import (Adam, TrainConfig, TrainingDiverged, clip_gradients,
                              gradient_check, mean_event_gap, t_batch)
 
-from conftest import WEEK, make_event, random_batch
+from conftest import WEEK, make_event, nearest_week_loop, random_batch
 
 
 # t-batching
@@ -81,19 +82,6 @@ def test_config_validation():
         TrainConfig(activation="step")
     with pytest.raises(ValueError):
         TrainConfig(clip_norm=-2.0)
-
-
-def test_config_from_mapping_coerces_types():
-    cfg = TrainConfig.from_mapping({"epochs": "7", "learning_rate": "0.01",
-                                    "no_text_features": "true", "seed": "3"})
-    assert cfg.epochs == 7
-    assert cfg.learning_rate == 0.01
-    assert cfg.no_text_features is True
-    assert cfg.seed == 3
-    with pytest.raises(ValueError):
-        TrainConfig.from_mapping({"not_a_key": "1"})
-    with pytest.raises(ValueError):
-        TrainConfig.from_mapping({"no_text_features": "maybe"})
 
 
 def test_config_flags_property():
@@ -254,7 +242,7 @@ def reference_features(ds, lda, vocab, week_topics, config):
         if prev_theta is None:
             week = ds.course.week_of(ev.timestamp)
         else:
-            week = assign_course_topic(prev_theta, week_topics)
+            week = nearest_week_loop(prev_theta.probs, week_topics)
         hist = index.history(ev.student_id, ev.thread_id, ev.timestamp)
         exc = excitation(hist, ev.timestamp, config.post_decay, config.reply_decay,
                          time_scale)
@@ -317,6 +305,32 @@ def replay_ds(course2):
          (9, 3, 0, WEEK + 400.0, 6), (10, 0, 3, WEEK + 800.0, 8), (11, 2, 2, WEEK + 900.0, 7)]
     events = [make_event(pid, st, th, t, parent=parent) for pid, st, th, t, parent in s]
     return Dataset(events, 5, 5, course2, list(range(5)), list(range(5)))
+
+
+def test_replay_weeks_match_norm_loop_on_acceptance_course():
+    """Every topic vector an algo_like(0.1) replay leaves as a student's
+    last one gets the week the per-week norm loop picks, and so does every
+    replayed post whose student posted before."""
+    ds, _ = synth.generate(synth.algo_like(scale=0.1))
+    docs = [ev.tokens for ev in ds.events] + ds.course.week_docs
+    vocab = build_vocabulary(docs, min_count=10)
+    lda = lda_fit([term_frequency(doc, vocab) for doc in docs], 9, iters=10, seed=1,
+                  vocab_size=len(vocab))
+    week_topics = course_topics(ds.course, lda, vocab)
+    feats, _ = train.prepare_event_features(ds, lda, vocab, week_topics,
+                                            TrainConfig(topic_infer_iters=4))
+    week_matrix = np.array([w.probs for w in week_topics])
+    weeks = set()
+    for probs in np.unique(feats.theta, axis=0):
+        week = assign_course_topic(probs, week_matrix)
+        assert week == nearest_week_loop(probs, week_topics)
+        weeks.add(week)
+    assert len(weeks) > 1
+    last = {}
+    for student, probs, week in zip(feats.student.tolist(), feats.theta, feats.week.tolist()):
+        if student in last:
+            assert week == nearest_week_loop(last[student], week_topics)
+        last[student] = probs
 
 
 @pytest.mark.parametrize("name", ["tiny_ds", "replay_ds"])

@@ -21,7 +21,6 @@ import json
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus, model, recommend, synth, text, train
@@ -408,8 +407,7 @@ def _ablate_job(job, shared=None):
 
 def cmd_ablate(args) -> int:
     started = time.perf_counter()
-    cfg_map = _collect_overrides(args)
-    base_cfg = _config(train.TrainConfig(), cfg_map)
+    base_cfg = _config(train.TrainConfig(), _collect_overrides(args))
     base_seed = (args.seed + SEED_OFFSETS["ablate"]
                  if args.seed is not None else base_cfg.seed)
     train_end = parse_duration(args.train_end)
@@ -428,6 +426,7 @@ def cmd_ablate(args) -> int:
               args.n_cutoff)
     jobs = [(variant, seed) for variant in train.ABLATION_VARIANTS for seed in seeds]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only ablate starts processes
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_ablate_inputs,
                                  initargs=(shared,)) as pool:
             results = list(pool.map(_ablate_job, jobs))
@@ -463,9 +462,9 @@ def cmd_ablate(args) -> int:
 
     inputs = ([Path(args.data) / n for n in DATA_FILES]
               + [Path(args.lda) / n for n in LDA_FILES])
-    config = dict(cfg_map)
-    config.update({"train_end": train_end, "test_end": test_end,
-                   "n_cutoff": args.n_cutoff, "seeds": args.seeds})
+    config = {**dataclasses.asdict(dataclasses.replace(base_cfg, seed=base_seed)),
+              "train_end": train_end, "test_end": test_end, "n_cutoff": args.n_cutoff,
+              "seeds": args.seeds}
     write_manifest(out, "ablate", base_seed, config, inputs,
                    [out / ABLATION_CSV, out / ABLATION_JSON], [],
                    time.perf_counter() - started, timings)

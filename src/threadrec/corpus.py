@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -42,8 +43,14 @@ class PostEvent:
     student_id: int
     thread_id: int
     timestamp: float
-    tokens: list[str]
+    text: str
     parent_post_id: int | None = None
+
+    @functools.cached_property
+    def tokens(self) -> list[str]:
+        """The preprocessed text, computed on first read: most commands
+        never read the tokens of most posts."""
+        return preprocess(self.text)
 
 
 @dataclass
@@ -166,7 +173,8 @@ def ingest_jsonl(posts_path, schedule) -> Dataset:
     """Read a JSONL post log into a Dataset.
 
     Each line is an object with post_id, student_id, thread_id, timestamp,
-    text, and optionally parent_post_id. Text is tokenized immediately.
+    text, and optionally parent_post_id. Text is kept raw; each event
+    tokenizes it on the first read of its tokens.
     Student and thread ids are re-indexed densely in ascending external id
     order; events are sorted by (timestamp, post_id).
     """
@@ -206,7 +214,7 @@ def ingest_jsonl(posts_path, schedule) -> Dataset:
                     parent = int(parent)
                 except (TypeError, ValueError):
                     raise ParseError(line_no, "parent_post_id must be an integer") from None
-            rows.append((post_id, student, thread, timestamp, preprocess(text), parent))
+            rows.append((post_id, student, thread, timestamp, text, parent))
 
     if not rows:
         raise EmptyDatasetError("post log %s contains no events" % posts_path)
@@ -217,8 +225,8 @@ def ingest_jsonl(posts_path, schedule) -> Dataset:
     thread_map = {ext: i for i, ext in enumerate(thread_ids)}
 
     events = [
-        PostEvent(pid, student_map[s], thread_map[t], ts, toks, parent)
-        for pid, s, t, ts, toks, parent in rows
+        PostEvent(pid, student_map[s], thread_map[t], ts, text, parent)
+        for pid, s, t, ts, text, parent in rows
     ]
     events.sort(key=lambda ev: (ev.timestamp, ev.post_id))
     ds = Dataset(events, len(student_ids), len(thread_ids), course, student_ids, thread_ids)
@@ -236,7 +244,7 @@ def write_jsonl(ds: Dataset, path) -> None:
                 "student_id": ev.student_id,
                 "thread_id": ev.thread_id,
                 "timestamp": ev.timestamp,
-                "text": " ".join(ev.tokens),
+                "text": ev.text,
             }
             if ev.parent_post_id is not None:
                 record["parent_post_id"] = ev.parent_post_id

@@ -19,12 +19,12 @@ finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import ReplyHistory
 from .text import TopicDistribution
@@ -159,9 +159,24 @@ class ModelParams:
         return {name: np.zeros_like(self.tensor(name)) for name in TENSOR_NAMES}
 
 
+def _sigmoid_checked(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # C's exp gives inf there, and the sigmoid 0
+        return 0.0
+
+
 def _act(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
-        return expit(x)
+        # 1/(1+exp(-x)) with the C library's exp, which is scipy's expit bit
+        # for bit; numpy's vectorized exp rounds some values differently.
+        # Without scipy here, commands that never train do not import it.
+        # Values at or below -700, where exp(-v) can overflow, and nan take
+        # the checked path.
+        exp = math.exp
+        out = [1.0 / (1.0 + exp(-v)) if v > -700.0 else _sigmoid_checked(v)
+               for v in x.ravel().tolist()]
+        return np.array(out).reshape(x.shape)
     return np.tanh(x)
 
 
@@ -546,12 +561,11 @@ def load_checkpoint(path):
                                  "expected %s, found %s" % (want[0] or got[0], want, got))
         data = {}
         for name, dtype, shape in layout:
-            dtype = np.dtype(dtype)
-            count = int(np.prod(shape))
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
+            # read straight into the array's own buffer, with no bytes copy
+            arr = np.empty(shape, dtype=dtype)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise ValueError("checkpoint truncated at array %s" % name)
-            data[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            data[name] = arr
         if fh.read(1):
             raise ValueError("trailing bytes after checkpoint payload")
 

@@ -172,7 +172,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         topics = rng.choice(K, size=length, p=mix)
         tokens = [vocab_words[i] for i in _sample_words(rng, cum_topic_words, topics)]
 
-        events.append(PostEvent(post_id, s, thread, t, tokens, parent))
+        events.append(PostEvent(post_id, s, thread, t, " ".join(tokens), parent))
         visited[s].add(thread)
         unseen_replies[s].pop(thread, None)
         thread_posts.setdefault(thread, []).append((post_id, s))

@@ -16,7 +16,6 @@ from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .stem import stem
 
@@ -234,6 +233,8 @@ def _gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
 
 
 def _joint_loglik(n_dk, n_kw, n_k, lengths, alpha, beta):
+    # imported here so that only lda_fit pays for loading scipy
+    from scipy.special import gammaln
     K, W = n_kw.shape
     D = n_dk.shape[0]
     ll = K * (gammaln(W * beta) - W * gammaln(beta))

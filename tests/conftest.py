@@ -7,8 +7,8 @@ from threadrec.model import DynamicStateStore, EventFeatures, ModelParams
 WEEK = 604800.0
 
 
-def make_event(post_id, student, thread, t, tokens=None, parent=None):
-    return PostEvent(post_id, student, thread, t, tokens or ["zqaaa", "zqaab"], parent)
+def make_event(post_id, student, thread, t, text="zqaaa zqaab", parent=None):
+    return PostEvent(post_id, student, thread, t, text, parent)
 
 
 @pytest.fixture

@@ -115,7 +115,7 @@ def test_5_t_batch_invariants(capsys):
     rng = np.random.default_rng(41)
     times = np.cumsum(rng.uniform(0.5, 2.0, size=10_000))
     events = [PostEvent(i, int(rng.integers(600)), int(rng.integers(400)),
-                        float(times[i]), ["zqaaa"], None)
+                        float(times[i]), "zqaaa", None)
               for i in range(10_000)]
     start = time.perf_counter()
     batches = train.t_batch(events)

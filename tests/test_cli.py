@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,60 @@ def test_ablate_writes_table(pipeline, capsys):
     for name in ("ablation.csv", "ablation.json"):
         assert (pool_out / name).read_bytes() == (out / name).read_bytes()
     capsys.readouterr()
+
+
+def test_ablate_manifest_records_the_effective_config(pipeline, capsys):
+    out = pipeline["root"] / "ablate-config"
+    assert main(["ablate", "--data", str(pipeline["data"]),
+                 "--lda", str(pipeline["lda"]), "--out", str(out),
+                 "--train-end", "2w", "--test-end", "3w", "--seed", "2",
+                 "--set", "epochs=3", "--set", "embed_dim=3"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["epochs"] == 3 and type(config["epochs"]) is int
+    assert config["learning_rate"] == TrainConfig().learning_rate  # a default
+    assert config["seed"] == 6  # base 2 plus the ablate stage offset
+    assert config["train_end"] == parse_duration("2w")
+    assert config["test_end"] == parse_duration("3w")
+    assert config["n_cutoff"] == 5 and config["seeds"] == 1
+    capsys.readouterr()
+
+
+def test_read_only_commands_leave_scipy_and_process_pools_unloaded(pipeline):
+    # scipy serves only lda's log likelihood, and only ablate starts
+    # processes; no other command pays for importing them
+    import threadrec
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(threadrec.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    heavy = ("scipy", "scipy.special", "concurrent.futures.process")
+    data, ckpt = str(pipeline["data"]), str(pipeline["run"] / "checkpoint.bin")
+    commands = [
+        ["eval", "--data", data, "--out", str(pipeline["root"] / "lean-eval"),
+         "--checkpoint", ckpt, "--train-end", "2w", "--test-end", "3w"],
+        ["eval", "--data", data, "--out", str(pipeline["root"] / "lean-pe"),
+         "--checkpoint", ckpt, "--train-end", "2w", "--test-end", "3w", "--per-event"],
+        ["recommend", "--data", data, "--checkpoint", ckpt, "--student", "0",
+         "--at", "2w"],
+    ]
+
+    def loaded_after(commands):
+        script = ("import json, sys\n"
+                  "import threadrec, threadrec.cli\n"
+                  "codes = [threadrec.cli.main(a) for a in json.loads(sys.argv[1])]\n"
+                  "print(json.dumps([codes, [m for m in %r if m in sys.modules]]))\n"
+                  % (heavy,))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              env=env, capture_output=True, text=True, check=True)
+        codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        assert codes == [0] * len(commands)
+        return loaded
+
+    assert loaded_after([]) == []
+    assert loaded_after(commands) == []
+    lda = ["lda", "--data", data, "--out", str(pipeline["root"] / "lean-lda"),
+           "--iters", "2", "--min-count", "2"]
+    assert "scipy.special" in loaded_after([lda])
 
 
 def test_usage_errors_exit_two(pipeline, tmp_path, capsys):

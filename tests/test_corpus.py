@@ -282,3 +282,32 @@ def test_id_map_roundtrip(tmp_path, tiny_ds):
     mapping = corpus.load_id_map(path)
     assert mapping["student"] == {0: 0, 1: 1, 2: 2}
     assert mapping["thread"] == {0: 0, 1: 1, 2: 2, 3: 3}
+
+
+def test_ingest_tokenizes_posts_on_first_read(tmp_path, monkeypatch):
+    from threadrec.synth import algo_like, generate
+    from threadrec.text import preprocess
+    ds, _ = generate(algo_like(0.1))
+    posts, schedule = tmp_path / "posts.jsonl", tmp_path / "schedule.json"
+    corpus.write_jsonl(ds, posts)
+    corpus.write_schedule(ds.course, schedule)
+
+    calls = []
+    monkeypatch.setattr(corpus, "preprocess",
+                        lambda text: calls.append(text) or preprocess(text))
+    loaded = corpus.ingest_jsonl(posts, schedule)
+    # only the schedule's weeks are tokenized at ingest
+    assert len(calls) == loaded.course.num_weeks
+
+    texts = {}
+    with open(posts) as fh:
+        for line in fh:
+            record = json.loads(line)
+            texts[record["post_id"]] = record["text"]
+    for ev in loaded.events:
+        assert ev.text == texts[ev.post_id]
+        assert ev.tokens == preprocess(texts[ev.post_id])
+    assert len(calls) == loaded.course.num_weeks + len(loaded.events)
+    # each event tokenizes once
+    assert all(ev.tokens is ev.tokens for ev in loaded.events)
+    assert len(calls) == loaded.course.num_weeks + len(loaded.events)

@@ -51,6 +51,25 @@ def test_update_zero_weights_gives_zero_tanh():
     assert np.allclose(u2, 0.0) and np.allclose(p2, 0.0)
 
 
+def test_sigmoid_is_scipy_expit_bit_for_bit():
+    # the sigmoid uses the C library's exp, as expit does, so that only
+    # lda needs scipy; numpy's vectorized exp rounds some values otherwise
+    from scipy.special import expit
+    rng = np.random.default_rng(23)
+    x = np.concatenate([rng.standard_normal(170_000) * scale
+                        for scale in (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e3)])
+    assert np.array_equal(model._act(x, "sigmoid"), expit(x))
+    for shape in ((7,), (5, 7), (1, 7)):
+        rows = rng.standard_normal(shape) * 4.0
+        out = model._act(rows, "sigmoid")
+        assert out.shape == shape and out.dtype == np.float64
+        assert np.array_equal(out, expit(rows))
+    edges = np.array([0.0, -0.0, 709.78, -709.78, 709.79, -709.79, 710.0, -710.0,
+                      800.0, -800.0, np.inf, -np.inf, np.nan])
+    assert np.array_equal(model._act(edges, "sigmoid"), expit(edges), equal_nan=True)
+    assert np.array_equal(model._act(x, "tanh"), np.tanh(x))
+
+
 def test_update_single_weight_oracle():
     # route only the elapsed-time input to the first output coordinate
     params = zero_params()
@@ -500,6 +519,24 @@ def test_checkpoint_rejects_bad_time_scale_and_week_topics(tmp_path):
         model.load_checkpoint(saved_checkpoint(tmp_path, time_scale=-1.0))
     with pytest.raises(ValueError, match="week_topics"):
         model.load_checkpoint(saved_checkpoint(tmp_path, num_week_topics=3))
+
+
+def test_checkpoint_rejects_truncated_and_trailing_payloads(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    params, store, _, _ = model.load_checkpoint(path)
+    # arrays come back writable, each in its own buffer
+    assert params.predictor.flags.writeable and store.student_vecs.flags.writeable
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-1])
+    with pytest.raises(ValueError, match="truncated at array week_topics"):
+        model.load_checkpoint(path)
+    magic, header, _ = whole.split(b"\n", 2)
+    path.write_bytes(magic + b"\n" + header + b"\n")
+    with pytest.raises(ValueError, match="truncated at array params.student_update"):
+        model.load_checkpoint(path)
+    path.write_bytes(whole + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        model.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from threadrec import synth
+from threadrec import corpus, synth
 from threadrec.corpus import validate_dataset
 from threadrec.synth import SynthConfig, algo_like, generate, stable_vocabulary
 from threadrec.text import preprocess
@@ -72,6 +73,15 @@ def test_generate_text_round_trips_through_preprocess():
         assert preprocess(" ".join(ev.tokens)) == ev.tokens
     for doc in ds.course.week_docs:
         assert preprocess(" ".join(doc)) == doc
+
+
+def test_written_posts_keep_their_bytes(tmp_path):
+    # events carry the raw text and write it out as is; the file is the
+    # one written when events carried tokens and joined them with spaces
+    path = tmp_path / "posts.jsonl"
+    corpus.write_jsonl(generate(small_config())[0], path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "349e4457ec2c6ba5a2be4568b80ad45405c183cccefc0d30823cd173d8311679"
 
 
 def test_generate_post_ids_follow_time_order():

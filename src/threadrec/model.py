@@ -538,7 +538,8 @@ def save_checkpoint(path, params: ModelParams, store: DynamicStateStore,
         fh.write((_CKPT_MAGIC + "\n").encode())
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+            # the array's own little-endian contiguous buffer, with no bytes copy
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))))
 
 
 def load_checkpoint(path):

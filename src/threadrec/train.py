@@ -4,11 +4,13 @@ and the finite-difference gradient checker.
 Events are grouped into t-batches: each event lands one batch after the
 latest batch touching its student or its thread, so no batch repeats an
 entity and replaying batches in order preserves every per-entity timeline.
-model.batch_grads computes a batch's gradients in one pass with the dynamic
-states entering the batch treated as constants, and Adam applies them. The
-features come from one replay of the window through a state store's
-trackers, which training keeps; only the embeddings restart from zero at
-every epoch.
+model.batch_grads adds a batch's gradients in one pass, with the dynamic
+states entering the batch treated as constants, into the one gradient set
+of the fit; Adam applies them in place, slice by slice, and leaves the set
+zero for the next batch, so training holds about five predictor-sized
+arrays and allocates none per step. The features come from one replay of
+the window through a state store's trackers, which training keeps; only
+the embeddings restart from zero at every epoch.
 """
 from __future__ import annotations
 
@@ -167,7 +169,21 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary, wee
 # optimizer
 
 
+# Elements per slice of the blocked Adam step: the slices of p, g, m, v and
+# the scratch buffer, 256 KiB each, stay in cache across the step's fifteen
+# elementwise passes over them.
+_STEP_BLOCK = 1 << 15
+
+
 class Adam:
+    """Adam over every tensor of a ModelParams. step consumes the gradient
+    set: it applies it and leaves every entry zero for the next t-batch. It
+    walks each tensor in slices of _STEP_BLOCK elements, writing every
+    intermediate into one scratch buffer sized to the largest tensor, which
+    clip_gradients borrows too. So no step allocates an array the size of a
+    tensor, and since elementwise operations round the same in any slice,
+    the result is bit for bit that of the whole-tensor expressions."""
+
     def __init__(self, params: ModelParams, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
         self.beta1 = beta1
@@ -176,26 +192,59 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
         self.v = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
+        self.scratch = np.empty(max(params.tensor(name).size for name in TENSOR_NAMES))
 
     def step(self, params: ModelParams, grads: dict) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         for name in TENSOR_NAMES:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params.tensor(name)[...] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p, g = _flat(params.tensor(name)), _flat(grads[name])
+            m, v = _flat(self.m[name]), _flat(self.v[name])
+            for lo in range(0, g.size, _STEP_BLOCK):
+                block = slice(lo, lo + _STEP_BLOCK)
+                ps, gs, ms, vs = p[block], g[block], m[block], v[block]
+                tmp = self.scratch[:gs.size]
+                # v = b2 * v + ((1 - b2) * g) * g
+                vs *= b2
+                np.multiply(1.0 - b2, gs, out=tmp)
+                tmp *= gs
+                vs += tmp
+                # m = b1 * m + (1 - b1) * g
+                ms *= b1
+                np.multiply(1.0 - b1, gs, out=tmp)
+                ms += tmp
+                # g is spent: it holds the denominator sqrt(v / bc2) + eps
+                np.divide(vs, bc2, out=gs)
+                np.sqrt(gs, out=gs)
+                gs += self.eps
+                # p -= (lr * (m / bc1)) / denominator
+                np.divide(ms, bc1, out=tmp)
+                tmp *= self.lr
+                tmp /= gs
+                ps -= tmp
+                gs.fill(0.0)
 
 
-def clip_gradients(grads: dict, max_norm: float) -> float:
+def _flat(arr: np.ndarray) -> np.ndarray:
+    """A 1-D view of a C-contiguous array; writes through it land in arr."""
+    if not arr.flags.c_contiguous:
+        raise ValueError("optimizer tensors must be C-contiguous")
+    return arr.reshape(-1)
+
+
+def clip_gradients(grads: dict, max_norm: float, scratch: np.ndarray | None = None) -> float:
     """Scale all gradients so their joint Euclidean norm is at most
-    max_norm. Returns the pre-clip norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    max_norm. Returns the pre-clip norm. Each gradient is squared into
+    scratch, a float64 buffer at least as large as the largest gradient
+    (Adam.scratch; one is allocated if none is given), and summed there,
+    pairwise as np.sum(g * g) would; the per-tensor sums add as Python
+    floats in dict order."""
+    if scratch is None:
+        scratch = np.empty(max(g.size for g in grads.values()))
+    total = np.sqrt(sum(float(np.sum(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))))
+                        for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
@@ -215,8 +264,11 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
     Returns (params, store) where store holds the dynamic states after the
     final epoch, ready for ranking at later times. If log_path is given, a
     CSV with one row per epoch (epoch, mean_loss, seconds, grad_norm_max,
-    clipped_batches) is written: the largest pre-clip gradient norm of the
-    epoch's batches and how many of them were clipped. If trajectory_sink
+    clipped_batches, optimizer_seconds) is written: the largest pre-clip
+    gradient norm of the epoch's batches, how many of them were clipped,
+    and the part of the epoch's seconds spent clipping and in Adam steps.
+    One gradient set serves the whole fit: each t-batch adds into it and
+    the Adam step consumes it, leaving it zero. If trajectory_sink
     is a list, rows (kind, entity, timestamp, *embedding) are appended for
     every state write of the final epoch. `features` lets sweeps over seeds,
     ablations, embedding sizes or optimizer settings reuse one
@@ -241,6 +293,7 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
     batches = [feats.take(batch) for batch in t_batch(train.events)]
     flags = config.flags
     opt = Adam(params, config.learning_rate)
+    grads = params.zero_grads()  # every step consumes and re-zeroes it
 
     log_rows = []
     # the trackers already hold the whole window and training never reads
@@ -251,9 +304,8 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
         store.student_vecs = np.zeros((train.num_students, config.embed_dim))
         store.thread_vecs = np.zeros((train.num_threads, config.embed_dim))
         collect = trajectory_sink is not None and epoch == config.epochs - 1
-        epoch_loss, grad_norm_max, clipped = 0.0, 0.0, 0
+        epoch_loss, grad_norm_max, clipped, optimizer_seconds = 0.0, 0.0, 0, 0.0
         for b, batch in enumerate(batches):
-            grads = params.zero_grads()
             losses, u_new, p_new = batch_grads(batch, store, params, grads, flags)
             finite = np.isfinite(losses)
             if not finite.all():
@@ -271,20 +323,23 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
                                          batch.timestamp.tolist(), u_new, p_new):
                     trajectory_sink += [("student", s, t, *u), ("thread", c, t, *p)]
 
-            total = clip_gradients(grads, config.clip_norm)
+            step_start = time.perf_counter()
+            total = clip_gradients(grads, config.clip_norm, opt.scratch)
             if not np.isfinite(total):
                 raise TrainingDiverged("non-finite gradient at epoch %d batch %d" % (epoch, b))
             grad_norm_max = max(grad_norm_max, total)
             clipped += 0 < config.clip_norm < total
             opt.step(params, grads)
+            optimizer_seconds += time.perf_counter() - step_start
         log_rows.append([epoch, repr(epoch_loss / len(feats)),
                          "%.6f" % (time.perf_counter() - start), repr(float(grad_norm_max)),
-                         clipped])
+                         clipped, "%.6f" % optimizer_seconds])
 
     if log_path is not None:
         with open(log_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "mean_loss", "seconds", "grad_norm_max", "clipped_batches"])
+            writer.writerow(["epoch", "mean_loss", "seconds", "grad_norm_max", "clipped_batches",
+                             "optimizer_seconds"])
             writer.writerows(log_rows)
     return params, store
 

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -139,6 +140,80 @@ def test_clip_gradients_scales_to_max_norm():
     grads3 = {"a": np.array([100.0])}
     clip_gradients(grads3, 0.0)
     assert grads3["a"][0] == 100.0
+    # a scratch buffer larger than every gradient gives the same norm
+    grads4 = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
+    assert clip_gradients(grads4, 1.0, np.full(7, np.nan)) == total
+    assert np.array_equal(grads4["a"], grads["a"]) and grads4["b"] == grads["b"]
+
+
+def _multi_slice_params(rng):
+    """Parameters whose predictor spans several step slices and ends in a
+    partial one."""
+    params = ModelParams.init(rng, 3, 2, 2, 150, 250)
+    assert params.predictor.size > 3 * train._STEP_BLOCK
+    assert params.predictor.size % train._STEP_BLOCK != 0
+    return params
+
+
+def _sparse_grads(rng, params, step):
+    """Gradients with whole rows and scattered entries exactly zero, at a
+    scale that changes from step to step."""
+    grads = {}
+    for name in TENSOR_NAMES:
+        shape = params.tensor(name).shape
+        g = rng.normal(0.0, 10.0 ** (step % 4 - 2), size=shape)
+        g[rng.random(shape) < 0.2] = 0.0
+        if g.ndim == 2:
+            g[rng.random(shape[0]) < 0.5] = 0.0
+        grads[name] = g
+    return grads
+
+
+@pytest.mark.parametrize("clip_norm", [0.0, 5.0])
+def test_adam_step_matches_reference_bitwise(clip_norm):
+    rng = np.random.default_rng(21)
+    params = _multi_slice_params(rng)
+    ref_params = params.copy()
+    opt, ref = Adam(params, 0.01), RefAdam(ref_params, 0.01)
+    grads = params.zero_grads()
+    clipped = 0
+    for step in range(12):
+        ref_grads = _sparse_grads(rng, params, step)
+        for name in TENSOR_NAMES:
+            grads[name][...] = ref_grads[name]
+        norm = clip_gradients(grads, clip_norm, opt.scratch)
+        assert norm == ref_clip_gradients(ref_grads, clip_norm)
+        clipped += 0 < clip_norm < norm
+        opt.step(params, grads)
+        ref.step(ref_params, ref_grads)
+        for name in TENSOR_NAMES:
+            assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
+            assert np.array_equal(opt.m[name], ref.m[name]), name
+            assert np.array_equal(opt.v[name], ref.v[name]), name
+            # the step consumed the gradients
+            assert not grads[name].any(), name
+    # with clipping on, every step but those at the smallest scale is clipped
+    assert clipped == (9 if clip_norm else 0)
+
+
+def test_optimizer_allocates_no_tensor_sized_arrays():
+    rng = np.random.default_rng(22)
+    params = _multi_slice_params(rng)
+    opt = Adam(params, 0.01)
+    grads = params.zero_grads()
+    sizes = []
+    for step in range(3):
+        for name, g in _sparse_grads(rng, params, step + 1).items():
+            grads[name][...] = g
+        tracemalloc.start()
+        try:
+            clip_gradients(grads, 1e-3, opt.scratch)
+            opt.step(params, grads)
+            sizes.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the first step is the warm-up
+    assert max(sizes[1:]) < params.predictor.nbytes // 4, sizes
 
 
 # gradient checking
@@ -426,17 +501,37 @@ def test_fit_writes_log(tmp_path, tiny_ds):
     log = tmp_path / "log.csv"
     train.fit(tiny_ds, lda, vocab, week_topics, cfg, log_path=log)
     lines = log.read_text().strip().splitlines()
-    assert lines[0] == "epoch,mean_loss,seconds,grad_norm_max,clipped_batches"
+    assert lines[0] == ("epoch,mean_loss,seconds,grad_norm_max,clipped_batches,"
+                        "optimizer_seconds")
     assert len(lines) == 4
     float(lines[1].split(",")[1])  # parses back
+    for line in lines[1:]:
+        seconds, optimizer_seconds = float(line.split(",")[2]), float(line.split(",")[5])
+        assert 0 <= optimizer_seconds <= seconds
     # every batch's pre-clip norm exceeds a clip norm this small
     batches = len(t_batch(tiny_ds.events))
     for clip_norm, clipped in ((1e-9, batches), (0.0, 0)):
         train.fit(tiny_ds, lda, vocab, week_topics, replace(cfg, clip_norm=clip_norm),
                   log_path=log)
         for line in log.read_text().strip().splitlines()[1:]:
-            norm, count = line.split(",")[3:]
+            norm, count = line.split(",")[3:5]
             assert float(norm) > 1e-9 and int(count) == clipped
+
+
+def test_fit_allocates_one_gradient_set(tiny_ds, monkeypatch):
+    lda, vocab, week_topics = _small_pipeline(tiny_ds)
+    cfg = TrainConfig(epochs=3, embed_dim=3, topic_infer_iters=5)
+    calls = []
+    zero_grads = ModelParams.zero_grads
+
+    def counted(self):
+        calls.append(1)
+        return zero_grads(self)
+
+    monkeypatch.setattr(ModelParams, "zero_grads", counted)
+    train.fit(tiny_ds, lda, vocab, week_topics, cfg)
+    assert len(t_batch(tiny_ds.events)) > 1
+    assert len(calls) == 1
 
 
 def test_fit_trajectory_sink(tiny_ds):
@@ -547,6 +642,40 @@ def event_grads(feats, i, store, params, grads, flags):
     return total, u_new, p_new
 
 
+class RefAdam:
+    """The whole-tensor Adam step that Adam.step's blocked, in-place form
+    must match bit for bit."""
+
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps, self.t = learning_rate, beta1, beta2, eps, 0
+        self.m = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
+        self.v = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name in TENSOR_NAMES:
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            params.tensor(name)[...] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def ref_clip_gradients(grads, max_norm):
+    """The clipping clip_gradients must match bit for bit."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if max_norm > 0 and total > max_norm:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale
+    return total
+
+
 def reference_fit(ds, features, config, num_topics):
     """fit's parameters, final store and mean losses, one event at a time."""
     feats, trackers = features
@@ -556,7 +685,7 @@ def reference_fit(ds, features, config, num_topics):
         post_decay=config.post_decay, reply_decay=config.reply_decay,
         lambda_student=config.lambda_student, lambda_thread=config.lambda_thread,
         activation=config.activation)
-    opt = Adam(params, config.learning_rate)
+    opt = RefAdam(params, config.learning_rate)
     store = copy.deepcopy(trackers)
     mean_losses = []
     for _ in range(config.epochs):
@@ -573,7 +702,7 @@ def reference_fit(ds, features, config, num_topics):
             for i, u_new, p_new in writes:
                 store.student_vecs[feats.student[i]] = u_new
                 store.thread_vecs[feats.thread[i]] = p_new
-            clip_gradients(grads, config.clip_norm)
+            ref_clip_gradients(grads, config.clip_norm)
             opt.step(params, grads)
         mean_losses.append(epoch_loss / len(feats))
     return params, store, mean_losses

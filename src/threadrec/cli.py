@@ -299,11 +299,13 @@ def cmd_train(args) -> int:
     lda, vocab, week_topics = _load_text_artifacts(args.lda)
     window = ds if train_end is None else corpus.events_before(ds, train_end)
 
+    t_features = time.perf_counter()
+    features = train.prepare_event_features(window, lda, vocab, week_topics, cfg)
     t_fit = time.perf_counter()
     sink = [] if args.export_trajectories else None
     params, store = train.fit(window, lda, vocab, week_topics, cfg,
                               log_path=out / TRAIN_LOG_FILE,
-                              trajectory_sink=sink)
+                              trajectory_sink=sink, features=features)
     t_save = time.perf_counter()
     # the data enter by content, so the bytes do not depend on where it lives;
     # the last post time bounds the queries the trained states can answer
@@ -317,8 +319,8 @@ def cmd_train(args) -> int:
     if sink is not None:
         recommend.write_trajectories(sink, out / TRAJECTORIES_FILE)
         outputs.append(out / TRAJECTORIES_FILE)
-    timings = {"ingest_s": t_fit - started, "fit_s": t_save - t_fit,
-               "save_s": time.perf_counter() - t_save}
+    timings = {"ingest_s": t_features - started, "features_s": t_fit - t_features,
+               "fit_s": t_save - t_fit, "save_s": time.perf_counter() - t_save}
 
     inputs = [data / n for n in DATA_FILES] + [Path(args.lda) / n for n in LDA_FILES]
     write_manifest(out, "train", cfg.seed, dataclasses.asdict(cfg), inputs, outputs, logs,

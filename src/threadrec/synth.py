@@ -13,6 +13,7 @@ ingestion.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +104,12 @@ def stable_vocabulary(count: int) -> list[str]:
     return words
 
 
-def _sample_words(rng, cum_topic_words, topics):
+def _sample_words(rng, cum_rows, topics):
+    """One word index per topic: the first index of the topic's cumulative
+    word weights (a list) that is >= a uniform draw, as np.searchsorted
+    with side="left" gives."""
     draws = rng.random(len(topics))
-    return [int(np.searchsorted(cum_topic_words[z], u)) for z, u in zip(topics, draws)]
+    return [bisect_left(cum_rows[z], u) for z, u in zip(topics.tolist(), draws.tolist())]
 
 
 def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
@@ -118,6 +122,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     topic_words = rng.dirichlet(np.full(V, 0.05), size=K)
     cum_topic_words = np.cumsum(topic_words, axis=1)
     cum_topic_words[:, -1] = 1.0
+    cum_rows = cum_topic_words.tolist()
     mixtures = rng.dirichlet(np.full(K, 0.2), size=n)
 
     interests = np.zeros((m, W, K))
@@ -170,7 +175,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         mix = mixtures[thread] if total <= 0 else mix / total
         length = 4 + int(rng.poisson(cfg.post_length_mean))
         topics = rng.choice(K, size=length, p=mix)
-        tokens = [vocab_words[i] for i in _sample_words(rng, cum_topic_words, topics)]
+        tokens = [vocab_words[i] for i in _sample_words(rng, cum_rows, topics)]
 
         events.append(PostEvent(post_id, s, thread, t, " ".join(tokens), parent))
         visited[s].add(thread)
@@ -181,7 +186,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     boundaries = []
     for w in range(W):
         topics = np.full(cfg.week_doc_length, w % K)
-        week_docs.append([vocab_words[i] for i in _sample_words(rng, cum_topic_words, topics)])
+        week_docs.append([vocab_words[i] for i in _sample_words(rng, cum_rows, topics)])
         boundaries.append(w * cfg.week_seconds)
     course = CourseSchedule(week_docs, boundaries)
 
@@ -198,5 +203,5 @@ def write_ground_truth(gt: GroundTruth, path) -> None:
         "vocab_words": gt.vocab_words,
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")

@@ -13,6 +13,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
+from operator import mul, truediv
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -121,6 +123,14 @@ def term_frequency(tokens: Sequence[str], vocab: Vocabulary) -> dict[int, int]:
     return tf
 
 
+def _check_simplex(probs: np.ndarray) -> None:
+    """Raise unless every vector along the last axis is on the simplex."""
+    if np.any(probs < 0):
+        raise ValueError("topic probabilities must be nonnegative")
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
+        raise ValueError("topic probabilities must sum to 1")
+
+
 @dataclass
 class TopicDistribution:
     """A point on the topic simplex."""
@@ -130,10 +140,7 @@ class TopicDistribution:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 1:
             raise ValueError("topic distribution must be a vector")
-        if np.any(self.probs < 0):
-            raise ValueError("topic probabilities must be nonnegative")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise ValueError("topic probabilities must sum to 1")
+        _check_simplex(self.probs)
 
     def __len__(self):
         return len(self.probs)
@@ -187,15 +194,6 @@ def _expand_docs(docs: Sequence[Mapping[int, int]], vocab_size: int | None):
     )
 
 
-def _draw(cum, u):
-    """Index of the first cumulative weight greater than u times the total,
-    clamped to the last index: np.searchsorted(cum, u * cum[-1],
-    side="right") and the clamp, on a list. The weights are positive, so
-    cum never decreases and bisect_right finds that index."""
-    k = bisect_right(cum, u * cum[-1])
-    return k if k < len(cum) else len(cum) - 1
-
-
 def _gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
     """One full sampling pass. Counts are updated in place; uniforms supplies
     one draw per token so the sweep is a pure function of its inputs.
@@ -203,28 +201,43 @@ def _gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
     The per-token step runs on Python lists, taken once per sweep and
     written back at its end, with the float64 operations of the array form
     in the same order: each weight is (n_dk + alpha) * (n_kw + beta) /
-    (n_k + beta_sum), summed left to right into the cumulative weights."""
+    (n_k + beta_sum), summed left to right into the cumulative weights.
+    Float lists of count + prior ride beside the integer counts, the
+    document's taken afresh whenever the document changes; an entry is
+    recomputed from its integer count whenever the count changes. The
+    draw is the index of the first cumulative weight greater than u times
+    the total, clamped to the last topic: np.searchsorted(cum, u * cum[-1],
+    side="right") and the clamp. The weights are positive, so cum never
+    decreases and bisect_right finds that index."""
     beta_sum = beta * n_kw.shape[1]
+    last = n_k.shape[0] - 1
     z_list = z.tolist()
     dk_rows = n_dk.tolist()
-    wk_rows = n_kw.T.tolist()
-    nk = n_k.tolist()
+    wk_rows, wkf_rows = n_kw.T.tolist(), (n_kw.T + beta).tolist()
+    nk, nkf = n_k.tolist(), (n_k + beta_sum).tolist()
+    doc = -1
     for i, (w, d, u) in enumerate(zip(words.tolist(), doc_of.tolist(), uniforms.tolist())):
         k = z_list[i]
-        dk = dk_rows[d]
-        wk = wk_rows[w]
+        if d != doc:
+            doc, dk = d, dk_rows[d]
+            dkf = [a + alpha for a in dk]
+        wk, wkf = wk_rows[w], wkf_rows[w]
         dk[k] -= 1
         wk[k] -= 1
         nk[k] -= 1
-        cum = []
-        total = 0.0
-        for a, b, c in zip(dk, wk, nk):
-            total += (a + alpha) * (b + beta) / (c + beta_sum)
-            cum.append(total)
-        k = _draw(cum, u)
+        dkf[k] = dk[k] + alpha
+        wkf[k] = wk[k] + beta
+        nkf[k] = nk[k] + beta_sum
+        cum = list(accumulate(map(truediv, map(mul, dkf, wkf), nkf)))
+        k = bisect_right(cum, u * cum[-1])
+        if k > last:
+            k = last
         dk[k] += 1
         wk[k] += 1
         nk[k] += 1
+        dkf[k] = dk[k] + alpha
+        wkf[k] = wk[k] + beta
+        nkf[k] = nk[k] + beta_sum
         z_list[i] = k
     z[:] = z_list
     n_dk[:] = dk_rows
@@ -303,53 +316,104 @@ def lda_infer(
     iters: int = 50,
     burn_in: int = 25,
 ) -> TopicDistribution:
-    """Fold-in Gibbs inference for one document under a fixed topic-word
-    matrix. Averages the smoothed doc-topic posterior over the sweeps after
-    burn_in. An empty document returns the prior, uniform for a symmetric
-    doc_topic_prior. Each call uses its own generator derived from the model
-    seed, so results do not depend on call order."""
+    """Fold-in Gibbs inference for one document: lda_infer_batch of one."""
+    return TopicDistribution(lda_infer_batch(model, [doc], iters=iters, burn_in=burn_in)[0])
+
+
+def lda_infer_batch(
+    model: LdaModel,
+    docs: Sequence[Mapping[int, int]],
+    iters: int = 50,
+    burn_in: int = 25,
+) -> np.ndarray:
+    """Fold-in Gibbs inference under the fixed topic-word matrix: row d of
+    the returned (len(docs), K) array averages the smoothed doc-topic
+    posterior of docs[d] over the sweeps after burn_in. An empty document
+    gets the prior, uniform for a symmetric doc_topic_prior.
+
+    Each document samples with its own generator seeded from the model
+    seed, so a row depends on its document alone, and documents of one
+    length draw the same numbers from one generator. With the topic-word
+    matrix fixed, documents are independent, so all of them sample
+    together, one token position at a time; sorted longest first, the
+    rows still sampling at a position are a prefix. The step is that of
+    _gibbs_sweep on float counts for all those rows at once: the weights
+    (n_dk + alpha) * topic_word[:, word] are summed left to right, and the
+    new topic is the number of the first K - 1 cumulative weights <= u
+    times the total, which is bisect_right clamped to the last topic."""
     if iters <= burn_in:
         raise ValueError("iters must exceed burn_in")
     K = model.num_topics
     alpha = model.doc_topic_prior
-    tokens = []
-    for w in sorted(doc):
-        c = doc[w]
-        if c < 1:
-            raise ValueError("term frequencies must be >= 1")
-        if w < 0 or w >= model.vocab_size:
-            raise ValueError("word index %d outside model vocabulary" % w)
-        tokens.extend([w] * c)
-    if not tokens:
-        return TopicDistribution(np.full(K, 1.0 / K))
+    words, doc_of, lengths, _ = _expand_docs(docs, model.vocab_size)
+    theta = np.full((len(docs), K), 1.0 / K)
+    order = np.argsort(-lengths, kind="stable")
+    D = int(np.count_nonzero(lengths))
+    if D == 0:
+        return theta
+    # position-major tables over the sorted rows: a position's rows are contiguous
+    row_of = np.zeros(len(docs), dtype=np.int64)
+    row_of[order] = np.arange(len(docs))
+    position = np.arange(len(words)) - (np.cumsum(lengths) - lengths)[doc_of]
+    order, lengths = order[:D], lengths[order[:D]]
+    L_max = int(lengths[0])
+    table = np.zeros((L_max, D), dtype=np.int64)
+    table[position, row_of[doc_of]] = words
+    active = [int(np.count_nonzero(lengths > i)) for i in range(L_max)]
+    word_topic = np.ascontiguousarray(model.topic_word.T)
+    base = np.arange(D) * K
+    # z holds each token's topic as a flat index into n_dk
+    z = np.zeros((L_max, D), dtype=np.int64)
+    n_dk = np.zeros((D, K))
+    groups = []
+    bounds = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
+    for lo, hi in zip([0] + bounds, bounds + [D]):
+        L = int(lengths[lo])
+        rng = np.random.default_rng(model.rng_seed + 0x5EED)
+        z0 = rng.integers(0, K, size=L)
+        z[:L, lo:hi] = z0[:, None] + base[lo:hi]
+        n_dk[lo:hi] = np.bincount(z0, minlength=K)
+        groups.append((lo, hi, L, rng))
 
-    L = len(tokens)
-    columns = model.topic_word.T[tokens].tolist()
-    rng = np.random.default_rng(model.rng_seed + 0x5EED)
-    z = rng.integers(0, K, size=L).tolist()
-    n_dk = [float(z.count(k)) for k in range(K)]
+    # the views each position steps through, built once: its rows of the
+    # tables, its topic-word columns and, shared by the positions with as
+    # many rows, the prefixes of the counts and of the step's buffers
+    uniforms = np.empty((L_max, D))
+    w, cum = np.empty((D, K)), np.empty((D, K))
+    x, k = np.empty(D), np.empty(D, dtype=np.intp)
+    below = np.empty((D, K - 1), dtype=bool)
+    prefixes = {m: (n_dk[:m], w[:m], cum[:m], cum[:m, -1], cum[:m, :-1], x[:m], x[:m, None],
+                    below[:m], k[:m], base[:m]) for m in set(active)}
+    steps = [(z[i, :m], word_topic[table[i, :m]], uniforms[i, :m], *prefixes[m])
+             for i, m in enumerate(active)]
+    flat = n_dk.reshape(-1)
+    add, multiply, less_equal = np.add, np.multiply, np.less_equal
+    accumulate, reduce = np.add.accumulate, np.add.reduce
 
-    # the step of _gibbs_sweep with the topic-word matrix fixed
-    theta_acc = np.zeros(K)
-    samples = 0
+    denom = lengths + K * alpha
+    theta_acc = np.zeros((D, K))
     for sweep in range(iters):
-        for i, (col, u) in enumerate(zip(columns, rng.random(L).tolist())):
-            k = z[i]
-            n_dk[k] -= 1
-            cum = []
-            total = 0.0
-            for n, t in zip(n_dk, col):
-                total += (n + alpha) * t
-                cum.append(total)
-            k = _draw(cum, u)
-            n_dk[k] += 1
-            z[i] = k
+        # a sweep's uniforms are drawn as it starts, one vector per length
+        for lo, hi, L, rng in groups:
+            uniforms[:L, lo:hi] = rng.random(L)[:, None]
+        for zi, col, u, nd, wi, ci, total, head, xi, xcol, bi, ki, bs in steps:
+            flat[zi] -= 1.0
+            add(nd, alpha, out=wi)
+            multiply(wi, col, out=wi)
+            accumulate(wi, axis=1, out=ci)
+            multiply(u, total, out=xi)
+            less_equal(head, xcol, out=bi)
+            reduce(bi, axis=1, dtype=np.intp, out=ki)
+            add(ki, bs, out=zi)
+            flat[zi] += 1.0
         if sweep >= burn_in:
-            theta_acc += (np.array(n_dk) + alpha) / (L + K * alpha)
-            samples += 1
-    theta = theta_acc / samples
-    theta /= theta.sum()
-    return TopicDistribution(theta)
+            theta_acc += (n_dk + alpha) / denom[:, None]
+    rows = theta_acc / (iters - burn_in)
+    # a sum along the contiguous axis adds each row as np.sum of the row does
+    rows /= rows.sum(axis=1, keepdims=True)
+    _check_simplex(rows)
+    theta[order] = rows
+    return theta
 
 
 def course_topics(
@@ -360,13 +424,14 @@ def course_topics(
     burn_in: int = 25,
 ) -> list[TopicDistribution]:
     """Topic profile of each course week, inferred from its syllabus text."""
-    out = []
+    docs = []
     for week, tokens in enumerate(schedule.week_docs):
         tf = term_frequency(tokens, vocab)
         if not tf:
             raise ValueError("course week %d has no modelable text" % week)
-        out.append(lda_infer(model, tf, iters=iters, burn_in=burn_in))
-    return out
+        docs.append(tf)
+    return [TopicDistribution(row)
+            for row in lda_infer_batch(model, docs, iters=iters, burn_in=burn_in)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .model import (
     batch_grads,
     excitation,
 )
-from .text import LdaModel, Vocabulary, lda_infer, term_frequency
+from .text import LdaModel, Vocabulary, lda_infer_batch, term_frequency
 
 
 class TrainingDiverged(RuntimeError):
@@ -136,24 +136,27 @@ def mean_event_gap(events) -> float:
 
 def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
                            config: TrainConfig) -> tuple[EventFeatures, DynamicStateStore]:
-    """Topic-infer every post and replay the window once through the
-    trackers of a state store whose time scale is the training mean event
-    gap. Before a post advances them, its record reads from them the
-    student's context, as ranking does, and the thread's elapsed time.
+    """Topic-infer every post in one lda_infer_batch call and replay the
+    window once through the trackers of a state store whose time scale is
+    the training mean event gap. Before a post advances them, its record
+    reads from them the student's context, as ranking does, and the
+    thread's elapsed time.
     Returns (features, trackers), the trackers after the last post without
     embeddings; neither depends on the embedding size, seed or flags."""
     if not train.events:
         raise EmptyDatasetError("cannot fit on an empty training window")
+    if len(week_topics) != train.course.num_weeks:
+        raise ValueError("week topic count does not match the schedule")
     trackers = DynamicStateStore(train.num_students, train.num_threads, 0, lda.num_topics,
                                  mean_event_gap(train.events))
     index = ThreadEventIndex(train)
     week_matrix = np.array([w.probs for w in week_topics])
     iters = config.topic_infer_iters
+    thetas = lda_infer_batch(lda, [term_frequency(ev.tokens, vocab) for ev in train.events],
+                             iters=iters, burn_in=iters // 2)
     rows = []
-    for ev in train.events:
+    for ev, theta in zip(train.events, thetas):
         s, c, t = ev.student_id, ev.thread_id, ev.timestamp
-        theta = lda_infer(lda, term_frequency(ev.tokens, vocab), iters=iters,
-                          burn_in=iters // 2).probs
         delta, week, last_thread = _student_context(trackers, s, t, train.course, week_matrix)
         exc = excitation(index.history(s, c, t), t, config.post_decay, config.reply_decay,
                          trackers.time_scale)
@@ -180,7 +183,9 @@ class Adam:
     set: it applies it and leaves every entry zero for the next t-batch. It
     walks each tensor in slices of _STEP_BLOCK elements, writing every
     intermediate into one scratch buffer sized to the largest tensor, which
-    clip_gradients borrows too. So no step allocates an array the size of a
+    clip_gradients borrows too. A clip scale other than 1 multiplies each
+    gradient slice before the slice is used, so clipping costs no pass of
+    its own over the gradients. No step allocates an array the size of a
     tensor, and since elementwise operations round the same in any slice,
     the result is bit for bit that of the whole-tensor expressions."""
 
@@ -194,7 +199,7 @@ class Adam:
         self.v = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
         self.scratch = np.empty(max(params.tensor(name).size for name in TENSOR_NAMES))
 
-    def step(self, params: ModelParams, grads: dict) -> None:
+    def step(self, params: ModelParams, grads: dict, scale: float = 1.0) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
@@ -206,6 +211,8 @@ class Adam:
                 block = slice(lo, lo + _STEP_BLOCK)
                 ps, gs, ms, vs = p[block], g[block], m[block], v[block]
                 tmp = self.scratch[:gs.size]
+                if scale != 1.0:
+                    gs *= scale
                 # v = b2 * v + ((1 - b2) * g) * g
                 vs *= b2
                 np.multiply(1.0 - b2, gs, out=tmp)
@@ -234,22 +241,21 @@ def _flat(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def clip_gradients(grads: dict, max_norm: float, scratch: np.ndarray | None = None) -> float:
-    """Scale all gradients so their joint Euclidean norm is at most
-    max_norm. Returns the pre-clip norm. Each gradient is squared into
-    scratch, a float64 buffer at least as large as the largest gradient
-    (Adam.scratch; one is allocated if none is given), and summed there,
-    pairwise as np.sum(g * g) would; the per-tensor sums add as Python
-    floats in dict order."""
+def clip_gradients(grads: dict, max_norm: float,
+                   scratch: np.ndarray | None = None) -> tuple[float, float]:
+    """The joint Euclidean norm of all gradients and the factor that brings
+    it to at most max_norm: max_norm / norm when 0 < max_norm < norm, else
+    1. The gradients are left as they are; Adam.step applies the factor.
+    Each gradient is squared into scratch, a float64 buffer at least as
+    large as the largest gradient (Adam.scratch; one is allocated if none
+    is given), and summed there, pairwise as np.sum(g * g) would; the
+    per-tensor sums add as Python floats in dict order."""
     if scratch is None:
         scratch = np.empty(max(g.size for g in grads.values()))
     total = np.sqrt(sum(float(np.sum(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))))
                         for g in grads.values()))
-    if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-    return total
+    scale = max_norm / total if 0 < max_norm < total else 1.0
+    return total, scale
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +282,6 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
     topic-inference settings match. The returned store starts from a copy
     of its trackers, and fit never writes into the features.
     """
-    if len(week_topics) != train.course.num_weeks:
-        raise ValueError("week topic count does not match the schedule")
-
     rng = np.random.default_rng(config.seed)
     params = ModelParams.init(
         rng, config.embed_dim, lda.num_topics, train.course.num_weeks,
@@ -324,12 +327,12 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
                     trajectory_sink += [("student", s, t, *u), ("thread", c, t, *p)]
 
             step_start = time.perf_counter()
-            total = clip_gradients(grads, config.clip_norm, opt.scratch)
+            total, scale = clip_gradients(grads, config.clip_norm, opt.scratch)
             if not np.isfinite(total):
                 raise TrainingDiverged("non-finite gradient at epoch %d batch %d" % (epoch, b))
             grad_norm_max = max(grad_norm_max, total)
             clipped += 0 < config.clip_norm < total
-            opt.step(params, grads)
+            opt.step(params, grads, scale)
             optimizer_seconds += time.perf_counter() - step_start
         log_rows.append([epoch, repr(epoch_loss / len(feats)),
                          "%.6f" % (time.perf_counter() - start), repr(float(grad_norm_max)),

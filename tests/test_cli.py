@@ -137,7 +137,7 @@ def test_train_outputs(pipeline):
     assert "checkpoint.bin" in manifest["outputs"]
     assert verify_manifest(run / "manifest.json") == []
     timings = manifest["timings"]
-    assert set(timings) == {"ingest_s", "fit_s", "save_s"}
+    assert set(timings) == {"ingest_s", "features_s", "fit_s", "save_s"}
     assert all(seconds >= 0 for seconds in timings.values())
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -289,6 +290,82 @@ def test_lda_infer_frozen_oracle(k, iters, expect):
     model = text.lda_fit(docs, k, iters=30, seed=7, vocab_size=vocab_size)
     theta = text.lda_infer(model, docs[0], iters=iters, burn_in=iters // 2)
     assert theta.probs.tolist() == expect
+
+
+def _loop_lda_infer(model, doc, iters, burn_in):
+    # the per-document fold-in loop on Python floats, kept as the reference
+    K = model.num_topics
+    alpha = model.doc_topic_prior
+    tokens = [w for w in sorted(doc) for _ in range(doc[w])]
+    if not tokens:
+        return np.full(K, 1.0 / K)
+    L = len(tokens)
+    columns = model.topic_word.T[tokens].tolist()
+    rng = np.random.default_rng(model.rng_seed + 0x5EED)
+    z = rng.integers(0, K, size=L).tolist()
+    n_dk = [float(z.count(k)) for k in range(K)]
+    theta_acc = np.zeros(K)
+    samples = 0
+    for sweep in range(iters):
+        for i, (col, u) in enumerate(zip(columns, rng.random(L).tolist())):
+            n_dk[z[i]] -= 1
+            cum = []
+            total = 0.0
+            for n, t in zip(n_dk, col):
+                total += (n + alpha) * t
+                cum.append(total)
+            k = min(bisect_right(cum, u * cum[-1]), K - 1)
+            n_dk[k] += 1
+            z[i] = k
+        if sweep >= burn_in:
+            theta_acc += (np.array(n_dk) + alpha) / (L + K * alpha)
+            samples += 1
+    theta = theta_acc / samples
+    theta /= theta.sum()
+    return theta
+
+
+def _mixed_length_docs(rng, vocab_size):
+    """Empty and one-token documents among longer ones, several lengths
+    repeated with different words."""
+    docs = []
+    for length in [0, 1, 30, 7, 1, 0, 12, 30, 7, 45, 2, 1]:
+        tf = {}
+        for w in rng.integers(0, vocab_size, size=length).tolist():
+            tf[w] = tf.get(w, 0) + 1
+        docs.append(tf)
+    return docs
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9])
+@pytest.mark.parametrize("iters, burn_in", [(10, 5), (7, 0)])
+def test_lda_infer_batch_matches_per_document_loop(k, iters, burn_in):
+    docs, vocab_size = _oracle_corpus()
+    model = text.lda_fit(docs, k, iters=10, seed=7, vocab_size=vocab_size)
+    batch = _mixed_length_docs(np.random.default_rng(k), vocab_size) + docs[:3]
+    got = text.lda_infer_batch(model, batch, iters=iters, burn_in=burn_in)
+    assert got.shape == (len(batch), k) and got.dtype == np.float64
+    for row, doc in zip(got, batch):
+        assert np.array_equal(row, _loop_lda_infer(model, doc, iters, burn_in))
+    # lda_infer is the batch of one
+    single = text.lda_infer(model, batch[9], iters=iters, burn_in=burn_in)
+    assert np.array_equal(single.probs, got[9])
+    assert text.lda_infer_batch(model, [], iters=iters, burn_in=burn_in).shape == (0, k)
+
+
+@pytest.mark.parametrize("bad, match", [({0: 0}, "term frequencies"),
+                                        ({2: 1}, "word index 2 outside"),
+                                        ({-1: 1}, "negative word index")])
+def test_lda_infer_batch_rejects_what_lda_infer_rejects(bad, match):
+    model = text.lda_fit([{0: 2, 1: 2}], 2, iters=5, vocab_size=2)
+    with pytest.raises(ValueError, match=match):
+        text.lda_infer(model, bad)
+    with pytest.raises(ValueError, match=match):
+        text.lda_infer_batch(model, [{0: 1}, {}, bad])
+    with pytest.raises(ValueError, match="burn_in"):
+        text.lda_infer(model, {0: 1}, iters=5, burn_in=5)
+    with pytest.raises(ValueError, match="burn_in"):
+        text.lda_infer_batch(model, [{0: 1}], iters=5, burn_in=5)
 
 
 def _one_token_sweep(u):

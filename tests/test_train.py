@@ -129,20 +129,23 @@ def test_adam_first_step_is_signed_learning_rate():
 
 def test_clip_gradients_scales_to_max_norm():
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
-    total = clip_gradients(grads, 1.0)
+    total, scale = clip_gradients(grads, 1.0)
     assert total == pytest.approx(5.0)
-    norm_after = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    norm_after = np.sqrt(sum(float(np.sum((scale * g) * (scale * g))) for g in grads.values()))
     assert norm_after == pytest.approx(1.0)
+    # the gradients are left for Adam.step to scale
+    assert grads["a"].tolist() == [3.0, 0.0] and grads["b"].tolist() == [[4.0]]
     grads2 = {"a": np.array([0.3])}
-    assert clip_gradients(grads2, 1.0) == pytest.approx(0.3)
+    total2, scale2 = clip_gradients(grads2, 1.0)
+    assert total2 == pytest.approx(0.3) and scale2 == 1.0
     assert grads2["a"][0] == 0.3
     # zero max norm disables clipping
     grads3 = {"a": np.array([100.0])}
-    clip_gradients(grads3, 0.0)
+    assert clip_gradients(grads3, 0.0)[1] == 1.0
     assert grads3["a"][0] == 100.0
     # a scratch buffer larger than every gradient gives the same norm
     grads4 = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
-    assert clip_gradients(grads4, 1.0, np.full(7, np.nan)) == total
+    assert clip_gradients(grads4, 1.0, np.full(7, np.nan)) == (total, scale)
     assert np.array_equal(grads4["a"], grads["a"]) and grads4["b"] == grads["b"]
 
 
@@ -181,10 +184,10 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
         ref_grads = _sparse_grads(rng, params, step)
         for name in TENSOR_NAMES:
             grads[name][...] = ref_grads[name]
-        norm = clip_gradients(grads, clip_norm, opt.scratch)
+        norm, scale = clip_gradients(grads, clip_norm, opt.scratch)
         assert norm == ref_clip_gradients(ref_grads, clip_norm)
         clipped += 0 < clip_norm < norm
-        opt.step(params, grads)
+        opt.step(params, grads, scale)
         ref.step(ref_params, ref_grads)
         for name in TENSOR_NAMES:
             assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
@@ -207,8 +210,7 @@ def test_optimizer_allocates_no_tensor_sized_arrays():
             grads[name][...] = g
         tracemalloc.start()
         try:
-            clip_gradients(grads, 1e-3, opt.scratch)
-            opt.step(params, grads)
+            opt.step(params, grads, clip_gradients(grads, 1e-3, opt.scratch)[1])
             sizes.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

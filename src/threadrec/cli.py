@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--num-topics", type=_positive(int))
     p.add_argument("--iters", type=_positive(int), default=500)
-    p.add_argument("--min-count", type=int, default=10)
+    p.add_argument("--min-count", type=_positive(int), default=10)
     p.add_argument("--train-end", help="fit on posts before this time (e.g. 8w)")
     common(p, overrides=False)
     p.set_defaults(func=cmd_lda)

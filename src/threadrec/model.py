@@ -156,7 +156,9 @@ class ModelParams:
         return replace(self, **{name: self.tensor(name).copy() for name in TENSOR_NAMES})
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(self.tensor(name)) for name in TENSOR_NAMES}
+        # np.zeros leaves zeroing to the first touch of each page; zeros_like
+        # writes every entry up front
+        return {name: np.zeros(self.tensor(name).shape) for name in TENSOR_NAMES}
 
 
 def _sigmoid_checked(v: float) -> float:
@@ -375,6 +377,17 @@ def _sum_at(index: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     out = np.zeros((count, rows.shape[1]))
     np.add.at(out, index, rows)
     return out
+
+
+def predictor_rows(batch: EventFeatures, params: ModelParams) -> np.ndarray:
+    """The predictor rows a t-batch's gradient can reach, as batch_grads
+    writes them: the projected-student block 0:d, the rows d + student of
+    the batch's students, the previous-thread-state block d+m : 2d+m and
+    the rows 2d + m + last_thread of its previous threads. Every other row
+    of the batch's predictor gradient stays zero. Rows may repeat."""
+    d, m = params.embed_dim, params.num_students
+    return np.concatenate([np.arange(d), d + batch.student, np.arange(d + m, 2 * d + m),
+                           2 * d + m + batch.last_thread[batch.last_thread >= 0]])
 
 
 def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelParams,

@@ -6,11 +6,16 @@ latest batch touching its student or its thread, so no batch repeats an
 entity and replaying batches in order preserves every per-entity timeline.
 model.batch_grads adds a batch's gradients in one pass, with the dynamic
 states entering the batch treated as constants, into the one gradient set
-of the fit; Adam applies them in place, slice by slice, and leaves the set
-zero for the next batch, so training holds about five predictor-sized
-arrays and allocates none per step. The features come from one replay of
-the window through a state store's trackers, which training keeps; only
-the embeddings restart from zero at every epoch.
+of the fit; Adam applies them in place and leaves the set zero for the
+next batch. A batch reaches only the predictor rows model.predictor_rows
+names, so while the rows reached so far (the live rows) are under half
+the predictor's, clipping and the Adam step gather just those, block by
+block; afterwards they walk whole tensors, slice by slice. Both are bit
+for bit the whole-tensor expressions. Training holds five predictor-sized
+arrays (parameters, gradients, two moments, squares) and allocates none
+per step. The features come from one replay of the window through a state
+store's trackers, which training keeps; only the embeddings restart from
+zero at every epoch.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ from .model import (
     _student_context,
     batch_grads,
     excitation,
+    predictor_rows,
 )
 from .text import LdaModel, Vocabulary, lda_infer_batch, term_frequency
 
@@ -173,21 +179,50 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary, wee
 
 
 # Elements per slice of the blocked Adam step: the slices of p, g, m, v and
-# the scratch buffer, 256 KiB each, stay in cache across the step's fifteen
+# one intermediate, 256 KiB each, stay in cache across the step's fifteen
 # elementwise passes over them.
 _STEP_BLOCK = 1 << 15
+
+# While the live predictor rows are fewer than this share of all its rows,
+# a step gathers them block by block; from it on it walks whole tensors.
+# Measured at paper shape (3,176 rows of 1,333) with every page in memory, a
+# gathered step with its clipping costs about 0.2 of a whole-tensor one at a
+# tenth of the rows, 0.8 at half and as much from about 0.65 on; half
+# keeps a margin below that crossover.
+_SPARSE_SHARE = 0.5
+
+
+def _row_blocks(live: np.ndarray, width: int):
+    """Consecutive runs of the row indices live, each run's rows of the
+    given width holding at most _STEP_BLOCK elements (one row if wider)."""
+    per_block = max(1, _STEP_BLOCK // width)
+    for lo in range(0, len(live), per_block):
+        yield live[lo:lo + per_block]
+
+
+def _gather(arr: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The rows idx of the 2-D arr, copied into the front of the flat
+    buffer buf and returned as a (len(idx), width) view of it."""
+    block = buf[:len(idx) * arr.shape[1]].reshape(len(idx), arr.shape[1])
+    return np.take(arr, idx, axis=0, out=block, mode="clip")
 
 
 class Adam:
     """Adam over every tensor of a ModelParams. step consumes the gradient
-    set: it applies it and leaves every entry zero for the next t-batch. It
-    walks each tensor in slices of _STEP_BLOCK elements, writing every
-    intermediate into one scratch buffer sized to the largest tensor, which
-    clip_gradients borrows too. A clip scale other than 1 multiplies each
-    gradient slice before the slice is used, so clipping costs no pass of
-    its own over the gradients. No step allocates an array the size of a
-    tensor, and since elementwise operations round the same in any slice,
-    the result is bit for bit that of the whole-tensor expressions."""
+    set: it applies it and leaves every entry zero for the next t-batch.
+
+    A predictor row no step has reached holds g, m and v of +0.0, where
+    every operation of the step yields +0.0 and p -= 0.0 keeps p's bits,
+    so skipping it changes nothing. While the rows reach has named (live)
+    are fewer than _SPARSE_SHARE of the predictor's, step gathers them
+    block by block, runs the elementwise sequence on the block and
+    scatters p, g, m and v back; otherwise it walks each tensor in slices
+    of _STEP_BLOCK elements. Each gradient slice is multiplied by the clip
+    scale before use. Intermediates go into block-sized buffers, so no step
+    allocates a tensor-sized array, and since elementwise operations round
+    the same in any slice or row order, the result is bit for bit that of
+    the whole-tensor expressions. squares holds one buffer per tensor for
+    clip_gradients; live is None, every row, until reach names rows."""
 
     def __init__(self, params: ModelParams, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
@@ -195,43 +230,76 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
-        self.v = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
-        self.scratch = np.empty(max(params.tensor(name).size for name in TENSOR_NAMES))
+        # np.zeros leaves zeroing to the first touch of each page; zeros_like
+        # writes every entry up front
+        shapes = {name: params.tensor(name).shape for name in TENSOR_NAMES}
+        self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self.squares = {name: np.zeros(shape) for name, shape in shapes.items()}
+        rows, width = shapes["predictor"]
+        # one block each for gathering p, g, m and v, and one for intermediates
+        self._block = np.empty((4, max(_STEP_BLOCK, width)))
+        self._tmp = np.empty(max(_STEP_BLOCK, width))
+        self._reached = np.zeros(rows, dtype=bool)  # None once steps walk every row
+        self.live = None
+
+    def reach(self, rows) -> None:
+        """Add rows, predictor rows the coming step's gradient can reach
+        (model.predictor_rows), to the live rows, which clip_gradients and
+        step then walk, sorted, as live. Once they reach _SPARSE_SHARE of
+        the predictor's rows, live becomes None for good: the live rows
+        only grow, so steps walk whole tensors from then on."""
+        if self._reached is None:
+            return
+        self._reached[rows] = True
+        self.live = np.flatnonzero(self._reached)
+        if len(self.live) >= _SPARSE_SHARE * len(self._reached):
+            self._reached = self.live = None
 
     def step(self, params: ModelParams, grads: dict, scale: float = 1.0) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
         for name in TENSOR_NAMES:
-            p, g = _flat(params.tensor(name)), _flat(grads[name])
-            m, v = _flat(self.m[name]), _flat(self.v[name])
-            for lo in range(0, g.size, _STEP_BLOCK):
-                block = slice(lo, lo + _STEP_BLOCK)
-                ps, gs, ms, vs = p[block], g[block], m[block], v[block]
-                tmp = self.scratch[:gs.size]
-                if scale != 1.0:
-                    gs *= scale
-                # v = b2 * v + ((1 - b2) * g) * g
-                vs *= b2
-                np.multiply(1.0 - b2, gs, out=tmp)
-                tmp *= gs
-                vs += tmp
-                # m = b1 * m + (1 - b1) * g
-                ms *= b1
-                np.multiply(1.0 - b1, gs, out=tmp)
-                ms += tmp
-                # g is spent: it holds the denominator sqrt(v / bc2) + eps
-                np.divide(vs, bc2, out=gs)
-                np.sqrt(gs, out=gs)
-                gs += self.eps
-                # p -= (lr * (m / bc1)) / denominator
-                np.divide(ms, bc1, out=tmp)
-                tmp *= self.lr
-                tmp /= gs
-                ps -= tmp
-                gs.fill(0.0)
+            arrays = (params.tensor(name), grads[name], self.m[name], self.v[name])
+            if self.live is not None and name == "predictor":
+                for idx in _row_blocks(self.live, arrays[0].shape[1]):
+                    blocks = [_gather(arr, idx, buf) for arr, buf in zip(arrays, self._block)]
+                    self._update(*(b.reshape(-1) for b in blocks), scale, bc1, bc2)
+                    for arr, block in zip(arrays, blocks):
+                        arr[idx] = block
+            else:
+                self._update(*map(_flat, arrays), scale, bc1, bc2)
+
+    def _update(self, p, g, m, v, scale, bc1, bc2) -> None:
+        """The elementwise Adam sequence on 1-D p, g, m and v, in place,
+        slice by slice; it leaves g zero."""
+        b1, b2 = self.beta1, self.beta2
+        for lo in range(0, g.size, _STEP_BLOCK):
+            block = slice(lo, lo + _STEP_BLOCK)
+            ps, gs, ms, vs = p[block], g[block], m[block], v[block]
+            tmp = self._tmp[:gs.size]
+            if scale != 1.0:
+                gs *= scale
+            # v = b2 * v + ((1 - b2) * g) * g
+            vs *= b2
+            np.multiply(1.0 - b2, gs, out=tmp)
+            tmp *= gs
+            vs += tmp
+            # m = b1 * m + (1 - b1) * g
+            ms *= b1
+            np.multiply(1.0 - b1, gs, out=tmp)
+            ms += tmp
+            # g is spent: it holds the denominator sqrt(v / bc2) + eps
+            np.divide(vs, bc2, out=gs)
+            np.sqrt(gs, out=gs)
+            gs += self.eps
+            # p -= (lr * (m / bc1)) / denominator
+            np.divide(ms, bc1, out=tmp)
+            tmp *= self.lr
+            tmp /= gs
+            ps -= tmp
+            gs.fill(0.0)
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -242,18 +310,33 @@ def _flat(arr: np.ndarray) -> np.ndarray:
 
 
 def clip_gradients(grads: dict, max_norm: float,
-                   scratch: np.ndarray | None = None) -> tuple[float, float]:
+                   opt: Adam | None = None) -> tuple[float, float]:
     """The joint Euclidean norm of all gradients and the factor that brings
     it to at most max_norm: max_norm / norm when 0 < max_norm < norm, else
     1. The gradients are left as they are; Adam.step applies the factor.
-    Each gradient is squared into scratch, a float64 buffer at least as
-    large as the largest gradient (Adam.scratch; one is allocated if none
-    is given), and summed there, pairwise as np.sum(g * g) would; the
-    per-tensor sums add as Python floats in dict order."""
-    if scratch is None:
-        scratch = np.empty(max(g.size for g in grads.values()))
-    total = np.sqrt(sum(float(np.sum(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape))))
-                        for g in grads.values()))
+
+    Each gradient is squared into its buffer in opt.squares (new ones are
+    made without opt) and summed there, over the whole buffer and pairwise
+    as np.sum(g * g) would; the per-tensor sums add as Python floats in
+    dict order. When opt.live names the only predictor rows whose gradient
+    can be non-zero, only those are squared, gathered block by block
+    through opt's block buffer. Every other row of the predictor's buffer
+    has held np.zeros' +0.0 since it was made, as g * g does there, so the
+    sum keeps its bits."""
+    live = None if opt is None else opt.live
+
+    def square_sum(name, g):
+        sq = np.zeros(g.shape) if opt is None else opt.squares[name]
+        if live is not None and name == "predictor":
+            for idx in _row_blocks(live, g.shape[1]):
+                block = _gather(g, idx, opt._block[0])
+                np.multiply(block, block, out=block)
+                sq[idx] = block
+        else:
+            np.multiply(g, g, out=sq)
+        return float(np.sum(sq))
+
+    total = np.sqrt(sum(square_sum(name, g) for name, g in grads.items()))
     scale = max_norm / total if 0 < max_norm < total else 1.0
     return total, scale
 
@@ -270,11 +353,13 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
     Returns (params, store) where store holds the dynamic states after the
     final epoch, ready for ranking at later times. If log_path is given, a
     CSV with one row per epoch (epoch, mean_loss, seconds, grad_norm_max,
-    clipped_batches, optimizer_seconds) is written: the largest pre-clip
-    gradient norm of the epoch's batches, how many of them were clipped,
-    and the part of the epoch's seconds spent clipping and in Adam steps.
-    One gradient set serves the whole fit: each t-batch adds into it and
-    the Adam step consumes it, leaving it zero. If trajectory_sink
+    clipped_batches, optimizer_seconds, stepped_rows) is written: the
+    largest pre-clip gradient norm of the epoch's batches, how many of them
+    were clipped, the part of the epoch's seconds spent clipping and in
+    Adam steps, and the mean number of predictor rows those steps walked.
+    One gradient set serves the whole fit: each t-batch adds into it, names
+    the predictor rows it reached to the optimizer, and the Adam step
+    consumes it, leaving it zero. If trajectory_sink
     is a list, rows (kind, entity, timestamp, *embedding) are appended for
     every state write of the final epoch. `features` lets sweeps over seeds,
     ablations, embedding sizes or optimizer settings reuse one
@@ -294,6 +379,7 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
         features = prepare_event_features(train, lda, vocab, week_topics, config)
     feats, trackers = features
     batches = [feats.take(batch) for batch in t_batch(train.events)]
+    reached = [predictor_rows(batch, params) for batch in batches]
     flags = config.flags
     opt = Adam(params, config.learning_rate)
     grads = params.zero_grads()  # every step consumes and re-zeroes it
@@ -308,6 +394,7 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
         store.thread_vecs = np.zeros((train.num_threads, config.embed_dim))
         collect = trajectory_sink is not None and epoch == config.epochs - 1
         epoch_loss, grad_norm_max, clipped, optimizer_seconds = 0.0, 0.0, 0, 0.0
+        stepped_rows = 0
         for b, batch in enumerate(batches):
             losses, u_new, p_new = batch_grads(batch, store, params, grads, flags)
             finite = np.isfinite(losses)
@@ -327,22 +414,25 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
                     trajectory_sink += [("student", s, t, *u), ("thread", c, t, *p)]
 
             step_start = time.perf_counter()
-            total, scale = clip_gradients(grads, config.clip_norm, opt.scratch)
+            opt.reach(reached[b])
+            total, scale = clip_gradients(grads, config.clip_norm, opt)
             if not np.isfinite(total):
                 raise TrainingDiverged("non-finite gradient at epoch %d batch %d" % (epoch, b))
             grad_norm_max = max(grad_norm_max, total)
             clipped += 0 < config.clip_norm < total
             opt.step(params, grads, scale)
             optimizer_seconds += time.perf_counter() - step_start
+            stepped_rows += len(params.predictor) if opt.live is None else len(opt.live)
         log_rows.append([epoch, repr(epoch_loss / len(feats)),
                          "%.6f" % (time.perf_counter() - start), repr(float(grad_norm_max)),
-                         clipped, "%.6f" % optimizer_seconds])
+                         clipped, "%.6f" % optimizer_seconds,
+                         repr(stepped_rows / len(batches))])
 
     if log_path is not None:
         with open(log_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "mean_loss", "seconds", "grad_norm_max", "clipped_batches",
-                             "optimizer_seconds"])
+                             "optimizer_seconds", "stepped_rows"])
             writer.writerows(log_rows)
     return params, store
 

@@ -374,6 +374,7 @@ def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
         assert main(argv) == 2, argv
     for argv in (["lda", "--data", data, "--out", str(refused), "--num-topics", "0"],
                  ["lda", "--data", data, "--out", str(refused), "--iters", "0"],
+                 ["lda", "--data", data, "--out", str(refused), "--min-count", "0"],
                  ["eval", "--data", data, "--out", str(refused), "--checkpoint", ckpt,
                   "--train-end", "2w", "--test-end", "3w", "--n-cutoff", "0"],
                  ["recommend", "--data", data, "--checkpoint", ckpt, "--student", "0",

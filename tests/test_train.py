@@ -9,7 +9,8 @@ from scipy.special import expit
 from threadrec import synth, train
 from threadrec.corpus import Dataset, ThreadEventIndex
 from threadrec.model import (TENSOR_NAMES, AblationFlags, DynamicStateStore, EventFeatures,
-                             ModelParams, assign_course_topic, batch_grads, excitation)
+                             ModelParams, assign_course_topic, batch_grads, excitation,
+                             predictor_rows)
 from threadrec.text import (build_vocabulary, course_topics, lda_fit, lda_infer,
                             term_frequency)
 from threadrec.train import (Adam, TrainConfig, TrainingDiverged, clip_gradients,
@@ -143,10 +144,16 @@ def test_clip_gradients_scales_to_max_norm():
     grads3 = {"a": np.array([100.0])}
     assert clip_gradients(grads3, 0.0)[1] == 1.0
     assert grads3["a"][0] == 100.0
-    # a scratch buffer larger than every gradient gives the same norm
-    grads4 = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
-    assert clip_gradients(grads4, 1.0, np.full(7, np.nan)) == (total, scale)
-    assert np.array_equal(grads4["a"], grads["a"]) and grads4["b"] == grads["b"]
+    # an optimizer's square buffers give the same norm whatever they hold
+    # while every row is walked
+    params = ModelParams.init(np.random.default_rng(3), 1, 1, 1, 1, 1)
+    opt = Adam(params, 0.01)
+    for sq in opt.squares.values():
+        sq.fill(np.nan)
+    grads4 = params.zero_grads()
+    grads4["time_context"][0, 0], grads4["predictor"][1, 1] = 3.0, 4.0
+    assert clip_gradients(grads4, 1.0, opt) == (total, scale)
+    assert grads4["time_context"][0, 0] == 3.0 and grads4["predictor"][1, 1] == 4.0
 
 
 def _multi_slice_params(rng):
@@ -172,50 +179,81 @@ def _sparse_grads(rng, params, step):
     return grads
 
 
+def _reach(rng, opt, params, grads):
+    """Name 40 random predictor rows and the two embedding blocks to opt
+    as the rows this step's gradient reaches, and zero the predictor
+    gradient elsewhere, as a t-batch would leave it."""
+    d, m = params.embed_dim, params.num_students
+    rows = np.concatenate([np.arange(d), np.arange(d + m, 2 * d + m),
+                           rng.choice(len(params.predictor), 40, replace=False)])
+    outside = np.ones(len(params.predictor), dtype=bool)
+    outside[rows] = False
+    grads["predictor"][outside] = 0.0
+    opt.reach(rows)
+
+
 @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
 def test_adam_step_matches_reference_bitwise(clip_norm):
-    rng = np.random.default_rng(21)
-    params = _multi_slice_params(rng)
-    ref_params = params.copy()
-    opt, ref = Adam(params, 0.01), RefAdam(ref_params, 0.01)
-    grads = params.zero_grads()
-    clipped = 0
-    for step in range(12):
-        ref_grads = _sparse_grads(rng, params, step)
-        for name in TENSOR_NAMES:
-            grads[name][...] = ref_grads[name]
-        norm, scale = clip_gradients(grads, clip_norm, opt.scratch)
-        assert norm == ref_clip_gradients(ref_grads, clip_norm)
-        clipped += 0 < clip_norm < norm
-        opt.step(params, grads, scale)
-        ref.step(ref_params, ref_grads)
-        for name in TENSOR_NAMES:
-            assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
-            assert np.array_equal(opt.m[name], ref.m[name]), name
-            assert np.array_equal(opt.v[name], ref.v[name]), name
-            # the step consumed the gradients
-            assert not grads[name].any(), name
-    # with clipping on, every step but those at the smallest scale is clipped
-    assert clipped == (9 if clip_norm else 0)
+    # steps given no rows, then steps whose named live rows grow past half
+    for named in (False, True):
+        rng = np.random.default_rng(21)
+        params = _multi_slice_params(rng)
+        ref_params = params.copy()
+        opt, ref = Adam(params, 0.01), RefAdam(ref_params, 0.01)
+        grads = params.zero_grads()
+        clipped, walked = 0, []
+        for step in range(12):
+            ref_grads = _sparse_grads(rng, params, step)
+            if named:
+                _reach(rng, opt, params, ref_grads)
+            walked.append(None if opt.live is None else len(opt.live))
+            for name in TENSOR_NAMES:
+                grads[name][...] = ref_grads[name]
+            norm, scale = clip_gradients(grads, clip_norm, opt)
+            assert norm == ref_clip_gradients(ref_grads, clip_norm)
+            clipped += 0 < clip_norm < norm
+            opt.step(params, grads, scale)
+            ref.step(ref_params, ref_grads)
+            for name in TENSOR_NAMES:
+                assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
+                assert np.array_equal(opt.m[name], ref.m[name]), name
+                assert np.array_equal(opt.v[name], ref.v[name]), name
+                # the step consumed the gradients
+                assert not grads[name].any(), name
+        # with clipping on, every step but those at the smallest scale is clipped
+        assert clipped == (9 if clip_norm else 0)
+        if named:
+            # the live rows span several gather blocks, then pass half the rows
+            per_block = train._STEP_BLOCK // params.predictor.shape[1]
+            sparse = [n for n in walked if n is not None]
+            assert max(sparse) > per_block and 2 * max(sparse) < len(params.predictor)
+            assert walked[-1] is None and None not in walked[:len(sparse)]
+        else:
+            assert walked == [None] * 12
 
 
 def test_optimizer_allocates_no_tensor_sized_arrays():
-    rng = np.random.default_rng(22)
-    params = _multi_slice_params(rng)
-    opt = Adam(params, 0.01)
-    grads = params.zero_grads()
-    sizes = []
-    for step in range(3):
-        for name, g in _sparse_grads(rng, params, step + 1).items():
-            grads[name][...] = g
-        tracemalloc.start()
-        try:
-            opt.step(params, grads, clip_gradients(grads, 1e-3, opt.scratch)[1])
-            sizes.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # the first step is the warm-up
-    assert max(sizes[1:]) < params.predictor.nbytes // 4, sizes
+    # steps given no rows, then steps given named live rows under half
+    for named in (False, True):
+        rng = np.random.default_rng(22)
+        params = _multi_slice_params(rng)
+        opt = Adam(params, 0.01)
+        grads = params.zero_grads()
+        sizes = []
+        for step in range(3):
+            for name, g in _sparse_grads(rng, params, step + 1).items():
+                grads[name][...] = g
+            if named:
+                _reach(rng, opt, params, grads)
+                assert opt.live is not None
+            tracemalloc.start()
+            try:
+                opt.step(params, grads, clip_gradients(grads, 1e-3, opt)[1])
+                sizes.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the first step is the warm-up
+        assert max(sizes[1:]) < params.predictor.nbytes // 4, sizes
 
 
 # gradient checking
@@ -504,12 +542,14 @@ def test_fit_writes_log(tmp_path, tiny_ds):
     train.fit(tiny_ds, lda, vocab, week_topics, cfg, log_path=log)
     lines = log.read_text().strip().splitlines()
     assert lines[0] == ("epoch,mean_loss,seconds,grad_norm_max,clipped_batches,"
-                        "optimizer_seconds")
+                        "optimizer_seconds,stepped_rows")
     assert len(lines) == 4
     float(lines[1].split(",")[1])  # parses back
+    rows = tiny_ds.num_students + tiny_ds.num_threads + 2 * cfg.embed_dim
     for line in lines[1:]:
         seconds, optimizer_seconds = float(line.split(",")[2]), float(line.split(",")[5])
         assert 0 <= optimizer_seconds <= seconds
+        assert 2 * cfg.embed_dim < float(line.split(",")[6]) <= rows
     # every batch's pre-clip norm exceeds a clip norm this small
     batches = len(t_batch(tiny_ds.events))
     for clip_norm, clipped in ((1e-9, batches), (0.0, 0)):
@@ -728,6 +768,15 @@ def batch_ds(course2):
     return Dataset(events, 8, 6, course2, list(range(8)), list(range(6)))
 
 
+@pytest.fixture
+def sparse_ds(batch_ds):
+    """batch_ds's posts in a course that registers 60 students and 40
+    threads, most of which never post: the predictor rows its t-batches
+    reach stay under half of all its rows."""
+    return replace(batch_ds, num_students=60, num_threads=40, student_ids=list(range(60)),
+                   thread_ids=list(range(40)))
+
+
 FLAG_SETS = [AblationFlags()] + [AblationFlags.from_names([n]) for n in AblationFlags.NAMES]
 
 
@@ -769,13 +818,18 @@ def test_batch_grads_match_per_event_loop_bitwise(batch_ds, flags, activation):
         assert np.array_equal(p_new, [r[2] for r in rows])
         for name in TENSOR_NAMES:
             assert np.array_equal(got[name], ref[name]), name
+        # the rows the optimizer is told of hold every non-zero entry
+        outside = np.ones(len(params.predictor), dtype=bool)
+        outside[predictor_rows(batch, params)] = False
+        assert not ref["predictor"][outside].any()
 
 
-@pytest.mark.parametrize("name", ["batch_ds", "replay_ds"])
+@pytest.mark.parametrize("name", ["batch_ds", "replay_ds", "sparse_ds"])
 def test_fit_matches_per_event_loop_bitwise(name, request, tmp_path):
     ds = request.getfixturevalue(name)
     lda, vocab, week_topics, cfg, features = _batched_features(ds)
     log = tmp_path / "log.csv"
+    clipped = 0
     for flags in FLAG_SETS:
         for activation in ("sigmoid", "tanh"):
             run = replace(cfg, activation=activation, **{n: True for n in flags.active()})
@@ -787,8 +841,18 @@ def test_fit_matches_per_event_loop_bitwise(name, request, tmp_path):
                 assert np.array_equal(params.tensor(tensor), ref_params.tensor(tensor))
             for state in ("student_vecs", "thread_vecs") + TRACKERS:
                 assert np.array_equal(getattr(store, state), getattr(ref_store, state))
-            logged = [line.split(",")[1] for line in log.read_text().splitlines()[1:]]
-            assert logged == [repr(loss) for loss in ref_losses]
+            logged = [line.split(",") for line in log.read_text().splitlines()[1:]]
+            assert [row[1] for row in logged] == [repr(loss) for loss in ref_losses]
+            clipped += sum(int(row[4]) for row in logged)
+            if name == "sparse_ds":
+                # every step of both epochs gathers the live rows: by the
+                # second epoch they are every row the batches reach, fewer
+                # than half the predictor's
+                reached = np.unique(np.concatenate([predictor_rows(features[0].take(b), params)
+                                                    for b in t_batch(ds.events)]))
+                assert 2 * len(reached) < len(params.predictor)
+                assert float(logged[-1][6]) == len(reached)
+    assert clipped > 0
 
 
 def test_exact_row_primitives():

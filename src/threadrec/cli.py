@@ -23,6 +23,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus, model, recommend, synth, text, train
 
 POSTS_FILE = "posts.jsonl"
@@ -148,8 +150,10 @@ def _file_sha256(path: Path) -> str:
 def write_manifest(out_dir: Path, command: str, seed, config: dict,
                    inputs: list[Path], outputs: list[Path],
                    logs: list[Path], seconds: float,
-                   timings: dict[str, float] | None = None) -> Path:
-    """timings, if given, holds the seconds of each stage of the command."""
+                   timings: dict[str, float] | None = None,
+                   features: dict | None = None) -> Path:
+    """timings, if given, holds the seconds of each stage of the command;
+    features, if given, describes the event features it trained on."""
     manifest = {
         "command": command,
         "seed": seed,
@@ -161,6 +165,8 @@ def write_manifest(out_dir: Path, command: str, seed, config: dict,
     }
     if timings is not None:
         manifest["timings"] = {name: round(value, 3) for name, value in timings.items()}
+    if features is not None:
+        manifest["features"] = features
     path = out_dir / MANIFEST_FILE
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -322,9 +328,12 @@ def cmd_train(args) -> int:
     timings = {"ingest_s": t_features - started, "features_s": t_fit - t_features,
                "fit_s": t_save - t_fit, "save_s": time.perf_counter() - t_save}
 
+    events = features[0]
+    coverage = {"events": len(events), "excitation_nonzero_share":
+                np.count_nonzero(events.excitation_value) / len(events)}
     inputs = [data / n for n in DATA_FILES] + [Path(args.lda) / n for n in LDA_FILES]
     write_manifest(out, "train", cfg.seed, dataclasses.asdict(cfg), inputs, outputs, logs,
-                   time.perf_counter() - started, timings)
+                   time.perf_counter() - started, timings, coverage)
     print("train: %d events, %d epochs -> %s" % (len(window.events), cfg.epochs, out))
     return 0
 

@@ -172,7 +172,6 @@ def _act(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
         # 1/(1+exp(-x)) with the C library's exp, which is scipy's expit bit
         # for bit; numpy's vectorized exp rounds some values differently.
-        # Without scipy here, commands that never train do not import it.
         # Values at or below -700, where exp(-v) can overflow, and nan take
         # the checked path.
         exp = math.exp

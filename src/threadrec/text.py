@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -245,16 +246,99 @@ def _gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
     n_k[:] = nk
 
 
-def _joint_loglik(n_dk, n_kw, n_k, lengths, alpha, beta):
-    # imported here so that only lda_fit pays for loading scipy
-    from scipy.special import gammaln
-    K, W = n_kw.shape
-    D = n_dk.shape[0]
-    ll = K * (gammaln(W * beta) - W * gammaln(beta))
-    ll += gammaln(n_kw + beta).sum() - gammaln(n_k + W * beta).sum()
-    ll += D * (gammaln(K * alpha) - K * gammaln(alpha))
-    ll += gammaln(n_dk + alpha).sum() - gammaln(lengths + K * alpha).sum()
-    return float(ll)
+# Cephes lgam (S. Moshier), the algorithm behind scipy.special.gammaln,
+# with the same coefficients and the same operations in the same order, and
+# math.log, the C library's log that the compiled code calls; numpy's
+# vectorized log and math.lgamma both round some values differently
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _lgamma(x: float) -> float:
+    """log Gamma(x), bit for bit scipy.special.gammaln(x), for x > 0 up to
+    2.556348e305; above, gammaln gives inf.
+
+    Below 13 a recurrence moves x into [2, 3) and a rational function of
+    it follows; above, Stirling's series, cut to fewer terms from 1000 on
+    and to none above 1e8."""
+    log = math.log
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return log(z)
+        x += p - 2.0
+        b0, b1, b2, b3, b4, b5 = _LGAM_B
+        c0, c1, c2, c3, c4, c5 = _LGAM_C
+        num = x * (((((b0 * x + b1) * x + b2) * x + b3) * x + b4) * x + b5)
+        den = (((((x + c0) * x + c1) * x + c2) * x + c3) * x + c4) * x + c5
+        return log(z) + num / den
+    q = (x - 0.5) * log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a0, a1, a2, a3, a4 = _LGAM_A
+    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+
+
+class _LogGammaTable:
+    """log Gamma(count + prior) over arrays of integer counts. Each count's
+    value is computed once, when a count that large first appears, and
+    read from the table after; the float64 of count + prior is the one
+    numpy forms for an int64 count array plus the prior."""
+
+    def __init__(self, prior: float):
+        self.prior = prior
+        self.values = np.zeros(0)
+
+    def __call__(self, counts: np.ndarray) -> np.ndarray:
+        have, need = len(self.values), int(counts.max()) + 1
+        if need > have:
+            prior = self.prior
+            grown = [_lgamma(c + prior) for c in range(have, need)]
+            self.values = np.concatenate([self.values, grown])
+        return self.values[counts]
+
+
+class _JointLoglik:
+    """log p(w, z) of a Gibbs state (Griffiths and Steyvers, PNAS 2004):
+    log-gamma sums over the topic-word, topic and document-topic counts.
+    A table per prior turns each sum into a gather of the values
+    gammaln(counts + prior) would give, in the same shape, so the sums are
+    bit for bit those of the scipy formula. The document lengths, and with
+    them their term, are fixed for a fit."""
+
+    def __init__(self, lengths: np.ndarray, num_topics: int, vocab_size: int,
+                 alpha: float, beta: float):
+        K, W, D = num_topics, vocab_size, len(lengths)
+        self.topic_prior = K * (_lgamma(W * beta) - W * _lgamma(beta))
+        self.doc_prior = D * (_lgamma(K * alpha) - K * _lgamma(alpha))
+        self.word = _LogGammaTable(beta)
+        self.topic = _LogGammaTable(W * beta)
+        self.doc = _LogGammaTable(alpha)
+        self.length_term = _LogGammaTable(K * alpha)(lengths).sum()
+
+    def __call__(self, n_dk: np.ndarray, n_kw: np.ndarray, n_k: np.ndarray) -> float:
+        ll = self.topic_prior
+        ll += self.word(n_kw).sum() - self.topic(n_k).sum()
+        ll += self.doc_prior
+        ll += self.doc(n_dk).sum() - self.length_term
+        return float(ll)
 
 
 def lda_fit(
@@ -300,10 +384,11 @@ def lda_fit(
     history = np.zeros(iters)
     alpha = doc_topic_prior
     beta = topic_word_prior
+    joint_loglik = _JointLoglik(lengths, num_topics, W, alpha, beta)
     for sweep in range(iters):
         uniforms = rng.random(len(words))
         _gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms)
-        history[sweep] = _joint_loglik(n_dk, n_kw, n_k, lengths, alpha, beta)
+        history[sweep] = joint_loglik(n_dk, n_kw, n_k)
 
     topic_word = (n_kw + beta).astype(np.float64)
     topic_word /= topic_word.sum(axis=1, keepdims=True)

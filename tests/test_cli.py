@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from threadrec import cli
+from threadrec import cli, corpus
 from threadrec.cli import (UsageError, main, parse_duration, read_config_file,
                            verify_manifest)
 from threadrec.synth import SynthConfig
-from threadrec.train import TrainConfig
+from threadrec.train import TrainConfig, prepare_event_features
 
 
 def sha(path):
@@ -139,6 +140,17 @@ def test_train_outputs(pipeline):
     timings = manifest["timings"]
     assert set(timings) == {"ingest_s", "features_s", "fit_s", "save_s"}
     assert all(seconds >= 0 for seconds in timings.values())
+    # excitation coverage is that of the features the run trained on
+    coverage = manifest["features"]
+    ds = cli._load_dataset(pipeline["data"])
+    window = corpus.events_before(ds, parse_duration("2w"))
+    lda, vocab, week_topics = cli._load_text_artifacts(pipeline["lda"])
+    events, _ = prepare_event_features(window, lda, vocab, week_topics,
+                                       TrainConfig(**manifest["config"]))
+    assert coverage["events"] == len(events) == len(window.events)
+    share = coverage["excitation_nonzero_share"]
+    assert 0.0 <= share <= 1.0
+    assert share == np.count_nonzero(events.excitation_value) / len(events)
 
 
 def test_eval_model_and_baselines(pipeline, capsys):
@@ -260,9 +272,9 @@ def test_ablate_manifest_records_the_effective_config(pipeline, capsys):
     capsys.readouterr()
 
 
-def test_read_only_commands_leave_scipy_and_process_pools_unloaded(pipeline):
-    # scipy serves only lda's log likelihood, and only ablate starts
-    # processes; no other command pays for importing them
+def test_lda_and_read_only_commands_leave_scipy_and_process_pools_unloaded(pipeline):
+    # no command imports scipy, and only ablate starts processes; no other
+    # command pays for importing them
     import threadrec
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -295,7 +307,7 @@ def test_read_only_commands_leave_scipy_and_process_pools_unloaded(pipeline):
     assert loaded_after(commands) == []
     lda = ["lda", "--data", data, "--out", str(pipeline["root"] / "lean-lda"),
            "--iters", "2", "--min-count", "2"]
-    assert "scipy.special" in loaded_after([lda])
+    assert loaded_after([lda]) == []
 
 
 def test_usage_errors_exit_two(pipeline, tmp_path, capsys):

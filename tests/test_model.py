@@ -52,8 +52,8 @@ def test_update_zero_weights_gives_zero_tanh():
 
 
 def test_sigmoid_is_scipy_expit_bit_for_bit():
-    # the sigmoid uses the C library's exp, as expit does, so that only
-    # lda needs scipy; numpy's vectorized exp rounds some values otherwise
+    # the sigmoid uses the C library's exp, as expit does, so that no
+    # command needs scipy; numpy's vectorized exp rounds some values otherwise
     from scipy.special import expit
     rng = np.random.default_rng(23)
     x = np.concatenate([rng.standard_normal(170_000) * scale

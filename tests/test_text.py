@@ -278,6 +278,66 @@ def test_lda_fit_single_topic_frozen_oracle():
         "040f86a1603aa43e3d9ce1e3a1445a095f40169ec3de40f46d18bac93db463a5")
 
 
+def _assert_lgamma_is_gammaln(x):
+    # scipy is only the reference here: no module of the package imports it
+    from scipy.special import gammaln
+    x = np.asarray(x, dtype=np.float64).ravel()
+    got = np.array([text._lgamma(v) for v in x.tolist()])
+    assert np.array_equal(got.view(np.int64), gammaln(x).view(np.int64))
+
+
+def test_lgamma_is_scipy_gammaln_bit_for_bit_on_every_branch():
+    rng = np.random.default_rng(31)
+    exact = np.arange(1.0, 40.0)
+    edges = [b + d for b in (2.0, 3.0, 13.0, 1000.0, 1e8)
+             for d in (-1e-9, 0.0, 1e-9)]
+    edges += [np.nextafter(b, side) for b in (2.0, 3.0, 13.0, 1000.0, 1e8)
+              for side in (0.0, np.inf)]
+    _assert_lgamma_is_gammaln(np.concatenate([
+        exact, edges, [5e-324, 1e-300, 1e-12, 0.5, 1.5, 1e300, 2.556348e305],
+        rng.random(50_000) * 2.0 + 1e-12,        # below 2: the recurrence up
+        2.0 + rng.random(50_000) * 11.0,         # 2 to 13: down into [2, 3)
+        np.exp(rng.uniform(np.log(13.0), np.log(1000.0), 50_000)),
+        np.exp(rng.uniform(np.log(1000.0), np.log(1e8), 50_000)),
+        np.exp(rng.uniform(np.log(1e8), np.log(1e13), 50_000)),
+    ]))
+
+
+def test_lgamma_is_scipy_gammaln_on_counts_plus_every_pipeline_prior():
+    beta = 0.01
+    priors = [beta] + [W * beta for W in (2, 28, 137, 500, 1000, 2537, 10_000)]
+    for K in range(1, 51):
+        alpha = 50.0 / K
+        priors += [alpha, K * alpha]
+    counts = np.concatenate([np.arange(10_000), [19_999, 123_456, 1_000_000, 10**8]])
+    _assert_lgamma_is_gammaln(counts[:, None] + np.array(priors)[None, :])
+
+
+def test_joint_loglik_is_the_scipy_formula_on_random_states():
+    from scipy.special import gammaln
+    rng = np.random.default_rng(5)
+    for K, W, D, alpha, beta in [(1, 3, 2, 50.0, 0.01), (2, 40, 20, 25.0, 0.01),
+                                 (7, 300, 60, 50.0 / 7, 0.01), (50, 900, 150, 1.0, 0.5)]:
+        lengths = rng.integers(0, 300, size=D)
+        lengths[0] = max(lengths[0], 1)
+        joint_loglik = text._JointLoglik(lengths, K, W, alpha, beta)
+        doc_of = np.repeat(np.arange(D), lengths)
+        words = rng.integers(0, W, size=len(doc_of))
+        # states of growing concentration, so the tables extend between calls
+        for spread in (K, max(K // 3, 1), 1):
+            z = rng.integers(0, spread, size=len(doc_of))
+            n_dk = np.zeros((D, K), dtype=np.int64)
+            n_kw = np.zeros((K, W), dtype=np.int64)
+            np.add.at(n_dk, (doc_of, z), 1)
+            np.add.at(n_kw, (z, words), 1)
+            n_k = n_kw.sum(axis=1)
+            ll = K * (gammaln(W * beta) - W * gammaln(beta))
+            ll += gammaln(n_kw + beta).sum() - gammaln(n_k + W * beta).sum()
+            ll += D * (gammaln(K * alpha) - K * gammaln(alpha))
+            ll += gammaln(n_dk + alpha).sum() - gammaln(lengths + K * alpha).sum()
+            assert joint_loglik(n_dk, n_kw, n_k) == float(ll)
+
+
 @pytest.mark.parametrize("k, iters, expect", [
     (2, 10, [0.3125, 0.6875]),
     (2, 50, [0.3125, 0.6875]),

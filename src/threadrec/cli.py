@@ -201,12 +201,12 @@ def _load_dataset(data_dir) -> corpus.Dataset:
     return corpus.ingest_jsonl(data / POSTS_FILE, schedule)
 
 
-def _load_text_artifacts(lda_dir):
+def _prepare_features(lda_dir, window: corpus.Dataset, cfg) -> train.PreparedFeatures:
+    """The event features of window under the lda command's artifacts."""
     lda_dir = Path(lda_dir)
-    vocab = text.load_vocabulary(lda_dir / VOCAB_FILE)
-    lda = text.load_lda(lda_dir / LDA_FILE)
-    week_topics = text.load_topic_distributions(lda_dir / COURSE_TOPICS_FILE)
-    return lda, vocab, week_topics
+    return train.prepare_event_features(
+        window, text.load_lda(lda_dir / LDA_FILE), text.load_vocabulary(lda_dir / VOCAB_FILE),
+        text.load_topic_distributions(lda_dir / COURSE_TOPICS_FILE), cfg)
 
 
 def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
@@ -302,16 +302,14 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     data = Path(args.data)
     ds = _load_dataset(data)
-    lda, vocab, week_topics = _load_text_artifacts(args.lda)
     window = ds if train_end is None else corpus.events_before(ds, train_end)
 
     t_features = time.perf_counter()
-    features = train.prepare_event_features(window, lda, vocab, week_topics, cfg)
+    features = _prepare_features(args.lda, window, cfg)
     t_fit = time.perf_counter()
     sink = [] if args.export_trajectories else None
-    params, store = train.fit(window, lda, vocab, week_topics, cfg,
-                              log_path=out / TRAIN_LOG_FILE,
-                              trajectory_sink=sink, features=features)
+    params, store = train.fit(features, cfg, log_path=out / TRAIN_LOG_FILE,
+                              trajectory_sink=sink)
     t_save = time.perf_counter()
     # the data enter by content, so the bytes do not depend on where it lives;
     # the last post time bounds the queries the trained states can answer
@@ -319,7 +317,7 @@ def cmd_train(args) -> int:
             "data_sha256": {name: _file_sha256(data / name) for name in DATA_FILES},
             "last_post_time": window.events[-1].timestamp,
             "num_events": len(window.events)}
-    model.save_checkpoint(out / CHECKPOINT_FILE, params, store, week_topics, meta)
+    model.save_checkpoint(out / CHECKPOINT_FILE, params, store, features.week_topics, meta)
     outputs = [out / CHECKPOINT_FILE]
     logs = [out / TRAIN_LOG_FILE]
     if sink is not None:
@@ -328,7 +326,7 @@ def cmd_train(args) -> int:
     timings = {"ingest_s": t_features - started, "features_s": t_fit - t_features,
                "fit_s": t_save - t_fit, "save_s": time.perf_counter() - t_save}
 
-    events = features[0]
+    events = features.events
     coverage = {"events": len(events), "excitation_nonzero_share":
                 np.count_nonzero(events.excitation_value) / len(events)}
     inputs = [data / n for n in DATA_FILES] + [Path(args.lda) / n for n in LDA_FILES]
@@ -405,12 +403,11 @@ def _set_ablate_inputs(inputs) -> None:
 
 
 def _ablate_job(job, shared=None):
-    base_cfg, train_ds, test_ds, lda, vocab, week_topics, features, train_end, n_cutoff = (
-        shared or _ablate_inputs)
+    base_cfg, train_ds, test_ds, features, train_end, n_cutoff = shared or _ablate_inputs
     variant, seed = job
     cfg = train.ablation_variant(dataclasses.replace(base_cfg, seed=seed), variant)
-    params, store = train.fit(train_ds, lda, vocab, week_topics, cfg, features=features)
-    rank_fn = recommend.build_model_ranker(params, store, week_topics, train_ds,
+    params, store = train.fit(features, cfg)
+    rank_fn = recommend.build_model_ranker(params, store, features.week_topics, train_ds,
                                            train_end, flags=cfg.flags)
     report = recommend.evaluate(rank_fn, test_ds, n_cutoff=n_cutoff, method=variant)
     return report.map_at_n, report.users_evaluated
@@ -429,12 +426,10 @@ def cmd_ablate(args) -> int:
     # the features depend on neither the flags nor the seed
     train_ds, test_ds = corpus.split_by_time(_load_dataset(args.data),
                                              corpus.SplitSpec(train_end, test_end))
-    lda, vocab, week_topics = _load_text_artifacts(args.lda)
     t_features = time.perf_counter()
-    features = train.prepare_event_features(train_ds, lda, vocab, week_topics, base_cfg)
+    features = _prepare_features(args.lda, train_ds, base_cfg)
     t_fits = time.perf_counter()
-    shared = (base_cfg, train_ds, test_ds, lda, vocab, week_topics, features, train_end,
-              args.n_cutoff)
+    shared = (base_cfg, train_ds, test_ds, features, train_end, args.n_cutoff)
     jobs = [(variant, seed) for variant in train.ABLATION_VARIANTS for seed in seeds]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only ablate starts processes

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import ReplyHistory
-from .text import TopicDistribution
+from .text import _check_simplex
 
 TENSOR_NAMES = (
     "student_update",
@@ -337,14 +337,14 @@ class EventFeatures:
 
 
 def _student_context(store: DynamicStateStore, student: int, t: float, course,
-                     week_matrix: np.ndarray):
+                     week_topics: np.ndarray):
     """(normalized time since the student's last post, clamped at zero; the
     course week that post's topics point to, else the week of t; that
-    post's thread, else -1), read from the store's trackers. week_matrix
-    stacks the week topic vectors."""
+    post's thread, else -1), read from the store's trackers. week_topics
+    is the (weeks, topics) array of course week topics."""
     delta = max(t - store.student_last_t[student], 0.0) / store.time_scale
     if store.student_seen[student]:
-        week = assign_course_topic(store.student_last_theta[student], week_matrix)
+        week = assign_course_topic(store.student_last_theta[student], week_topics)
     else:
         week = course.week_of(t)
     return delta, week, int(store.student_last_thread[student])
@@ -529,15 +529,15 @@ def _checkpoint_layout(scalars: dict) -> list[tuple[str, str, list[int]]]:
 
 
 def save_checkpoint(path, params: ModelParams, store: DynamicStateStore,
-                    week_topics: Sequence[TopicDistribution], meta: dict) -> None:
+                    week_topics: np.ndarray, meta: dict) -> None:
     """Write a self-contained checkpoint: parameters, final replay state,
-    course week topics, and a JSON metadata block. The layout is a magic
-    line, a JSON header describing the arrays, then raw little-endian array
-    bytes in header order. Writing is byte-deterministic."""
+    the (weeks, topics) course week topics, and a JSON metadata block. The
+    layout is a magic line, a JSON header describing the arrays, then raw
+    little-endian array bytes in header order. Writing is byte-deterministic."""
     arrays = [("params." + name, params.tensor(name)) for name in TENSOR_NAMES]
     arrays += [("store." + name, np.asarray(getattr(store, name), dtype=dtype))
                for name, dtype, _ in _STORE_ARRAYS]
-    arrays.append(("week_topics", np.stack([t.probs for t in week_topics])))
+    arrays.append(("week_topics", np.asarray(week_topics, dtype=np.float64)))
 
     header = {
         "arrays": [{"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
@@ -558,8 +558,8 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint. Returns (params, store, week_topics, meta).
     The file is outside input: its array layout must be the one
     save_checkpoint writes for its header scalars, its previous threads
-    must name threads or -1, and its time scale must be positive; a
-    ValueError names the first array that is not."""
+    must name threads or -1, its week topics lie on the simplex and its
+    time scale must be positive; a ValueError names the first that is not."""
     with open(path, "rb") as fh:
         magic = fh.readline().decode().strip()
         if magic != _CKPT_MAGIC:
@@ -586,6 +586,7 @@ def load_checkpoint(path):
     if np.any((last < -1) | (last >= sc["num_threads"])):
         raise ValueError("checkpoint array store.student_last_thread names a thread "
                          "outside [-1, %d)" % sc["num_threads"])
+    _check_simplex(data["week_topics"], "checkpoint array week_topics")
     if not (isinstance(sc.get("time_scale"), (int, float)) and sc["time_scale"] > 0):
         raise ValueError("checkpoint time_scale must be positive, got %r" % sc.get("time_scale"))
     params = ModelParams(*(data["params." + name] for name in TENSOR_NAMES),
@@ -594,5 +595,4 @@ def load_checkpoint(path):
                               sc["embed_dim"], sc["num_topics"], sc["time_scale"])
     for name, _, _ in _STORE_ARRAYS:
         setattr(store, name, data["store." + name])
-    week_topics = [TopicDistribution(row) for row in data["week_topics"]]
-    return params, store, week_topics, header["meta"]
+    return params, store, data["week_topics"], header["meta"]

@@ -32,7 +32,6 @@ from .model import (
     excitation,
     project_thread,
 )
-from .text import TopicDistribution
 
 
 class EvaluationError(ValueError):
@@ -128,23 +127,23 @@ def evaluate(rank_fn: Callable[[int], object], test_events, n_cutoff: int = 5,
 class _Scorer:
     """Ranks the threads with a training post for any student at any query
     time, reading the trained states from the store at call time and the
-    interaction histories from index."""
+    interaction histories from index. week_topics is the (weeks, topics)
+    array of course week topics."""
 
     def __init__(self, params: ModelParams, store: DynamicStateStore,
-                 week_topics: Sequence[TopicDistribution], train: Dataset,
+                 week_topics: np.ndarray, train: Dataset,
                  index: ThreadEventIndex, flags: AblationFlags):
         self.ids = np.array(sorted({ev.thread_id for ev in train.events}), dtype=np.int64)
         if len(self.ids) == 0:
             raise EvaluationError("training window has no posted threads")
         self.row = {int(c): i for i, c in enumerate(self.ids)}
-        self.params, self.store, self.flags = params, store, flags
-        self.week_matrix = np.array([w.probs for w in week_topics])
+        self.params, self.store, self.flags, self.week_topics = params, store, flags, week_topics
         self.course, self.index = train.course, index
 
     def rank(self, student: int, t_query: float,
              top_k: int | None = None) -> RankedRecommendation:
         params, store, flags = self.params, self.store, self.flags
-        context = _student_context(store, student, t_query, self.course, self.week_matrix)
+        context = _student_context(store, student, t_query, self.course, self.week_topics)
         q, u_vec = _predict_from_store(store, student, *context, params, flags)[:2]
         p_hat = store.thread_vecs[self.ids]
         if not flags.no_thread_projection:
@@ -159,7 +158,7 @@ class _Scorer:
 
 
 def build_model_ranker(params: ModelParams, store: DynamicStateStore,
-                       week_topics: Sequence[TopicDistribution], train: Dataset,
+                       week_topics: np.ndarray, train: Dataset,
                        t_query: float, flags: AblationFlags = AblationFlags(),
                        top_k: int | None = None) -> Callable[[int], RankedRecommendation]:
     """Ranking function over training-active threads for any student at a
@@ -176,7 +175,7 @@ def build_model_ranker(params: ModelParams, store: DynamicStateStore,
 
 
 def evaluate_per_event(params: ModelParams, store: DynamicStateStore,
-                       week_topics: Sequence[TopicDistribution], train: Dataset,
+                       week_topics: np.ndarray, train: Dataset,
                        test_events, n_cutoff: int = 5,
                        flags: AblationFlags = AblationFlags()) -> EvalReport:
     """Re-ranking variant of the protocol: every test event is scored by a

@@ -124,27 +124,12 @@ def term_frequency(tokens: Sequence[str], vocab: Vocabulary) -> dict[int, int]:
     return tf
 
 
-def _check_simplex(probs: np.ndarray) -> None:
-    """Raise unless every vector along the last axis is on the simplex."""
+def _check_simplex(probs: np.ndarray, what: str = "topic probabilities") -> None:
+    """Raise a ValueError naming what unless every last-axis vector is on the simplex."""
     if np.any(probs < 0):
-        raise ValueError("topic probabilities must be nonnegative")
+        raise ValueError("%s must be nonnegative" % what)
     if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
-        raise ValueError("topic probabilities must sum to 1")
-
-
-@dataclass
-class TopicDistribution:
-    """A point on the topic simplex."""
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1:
-            raise ValueError("topic distribution must be a vector")
-        _check_simplex(self.probs)
-
-    def __len__(self):
-        return len(self.probs)
+        raise ValueError("%s must sum to 1" % what)
 
 
 @dataclass
@@ -400,9 +385,9 @@ def lda_infer(
     doc: Mapping[int, int],
     iters: int = 50,
     burn_in: int = 25,
-) -> TopicDistribution:
-    """Fold-in Gibbs inference for one document: lda_infer_batch of one."""
-    return TopicDistribution(lda_infer_batch(model, [doc], iters=iters, burn_in=burn_in)[0])
+) -> np.ndarray:
+    """Fold-in Gibbs inference for one document: lda_infer_batch's row."""
+    return lda_infer_batch(model, [doc], iters=iters, burn_in=burn_in)[0]
 
 
 def lda_infer_batch(
@@ -507,16 +492,15 @@ def course_topics(
     vocab: Vocabulary,
     iters: int = 50,
     burn_in: int = 25,
-) -> list[TopicDistribution]:
-    """Topic profile of each course week, inferred from its syllabus text."""
+) -> np.ndarray:
+    """(weeks, topics) topic profiles of the course weeks, from their syllabus text."""
     docs = []
     for week, tokens in enumerate(schedule.week_docs):
         tf = term_frequency(tokens, vocab)
         if not tf:
             raise ValueError("course week %d has no modelable text" % week)
         docs.append(tf)
-    return [TopicDistribution(row)
-            for row in lda_infer_batch(model, docs, iters=iters, burn_in=burn_in)]
+    return lda_infer_batch(model, docs, iters=iters, burn_in=burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +570,21 @@ def load_lda(path) -> LdaModel:
     return LdaModel(K, topic_word, float(meta["alpha"]), float(meta["beta"]), int(meta["seed"]))
 
 
-def save_topic_distributions(thetas: Sequence[TopicDistribution], path) -> None:
+def save_topic_distributions(thetas: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         for theta in thetas:
-            fh.write(" ".join(repr(float(v)) for v in theta.probs))
+            fh.write(" ".join(repr(float(v)) for v in theta))
             fh.write("\n")
 
 
-def load_topic_distributions(path) -> list[TopicDistribution]:
-    out = []
+def load_topic_distributions(path) -> np.ndarray:
+    """The (rows, topics) array save_topic_distributions wrote. The file is
+    outside input: ragged rows or rows off the simplex raise a ValueError."""
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                out.append(TopicDistribution(np.array([float(v) for v in line.split()])))
-    return out
+        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise ValueError("topic vectors in %s have different lengths %s" % (path, sorted(widths)))
+    thetas = np.array(rows, dtype=np.float64).reshape(len(rows), max(widths, default=0))
+    _check_simplex(thetas, "topic vectors in %s" % path)
+    return thetas

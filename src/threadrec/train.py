@@ -108,21 +108,21 @@ ABLATION_VARIANTS = ("full",) + AblationFlags.NAMES
 # t-batching
 
 
-def t_batch(events) -> list[list[int]]:
-    """Partition time-ordered events into batches of indices. An event goes
-    one batch after the latest previous batch containing its student or its
-    thread, so within a batch every student and thread appears at most
-    once."""
+def t_batch(students, threads) -> list[list[int]]:
+    """Partition time-ordered events, given as their students and threads,
+    into batches of indices. An event goes one batch after the latest
+    previous batch containing its student or its thread, so within a batch
+    every student and thread appears at most once."""
     last_student: dict[int, int] = {}
     last_thread: dict[int, int] = {}
     batches: list[list[int]] = []
-    for i, ev in enumerate(events):
-        b = 1 + max(last_student.get(ev.student_id, -1), last_thread.get(ev.thread_id, -1))
+    for i, (s, c) in enumerate(zip(students, threads)):
+        b = 1 + max(last_student.get(s, -1), last_thread.get(c, -1))
         if b == len(batches):
             batches.append([])
         batches[b].append(i)
-        last_student[ev.student_id] = b
-        last_thread[ev.thread_id] = b
+        last_student[s] = b
+        last_thread[c] = b
     return batches
 
 
@@ -140,30 +140,45 @@ def mean_event_gap(events) -> float:
     return mean if mean > 0 else 1.0
 
 
-def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
-                           config: TrainConfig) -> tuple[EventFeatures, DynamicStateStore]:
+FEATURE_SETTINGS = ("post_decay", "reply_decay", "topic_infer_iters")
+
+
+@dataclass
+class PreparedFeatures:
+    """A training window as fit reads it: one record per event, the trackers
+    after the last post without embeddings, the (weeks, topics) course week
+    topics and the FEATURE_SETTINGS of the TrainConfig they were built with."""
+    events: EventFeatures
+    trackers: DynamicStateStore
+    week_topics: np.ndarray
+    post_decay: float
+    reply_decay: float
+    topic_infer_iters: int
+
+
+def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
+                           week_topics: np.ndarray, config: TrainConfig) -> PreparedFeatures:
     """Topic-infer every post in one lda_infer_batch call and replay the
     window once through the trackers of a state store whose time scale is
     the training mean event gap. Before a post advances them, its record
-    reads from them the student's context, as ranking does, and the
-    thread's elapsed time.
-    Returns (features, trackers), the trackers after the last post without
-    embeddings; neither depends on the embedding size, seed or flags."""
+    reads from them the student's context, as ranking does, and the thread's
+    elapsed time. week_topics holds a row of the model's topics per week."""
     if not train.events:
         raise EmptyDatasetError("cannot fit on an empty training window")
-    if len(week_topics) != train.course.num_weeks:
-        raise ValueError("week topic count does not match the schedule")
+    shape = (train.course.num_weeks, lda.num_topics)
+    if np.shape(week_topics) != shape:
+        raise ValueError("course topics have shape %s, not (weeks, topics) = %s"
+                         % (np.shape(week_topics), shape))
     trackers = DynamicStateStore(train.num_students, train.num_threads, 0, lda.num_topics,
                                  mean_event_gap(train.events))
     index = ThreadEventIndex(train)
-    week_matrix = np.array([w.probs for w in week_topics])
     iters = config.topic_infer_iters
     thetas = lda_infer_batch(lda, [term_frequency(ev.tokens, vocab) for ev in train.events],
                              iters=iters, burn_in=iters // 2)
     rows = []
     for ev, theta in zip(train.events, thetas):
         s, c, t = ev.student_id, ev.thread_id, ev.timestamp
-        delta, week, last_thread = _student_context(trackers, s, t, train.course, week_matrix)
+        delta, week, last_thread = _student_context(trackers, s, t, train.course, week_topics)
         exc = excitation(index.history(s, c, t), t, config.post_decay, config.reply_decay,
                          trackers.time_scale)
         rows.append((s, c, last_thread, theta, delta,
@@ -171,7 +186,8 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary, wee
                      week, exc, t, ev.post_id))
         trackers.advance(s, c, t, theta)
     # one array per field, in EventFeatures field order
-    return EventFeatures(*map(np.array, zip(*rows))), trackers
+    return PreparedFeatures(EventFeatures(*map(np.array, zip(*rows))), trackers, week_topics,
+                            **{name: getattr(config, name) for name in FEATURE_SETTINGS})
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +361,9 @@ def clip_gradients(grads: dict, max_norm: float,
 # fitting
 
 
-def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
-        config: TrainConfig, log_path=None, trajectory_sink: list | None = None,
-        features: tuple[EventFeatures, DynamicStateStore] | None = None):
-    """Train the model on a time-ordered event list.
+def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
+        trajectory_sink: list | None = None):
+    """Train the model on the prepared features of a training window.
 
     Returns (params, store) where store holds the dynamic states after the
     final epoch, ready for ranking at later times. If log_path is given, a
@@ -357,28 +372,29 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
     largest pre-clip gradient norm of the epoch's batches, how many of them
     were clipped, the part of the epoch's seconds spent clipping and in
     Adam steps, and the mean number of predictor rows those steps walked.
-    One gradient set serves the whole fit: each t-batch adds into it, names
-    the predictor rows it reached to the optimizer, and the Adam step
-    consumes it, leaving it zero. If trajectory_sink
-    is a list, rows (kind, entity, timestamp, *embedding) are appended for
-    every state write of the final epoch. `features` lets sweeps over seeds,
-    ablations, embedding sizes or optimizer settings reuse one
-    prepare_event_features result, which is valid as long as the decay and
-    topic-inference settings match. The returned store starts from a copy
-    of its trackers, and fit never writes into the features.
+    If trajectory_sink is a list, rows (kind, entity, timestamp, *embedding)
+    are appended for every state write of the final epoch. Sweeps over
+    seeds, flags, embedding sizes or optimizer settings can share one
+    features object; a config whose FEATURE_SETTINGS differ from theirs
+    raises a ValueError naming the field. The returned store starts from a
+    copy of their trackers, and fit never writes into the features.
     """
+    for name in FEATURE_SETTINGS:
+        if getattr(config, name) != getattr(features, name):
+            raise ValueError("the features were prepared with %s=%r, the config has %r"
+                             % (name, getattr(features, name), getattr(config, name)))
+    feats, trackers = features.events, features.trackers
+    num_students, num_threads = len(trackers.student_last_t), len(trackers.thread_last_t)
+    num_weeks, num_topics = features.week_topics.shape
     rng = np.random.default_rng(config.seed)
     params = ModelParams.init(
-        rng, config.embed_dim, lda.num_topics, train.course.num_weeks,
-        train.num_students, train.num_threads,
+        rng, config.embed_dim, num_topics, num_weeks, num_students, num_threads,
         init_std=config.init_std, post_decay=config.post_decay,
         reply_decay=config.reply_decay, lambda_student=config.lambda_student,
         lambda_thread=config.lambda_thread, activation=config.activation,
     )
-    if features is None:
-        features = prepare_event_features(train, lda, vocab, week_topics, config)
-    feats, trackers = features
-    batches = [feats.take(batch) for batch in t_batch(train.events)]
+    batches = [feats.take(batch)
+               for batch in t_batch(feats.student.tolist(), feats.thread.tolist())]
     reached = [predictor_rows(batch, params) for batch in batches]
     flags = config.flags
     opt = Adam(params, config.learning_rate)
@@ -390,8 +406,8 @@ def fit(train: Dataset, lda: LdaModel, vocab: Vocabulary, week_topics,
     store = copy.deepcopy(trackers)
     for epoch in range(config.epochs):
         start = time.perf_counter()
-        store.student_vecs = np.zeros((train.num_students, config.embed_dim))
-        store.thread_vecs = np.zeros((train.num_threads, config.embed_dim))
+        store.student_vecs = np.zeros((num_students, config.embed_dim))
+        store.thread_vecs = np.zeros((num_threads, config.embed_dim))
         collect = trajectory_sink is not None and epoch == config.epochs - 1
         epoch_loss, grad_norm_max, clipped, optimizer_seconds = 0.0, 0.0, 0, 0.0
         stepped_rows = 0

@@ -3,6 +3,7 @@ import pytest
 
 from threadrec.corpus import CourseSchedule, Dataset, PostEvent
 from threadrec.model import DynamicStateStore, EventFeatures, ModelParams
+from threadrec.train import t_batch
 
 WEEK = 604800.0
 
@@ -39,12 +40,17 @@ def small_params():
                             num_students=3, num_threads=4)
 
 
+def event_batches(events):
+    """train.t_batch over PostEvents."""
+    return t_batch([ev.student_id for ev in events], [ev.thread_id for ev in events])
+
+
 def nearest_week_loop(probs, week_topics):
     """Reference week assignment, one np.linalg.norm per week: the index of
-    the week topics nearest to probs, the smallest on ties."""
+    the row of week_topics nearest to probs, the smallest on ties."""
     best, best_dist = 0, None
     for i, wk in enumerate(week_topics):
-        dist = float(np.linalg.norm(probs - wk.probs))
+        dist = float(np.linalg.norm(probs - wk))
         if best_dist is None or dist < best_dist:
             best, best_dist = i, dist
     return best

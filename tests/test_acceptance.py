@@ -117,8 +117,10 @@ def test_5_t_batch_invariants(capsys):
     events = [PostEvent(i, int(rng.integers(600)), int(rng.integers(400)),
                         float(times[i]), "zqaaa", None)
               for i in range(10_000)]
+    students = [ev.student_id for ev in events]
+    threads = [ev.thread_id for ev in events]
     start = time.perf_counter()
-    batches = train.t_batch(events)
+    batches = train.t_batch(students, threads)
     elapsed = time.perf_counter() - start
 
     no_repeats = all(
@@ -191,7 +193,7 @@ def course_run():
         per_seed = []
         for seed in (0, 1, 2):
             cfg = train.ablation_variant(dataclasses.replace(base, seed=seed), variant)
-            params, store = train.fit(train_ds, lda, vocab, weeks, cfg, features=feats)
+            params, store = train.fit(feats, cfg)
             ranker = recommend.build_model_ranker(params, store, weeks, train_ds,
                                                   horizon, flags=cfg.flags)
             per_seed.append(recommend.evaluate(ranker, test_ds).map_at_n)

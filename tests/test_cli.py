@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from threadrec import cli, corpus
 from threadrec.cli import (UsageError, main, parse_duration, read_config_file,
                            verify_manifest)
 from threadrec.synth import SynthConfig
-from threadrec.train import TrainConfig, prepare_event_features
+from threadrec.train import TrainConfig
 
 
 def sha(path):
@@ -144,9 +145,8 @@ def test_train_outputs(pipeline):
     coverage = manifest["features"]
     ds = cli._load_dataset(pipeline["data"])
     window = corpus.events_before(ds, parse_duration("2w"))
-    lda, vocab, week_topics = cli._load_text_artifacts(pipeline["lda"])
-    events, _ = prepare_event_features(window, lda, vocab, week_topics,
-                                       TrainConfig(**manifest["config"]))
+    events = cli._prepare_features(pipeline["lda"], window,
+                                   TrainConfig(**manifest["config"])).events
     assert coverage["events"] == len(events) == len(window.events)
     share = coverage["excitation_nonzero_share"]
     assert 0.0 <= share <= 1.0
@@ -407,6 +407,17 @@ def test_runtime_errors_exit_one(pipeline, tmp_path, capsys):
     assert main(["eval", "--data", str(pipeline["data"]),
                  "--out", str(tmp_path / "e"), "--baseline", "pop",
                  "--train-end", "0.001", "--test-end", "3w"]) == 1
+    # course topics one column wide are on the simplex but not the topic
+    # model's width: training refuses them and writes no checkpoint
+    lda = tmp_path / "lda-narrow"
+    shutil.copytree(pipeline["lda"], lda)
+    weeks = len((lda / "course_topics.csv").read_text().splitlines())
+    (lda / "course_topics.csv").write_text("1.0\n" * weeks)
+    out = tmp_path / "narrow"
+    assert main(["train", "--data", str(pipeline["data"]), "--lda", str(lda),
+                 "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1
+    assert "course topics" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
     capsys.readouterr()
 
 

@@ -8,8 +8,6 @@ from threadrec import model
 from threadrec.corpus import ReplyHistory
 from threadrec.model import (AblationFlags, DynamicStateStore, EventFeatures,
                              ModelParams, TENSOR_NAMES)
-from threadrec.text import TopicDistribution
-
 from conftest import nearest_week_loop, random_batch
 
 
@@ -22,7 +20,7 @@ def zero_params(d=2, k=2, weeks=2, m=3, n=3, activation="sigmoid"):
 
 
 def theta(*probs):
-    return TopicDistribution(np.array(probs, dtype=np.float64))
+    return np.array(probs, dtype=np.float64)
 
 
 # update operation
@@ -33,7 +31,7 @@ def update(u_vec, p_vec, theta, delta_student, delta_thread, params):
     of one post."""
     u_new, p_new, _, _ = model._update_kernel(
         np.asarray(u_vec, dtype=np.float64)[None], np.asarray(p_vec, dtype=np.float64)[None],
-        theta.probs[None], np.array([delta_student]), np.array([delta_thread]), params)
+        theta[None], np.array([delta_student]), np.array([delta_thread]), params)
     return u_new[0], p_new[0]
 
 
@@ -117,7 +115,7 @@ def test_update_validates_inputs():
     with pytest.raises(ValueError):
         update(good, good, theta(1.0, 0.0), -1.0, 1.0, params)
     with pytest.raises(ValueError):
-        update(good, good, TopicDistribution(np.array([1.0])), 1.0, 1.0, params)
+        update(good, good, theta(1.0), 1.0, 1.0, params)
 
 
 # student projection
@@ -222,8 +220,8 @@ def test_assign_course_topic_matches_norm_loop_with_exact_ties():
         k = int(rng.integers(2, 6))
         weeks = [theta(*row) for row in rng.dirichlet(np.ones(k), 4)]
         weeks += weeks[::-1]  # every week twice: exact ties
-        matrix = np.array([w.probs for w in weeks])
-        for probs in list(rng.dirichlet(np.ones(k), 5)) + [w.probs for w in weeks[:2]]:
+        matrix = np.array(weeks)
+        for probs in list(rng.dirichlet(np.ones(k), 5)) + weeks[:2]:
             assert model.assign_course_topic(probs, matrix) == nearest_week_loop(probs, weeks)
 
 
@@ -433,7 +431,7 @@ def test_checkpoint_roundtrip(tmp_path, small_params):
     store.student_last_t[1] = 42.0
     store.student_last_theta[1] = [0.25, 0.75]
     store.student_last_thread[1] = 2
-    weeks = [TopicDistribution(np.array([0.5, 0.5])), TopicDistribution(np.array([1.0, 0.0]))]
+    weeks = np.array([[0.5, 0.5], [1.0, 0.0]])
     path = tmp_path / "ck.bin"
     meta = {"config": {"epochs": 3}, "note": "roundtrip"}
     model.save_checkpoint(path, small_params, store, weeks, meta)
@@ -448,13 +446,13 @@ def test_checkpoint_roundtrip(tmp_path, small_params):
     assert store2.student_last_thread[1] == 2
     assert store2.time_scale == 7.5
     assert len(weeks2) == 2
-    assert np.array_equal(weeks2[1].probs, weeks[1].probs)
+    assert np.array_equal(weeks2[1], weeks[1])
     assert meta2 == meta
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path, small_params):
     store = DynamicStateStore(3, 4, 3, 2)
-    weeks = [TopicDistribution(np.array([0.5, 0.5]))] * 2
+    weeks = np.full((2, 2), 0.5)
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     model.save_checkpoint(a, small_params, store, weeks, {"k": 1})
     model.save_checkpoint(b, small_params, store, weeks, {"k": 1})
@@ -467,7 +465,7 @@ def saved_checkpoint(tmp_path, num_week_topics=2, time_scale=1.0, last_thread=2)
     store = DynamicStateStore(params.num_students, params.num_threads, params.embed_dim,
                               params.num_topics, time_scale=time_scale)
     store.student_last_thread[1] = last_thread
-    weeks = [TopicDistribution(np.array([0.5, 0.5]))] * num_week_topics
+    weeks = np.full((num_week_topics, 2), 0.5)
     path = tmp_path / "ck.bin"
     model.save_checkpoint(path, params, store, weeks, {})
     return path
@@ -519,6 +517,16 @@ def test_checkpoint_rejects_bad_time_scale_and_week_topics(tmp_path):
         model.load_checkpoint(saved_checkpoint(tmp_path, time_scale=-1.0))
     with pytest.raises(ValueError, match="week_topics"):
         model.load_checkpoint(saved_checkpoint(tmp_path, num_week_topics=3))
+
+
+@pytest.mark.parametrize("row", [[-0.1, 1.1], [0.5, 0.8]])
+def test_checkpoint_rejects_week_topics_off_the_simplex(tmp_path, row):
+    # week_topics is the last array of the payload: 2 weeks of 2 topics
+    path = saved_checkpoint(tmp_path)
+    weeks = np.array([[0.5, 0.5], row], dtype="<f8")
+    path.write_bytes(path.read_bytes()[:-weeks.nbytes] + weeks.tobytes())
+    with pytest.raises(ValueError, match="week_topics"):
+        model.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncated_and_trailing_payloads(tmp_path):

@@ -10,8 +10,7 @@ from threadrec.model import (AblationFlags, DynamicStateStore, ModelParams,
 from threadrec.recommend import (EvaluationError, _rank_by_distance,
                                  average_precision, baseline_pop, baseline_rec,
                                  baseline_user_rec, build_model_ranker, evaluate)
-from threadrec.text import (TopicDistribution, build_vocabulary, lda_fit,
-                            lda_infer, term_frequency)
+from threadrec.text import build_vocabulary, lda_fit, lda_infer, term_frequency
 from threadrec.train import TrainConfig
 
 from conftest import WEEK, make_event, nearest_week_loop
@@ -129,8 +128,7 @@ def scored(course2):
         store.student_last_t[ev.student_id] = ev.timestamp
         store.student_last_thread[ev.student_id] = ev.thread_id
         store.student_last_theta[ev.student_id] = rng.dirichlet([1.0, 1.0])
-    week_topics = [TopicDistribution(np.array([0.8, 0.2])),
-                   TopicDistribution(np.array([0.3, 0.7]))]
+    week_topics = np.array([[0.8, 0.2], [0.3, 0.7]])
     assert store.student_last_thread[3] == -1
     return params, store, week_topics, train_ds, test_ds
 
@@ -277,10 +275,11 @@ def _trained(tiny_ds):
     vocab = build_vocabulary(docs, min_count=1)
     tf_docs = [term_frequency(doc, vocab) for doc in docs]
     lda = lda_fit(tf_docs, 2, iters=20, seed=0, vocab_size=len(vocab))
-    week_topics = [lda_infer(lda, term_frequency(doc, vocab))
-                   for doc in tiny_ds.course.week_docs]
+    week_topics = np.array([lda_infer(lda, term_frequency(doc, vocab))
+                            for doc in tiny_ds.course.week_docs])
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
-    params, store = train.fit(tiny_ds, lda, vocab, week_topics, cfg)
+    features = train.prepare_event_features(tiny_ds, lda, vocab, week_topics, cfg)
+    params, store = train.fit(features, cfg)
     return params, store, week_topics
 
 
@@ -312,10 +311,11 @@ def test_model_ranker_full_evaluation_path(tiny_ds):
     vocab = build_vocabulary(docs, min_count=1)
     tf_docs = [term_frequency(doc, vocab) for doc in docs]
     lda = lda_fit(tf_docs, 2, iters=20, seed=0, vocab_size=len(vocab))
-    week_topics = [lda_infer(lda, term_frequency(doc, vocab))
-                   for doc in train_ds.course.week_docs]
+    week_topics = np.array([lda_infer(lda, term_frequency(doc, vocab))
+                            for doc in train_ds.course.week_docs])
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
-    params, store = train.fit(train_ds, lda, vocab, week_topics, cfg)
+    features = train.prepare_event_features(train_ds, lda, vocab, week_topics, cfg)
+    params, store = train.fit(features, cfg)
     rank_fn = build_model_ranker(params, store, week_topics, train_ds, WEEK)
     report = evaluate(rank_fn, test_ds, n_cutoff=5)
     assert 0.0 <= report.map_at_n <= 1.0
@@ -331,10 +331,11 @@ def test_per_event_evaluation(tiny_ds):
     vocab = build_vocabulary(docs, min_count=1)
     tf_docs = [term_frequency(doc, vocab) for doc in docs]
     lda = lda_fit(tf_docs, 2, iters=20, seed=0, vocab_size=len(vocab))
-    week_topics = [lda_infer(lda, term_frequency(doc, vocab))
-                   for doc in train_ds.course.week_docs]
+    week_topics = np.array([lda_infer(lda, term_frequency(doc, vocab))
+                            for doc in train_ds.course.week_docs])
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
-    params, store = train.fit(train_ds, lda, vocab, week_topics, cfg)
+    features = train.prepare_event_features(train_ds, lda, vocab, week_topics, cfg)
+    params, store = train.fit(features, cfg)
     report = recommend.evaluate_per_event(params, store, week_topics,
                                           train_ds, test_ds, n_cutoff=5)
     assert report.method == "model-per-event"

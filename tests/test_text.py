@@ -89,12 +89,16 @@ def test_term_frequency_skips_unknown_words():
     assert tf == {vocab.word_to_index["a"]: 2, vocab.word_to_index["b"]: 1}
 
 
-def test_topic_distribution_validation():
-    text.TopicDistribution(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        text.TopicDistribution(np.array([0.9, 0.3]))
-    with pytest.raises(ValueError):
-        text.TopicDistribution(np.array([-0.1, 1.1]))
+def test_topic_distribution_validation(tmp_path):
+    # course topics are outside input: rows off the simplex or of unequal
+    # length are refused on load
+    path = tmp_path / "topics.csv"
+    path.write_text("0.5 0.5\n")
+    assert text.load_topic_distributions(path).tolist() == [[0.5, 0.5]]
+    for bad in ("0.9 0.3", "-0.1 1.1", "0.5 0.5 0.0\n1.0"):
+        path.write_text("0.5 0.5\n" + bad + "\n")
+        with pytest.raises(ValueError):
+            text.load_topic_distributions(path)
 
 
 def _two_topic_corpus(rng, docs_per_topic=40, vocab_size=20, doc_len=30):
@@ -164,7 +168,7 @@ def test_lda_default_doc_topic_prior():
 def test_lda_infer_empty_doc_is_uniform():
     model = text.lda_fit([{0: 2, 1: 2}], 2, iters=5, vocab_size=2)
     theta = text.lda_infer(model, {})
-    assert np.allclose(theta.probs, [0.5, 0.5])
+    assert np.allclose(theta, [0.5, 0.5])
 
 
 def test_lda_infer_is_deterministic_and_simplex():
@@ -173,9 +177,9 @@ def test_lda_infer_is_deterministic_and_simplex():
     model = text.lda_fit(docs, 2, iters=30, seed=2, vocab_size=2 * half)
     a = text.lda_infer(model, docs[0])
     b = text.lda_infer(model, docs[0])
-    assert np.array_equal(a.probs, b.probs)
-    assert a.probs.min() > 0
-    assert abs(a.probs.sum() - 1.0) < 1e-9
+    assert np.array_equal(a, b)
+    assert a.min() > 0
+    assert abs(a.sum() - 1.0) < 1e-9
 
 
 def test_lda_infer_finds_planted_topic():
@@ -187,8 +191,8 @@ def test_lda_infer_finds_planted_topic():
     theta = text.lda_infer(model, docs[0])  # a low-half document
     # the strong default doc-topic prior (50/K) caps a 30-token doc at
     # (30 + 25) / (30 + 50), so anything near that is a perfect assignment
-    assert int(np.argmax(theta.probs)) == lo
-    assert theta.probs[lo] > 0.6
+    assert int(np.argmax(theta)) == lo
+    assert theta[lo] > 0.6
 
 
 def test_course_topics_errors_on_unmodelable_week():
@@ -235,13 +239,13 @@ def test_load_lda_rejects_header_without_a_scalar(tmp_path, key):
 
 def test_topic_distribution_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(6)
-    thetas = [text.TopicDistribution(rng.dirichlet(np.ones(4))) for _ in range(3)]
+    thetas = rng.dirichlet(np.ones(4), 3)
     path = tmp_path / "topics.csv"
     text.save_topic_distributions(thetas, path)
     loaded = text.load_topic_distributions(path)
-    assert len(loaded) == 3
+    assert loaded.shape == (3, 4) and loaded.dtype == np.float64
     for a, b in zip(loaded, thetas):
-        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a, b)
 
 
 # Frozen oracles of the collapsed Gibbs sampler, recorded from the numpy
@@ -349,7 +353,7 @@ def test_lda_infer_frozen_oracle(k, iters, expect):
     docs, vocab_size = _oracle_corpus()
     model = text.lda_fit(docs, k, iters=30, seed=7, vocab_size=vocab_size)
     theta = text.lda_infer(model, docs[0], iters=iters, burn_in=iters // 2)
-    assert theta.probs.tolist() == expect
+    assert theta.tolist() == expect
 
 
 def _loop_lda_infer(model, doc, iters, burn_in):
@@ -409,7 +413,7 @@ def test_lda_infer_batch_matches_per_document_loop(k, iters, burn_in):
         assert np.array_equal(row, _loop_lda_infer(model, doc, iters, burn_in))
     # lda_infer is the batch of one
     single = text.lda_infer(model, batch[9], iters=iters, burn_in=burn_in)
-    assert np.array_equal(single.probs, got[9])
+    assert np.array_equal(single, got[9])
     assert text.lda_infer_batch(model, [], iters=iters, burn_in=burn_in).shape == (0, k)
 
 

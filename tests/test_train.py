@@ -16,22 +16,20 @@ from threadrec.text import (build_vocabulary, course_topics, lda_fit, lda_infer,
 from threadrec.train import (Adam, TrainConfig, TrainingDiverged, clip_gradients,
                              gradient_check, mean_event_gap, t_batch)
 
-from conftest import WEEK, make_event, nearest_week_loop, random_batch
+from conftest import WEEK, event_batches, make_event, nearest_week_loop, random_batch
 
 
 # t-batching
 
 
 def test_t_batch_oracle():
-    events = [make_event(0, 0, 0, 1.0), make_event(1, 0, 1, 2.0),
-              make_event(2, 1, 0, 3.0)]
-    assert t_batch(events) == [[0], [1, 2]]
+    # events as (student, thread): (0, 0), (0, 1), (1, 0)
+    assert t_batch([0, 0, 1], [0, 1, 0]) == [[0], [1, 2]]
 
 
 def test_t_batch_chain():
     # same student repeatedly: every event lands in its own batch
-    events = [make_event(i, 0, i, float(i)) for i in range(4)]
-    assert t_batch(events) == [[0], [1], [2], [3]]
+    assert t_batch([0] * 4, range(4)) == [[0], [1], [2], [3]]
 
 
 def test_t_batch_invariants_random():
@@ -40,7 +38,7 @@ def test_t_batch_invariants_random():
     for i in range(400):
         events.append(make_event(i, int(rng.integers(20)), int(rng.integers(30)),
                                  float(i)))
-    batches = t_batch(events)
+    batches = event_batches(events)
     last_batch_student = {}
     last_batch_thread = {}
     seen = []
@@ -308,16 +306,24 @@ def _small_pipeline(ds):
     vocab = build_vocabulary(docs, min_count=1)
     tf_docs = [term_frequency(doc, vocab) for doc in docs]
     lda = lda_fit(tf_docs, 2, iters=30, seed=0, vocab_size=len(vocab))
-    week_topics = [lda_infer(lda, term_frequency(doc, vocab))
-                   for doc in ds.course.week_docs]
+    week_topics = np.array([lda_infer(lda, term_frequency(doc, vocab))
+                            for doc in ds.course.week_docs])
     return lda, vocab, week_topics
+
+
+def _prepared(ds, cfg):
+    """The features of ds under _small_pipeline's topic model, for cfg."""
+    return train.prepare_event_features(ds, *_small_pipeline(ds), cfg)
 
 
 def test_prepare_event_features(tiny_ds):
     lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=1, topic_infer_iters=10)
-    feats, trackers = train.prepare_event_features(tiny_ds, lda, vocab,
-                                                   week_topics, cfg)
+    prepared = train.prepare_event_features(tiny_ds, lda, vocab, week_topics, cfg)
+    feats, trackers = prepared.events, prepared.trackers
+    assert prepared.week_topics is week_topics
+    assert (prepared.post_decay, prepared.reply_decay, prepared.topic_infer_iters) == (
+        cfg.post_decay, cfg.reply_decay, cfg.topic_infer_iters)
     time_scale = trackers.time_scale
     assert time_scale == mean_event_gap(tiny_ds.events)
     assert len(feats) == len(tiny_ds.events)
@@ -357,12 +363,12 @@ def reference_features(ds, lda, vocab, week_topics, config):
         if prev_theta is None:
             week = ds.course.week_of(ev.timestamp)
         else:
-            week = nearest_week_loop(prev_theta.probs, week_topics)
+            week = nearest_week_loop(prev_theta, week_topics)
         hist = index.history(ev.student_id, ev.thread_id, ev.timestamp)
         exc = excitation(hist, ev.timestamp, config.post_decay, config.reply_decay,
                          time_scale)
         rows.append((ev.student_id, ev.thread_id, last_thread.get(ev.student_id, -1),
-                     theta.probs,
+                     theta,
                      (ev.timestamp - last_t_student.get(ev.student_id, 0.0)) / time_scale,
                      (ev.timestamp - last_t_thread.get(ev.thread_id, 0.0)) / time_scale,
                      week, exc, ev.timestamp, ev.post_id))
@@ -378,7 +384,7 @@ def reference_trackers(ds, feats, time_scale, num_topics, epochs):
     store made fresh for each epoch."""
     for _ in range(epochs):
         store = DynamicStateStore(ds.num_students, ds.num_threads, 1, num_topics, time_scale)
-        for batch in t_batch(ds.events):
+        for batch in event_batches(ds.events):
             for i in batch:
                 s, c = feats.student[i], feats.thread[i]
                 store.student_last_t[s] = feats.timestamp[i]
@@ -432,12 +438,11 @@ def test_replay_weeks_match_norm_loop_on_acceptance_course():
     lda = lda_fit([term_frequency(doc, vocab) for doc in docs], 9, iters=10, seed=1,
                   vocab_size=len(vocab))
     week_topics = course_topics(ds.course, lda, vocab)
-    feats, _ = train.prepare_event_features(ds, lda, vocab, week_topics,
-                                            TrainConfig(topic_infer_iters=4))
-    week_matrix = np.array([w.probs for w in week_topics])
+    feats = train.prepare_event_features(ds, lda, vocab, week_topics,
+                                         TrainConfig(topic_infer_iters=4)).events
     weeks = set()
     for probs in np.unique(feats.theta, axis=0):
-        week = assign_course_topic(probs, week_matrix)
+        week = assign_course_topic(probs, week_topics)
         assert week == nearest_week_loop(probs, week_topics)
         weeks.add(week)
     assert len(weeks) > 1
@@ -453,7 +458,8 @@ def test_features_match_dict_replay(name, request):
     ds = request.getfixturevalue(name)
     lda, vocab, week_topics = _small_pipeline(ds)
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=10)
-    feats, trackers = train.prepare_event_features(ds, lda, vocab, week_topics, cfg)
+    prepared = train.prepare_event_features(ds, lda, vocab, week_topics, cfg)
+    feats, trackers = prepared.events, prepared.trackers
     ref_feats, time_scale = reference_features(ds, lda, vocab, week_topics, cfg)
     assert_same_features(feats, ref_feats)
     assert np.any(feats.last_thread[1:] == -1)
@@ -465,7 +471,7 @@ def test_features_match_dict_replay(name, request):
     for flags in [AblationFlags()] + [AblationFlags.from_names([n])
                                       for n in AblationFlags.NAMES]:
         run = replace(cfg, **{n: True for n in flags.active()})
-        _, store = train.fit(ds, lda, vocab, week_topics, run, features=(feats, trackers))
+        _, store = train.fit(prepared, run)
         assert_same_trackers(store, reference_trackers(ds, ref_feats, time_scale,
                                                        lda.num_topics, run.epochs))
     # six fits later the shared features are as they were prepared
@@ -475,12 +481,12 @@ def test_features_match_dict_replay(name, request):
 
 
 def test_fit_ignores_learning_when_rate_is_tiny(tiny_ds):
-    lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=2, embed_dim=3, learning_rate=1e-16,
                       topic_infer_iters=5, seed=1)
-    params, store = train.fit(tiny_ds, lda, vocab, week_topics, cfg)
+    features = _prepared(tiny_ds, cfg)
+    params, store = train.fit(features, cfg)
     rng = np.random.default_rng(cfg.seed)
-    init = ModelParams.init(rng, 3, lda.num_topics, tiny_ds.course.num_weeks,
+    init = ModelParams.init(rng, 3, features.week_topics.shape[1], tiny_ds.course.num_weeks,
                             tiny_ds.num_students, tiny_ds.num_threads,
                             init_std=cfg.init_std)
     for name in TENSOR_NAMES:
@@ -488,10 +494,9 @@ def test_fit_ignores_learning_when_rate_is_tiny(tiny_ds):
 
 
 def test_fit_is_deterministic(tiny_ds):
-    lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=4)
-    a_params, a_store = train.fit(tiny_ds, lda, vocab, week_topics, cfg)
-    b_params, b_store = train.fit(tiny_ds, lda, vocab, week_topics, cfg)
+    a_params, a_store = train.fit(_prepared(tiny_ds, cfg), cfg)
+    b_params, b_store = train.fit(_prepared(tiny_ds, cfg), cfg)
     for name in TENSOR_NAMES:
         assert np.array_equal(a_params.tensor(name), b_params.tensor(name))
     assert np.array_equal(a_store.student_vecs, b_store.student_vecs)
@@ -505,8 +510,9 @@ def test_fit_accepts_precomputed_features(tiny_ds):
     # features prepared for one embedding size serve any other
     for embed_dim in (3, 4):
         run = replace(cfg, embed_dim=embed_dim)
-        a_params, a_store = train.fit(tiny_ds, lda, vocab, week_topics, run)
-        b_params, b_store = train.fit(tiny_ds, lda, vocab, week_topics, run, features=feats)
+        own = train.prepare_event_features(tiny_ds, lda, vocab, week_topics, run)
+        a_params, a_store = train.fit(own, run)
+        b_params, b_store = train.fit(feats, run)
         for name in TENSOR_NAMES:
             assert np.array_equal(a_params.tensor(name), b_params.tensor(name))
         assert b_store.student_vecs.shape == (3, embed_dim)
@@ -515,9 +521,8 @@ def test_fit_accepts_precomputed_features(tiny_ds):
 
 
 def test_fit_training_states_update(tiny_ds):
-    lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5, seed=0)
-    params, store = train.fit(tiny_ds, lda, vocab, week_topics, cfg)
+    params, store = train.fit(_prepared(tiny_ds, cfg), cfg)
     # every student and thread with a training post has been marked seen
     assert store.student_seen.all()
     assert list(store.thread_seen) == [True, True, True, True]
@@ -526,20 +531,19 @@ def test_fit_training_states_update(tiny_ds):
 
 
 def test_fit_frozen_states_under_full_dynamic_ablation(tiny_ds):
-    lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5, seed=0,
                       no_dynamic_student=True, no_dynamic_thread=True)
-    params, store = train.fit(tiny_ds, lda, vocab, week_topics, cfg)
+    params, store = train.fit(_prepared(tiny_ds, cfg), cfg)
     assert np.all(store.student_vecs == 0.0)
     assert np.all(store.thread_vecs == 0.0)
     assert store.student_seen.all()  # trackers still advance
 
 
 def test_fit_writes_log(tmp_path, tiny_ds):
-    lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=3, embed_dim=3, topic_infer_iters=5)
+    features = _prepared(tiny_ds, cfg)
     log = tmp_path / "log.csv"
-    train.fit(tiny_ds, lda, vocab, week_topics, cfg, log_path=log)
+    train.fit(features, cfg, log_path=log)
     lines = log.read_text().strip().splitlines()
     assert lines[0] == ("epoch,mean_loss,seconds,grad_norm_max,clipped_batches,"
                         "optimizer_seconds,stepped_rows")
@@ -551,18 +555,17 @@ def test_fit_writes_log(tmp_path, tiny_ds):
         assert 0 <= optimizer_seconds <= seconds
         assert 2 * cfg.embed_dim < float(line.split(",")[6]) <= rows
     # every batch's pre-clip norm exceeds a clip norm this small
-    batches = len(t_batch(tiny_ds.events))
+    batches = len(event_batches(tiny_ds.events))
     for clip_norm, clipped in ((1e-9, batches), (0.0, 0)):
-        train.fit(tiny_ds, lda, vocab, week_topics, replace(cfg, clip_norm=clip_norm),
-                  log_path=log)
+        train.fit(features, replace(cfg, clip_norm=clip_norm), log_path=log)
         for line in log.read_text().strip().splitlines()[1:]:
             norm, count = line.split(",")[3:5]
             assert float(norm) > 1e-9 and int(count) == clipped
 
 
 def test_fit_allocates_one_gradient_set(tiny_ds, monkeypatch):
-    lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=3, embed_dim=3, topic_infer_iters=5)
+    features = _prepared(tiny_ds, cfg)
     calls = []
     zero_grads = ModelParams.zero_grads
 
@@ -571,16 +574,15 @@ def test_fit_allocates_one_gradient_set(tiny_ds, monkeypatch):
         return zero_grads(self)
 
     monkeypatch.setattr(ModelParams, "zero_grads", counted)
-    train.fit(tiny_ds, lda, vocab, week_topics, cfg)
-    assert len(t_batch(tiny_ds.events)) > 1
+    train.fit(features, cfg)
+    assert len(event_batches(tiny_ds.events)) > 1
     assert len(calls) == 1
 
 
 def test_fit_trajectory_sink(tiny_ds):
-    lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5)
     sink = []
-    train.fit(tiny_ds, lda, vocab, week_topics, cfg, trajectory_sink=sink)
+    train.fit(_prepared(tiny_ds, cfg), cfg, trajectory_sink=sink)
     # two rows (student, thread) per event, final epoch only
     assert len(sink) == 2 * len(tiny_ds.events)
     kinds = {row[0] for row in sink}
@@ -589,18 +591,39 @@ def test_fit_trajectory_sink(tiny_ds):
 
 
 def test_fit_raises_on_divergence(tiny_ds):
-    lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=3, embed_dim=3, topic_infer_iters=5,
                       learning_rate=1e200, clip_norm=0.0)
+    features = _prepared(tiny_ds, cfg)
     with pytest.raises(TrainingDiverged, match="epoch"):
-        train.fit(tiny_ds, lda, vocab, week_topics, cfg)
+        train.fit(features, cfg)
 
 
 def test_fit_validates_week_topics(tiny_ds):
     lda, vocab, week_topics = _small_pipeline(tiny_ds)
     cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5)
     with pytest.raises(ValueError):
-        train.fit(tiny_ds, lda, vocab, week_topics[:1], cfg)
+        train.prepare_event_features(tiny_ds, lda, vocab, week_topics[:1], cfg)
+
+
+def test_prepare_event_features_refuses_course_topics_of_another_width(tiny_ds):
+    # one column of 1.0 is on the simplex but not the topic model's width,
+    # which would broadcast silently against every post's topics
+    lda, vocab, _ = _small_pipeline(tiny_ds)
+    cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5)
+    with pytest.raises(ValueError, match="course topics"):
+        train.prepare_event_features(tiny_ds, lda, vocab, np.ones((2, 1)), cfg)
+
+
+@pytest.mark.parametrize("field, other", [("post_decay", 0.25), ("reply_decay", 0.01),
+                                          ("topic_infer_iters", 6)])
+def test_fit_refuses_features_of_other_settings(tiny_ds, field, other):
+    cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5)
+    features = _prepared(tiny_ds, cfg)
+    with pytest.raises(ValueError, match=field):
+        train.fit(features, replace(cfg, **{field: other}))
+    # seed, embedding size, flags, learning rate and epochs may differ
+    train.fit(features, replace(cfg, seed=3, embed_dim=2, no_text_features=True,
+                                learning_rate=0.01, epochs=2))
 
 
 # The per-event training graph and loop that batch_grads and fit replaced,
@@ -720,7 +743,7 @@ def ref_clip_gradients(grads, max_norm):
 
 def reference_fit(ds, features, config, num_topics):
     """fit's parameters, final store and mean losses, one event at a time."""
-    feats, trackers = features
+    feats, trackers = features.events, features.trackers
     params = ModelParams.init(
         np.random.default_rng(config.seed), config.embed_dim, num_topics,
         ds.course.num_weeks, ds.num_students, ds.num_threads, init_std=config.init_std,
@@ -734,7 +757,7 @@ def reference_fit(ds, features, config, num_topics):
         store.student_vecs = np.zeros((ds.num_students, config.embed_dim))
         store.thread_vecs = np.zeros((ds.num_threads, config.embed_dim))
         epoch_loss = 0.0
-        for batch in t_batch(ds.events):
+        for batch in event_batches(ds.events):
             grads = params.zero_grads()
             writes = []
             for i in batch:
@@ -792,8 +815,8 @@ def _batched_features(ds):
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
 @pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: "+".join(f.active()) or "full")
 def test_batch_grads_match_per_event_loop_bitwise(batch_ds, flags, activation):
-    feats = _batched_features(batch_ds)[-1][0]
-    batches = [feats.take(b) for b in t_batch(batch_ds.events)]
+    feats = _batched_features(batch_ds)[-1].events
+    batches = [feats.take(b) for b in event_batches(batch_ds.events)]
     # a batch repeats a previous thread and a week three times: two terms
     # add the same in either order, three show the order
     assert any(np.bincount(b.last_thread[b.last_thread >= 0]).max(initial=0) >= 3
@@ -806,7 +829,7 @@ def test_batch_grads_match_per_event_loop_bitwise(batch_ds, flags, activation):
                               batch_ds.num_threads, lambda_student=0.7, lambda_thread=0.4,
                               activation=activation)
     store = DynamicStateStore(batch_ds.num_students, batch_ds.num_threads, 3, 2)
-    for batch, idx in zip(batches, t_batch(batch_ds.events)):
+    for batch, idx in zip(batches, event_batches(batch_ds.events)):
         store.student_vecs[:] = rng.uniform(-0.9, 0.9, store.student_vecs.shape)
         store.thread_vecs[:] = rng.uniform(-0.9, 0.9, store.thread_vecs.shape)
         ref = params.zero_grads()
@@ -833,8 +856,7 @@ def test_fit_matches_per_event_loop_bitwise(name, request, tmp_path):
     for flags in FLAG_SETS:
         for activation in ("sigmoid", "tanh"):
             run = replace(cfg, activation=activation, **{n: True for n in flags.active()})
-            params, store = train.fit(ds, lda, vocab, week_topics, run, log_path=log,
-                                      features=features)
+            params, store = train.fit(features, run, log_path=log)
             ref_params, ref_store, ref_losses = reference_fit(ds, features, run,
                                                               lda.num_topics)
             for tensor in TENSOR_NAMES:
@@ -848,8 +870,8 @@ def test_fit_matches_per_event_loop_bitwise(name, request, tmp_path):
                 # every step of both epochs gathers the live rows: by the
                 # second epoch they are every row the batches reach, fewer
                 # than half the predictor's
-                reached = np.unique(np.concatenate([predictor_rows(features[0].take(b), params)
-                                                    for b in t_batch(ds.events)]))
+                reached = np.unique(np.concatenate([predictor_rows(features.events.take(b), params)
+                                                    for b in event_batches(ds.events)]))
                 assert 2 * len(reached) < len(params.predictor)
                 assert float(logged[-1][6]) == len(reached)
     assert clipped > 0

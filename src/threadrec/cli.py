@@ -97,9 +97,7 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def _collect_overrides(args) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    if args.config:
-        mapping.update(read_config_file(args.config))
+    mapping = read_config_file(args.config) if args.config else {}
     for item in args.set or []:
         if "=" not in item:
             raise UsageError("--set expects key=value, got %r" % (item,))
@@ -328,7 +326,11 @@ def cmd_train(args) -> int:
 
     events = features.events
     coverage = {"events": len(events), "excitation_nonzero_share":
-                np.count_nonzero(events.excitation_value) / len(events)}
+                np.count_nonzero(events.excitation_value) / len(events),
+                "time_scale": features.trackers.time_scale}
+    for name in ("delta_student", "delta_thread"):  # elapsed times in time_scale units
+        coverage[name] = dict(zip(("p50", "p99", "max"),
+                                  np.percentile(getattr(events, name), [50, 99, 100]).tolist()))
     inputs = [data / n for n in DATA_FILES] + [Path(args.lda) / n for n in LDA_FILES]
     write_manifest(out, "train", cfg.seed, dataclasses.asdict(cfg), inputs, outputs, logs,
                    time.perf_counter() - started, timings, coverage)

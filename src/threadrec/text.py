@@ -126,9 +126,9 @@ def term_frequency(tokens: Sequence[str], vocab: Vocabulary) -> dict[int, int]:
 
 def _check_simplex(probs: np.ndarray, what: str = "topic probabilities") -> None:
     """Raise a ValueError naming what unless every last-axis vector is on the simplex."""
-    if np.any(probs < 0):
+    if not np.all(probs >= 0):  # written so that NaN fails both tests
         raise ValueError("%s must be nonnegative" % what)
-    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
+    if not np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9):
         raise ValueError("%s must sum to 1" % what)
 
 

@@ -9,13 +9,13 @@ states entering the batch treated as constants, into the one gradient set
 of the fit; Adam applies them in place and leaves the set zero for the
 next batch. A batch reaches only the predictor rows model.predictor_rows
 names, so while the rows reached so far (the live rows) are under half
-the predictor's, clipping and the Adam step gather just those, block by
-block; afterwards they walk whole tensors, slice by slice. Both are bit
-for bit the whole-tensor expressions. Training holds five predictor-sized
-arrays (parameters, gradients, two moments, squares) and allocates none
-per step. The features come from one replay of the window through a state
-store's trackers, which training keeps; only the embeddings restart from
-zero at every epoch.
+the predictor's, the Adam step gathers just those, block by block, and
+clipping skips the blocks without one; afterwards both walk whole tensors,
+slice by slice. Both are bit for bit the whole-tensor expressions. Training
+holds four predictor-sized arrays (parameters, gradients, two moments) and
+allocates none per step. The features come from one replay of the window
+through a state store's trackers, which training keeps; only the embeddings
+restart from zero at every epoch.
 """
 from __future__ import annotations
 
@@ -201,19 +201,11 @@ _STEP_BLOCK = 1 << 15
 
 # While the live predictor rows are fewer than this share of all its rows,
 # a step gathers them block by block; from it on it walks whole tensors.
-# Measured at paper shape (3,176 rows of 1,333) with every page in memory, a
-# gathered step with its clipping costs about 0.2 of a whole-tensor one at a
-# tenth of the rows, 0.8 at half and as much from about 0.65 on; half
-# keeps a margin below that crossover.
+# Measured at paper shape (3,176 rows of 1,333) with every page in memory,
+# and with clipping then gathered too, a gathered step cost about 0.2 of a
+# whole-tensor one at a tenth of the rows, 0.8 at half and as much from
+# about 0.65 on; half keeps a margin below that crossover.
 _SPARSE_SHARE = 0.5
-
-
-def _row_blocks(live: np.ndarray, width: int):
-    """Consecutive runs of the row indices live, each run's rows of the
-    given width holding at most _STEP_BLOCK elements (one row if wider)."""
-    per_block = max(1, _STEP_BLOCK // width)
-    for lo in range(0, len(live), per_block):
-        yield live[lo:lo + per_block]
 
 
 def _gather(arr: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -237,8 +229,8 @@ class Adam:
     scale before use. Intermediates go into block-sized buffers, so no step
     allocates a tensor-sized array, and since elementwise operations round
     the same in any slice or row order, the result is bit for bit that of
-    the whole-tensor expressions. squares holds one buffer per tensor for
-    clip_gradients; live is None, every row, until reach names rows."""
+    the whole-tensor expressions; clip_gradients sums its squares through
+    _tmp. live is None, every row, until reach names rows."""
 
     def __init__(self, params: ModelParams, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
@@ -251,7 +243,6 @@ class Adam:
         shapes = {name: params.tensor(name).shape for name in TENSOR_NAMES}
         self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self.squares = {name: np.zeros(shape) for name, shape in shapes.items()}
         rows, width = shapes["predictor"]
         # one block each for gathering p, g, m and v, and one for intermediates
         self._block = np.empty((4, max(_STEP_BLOCK, width)))
@@ -261,10 +252,10 @@ class Adam:
 
     def reach(self, rows) -> None:
         """Add rows, predictor rows the coming step's gradient can reach
-        (model.predictor_rows), to the live rows, which clip_gradients and
-        step then walk, sorted, as live. Once they reach _SPARSE_SHARE of
-        the predictor's rows, live becomes None for good: the live rows
-        only grow, so steps walk whole tensors from then on."""
+        (model.predictor_rows), to the live rows, kept as the mask _reached
+        and, sorted, as live. Once they reach _SPARSE_SHARE of the
+        predictor's rows, both become None for good: the live rows only
+        grow, so steps walk whole tensors from then on."""
         if self._reached is None:
             return
         self._reached[rows] = True
@@ -279,7 +270,9 @@ class Adam:
         for name in TENSOR_NAMES:
             arrays = (params.tensor(name), grads[name], self.m[name], self.v[name])
             if self.live is not None and name == "predictor":
-                for idx in _row_blocks(self.live, arrays[0].shape[1]):
+                per_block = max(1, _STEP_BLOCK // arrays[0].shape[1])  # rows, one if wider
+                for lo in range(0, len(self.live), per_block):
+                    idx = self.live[lo:lo + per_block]
                     blocks = [_gather(arr, idx, buf) for arr, buf in zip(arrays, self._block)]
                     self._update(*(b.reshape(-1) for b in blocks), scale, bc1, bc2)
                     for arr, block in zip(arrays, blocks):
@@ -330,31 +323,36 @@ def clip_gradients(grads: dict, max_norm: float,
     """The joint Euclidean norm of all gradients and the factor that brings
     it to at most max_norm: max_norm / norm when 0 < max_norm < norm, else
     1. The gradients are left as they are; Adam.step applies the factor.
-
-    Each gradient is squared into its buffer in opt.squares (new ones are
-    made without opt) and summed there, over the whole buffer and pairwise
-    as np.sum(g * g) would; the per-tensor sums add as Python floats in
-    dict order. When opt.live names the only predictor rows whose gradient
-    can be non-zero, only those are squared, gathered block by block
-    through opt's block buffer. Every other row of the predictor's buffer
-    has held np.zeros' +0.0 since it was made, as g * g does there, so the
-    sum keeps its bits."""
-    live = None if opt is None else opt.live
-
-    def square_sum(name, g):
-        sq = np.zeros(g.shape) if opt is None else opt.squares[name]
-        if live is not None and name == "predictor":
-            for idx in _row_blocks(live, g.shape[1]):
-                block = _gather(g, idx, opt._block[0])
-                np.multiply(block, block, out=block)
-                sq[idx] = block
-        else:
-            np.multiply(g, g, out=sq)
-        return float(np.sum(sq))
-
-    total = np.sqrt(sum(square_sum(name, g) for name, g in grads.items()))
+    Each gradient's squares are summed by _square_sum through opt's block
+    buffer (a new one without opt), skipping while opt.live is set the
+    predictor blocks without a live row; the sums add in dict order."""
+    buf = np.empty(_STEP_BLOCK) if opt is None else opt._tmp
+    reached = None if opt is None or opt.live is None else opt._reached
+    total = np.sqrt(sum(_square_sum(g, buf, reached if name == "predictor" else None)
+                        for name, g in grads.items()))
     scale = max_norm / total if 0 < max_norm < total else 1.0
     return total, scale
+
+
+def _square_sum(g: np.ndarray, buf: np.ndarray, reached: np.ndarray | None = None) -> float:
+    """float(np.sum(g * g)) bit for bit, through buf of _STEP_BLOCK or more
+    elements. numpy sums pairwise, splitting a node of n > 128 elements after
+    n // 2 rounded down to a multiple of 8; so does this recursion, down to
+    nodes of _STEP_BLOCK or fewer, squared into buf and summed by np.add.reduce.
+    A node without a row of the boolean mask reached holds only +0.0 entries
+    and adds +0.0 unread, which changes no sum of non-negative squares."""
+    flat, width = _flat(g), g.shape[-1]
+
+    def node(lo, n):
+        if n > _STEP_BLOCK:
+            half = n // 2 - n // 2 % 8
+            return node(lo, half) + node(lo + half, n - half)
+        if reached is not None and not reached[lo // width:(lo + n - 1) // width + 1].any():
+            return 0.0
+        part = flat[lo:lo + n]
+        return float(np.add.reduce(np.multiply(part, part, out=buf[:n])))
+
+    return node(0, flat.size)
 
 
 # ---------------------------------------------------------------------------

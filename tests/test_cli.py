@@ -14,7 +14,7 @@ from threadrec import cli, corpus
 from threadrec.cli import (UsageError, main, parse_duration, read_config_file,
                            verify_manifest)
 from threadrec.synth import SynthConfig
-from threadrec.train import TrainConfig
+from threadrec.train import TrainConfig, mean_event_gap
 
 
 def sha(path):
@@ -151,6 +151,16 @@ def test_train_outputs(pipeline):
     share = coverage["excitation_nonzero_share"]
     assert 0.0 <= share <= 1.0
     assert share == np.count_nonzero(events.excitation_value) / len(events)
+    # elapsed times are reported in units of the time scale they were divided by
+    assert coverage["time_scale"] == mean_event_gap(window.events) > 0
+    for name in ("delta_student", "delta_thread"):
+        values = getattr(events, name)
+        spread = coverage[name]
+        assert set(spread) == {"p50", "p99", "max"}
+        assert spread["p50"] == float(np.percentile(values, 50))
+        assert spread["p99"] == float(np.percentile(values, 99))
+        assert spread["max"] == float(values.max())
+        assert 0.0 <= spread["p50"] <= spread["p99"] <= spread["max"]
 
 
 def test_eval_model_and_baselines(pipeline, capsys):
@@ -417,6 +427,14 @@ def test_runtime_errors_exit_one(pipeline, tmp_path, capsys):
     assert main(["train", "--data", str(pipeline["data"]), "--lda", str(lda),
                  "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1
     assert "course topics" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+    # a week of NaN topics is off the simplex, not a week every student nears
+    rows = (pipeline["lda"] / "course_topics.csv").read_text().splitlines()
+    rows[0] = " ".join(["nan"] * len(rows[0].split()))
+    (lda / "course_topics.csv").write_text("\n".join(rows) + "\n")
+    assert main(["train", "--data", str(pipeline["data"]), "--lda", str(lda),
+                 "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1
+    assert "course_topics.csv must be nonnegative" in capsys.readouterr().err
     assert not (out / "checkpoint.bin").exists()
     capsys.readouterr()
 

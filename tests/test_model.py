@@ -519,7 +519,7 @@ def test_checkpoint_rejects_bad_time_scale_and_week_topics(tmp_path):
         model.load_checkpoint(saved_checkpoint(tmp_path, num_week_topics=3))
 
 
-@pytest.mark.parametrize("row", [[-0.1, 1.1], [0.5, 0.8]])
+@pytest.mark.parametrize("row", [[-0.1, 1.1], [0.5, 0.8], [np.nan, np.nan], [np.nan, 1.0]])
 def test_checkpoint_rejects_week_topics_off_the_simplex(tmp_path, row):
     # week_topics is the last array of the payload: 2 weeks of 2 topics
     path = saved_checkpoint(tmp_path)

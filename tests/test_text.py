@@ -95,9 +95,10 @@ def test_topic_distribution_validation(tmp_path):
     path = tmp_path / "topics.csv"
     path.write_text("0.5 0.5\n")
     assert text.load_topic_distributions(path).tolist() == [[0.5, 0.5]]
-    for bad in ("0.9 0.3", "-0.1 1.1", "0.5 0.5 0.0\n1.0"):
+    # NaN compares false both ways, so each simplex test is written to fail on it
+    for bad in ("0.9 0.3", "-0.1 1.1", "0.5 0.5 0.0\n1.0", "nan nan", "nan 1.0", "0.5 nan"):
         path.write_text("0.5 0.5\n" + bad + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="topic vectors in .*topics.csv"):
             text.load_topic_distributions(path)
 
 

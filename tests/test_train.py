@@ -142,16 +142,35 @@ def test_clip_gradients_scales_to_max_norm():
     grads3 = {"a": np.array([100.0])}
     assert clip_gradients(grads3, 0.0)[1] == 1.0
     assert grads3["a"][0] == 100.0
-    # an optimizer's square buffers give the same norm whatever they hold
+    # an optimizer's block buffer gives the same norm whatever it holds
     # while every row is walked
     params = ModelParams.init(np.random.default_rng(3), 1, 1, 1, 1, 1)
     opt = Adam(params, 0.01)
-    for sq in opt.squares.values():
-        sq.fill(np.nan)
+    opt._tmp.fill(np.nan)
     grads4 = params.zero_grads()
     grads4["time_context"][0, 0], grads4["predictor"][1, 1] = 3.0, 4.0
     assert clip_gradients(grads4, 1.0, opt) == (total, scale)
     assert grads4["time_context"][0, 0] == 3.0 and grads4["predictor"][1, 1] == 4.0
+
+
+@pytest.mark.parametrize("shape", [(3176, 1333), (1,), (7,), (129,), (1001,), (8193,),
+                                   (32769,), (65537,), (300, 257)])
+def test_square_sum_matches_numpy_pairwise_sum_bitwise(shape):
+    # numpy's pairwise split is pinned here: if a numpy version splits
+    # otherwise, this fails before any trained byte changes
+    rng = np.random.default_rng(sum(shape))
+    buf = np.empty(train._STEP_BLOCK)
+    for magnitude in (1e-8, 1.0, 1e8):
+        g = rng.normal(0.0, magnitude, size=shape) * np.exp(rng.normal(0.0, 3.0, size=shape))
+        assert train._square_sum(g, buf) == float(np.sum(g * g))
+        if g.ndim == 2:
+            # rows outside the reached mask hold zero gradients and are skipped
+            for share in (0.02, 0.3):
+                reached = rng.random(shape[0]) < share
+                g[~reached] = 0.0
+                assert train._square_sum(g, buf, reached) == float(np.sum(g * g))
+                # skipping is exact: every square of an unreached row is +0.0
+                assert train._square_sum(g, buf) == float(np.sum(g * g))
 
 
 def _multi_slice_params(rng):
@@ -252,6 +271,28 @@ def test_optimizer_allocates_no_tensor_sized_arrays():
                 tracemalloc.stop()
         # the first step is the warm-up
         assert max(sizes[1:]) < params.predictor.nbytes // 4, sizes
+
+
+def test_adam_holds_two_tensor_sets_and_clipping_none():
+    params = _multi_slice_params(np.random.default_rng(23))
+    tensors = sum(params.tensor(name).nbytes for name in TENSOR_NAMES)
+    grads = params.zero_grads()
+    tracemalloc.start()
+    try:
+        opt = Adam(params, 0.01)
+        made = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        clip_gradients(grads, 1.0)
+        clipping = tracemalloc.get_traced_memory()[1] - made
+    finally:
+        tracemalloc.stop()
+    # m and v besides the block buffers: no third set of tensors
+    made -= opt._block.nbytes + opt._tmp.nbytes
+    assert 2 * tensors <= made < 2 * tensors + params.predictor.nbytes // 4, made
+    assert len(opt.m) == len(opt.v) == len(TENSOR_NAMES)
+    # without an optimizer, one block buffer of float64, under a third of
+    # the predictor, and some 16 KiB of Python objects at most
+    assert clipping < 8 * train._STEP_BLOCK + (1 << 14), clipping
 
 
 # gradient checking

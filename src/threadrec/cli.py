@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -68,11 +69,11 @@ def parse_duration(value: str) -> float:
 
 
 def _positive(kind):
-    """argparse type: a number of the given kind above zero."""
+    """argparse type: a finite number of the given kind above zero."""
     def parse(value: str):
         number = kind(value)
-        if not number > 0:
-            raise argparse.ArgumentTypeError("must be > 0, got %s" % value)
+        if not (number > 0 and math.isfinite(number)):
+            raise argparse.ArgumentTypeError("must be finite and > 0, got %s" % value)
         return number
     parse.__name__ = kind.__name__  # argparse names the type in its errors
     return parse
@@ -256,9 +257,9 @@ def cmd_synth(args) -> int:
 def cmd_lda(args) -> int:
     started = time.perf_counter()
     train_end = parse_duration(args.train_end) if args.train_end else None
-    out = _out_dir(args)
     data = Path(args.data)
     ds = _load_dataset(data)
+    out = _out_dir(args)
     window = ds if train_end is None else corpus.events_before(ds, train_end)
 
     num_topics = args.num_topics or ds.course.num_weeks
@@ -297,9 +298,9 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed + SEED_OFFSETS["train"])
     train_end = parse_duration(args.train_end) if args.train_end else None
-    out = _out_dir(args)
     data = Path(args.data)
     ds = _load_dataset(data)
+    out = _out_dir(args)
     window = ds if train_end is None else corpus.events_before(ds, train_end)
 
     t_features = time.perf_counter()

@@ -11,6 +11,7 @@ import csv
 import functools
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -157,6 +158,8 @@ def load_schedule(path) -> CourseSchedule:
     for i, wk in enumerate(weeks):
         try:
             bounds.append(float(wk["start_ts"]))
+            if not math.isfinite(bounds[-1]):
+                raise ValueError("start_ts must be finite")
             docs.append(preprocess(str(wk["text"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("week %d malformed in schedule: %s" % (i, exc)) from None
@@ -206,6 +209,8 @@ def ingest_jsonl(posts_path, schedule) -> Dataset:
                 raise ParseError(line_no, "bad field value (%s)" % exc) from None
             if not isinstance(text, str):
                 raise ParseError(line_no, "text must be a string")
+            if not math.isfinite(timestamp):
+                raise ParseError(line_no, "timestamp must be finite")
             if timestamp < 0:
                 raise ParseError(line_no, "timestamp must be >= 0")
             parent = record.get("parent_post_id")

@@ -155,10 +155,58 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return replace(self, **{name: self.tensor(name).copy() for name in TENSOR_NAMES})
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        # np.zeros leaves zeroing to the first touch of each page; zeros_like
-        # writes every entry up front
-        return {name: np.zeros(self.tensor(name).shape) for name in TENSOR_NAMES}
+    def zero_grads(self, max_rows: int | None = None) -> dict:
+        """A gradient set: a zero array per tensor but the predictor, whose
+        gradient is a RowGrad that holds up to max_rows rows (every row
+        when None)."""
+        rows = len(self.predictor) if max_rows is None else max_rows
+        return {name: RowGrad(self.predictor.shape, rows) if name == "predictor"
+                else np.zeros(self.tensor(name).shape) for name in TENSOR_NAMES}
+
+
+class RowGrad:
+    """The predictor gradient of one t-batch: the sorted distinct rows it
+    reaches and a (len(rows), width) block of their values, in a buffer
+    of max_rows rows. Every other row of the dense gradient, of the given
+    shape, is +0.0."""
+
+    def __init__(self, shape: tuple[int, int], max_rows: int):
+        self.shape = shape
+        # np.empty: start touches only the rows a batch reaches
+        self._buf = np.empty((max_rows, shape[1]))
+        self.start(np.empty(0, dtype=np.intp))
+
+    def start(self, rows: np.ndarray) -> None:
+        """Make rows, sorted and distinct, the gradient's rows, all +0.0."""
+        if len(rows) > len(self._buf):
+            raise ValueError("%d gradient rows do not fit a buffer of %d"
+                             % (len(rows), len(self._buf)))
+        self.rows = rows
+        self.values = self._buf[:len(rows)]
+        self.values.fill(0.0)
+
+    def take(self, idx, zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The dense gradient's rows idx, a range or sorted rows that hold
+        every row of the gradient from idx[0] to idx[-1], as a
+        (len(idx), width) view of the flat buffer zeros, which holds +0.0
+        there; and the positions in the view where the gradient's rows went.
+        The caller writes +0.0 back to those after use."""
+        width = self.shape[1]
+        block = zeros[:len(idx) * width].reshape(len(idx), width)
+        lo, hi = self.rows.searchsorted((idx[0], idx[-1] + 1))
+        rows = self.rows[lo:hi]
+        at = rows - idx[0] if isinstance(idx, range) else idx.searchsorted(rows)
+        block[at] = self.values[lo:hi]
+        return block, at
+
+
+def dense_grads(grads: dict) -> dict[str, np.ndarray]:
+    """A gradient set with every tensor's gradient as an array: a copy of
+    the predictor's RowGrad in its dense form, the others as they are."""
+    g = grads["predictor"]
+    predictor = np.zeros(g.shape)
+    predictor[g.rows] = g.values
+    return {**grads, "predictor": predictor}
 
 
 def _sigmoid_checked(v: float) -> float:
@@ -379,22 +427,28 @@ def _sum_at(index: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
 
 
 def predictor_rows(batch: EventFeatures, params: ModelParams) -> np.ndarray:
-    """The predictor rows a t-batch's gradient can reach, as batch_grads
-    writes them: the projected-student block 0:d, the rows d + student of
-    the batch's students, the previous-thread-state block d+m : 2d+m and
-    the rows 2d + m + last_thread of its previous threads. Every other row
-    of the batch's predictor gradient stays zero. Rows may repeat."""
+    """The predictor rows a t-batch's gradient reaches, sorted and
+    distinct, as batch_grads writes them: the projected-student block 0:d,
+    the rows d + student of the batch's students, the previous-thread-state
+    block d+m : 2d+m and the rows 2d + m + last_thread of its previous
+    threads. Every other row of the batch's predictor gradient is zero."""
     d, m = params.embed_dim, params.num_students
-    return np.concatenate([np.arange(d), d + batch.student, np.arange(d + m, 2 * d + m),
-                           2 * d + m + batch.last_thread[batch.last_thread >= 0]])
+    rows = np.sort(np.concatenate([np.arange(d), d + batch.student, np.arange(d + m, 2 * d + m),
+                                   2 * d + m + batch.last_thread[batch.last_thread >= 0]]))
+    # np.unique would hash: slower on a few hundred rows, and its table
+    # stays resident
+    return rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
 
 
 def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelParams,
-                grads: dict[str, np.ndarray] | None, flags: AblationFlags = AblationFlags()):
-    """Add the gradients of a t-batch's summed loss into grads, a dict the
-    caller owns, and return (losses, student_rows, thread_rows): every
-    event's loss and the new state pair it writes back. With grads None
-    the backward pass is skipped.
+                grads: dict | None, flags: AblationFlags = AblationFlags()):
+    """Add the gradients of a t-batch's summed loss into grads, a gradient
+    set the caller owns (ModelParams.zero_grads), and return (losses,
+    student_rows, thread_rows): every event's loss and the new state pair
+    it writes back. The predictor's RowGrad starts afresh at the rows
+    predictor_rows names and sums the batch's terms into their values, as
+    the dense rows would; the other gradients are added to. With grads
+    None the backward pass is skipped.
 
     No student or thread appears twice in a t-batch, so its events run as
     the rows of one pass. The backward pass is hand derived. States
@@ -435,16 +489,20 @@ def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelPar
     g_q = _unit_rows(residual, norm_q)
     grads["predictor_bias"] += g_q.sum(axis=0)
     Wg = grads["predictor"]
+    Wg.start(predictor_rows(batch, params))
+    rows, Wv = Wg.rows, Wg.values
     # one (events, n + d) product at a time: the summed outer products of
-    # the two embedding blocks, without an (events, d, n + d) array
+    # the two embedding blocks, without an (events, d, n + d) array; rows
+    # 0:d come first, and rows d+m : 2d+m follow one another from prev
+    prev = np.searchsorted(rows, d + m)
     for j in range(d):
-        Wg[j] += (u_hat[:, j, None] * g_q).sum(axis=0)
-        Wg[d + m + j] += (last_vec[:, j, None] * g_q).sum(axis=0)
-    Wg[d + batch.student] += g_q
+        Wv[j] += (u_hat[:, j, None] * g_q).sum(axis=0)
+        Wv[prev + j] += (last_vec[:, j, None] * g_q).sum(axis=0)
+    Wv[np.searchsorted(rows, d + batch.student)] += g_q
     # previous threads and weeks may repeat within a batch
     has_last = batch.last_thread >= 0
     last, at = np.unique(batch.last_thread[has_last], return_inverse=True)
-    Wg[2 * d + m + last] += _sum_at(at, g_q[has_last], len(last))
+    Wv[np.searchsorted(rows, 2 * d + m + last)] += _sum_at(at, g_q[has_last], len(last))
 
     if not flags.no_student_projection:
         g_uhat = np.matmul(params.predictor[:d], g_q[:, :, None])[:, :, 0]

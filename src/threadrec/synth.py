@@ -13,6 +13,7 @@ ingestion.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -62,8 +63,9 @@ class SynthConfig:
 def algo_like(scale: float = 1.0, seed: int = 0) -> SynthConfig:
     """Preset mirroring a programming-course forum: 1833 students, 1323
     threads, about 9274 posts over 9 weeks, shrunk by `scale`."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (scale > 0 and math.isfinite(1833 * scale)):
+        raise ValueError("scale must be positive and its student count finite, got %r"
+                         % scale)
     return SynthConfig(
         num_students=max(1, round(1833 * scale)),
         num_threads=max(1, round(1323 * scale)),

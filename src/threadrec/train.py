@@ -8,11 +8,14 @@ model.batch_grads adds a batch's gradients in one pass, with the dynamic
 states entering the batch treated as constants, into the one gradient set
 of the fit; Adam applies them in place and leaves the set zero for the
 next batch. A batch reaches only the predictor rows model.predictor_rows
-names, so while the rows reached so far (the live rows) are under half
-the predictor's, the Adam step gathers just those, block by block, and
-clipping skips the blocks without one; afterwards both walk whole tensors,
-slice by slice. Both are bit for bit the whole-tensor expressions. Training
-holds four predictor-sized arrays (parameters, gradients, two moments) and
+names, so its predictor gradient is compact: those rows and a block of
+their values (model.RowGrad), in a buffer fit sizes for its largest batch.
+Clipping sums the squares in numpy's pairwise order over the dense layout,
+rebuilding only the leaves that hold a batch row. While the rows reached
+so far (the live rows) are under half the predictor's, the Adam step
+gathers just those, block by block; afterwards it walks whole tensors.
+Both are bit for bit the whole-tensor expressions on the dense gradient.
+Training holds three predictor-sized arrays (parameters, two moments) and
 allocates none per step. The features come from one replay of the window
 through a state store's trackers, which training keeps; only the embeddings
 restart from zero at every epoch.
@@ -21,8 +24,9 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,9 +36,11 @@ from .model import (
     DynamicStateStore,
     EventFeatures,
     ModelParams,
+    RowGrad,
     TENSOR_NAMES,
     _student_context,
     batch_grads,
+    dense_grads,
     excitation,
     predictor_rows,
 )
@@ -67,6 +73,10 @@ class TrainConfig:
     no_text_features: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("%s must be finite" % f.name)
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
         if self.epochs < 1:
@@ -215,22 +225,35 @@ def _gather(arr: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.take(arr, idx, axis=0, out=block, mode="clip")
 
 
+def _leaf_buffer(width: int) -> np.ndarray:
+    """A zero buffer for _square_sum: a leaf of _STEP_BLOCK elements of a
+    dense layout width wide spans that many entries and parts of two more
+    rows."""
+    return np.zeros(_STEP_BLOCK + 2 * width)
+
+
 class Adam:
     """Adam over every tensor of a ModelParams. step consumes the gradient
-    set: it applies it and leaves every entry zero for the next t-batch.
+    set: it applies it and leaves every gradient zero, the predictor's
+    RowGrad without rows.
 
     A predictor row no step has reached holds g, m and v of +0.0, where
     every operation of the step yields +0.0 and p -= 0.0 keeps p's bits,
     so skipping it changes nothing. While the rows reach has named (live)
-    are fewer than _SPARSE_SHARE of the predictor's, step gathers them
-    block by block, runs the elementwise sequence on the block and
-    scatters p, g, m and v back; otherwise it walks each tensor in slices
-    of _STEP_BLOCK elements. Each gradient slice is multiplied by the clip
-    scale before use. Intermediates go into block-sized buffers, so no step
+    are fewer than _SPARSE_SHARE of the predictor's, step gathers p, m and
+    v of them block by block, runs the elementwise sequence on the block
+    and scatters the three back; otherwise it walks the predictor in
+    blocks of whole rows and the other tensors in slices of _STEP_BLOCK
+    elements. A predictor block's gradient is the batch's rows written
+    into the zero buffer _zeros (RowGrad.take), which gets +0.0 back
+    after the block. Each gradient block is multiplied by the clip scale
+    before use. Intermediates go into block-sized buffers, so no step
     allocates a tensor-sized array, and since elementwise operations round
-    the same in any slice or row order, the result is bit for bit that of
-    the whole-tensor expressions; clip_gradients sums its squares through
-    _tmp. live is None, every row, until reach names rows."""
+    the same in any block or row order, the result is bit for bit that of
+    the whole-tensor expressions on the dense gradient. Training thus
+    holds three predictor-sized arrays: the parameters and the two
+    moments. clip_gradients builds its leaves in _zeros too. live is None,
+    every row, until reach names rows."""
 
     def __init__(self, params: ModelParams, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
@@ -244,9 +267,10 @@ class Adam:
         self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
         rows, width = shapes["predictor"]
-        # one block each for gathering p, g, m and v, and one for intermediates
+        # one block each for gathering p, m and v, and one for denominators
         self._block = np.empty((4, max(_STEP_BLOCK, width)))
-        self._tmp = np.empty(max(_STEP_BLOCK, width))
+        self._tmp = np.empty(_STEP_BLOCK)  # intermediates
+        self._zeros = _leaf_buffer(width)
         self._reached = np.zeros(rows, dtype=bool)  # None once steps walk every row
         self.live = None
 
@@ -268,28 +292,40 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name in TENSOR_NAMES:
-            arrays = (params.tensor(name), grads[name], self.m[name], self.v[name])
-            if self.live is not None and name == "predictor":
-                per_block = max(1, _STEP_BLOCK // arrays[0].shape[1])  # rows, one if wider
-                for lo in range(0, len(self.live), per_block):
-                    idx = self.live[lo:lo + per_block]
-                    blocks = [_gather(arr, idx, buf) for arr, buf in zip(arrays, self._block)]
-                    self._update(*(b.reshape(-1) for b in blocks), scale, bc1, bc2)
-                    for arr, block in zip(arrays, blocks):
+            p, g, m, v = params.tensor(name), grads[name], self.m[name], self.v[name]
+            if name != "predictor":
+                self._update(*map(_flat, (p, g, m, v)), scale, bc1, bc2)
+                g.fill(0.0)
+                continue
+            if self.live is not None and not self._reached[g.rows].all():
+                raise ValueError("the predictor gradient holds rows reach did not name")
+            live = range(len(p)) if self.live is None else self.live
+            per_block = max(1, _STEP_BLOCK // p.shape[1])  # rows, one if wider
+            for lo in range(0, len(live), per_block):
+                idx = live[lo:lo + per_block]
+                if self.live is None:  # consecutive rows: views
+                    pmv = [arr[idx[0]:idx[-1] + 1] for arr in (p, m, v)]
+                else:
+                    pmv = [_gather(arr, idx, buf) for arr, buf in zip((p, m, v), self._block)]
+                gs, at = g.take(idx, self._zeros)
+                self._update(*(b.reshape(-1) for b in (pmv[0], gs, pmv[1], pmv[2])),
+                             scale, bc1, bc2)
+                gs[at] = 0.0
+                if self.live is not None:
+                    for arr, block in zip((p, m, v), pmv):
                         arr[idx] = block
-            else:
-                self._update(*map(_flat, arrays), scale, bc1, bc2)
+            g.start(g.rows[:0])
 
     def _update(self, p, g, m, v, scale, bc1, bc2) -> None:
         """The elementwise Adam sequence on 1-D p, g, m and v, in place,
-        slice by slice; it leaves g zero."""
+        slice by slice; g is only read."""
         b1, b2 = self.beta1, self.beta2
         for lo in range(0, g.size, _STEP_BLOCK):
             block = slice(lo, lo + _STEP_BLOCK)
             ps, gs, ms, vs = p[block], g[block], m[block], v[block]
-            tmp = self._tmp[:gs.size]
+            tmp, den = self._tmp[:gs.size], self._block[3, :gs.size]
             if scale != 1.0:
-                gs *= scale
+                gs = np.multiply(gs, scale, out=den)
             # v = b2 * v + ((1 - b2) * g) * g
             vs *= b2
             np.multiply(1.0 - b2, gs, out=tmp)
@@ -299,16 +335,15 @@ class Adam:
             ms *= b1
             np.multiply(1.0 - b1, gs, out=tmp)
             ms += tmp
-            # g is spent: it holds the denominator sqrt(v / bc2) + eps
-            np.divide(vs, bc2, out=gs)
-            np.sqrt(gs, out=gs)
-            gs += self.eps
+            # g is spent: den holds the denominator sqrt(v / bc2) + eps
+            np.divide(vs, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
             # p -= (lr * (m / bc1)) / denominator
             np.divide(ms, bc1, out=tmp)
             tmp *= self.lr
-            tmp /= gs
+            tmp /= den
             ps -= tmp
-            gs.fill(0.0)
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -320,43 +355,73 @@ def _flat(arr: np.ndarray) -> np.ndarray:
 
 def clip_gradients(grads: dict, max_norm: float,
                    opt: Adam | None = None) -> tuple[float, float]:
-    """The joint Euclidean norm of all gradients and the factor that brings
-    it to at most max_norm: max_norm / norm when 0 < max_norm < norm, else
-    1. The gradients are left as they are; Adam.step applies the factor.
-    Each gradient's squares are summed by _square_sum through opt's block
-    buffer (a new one without opt), skipping while opt.live is set the
-    predictor blocks without a live row; the sums add in dict order."""
-    buf = np.empty(_STEP_BLOCK) if opt is None else opt._tmp
-    reached = None if opt is None or opt.live is None else opt._reached
-    total = np.sqrt(sum(_square_sum(g, buf, reached if name == "predictor" else None)
-                        for name, g in grads.items()))
+    """The joint Euclidean norm of all gradients, arrays or a RowGrad, and
+    the factor that brings it to at most max_norm: max_norm / norm when
+    0 < max_norm < norm, else 1. The gradients are left as they are;
+    Adam.step applies the factor. Each gradient's squares are summed by
+    _square_sum through opt's zero buffer (a new one without opt); the
+    sums add in dict order."""
+    total = np.sqrt(sum(_square_sum(g, _leaf_buffer(g.shape[-1]) if opt is None else opt._zeros)
+                        for g in grads.values()))
     scale = max_norm / total if 0 < max_norm < total else 1.0
     return total, scale
 
 
-def _square_sum(g: np.ndarray, buf: np.ndarray, reached: np.ndarray | None = None) -> float:
-    """float(np.sum(g * g)) bit for bit, through buf of _STEP_BLOCK or more
-    elements. numpy sums pairwise, splitting a node of n > 128 elements after
-    n // 2 rounded down to a multiple of 8; so does this recursion, down to
-    nodes of _STEP_BLOCK or fewer, squared into buf and summed by np.add.reduce.
-    A node without a row of the boolean mask reached holds only +0.0 entries
-    and adds +0.0 unread, which changes no sum of non-negative squares."""
-    flat, width = _flat(g), g.shape[-1]
+def _square_sum(g, buf: np.ndarray) -> float:
+    """float(np.sum(d * d)) bit for bit, where d is the array g or the
+    dense form of the RowGrad g, through buf, of _STEP_BLOCK elements or
+    more for an array and a zero buffer of _leaf_buffer's size for a
+    RowGrad; buf holds +0.0 again afterwards. numpy sums pairwise,
+    splitting a node of n > 128 elements after n // 2 rounded down to a
+    multiple of 8; so does this recursion, down to leaves of _STEP_BLOCK or
+    fewer, squared in buf and summed by np.add.reduce. A RowGrad leaf is
+    the gradient's rows it spans written into buf, squared in place:
+    0.0 * 0.0 leaves the zeros as they are. A leaf that spans none of the
+    rows holds only +0.0 entries and adds +0.0 unread, which changes no
+    sum of non-negative squares."""
+    if isinstance(g, RowGrad):
+        size, width = g.shape[0] * g.shape[1], g.shape[1]
 
-    def node(lo, n):
-        if n > _STEP_BLOCK:
-            half = n // 2 - n // 2 % 8
-            return node(lo, half) + node(lo + half, n - half)
-        if reached is not None and not reached[lo // width:(lo + n - 1) // width + 1].any():
-            return 0.0
-        part = flat[lo:lo + n]
-        return float(np.add.reduce(np.multiply(part, part, out=buf[:n])))
+        def leaf(lo, n):
+            first = lo // width
+            block, at = g.take(range(first, (lo + n - 1) // width + 1), buf)
+            if not len(at):
+                return 0.0
+            part = block.reshape(-1)[lo - first * width:][:n]
+            total = float(np.add.reduce(np.multiply(part, part, out=part)))
+            block[at] = 0.0
+            return total
+    else:
+        flat = _flat(g)
+        size = flat.size
 
-    return node(0, flat.size)
+        def leaf(lo, n):
+            part = flat[lo:lo + n]
+            squares = np.multiply(part, part, out=buf[:n])
+            total = float(np.add.reduce(squares))
+            squares.fill(0.0)
+            return total
+
+    return _tree_sum(leaf, 0, size)
+
+
+def _tree_sum(leaf, lo: int, n: int) -> float:
+    """The sum of leaf(lo, n) over numpy's pairwise split of n elements
+    from lo, down to leaves of _STEP_BLOCK or fewer."""
+    if n > _STEP_BLOCK:
+        half = n // 2 - n // 2 % 8
+        return _tree_sum(leaf, lo, half) + _tree_sum(leaf, lo + half, n - half)
+    return leaf(lo, n)
 
 
 # ---------------------------------------------------------------------------
 # fitting
+
+
+def mean_state_norm(vecs: np.ndarray, seen: np.ndarray) -> float:
+    """The mean Euclidean norm of the state rows whose entity the window has
+    seen."""
+    return float(np.linalg.norm(vecs[seen], axis=1).mean())
 
 
 def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
@@ -366,10 +431,13 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
     Returns (params, store) where store holds the dynamic states after the
     final epoch, ready for ranking at later times. If log_path is given, a
     CSV with one row per epoch (epoch, mean_loss, seconds, grad_norm_max,
-    clipped_batches, optimizer_seconds, stepped_rows) is written: the
-    largest pre-clip gradient norm of the epoch's batches, how many of them
-    were clipped, the part of the epoch's seconds spent clipping and in
-    Adam steps, and the mean number of predictor rows those steps walked.
+    clipped_batches, optimizer_seconds, stepped_rows, student_state_norm,
+    thread_state_norm, events_per_s) is written: the largest pre-clip
+    gradient norm of the epoch's batches, how many of them were clipped,
+    the part of the epoch's seconds spent clipping and in Adam steps, the
+    mean number of predictor rows those steps walked, the mean norm at
+    epoch end of the states of the students and of the threads the window
+    has seen, and the epoch's events per second.
     If trajectory_sink is a list, rows (kind, entity, timestamp, *embedding)
     are appended for every state write of the final epoch. Sweeps over
     seeds, flags, embedding sizes or optimizer settings can share one
@@ -393,10 +461,10 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
     )
     batches = [feats.take(batch)
                for batch in t_batch(feats.student.tolist(), feats.thread.tolist())]
-    reached = [predictor_rows(batch, params) for batch in batches]
     flags = config.flags
     opt = Adam(params, config.learning_rate)
-    grads = params.zero_grads()  # every step consumes and re-zeroes it
+    # every batch starts its predictor rows afresh; every step consumes the set
+    grads = params.zero_grads(max(len(predictor_rows(batch, params)) for batch in batches))
 
     log_rows = []
     # the trackers already hold the whole window and training never reads
@@ -428,7 +496,7 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
                     trajectory_sink += [("student", s, t, *u), ("thread", c, t, *p)]
 
             step_start = time.perf_counter()
-            opt.reach(reached[b])
+            opt.reach(grads["predictor"].rows)
             total, scale = clip_gradients(grads, config.clip_norm, opt)
             if not np.isfinite(total):
                 raise TrainingDiverged("non-finite gradient at epoch %d batch %d" % (epoch, b))
@@ -437,16 +505,20 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
             opt.step(params, grads, scale)
             optimizer_seconds += time.perf_counter() - step_start
             stepped_rows += len(params.predictor) if opt.live is None else len(opt.live)
-        log_rows.append([epoch, repr(epoch_loss / len(feats)),
-                         "%.6f" % (time.perf_counter() - start), repr(float(grad_norm_max)),
-                         clipped, "%.6f" % optimizer_seconds,
-                         repr(stepped_rows / len(batches))])
+        seconds = time.perf_counter() - start
+        log_rows.append([epoch, repr(epoch_loss / len(feats)), "%.6f" % seconds,
+                         repr(float(grad_norm_max)), clipped, "%.6f" % optimizer_seconds,
+                         repr(stepped_rows / len(batches)),
+                         repr(mean_state_norm(store.student_vecs, store.student_seen)),
+                         repr(mean_state_norm(store.thread_vecs, store.thread_seen)),
+                         "%.1f" % (len(feats) / seconds)])
 
     if log_path is not None:
         with open(log_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "mean_loss", "seconds", "grad_norm_max", "clipped_batches",
-                             "optimizer_seconds", "stepped_rows"])
+                             "optimizer_seconds", "stepped_rows", "student_state_norm",
+                             "thread_state_norm", "events_per_s"])
             writer.writerows(log_rows)
     return params, store
 
@@ -460,11 +532,13 @@ def gradient_check(params: ModelParams, batch: EventFeatures, store: DynamicStat
                    eps: float = 1e-5, analytic: dict | None = None) -> float:
     """Compare the analytic gradients of a t-batch's summed loss against
     central finite differences of that sum over every entry of every
-    tensor. Returns the maximum relative error. Pass analytic to check an
-    externally supplied gradient set instead of the model's own."""
+    tensor. Returns the maximum relative error. Pass analytic, a dict of
+    dense gradients (model.dense_grads), to check an externally supplied
+    gradient set instead of the model's own."""
     if analytic is None:
-        analytic = params.zero_grads()
-        batch_grads(batch, store, params, analytic, flags)
+        grads = params.zero_grads()
+        batch_grads(batch, store, params, grads, flags)
+        analytic = dense_grads(grads)
     worst = 0.0
     for name in TENSOR_NAMES:
         tensor = params.tensor(name)

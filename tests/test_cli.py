@@ -439,6 +439,54 @@ def test_runtime_errors_exit_one(pipeline, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_inputs_exit_one_and_write_nothing(pipeline, tmp_path, capsys):
+    # json reads NaN and Infinity; a post or a week at such a time is refused
+    # by line or week before any command writes
+    data = pipeline["data"]
+    lines = (data / "posts.jsonl").read_text().splitlines()
+    weeks = json.loads((data / "schedule.json").read_text())
+    for value in (float("nan"), float("inf")):
+        bad_posts = tmp_path / ("posts-%s" % value)
+        shutil.copytree(data, bad_posts)
+        record = json.loads(lines[2])
+        record["timestamp"] = value
+        (bad_posts / "posts.jsonl").write_text(
+            "\n".join(lines[:2] + [json.dumps(record)] + lines[3:]) + "\n")
+        bad_weeks = tmp_path / ("schedule-%s" % value)
+        shutil.copytree(data, bad_weeks)
+        weeks["weeks"][1]["start_ts"] = value
+        (bad_weeks / "schedule.json").write_text(json.dumps(weeks))
+        for bad, message in ((bad_posts, "line 3: timestamp must be finite"),
+                             (bad_weeks, "week 1 malformed in schedule: start_ts must be finite")):
+            out = tmp_path / "out"
+            for argv in (["lda", "--data", str(bad), "--out", str(out)],
+                         ["train", "--data", str(bad), "--lda", str(pipeline["lda"]),
+                          "--out", str(out), "--set", "epochs=1"],
+                         ["eval", "--data", str(bad), "--out", str(out), "--baseline", "pop",
+                          "--train-end", "2w", "--test-end", "3w"]):
+                assert main(argv) == 1, argv
+                assert message in capsys.readouterr().err, argv
+                assert not out.exists(), argv
+
+
+def test_non_finite_numbers_end_in_an_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    # a NaN clip norm would train unclipped: 0 < nan < total is False
+    for key in ("clip_norm", "learning_rate", "init_std", "post_decay", "lambda_thread"):
+        for value in ("nan", "inf"):
+            assert main(["train", "--data", str(tmp_path), "--lda", str(tmp_path),
+                         "--out", str(out), "--set", "%s=%s" % (key, value)]) == 2
+            assert "error: %s must be finite" % key in capsys.readouterr().err
+    # an infinite scale is refused as an argument, one that overflows the
+    # preset's counts by the preset
+    for scale, code in (("inf", 2), ("nan", 2), ("1e308", 1)):
+        assert main(["synth", "--out", str(out), "--preset", "algo-like",
+                     "--scale", scale]) == code, scale
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err, scale
+    assert not out.exists()
+
+
 def test_config_file_feeds_train(pipeline, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs = 2\nembed_dim = 4\nlearning_rate = 0.002\n")

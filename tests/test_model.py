@@ -373,12 +373,17 @@ def test_batch_grads_add_into_shared_dict(small_params):
     batch.last_thread[:] = [3, -1, 0]
     batches = [batch.take([0, 1]), batch.take([2]), batch]
     shared = small_params.zero_grads()
+    # the predictor's RowGrad holds one batch's rows at a time: its dense
+    # forms add up across the batches
+    shared_predictor = np.zeros(small_params.predictor.shape)
     separate = []
     for b in batches:
         model.batch_grads(b, store, small_params, shared)
+        shared_predictor += model.dense_grads(shared)["predictor"]
         own = small_params.zero_grads()
         model.batch_grads(b, store, small_params, own)
-        separate.append(own)
+        separate.append(model.dense_grads(own))
+    shared = {**shared, "predictor": shared_predictor}
     for name in TENSOR_NAMES:
         total = separate[0][name] + separate[1][name] + separate[2][name]
         assert np.array_equal(shared[name], total), name

@@ -28,6 +28,10 @@ def test_config_validation():
         small_config(vocab_size=2)  # fewer words than topics
     with pytest.raises(ValueError):
         algo_like(scale=0.0)
+    # scales whose student count is not finite; round() would overflow
+    for scale in (float("nan"), float("inf"), 1e308):
+        with pytest.raises(ValueError, match="scale"):
+            algo_like(scale=scale)
 
 
 def test_algo_like_preset_scales():

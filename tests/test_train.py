@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from threadrec import synth, train
+from threadrec import model, synth, train
 from threadrec.corpus import Dataset, ThreadEventIndex
 from threadrec.model import (TENSOR_NAMES, AblationFlags, DynamicStateStore, EventFeatures,
-                             ModelParams, assign_course_topic, batch_grads, excitation,
-                             predictor_rows)
+                             ModelParams, RowGrad, assign_course_topic, batch_grads,
+                             dense_grads, excitation, predictor_rows)
 from threadrec.text import (build_vocabulary, course_topics, lda_fit, lda_infer,
                             term_frequency)
 from threadrec.train import (Adam, TrainConfig, TrainingDiverged, clip_gradients,
@@ -84,6 +84,16 @@ def test_config_validation():
         TrainConfig(clip_norm=-2.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_refuses_non_finite_floats(value):
+    floats = [f.name for f in fields(TrainConfig) if isinstance(getattr(TrainConfig(), f.name),
+                                                               float)]
+    assert len(floats) == 7
+    for name in floats:
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            TrainConfig(**{name: value})
+
+
 def test_config_flags_property():
     cfg = TrainConfig(no_thread_projection=True)
     assert cfg.flags.no_thread_projection
@@ -116,14 +126,25 @@ def test_adam_first_step_is_signed_learning_rate():
     rng = np.random.default_rng(1)
     params = ModelParams.init(rng, 2, 2, 2, 2, 2)
     before = params.predictor.copy()
-    grads = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
-    grads["predictor"][0, 0] = 0.5
+    grads = params.zero_grads()
+    grads["predictor"].start(np.array([0]))
+    grads["predictor"].values[0, 0] = 0.5
     opt = Adam(params, learning_rate=0.001)
     opt.step(params, grads)
     moved = before[0, 0] - params.predictor[0, 0]
     assert moved == pytest.approx(0.001, rel=1e-6)
     # untouched entries stay put
     assert params.predictor[1, 1] == before[1, 1]
+
+
+def test_adam_refuses_gradient_rows_reach_did_not_name():
+    params = ModelParams.init(np.random.default_rng(1), 2, 2, 2, 4, 4)
+    opt = Adam(params, 0.01)
+    opt.reach(np.array([0, 1]))
+    grads = params.zero_grads()
+    grads["predictor"].start(np.array([1, 5]))
+    with pytest.raises(ValueError, match="reach did not name"):
+        opt.step(params, grads)
 
 
 def test_clip_gradients_scales_to_max_norm():
@@ -148,9 +169,11 @@ def test_clip_gradients_scales_to_max_norm():
     opt = Adam(params, 0.01)
     opt._tmp.fill(np.nan)
     grads4 = params.zero_grads()
-    grads4["time_context"][0, 0], grads4["predictor"][1, 1] = 3.0, 4.0
+    grads4["predictor"].start(np.array([1]))
+    grads4["time_context"][0, 0], grads4["predictor"].values[0, 1] = 3.0, 4.0
     assert clip_gradients(grads4, 1.0, opt) == (total, scale)
-    assert grads4["time_context"][0, 0] == 3.0 and grads4["predictor"][1, 1] == 4.0
+    assert grads4["time_context"][0, 0] == 3.0
+    assert dense_grads(grads4)["predictor"][1, 1] == 4.0
 
 
 @pytest.mark.parametrize("shape", [(3176, 1333), (1,), (7,), (129,), (1001,), (8193,),
@@ -164,13 +187,42 @@ def test_square_sum_matches_numpy_pairwise_sum_bitwise(shape):
         g = rng.normal(0.0, magnitude, size=shape) * np.exp(rng.normal(0.0, 3.0, size=shape))
         assert train._square_sum(g, buf) == float(np.sum(g * g))
         if g.ndim == 2:
-            # rows outside the reached mask hold zero gradients and are skipped
+            # rows outside a compact gradient's rows hold zero gradients and
+            # are skipped
             for share in (0.02, 0.3):
                 reached = rng.random(shape[0]) < share
                 g[~reached] = 0.0
-                assert train._square_sum(g, buf, reached) == float(np.sum(g * g))
+                compact = row_grad(g, np.flatnonzero(reached))
+                assert train._square_sum(compact, train._leaf_buffer(shape[1])) == float(
+                    np.sum(g * g))
                 # skipping is exact: every square of an unreached row is +0.0
                 assert train._square_sum(g, buf) == float(np.sum(g * g))
+
+
+def row_grad(dense, rows):
+    """The RowGrad of a dense predictor gradient that is zero outside the
+    sorted distinct rows."""
+    grad = RowGrad(dense.shape, len(rows))
+    grad.start(rows)
+    grad.values[...] = dense[rows]
+    return grad
+
+
+def dense_zero_grads(params):
+    """A zero gradient set with a dense array for every tensor, the
+    predictor's too."""
+    return {name: np.zeros(params.tensor(name).shape) for name in TENSOR_NAMES}
+
+
+def load_grads(grads, dense, rows):
+    """Copy the dense gradient set into the gradient set grads, the
+    predictor's as a RowGrad of the sorted distinct rows."""
+    for name in TENSOR_NAMES:
+        if name == "predictor":
+            grads[name].start(rows)
+            grads[name].values[...] = dense[name][rows]
+        else:
+            grads[name][...] = dense[name]
 
 
 def _multi_slice_params(rng):
@@ -198,15 +250,16 @@ def _sparse_grads(rng, params, step):
 
 def _reach(rng, opt, params, grads):
     """Name 40 random predictor rows and the two embedding blocks to opt
-    as the rows this step's gradient reaches, and zero the predictor
-    gradient elsewhere, as a t-batch would leave it."""
+    as the rows this step's gradient reaches, zero the predictor gradient
+    elsewhere, as a t-batch would leave it, and return the rows."""
     d, m = params.embed_dim, params.num_students
-    rows = np.concatenate([np.arange(d), np.arange(d + m, 2 * d + m),
-                           rng.choice(len(params.predictor), 40, replace=False)])
+    rows = np.unique(np.concatenate([np.arange(d), np.arange(d + m, 2 * d + m),
+                                     rng.choice(len(params.predictor), 40, replace=False)]))
     outside = np.ones(len(params.predictor), dtype=bool)
     outside[rows] = False
     grads["predictor"][outside] = 0.0
     opt.reach(rows)
+    return rows
 
 
 @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
@@ -221,11 +274,11 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
         clipped, walked = 0, []
         for step in range(12):
             ref_grads = _sparse_grads(rng, params, step)
+            rows = np.arange(len(params.predictor))
             if named:
-                _reach(rng, opt, params, ref_grads)
+                rows = _reach(rng, opt, params, ref_grads)
             walked.append(None if opt.live is None else len(opt.live))
-            for name in TENSOR_NAMES:
-                grads[name][...] = ref_grads[name]
+            load_grads(grads, ref_grads, rows)
             norm, scale = clip_gradients(grads, clip_norm, opt)
             assert norm == ref_clip_gradients(ref_grads, clip_norm)
             clipped += 0 < clip_norm < norm
@@ -236,7 +289,7 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
                 assert np.array_equal(opt.m[name], ref.m[name]), name
                 assert np.array_equal(opt.v[name], ref.v[name]), name
                 # the step consumed the gradients
-                assert not grads[name].any(), name
+                assert not dense_grads(grads)[name].any(), name
         # with clipping on, every step but those at the smallest scale is clipped
         assert clipped == (9 if clip_norm else 0)
         if named:
@@ -258,11 +311,12 @@ def test_optimizer_allocates_no_tensor_sized_arrays():
         grads = params.zero_grads()
         sizes = []
         for step in range(3):
-            for name, g in _sparse_grads(rng, params, step + 1).items():
-                grads[name][...] = g
+            dense = _sparse_grads(rng, params, step + 1)
+            rows = np.arange(len(params.predictor))
             if named:
-                _reach(rng, opt, params, grads)
+                rows = _reach(rng, opt, params, dense)
                 assert opt.live is not None
+            load_grads(grads, dense, rows)
             tracemalloc.start()
             try:
                 opt.step(params, grads, clip_gradients(grads, 1e-3, opt)[1])
@@ -287,7 +341,7 @@ def test_adam_holds_two_tensor_sets_and_clipping_none():
     finally:
         tracemalloc.stop()
     # m and v besides the block buffers: no third set of tensors
-    made -= opt._block.nbytes + opt._tmp.nbytes
+    made -= opt._block.nbytes + opt._tmp.nbytes + opt._zeros.nbytes
     assert 2 * tensors <= made < 2 * tensors + params.predictor.nbytes // 4, made
     assert len(opt.m) == len(opt.v) == len(TENSOR_NAMES)
     # without an optimizer, one block buffer of float64, under a third of
@@ -310,6 +364,7 @@ def test_gradient_check_catches_corrupted_gradients(small_params):
     batch, store = random_batch(rng, small_params)
     grads = small_params.zero_grads()
     batch_grads(batch, store, small_params, grads, AblationFlags())
+    grads = dense_grads(grads)
     grads["predictor"] = -grads["predictor"]  # sign flip
     err = gradient_check(small_params, batch, store, analytic=grads)
     assert err > 1e-2
@@ -332,6 +387,7 @@ def test_regularizer_gradient_vanishes_when_lambdas_zero(small_params):
     batch, store = random_batch(rng, params)
     grads = params.zero_grads()
     batch_grads(batch, store, params, grads, AblationFlags())
+    grads = dense_grads(grads)
     # with no smoothness penalty the prediction term cannot reach the
     # recurrent update weights inside one batch
     assert np.abs(grads["student_update"]).max() <= 1e-12
@@ -584,10 +640,11 @@ def test_fit_writes_log(tmp_path, tiny_ds):
     cfg = TrainConfig(epochs=3, embed_dim=3, topic_infer_iters=5)
     features = _prepared(tiny_ds, cfg)
     log = tmp_path / "log.csv"
-    train.fit(features, cfg, log_path=log)
+    _, store = train.fit(features, cfg, log_path=log)
     lines = log.read_text().strip().splitlines()
     assert lines[0] == ("epoch,mean_loss,seconds,grad_norm_max,clipped_batches,"
-                        "optimizer_seconds,stepped_rows")
+                        "optimizer_seconds,stepped_rows,student_state_norm,"
+                        "thread_state_norm,events_per_s")
     assert len(lines) == 4
     float(lines[1].split(",")[1])  # parses back
     rows = tiny_ds.num_students + tiny_ds.num_threads + 2 * cfg.embed_dim
@@ -595,6 +652,16 @@ def test_fit_writes_log(tmp_path, tiny_ds):
         seconds, optimizer_seconds = float(line.split(",")[2]), float(line.split(",")[5])
         assert 0 <= optimizer_seconds <= seconds
         assert 2 * cfg.embed_dim < float(line.split(",")[6]) <= rows
+        assert float(line.split(",")[9]) == pytest.approx(len(tiny_ds.events) / seconds,
+                                                          rel=1e-3, abs=0.1)
+    # the last epoch's mean state norms are those of the returned store,
+    # over the students and threads the window has seen
+    student_norm, thread_norm = lines[-1].split(",")[7:9]
+    for logged, vecs, seen in ((student_norm, store.student_vecs, store.student_seen),
+                               (thread_norm, store.thread_vecs, store.thread_seen)):
+        assert seen.any() and float(logged) > 0.0
+        assert float(logged) == pytest.approx(
+            np.mean([np.linalg.norm(vec) for vec in vecs[seen]]), rel=1e-12)
     # every batch's pre-clip norm exceeds a clip norm this small
     batches = len(event_batches(tiny_ds.events))
     for clip_norm, clipped in ((1e-9, batches), (0.0, 0)):
@@ -610,9 +677,9 @@ def test_fit_allocates_one_gradient_set(tiny_ds, monkeypatch):
     calls = []
     zero_grads = ModelParams.zero_grads
 
-    def counted(self):
+    def counted(self, *args):
         calls.append(1)
-        return zero_grads(self)
+        return zero_grads(self, *args)
 
     monkeypatch.setattr(ModelParams, "zero_grads", counted)
     train.fit(features, cfg)
@@ -799,7 +866,7 @@ def reference_fit(ds, features, config, num_topics):
         store.thread_vecs = np.zeros((ds.num_threads, config.embed_dim))
         epoch_loss = 0.0
         for batch in event_batches(ds.events):
-            grads = params.zero_grads()
+            grads = dense_zero_grads(params)
             writes = []
             for i in batch:
                 loss, u_new, p_new = event_grads(feats, i, store, params, grads, config.flags)
@@ -873,10 +940,11 @@ def test_batch_grads_match_per_event_loop_bitwise(batch_ds, flags, activation):
     for batch, idx in zip(batches, event_batches(batch_ds.events)):
         store.student_vecs[:] = rng.uniform(-0.9, 0.9, store.student_vecs.shape)
         store.thread_vecs[:] = rng.uniform(-0.9, 0.9, store.thread_vecs.shape)
-        ref = params.zero_grads()
+        ref = dense_zero_grads(params)
         rows = [event_grads(feats, i, store, params, ref, flags) for i in idx]
         got = params.zero_grads()
         losses, u_new, p_new = batch_grads(batch, store, params, got, flags)
+        got = dense_grads(got)
         assert np.array_equal(losses, [r[0] for r in rows])
         assert np.array_equal(u_new, [r[1] for r in rows])
         assert np.array_equal(p_new, [r[2] for r in rows])
@@ -935,3 +1003,342 @@ def test_exact_row_primitives():
         outer += np.outer(x[i], g[i])
     summed = np.stack([(x[:, j, None] * g).sum(axis=0) for j in range(10)])
     assert np.array_equal(summed, outer), "outer-product sums"
+
+
+# The dense predictor gradient that RowGrad replaced, frozen as the
+# reference the compact path must match bit for bit: batch_grads into a
+# dense dict, clipping's _square_sum over it, and the Adam step, gathered
+# or whole-tensor, that consumed it.
+
+
+def dense_batch_grads(batch, store, params, grads, flags):
+    """batch_grads with every gradient, the predictor's too, a dense array
+    of grads."""
+    d, m, n = params.embed_dim, params.num_students, params.num_threads
+    delta = batch.delta_student[:, None]
+    q, u_vec, u_hat, last_vec = model._predict_from_store(
+        store, batch.student, delta, batch.week, batch.last_thread, params, flags)
+    p_vec = store.thread_vecs[batch.thread]
+    if flags.no_thread_projection:
+        p_hat = p_vec
+    else:
+        p_hat = model.project_thread(u_vec, p_vec, batch.excitation_value[:, None])
+    theta = np.zeros_like(batch.theta) if flags.no_text_features else batch.theta
+    u_new, p_new, xu, xp = model._update_kernel(
+        u_vec, p_vec, theta, batch.delta_student, batch.delta_thread, params)
+    if flags.no_dynamic_student:
+        u_new = u_vec
+    if flags.no_dynamic_thread:
+        p_new = p_vec
+    residual = q
+    residual[np.arange(len(batch)), batch.thread] -= 1.0
+    residual[:, n:] -= p_hat
+    du = u_new - u_vec
+    dp = p_new - p_vec
+    norm_q, norm_u, norm_p = (model._row_norms(residual), model._row_norms(du),
+                              model._row_norms(dp))
+    losses = norm_q + params.lambda_student * norm_u + params.lambda_thread * norm_p
+    g_q = model._unit_rows(residual, norm_q)
+    grads["predictor_bias"] += g_q.sum(axis=0)
+    Wg = grads["predictor"]
+    for j in range(d):
+        Wg[j] += (u_hat[:, j, None] * g_q).sum(axis=0)
+        Wg[d + m + j] += (last_vec[:, j, None] * g_q).sum(axis=0)
+    Wg[d + batch.student] += g_q
+    has_last = batch.last_thread >= 0
+    last, at = np.unique(batch.last_thread[has_last], return_inverse=True)
+    Wg[2 * d + m + last] += model._sum_at(at, g_q[has_last], len(last))
+    if not flags.no_student_projection:
+        g_uhat = np.matmul(params.predictor[:d], g_q[:, :, None])[:, :, 0]
+        g_gain = g_uhat * u_vec
+        grads["time_context"] += model._sum_at(np.zeros(len(batch), dtype=np.intp),
+                                               g_gain * delta, 1).T
+        grads["week_context"] += model._sum_at(batch.week, g_gain, params.num_weeks).T
+    for name, lam, jump, norms, new, x in (
+            ("student_update", params.lambda_student, du, norm_u, u_new, xu),
+            ("thread_update", params.lambda_thread, dp, norm_p, p_new, xp)):
+        moved = norms > 0.0
+        g_jump = model._unit_rows(jump[moved], norms[moved])
+        g_pre = lam * g_jump * model._act_deriv(new[moved], params.activation)
+        grads[name] += (x[moved, :, None] * g_pre[:, None, :]).sum(axis=0)
+    return losses, u_new, p_new
+
+
+def dense_square_sum(g, buf, reached=None):
+    """float(np.sum(g * g)) in numpy's pairwise order, skipping the leaves
+    without a row of the boolean mask reached."""
+    flat, width = g.reshape(-1), g.shape[-1]
+
+    def node(lo, n):
+        if n > train._STEP_BLOCK:
+            half = n // 2 - n // 2 % 8
+            return node(lo, half) + node(lo + half, n - half)
+        if reached is not None and not reached[lo // width:(lo + n - 1) // width + 1].any():
+            return 0.0
+        part = flat[lo:lo + n]
+        return float(np.add.reduce(np.multiply(part, part, out=buf[:n])))
+
+    return node(0, flat.size)
+
+
+def dense_clip_gradients(grads, max_norm, opt):
+    reached = None if opt.live is None else opt._reached
+    total = np.sqrt(sum(dense_square_sum(g, opt._tmp, reached if name == "predictor" else None)
+                        for name, g in grads.items()))
+    return total, (max_norm / total if 0 < max_norm < total else 1.0)
+
+
+class DenseAdam:
+    """Adam.step over a dense gradient set, which it leaves zero: the live
+    predictor rows gathered block by block while under sparse_share of its
+    rows, every tensor walked in flat slices after."""
+
+    def __init__(self, params, learning_rate, sparse_share=0.5, beta1=0.9, beta2=0.999,
+                 eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps, self.t = learning_rate, beta1, beta2, eps, 0
+        self.sparse_share = sparse_share
+        self.m = {name: np.zeros(params.tensor(name).shape) for name in TENSOR_NAMES}
+        self.v = {name: np.zeros(params.tensor(name).shape) for name in TENSOR_NAMES}
+        rows, width = params.predictor.shape
+        self._block = np.empty((4, max(train._STEP_BLOCK, width)))
+        self._tmp = np.empty(max(train._STEP_BLOCK, width))
+        self._reached = np.zeros(rows, dtype=bool)
+        self.live = None
+
+    def reach(self, rows):
+        if self._reached is None:
+            return
+        self._reached[rows] = True
+        self.live = np.flatnonzero(self._reached)
+        if len(self.live) >= self.sparse_share * len(self._reached):
+            self._reached = self.live = None
+
+    def step(self, params, grads, scale=1.0):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name in TENSOR_NAMES:
+            arrays = (params.tensor(name), grads[name], self.m[name], self.v[name])
+            if self.live is not None and name == "predictor":
+                per_block = max(1, train._STEP_BLOCK // arrays[0].shape[1])
+                for lo in range(0, len(self.live), per_block):
+                    idx = self.live[lo:lo + per_block]
+                    blocks = [train._gather(arr, idx, buf)
+                              for arr, buf in zip(arrays, self._block)]
+                    self._update(*(b.reshape(-1) for b in blocks), scale, bc1, bc2)
+                    for arr, block in zip(arrays, blocks):
+                        arr[idx] = block
+            else:
+                self._update(*(arr.reshape(-1) for arr in arrays), scale, bc1, bc2)
+
+    def _update(self, p, g, m, v, scale, bc1, bc2):
+        b1, b2 = self.beta1, self.beta2
+        for lo in range(0, g.size, train._STEP_BLOCK):
+            block = slice(lo, lo + train._STEP_BLOCK)
+            ps, gs, ms, vs = p[block], g[block], m[block], v[block]
+            tmp = self._tmp[:gs.size]
+            if scale != 1.0:
+                gs *= scale
+            vs *= b2
+            np.multiply(1.0 - b2, gs, out=tmp)
+            tmp *= gs
+            vs += tmp
+            ms *= b1
+            np.multiply(1.0 - b1, gs, out=tmp)
+            ms += tmp
+            np.divide(vs, bc2, out=gs)
+            np.sqrt(gs, out=gs)
+            gs += self.eps
+            np.divide(ms, bc1, out=tmp)
+            tmp *= self.lr
+            tmp /= gs
+            ps -= tmp
+            gs.fill(0.0)
+
+
+class Lockstep:
+    """One parameter set trained by batch_grads, clip_gradients and
+    Adam.step, and a copy trained by the frozen dense path, with every loss,
+    state, gradient entry, clip norm, parameter and moment asserted equal
+    at every t-batch."""
+
+    def __init__(self, params, learning_rate, clip_norm, max_rows=None):
+        self.params, self.ref_params = params, params.copy()
+        self.opt = Adam(self.params, learning_rate)
+        self.ref = DenseAdam(self.ref_params, learning_rate, sparse_share=train._SPARSE_SHARE)
+        self.grads = params.zero_grads(max_rows)
+        self.ref_grads = dense_zero_grads(params)
+        self.clip_norm = clip_norm
+        self.walks = []
+
+    def batch(self, batch, store, flags=AblationFlags(), negative_zero=None):
+        """Run one t-batch; negative_zero, a (row, column) of the predictor
+        the batch reaches, is set to -0.0 in both gradients before clipping."""
+        got = batch_grads(batch, store, self.params, self.grads, flags)
+        ref = dense_batch_grads(batch, store, self.ref_params, self.ref_grads, flags)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+        if negative_zero is not None:
+            row, col = negative_zero
+            at = np.searchsorted(self.grads["predictor"].rows, row)
+            assert self.grads["predictor"].rows[at] == row
+            self.grads["predictor"].values[at, col] = -0.0
+            self.ref_grads["predictor"][row, col] = -0.0
+        dense = dense_grads(self.grads)
+        for name in TENSOR_NAMES:
+            # bit for bit, so -0.0 stays -0.0
+            assert np.array_equal(np.signbit(dense[name]), np.signbit(self.ref_grads[name]))
+            assert np.array_equal(dense[name], self.ref_grads[name]), name
+        self.opt.reach(self.grads["predictor"].rows)
+        self.ref.reach(self.grads["predictor"].rows)
+        self.walks.append(None if self.opt.live is None else len(self.opt.live))
+        total, scale = clip_gradients(self.grads, self.clip_norm, self.opt)
+        ref_total, ref_scale = dense_clip_gradients(self.ref_grads, self.clip_norm, self.ref)
+        assert (total, scale) == (ref_total, ref_scale)
+        assert clip_gradients(self.grads, self.clip_norm) == (total, scale)
+        self.opt.step(self.params, self.grads, scale)
+        self.ref.step(self.ref_params, self.ref_grads, ref_scale)
+        for name in TENSOR_NAMES:
+            assert np.array_equal(self.params.tensor(name), self.ref_params.tensor(name)), name
+            assert np.array_equal(self.opt.m[name], self.ref.m[name]), name
+            assert np.array_equal(self.opt.v[name], self.ref.v[name]), name
+            assert not dense_grads(self.grads)[name].any(), name
+        return got
+
+
+def test_fit_matches_dense_gradient_path_on_acceptance_course(tmp_path):
+    ds, _ = synth.generate(synth.algo_like(scale=0.1))
+    docs = [ev.tokens for ev in ds.events] + ds.course.week_docs
+    vocab = build_vocabulary(docs, min_count=10)
+    lda = lda_fit([term_frequency(doc, vocab) for doc in docs], 9, iters=10, seed=1,
+                  vocab_size=len(vocab))
+    cfg = TrainConfig(epochs=2, topic_infer_iters=4)
+    features = train.prepare_event_features(ds, lda, vocab, course_topics(ds.course, lda, vocab),
+                                            cfg)
+    log = tmp_path / "log.csv"
+    params, _ = train.fit(features, cfg, log_path=log)
+
+    feats = features.events
+    init = ModelParams.init(np.random.default_rng(cfg.seed), cfg.embed_dim, lda.num_topics,
+                            ds.course.num_weeks, ds.num_students, ds.num_threads,
+                            init_std=cfg.init_std)
+    run = Lockstep(init, cfg.learning_rate, cfg.clip_norm)
+    store = copy.deepcopy(features.trackers)
+    batches = [feats.take(b) for b in t_batch(feats.student.tolist(), feats.thread.tolist())]
+    mean_losses = []
+    for _ in range(cfg.epochs):
+        store.student_vecs = np.zeros((ds.num_students, cfg.embed_dim))
+        store.thread_vecs = np.zeros((ds.num_threads, cfg.embed_dim))
+        epoch_loss = 0.0
+        for batch in batches:
+            losses, u_new, p_new = run.batch(batch, store)
+            for loss in losses.tolist():
+                epoch_loss += loss
+            store.student_vecs[batch.student] = u_new
+            store.thread_vecs[batch.thread] = p_new
+        mean_losses.append(epoch_loss / len(feats))
+    for name in TENSOR_NAMES:
+        assert np.array_equal(params.tensor(name), run.params.tensor(name)), name
+    logged = [line.split(",")[1] for line in log.read_text().splitlines()[1:]]
+    assert logged == [repr(loss) for loss in mean_losses]
+    # steps gathered the live rows, then walked whole tensors
+    assert run.walks[0] is not None and run.walks[-1] is None
+
+
+def _paper_batch(rng, params, size):
+    """A random t-batch of size events at params' shape, no student or
+    thread twice, previous threads repeating or -1."""
+    k = params.num_topics
+    return EventFeatures(
+        student=rng.permutation(params.num_students)[:size],
+        thread=rng.permutation(params.num_threads)[:size],
+        last_thread=rng.integers(-1, params.num_threads, size),
+        theta=rng.dirichlet(np.ones(k), size),
+        delta_student=rng.uniform(0.0, 5.0, size),
+        delta_thread=rng.uniform(0.0, 5.0, size),
+        week=rng.integers(params.num_weeks, size=size),
+        excitation_value=rng.uniform(0.0, 3.0, size),
+        timestamp=np.zeros(size),
+        post_id=np.arange(size))
+
+
+@pytest.mark.parametrize("walk", ["gathered", "dense"])
+def test_paper_shape_batches_match_dense_gradient_path(walk, monkeypatch):
+    if walk == "dense":
+        monkeypatch.setattr(train, "_SPARSE_SHARE", 0.0)
+    rng = np.random.default_rng(31)
+    # 1,833 students and 1,323 threads: a 3,176 x 1,333 predictor
+    params = ModelParams.init(rng, 10, 9, 9, 1833, 1323)
+    store = DynamicStateStore(1833, 1323, 10, 9)
+    batches = [_paper_batch(rng, params, size) for size in (150, 90, 120)]
+    run = Lockstep(params, 0.01, 5.0, max(len(predictor_rows(b, params)) for b in batches))
+    for batch in batches:
+        store.student_vecs[:] = rng.uniform(-0.9, 0.9, store.student_vecs.shape)
+        store.thread_vecs[:] = rng.uniform(-0.9, 0.9, store.thread_vecs.shape)
+        run.batch(batch, store)
+    if walk == "dense":
+        assert run.walks == [None] * 3
+    else:
+        assert None not in run.walks and 2 * run.walks[-1] < len(params.predictor)
+
+
+def _leaf_bounds(size):
+    """The element offsets where _square_sum's pairwise leaves meet."""
+    def node(lo, n):
+        if n <= train._STEP_BLOCK:
+            return []
+        half = n // 2 - n // 2 % 8
+        return node(lo, half) + [lo + half] + node(lo + half, n - half)
+    return node(0, size)
+
+
+@pytest.mark.parametrize("walk", ["gathered", "dense"])
+def test_edge_rows_and_negative_zero_match_dense_gradient_path(walk, monkeypatch):
+    if walk == "dense":
+        monkeypatch.setattr(train, "_SPARSE_SHARE", 0.0)
+    rng = np.random.default_rng(32)
+    params = _multi_slice_params(rng)
+    d, m, n = params.embed_dim, params.num_students, params.num_threads
+    rows, width = params.predictor.shape
+    # a previous-thread row that a leaf boundary cuts, and the last row
+    cut = next(b for b in _leaf_bounds(params.predictor.size)
+               if b % width and b // width >= 2 * d + m)
+    crossing = cut // width
+    batch = _paper_batch(rng, params, 3)
+    batch.last_thread[:] = [crossing - 2 * d - m, n - 1, -1]
+    store = DynamicStateStore(m, n, d, params.num_topics)
+    store.student_vecs[:] = rng.uniform(-0.9, 0.9, store.student_vecs.shape)
+    store.thread_vecs[:] = rng.uniform(-0.9, 0.9, store.thread_vecs.shape)
+    reached = predictor_rows(batch, params)
+    assert reached[0] == 0 and reached[-1] == rows - 1 and crossing in reached
+    run = Lockstep(params, 0.01, 1e-3, len(reached))
+    for col in (cut - crossing * width, 0):
+        run.batch(batch, store, negative_zero=(crossing, col))
+    assert run.walks[-1] == (None if walk == "dense" else len(reached))
+
+
+def test_fit_allocates_no_predictor_sized_gradient(batch_ds, monkeypatch):
+    ds = replace(batch_ds, num_students=1200, num_threads=900, student_ids=list(range(1200)),
+                 thread_ids=list(range(900)))
+    _, _, _, cfg, features = _batched_features(ds)
+    made = []
+    zero_grads = ModelParams.zero_grads
+
+    def kept(self, *args):
+        made.append(zero_grads(self, *args))
+        return made[-1]
+
+    monkeypatch.setattr(ModelParams, "zero_grads", kept)
+    tracemalloc.start()
+    try:
+        params, _ = train.fit(features, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    predictor = params.predictor.nbytes
+    batches = [features.events.take(b) for b in event_batches(ds.events)]
+    max_rows = max(len(predictor_rows(b, params)) for b in batches)
+    (grads,) = made
+    assert grads["predictor"]._buf.nbytes <= max_rows * params.predictor.shape[1] * 8
+    # parameters and two moments, a fourth predictor-sized array would pass 4x
+    assert 3 * predictor < peak < 3 * predictor + predictor // 4, (peak, predictor)

@@ -194,6 +194,15 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _split_spec(args) -> corpus.SplitSpec:
+    """The --train-end and --test-end split; a reversed or empty window
+    is bad usage."""
+    try:
+        return corpus.SplitSpec(parse_duration(args.train_end), parse_duration(args.test_end))
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def _load_dataset(data_dir) -> corpus.Dataset:
     data = Path(data_dir)
     schedule = corpus.load_schedule(data / SCHEDULE_FILE)
@@ -237,9 +246,8 @@ def cmd_synth(args) -> int:
     cfg = _config(base, _collect_overrides(args))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed + SEED_OFFSETS["synth"])
-    out = _out_dir(args)
-
     ds, gt = synth.generate(cfg)
+    out = _out_dir(args)
     corpus.write_jsonl(ds, out / POSTS_FILE)
     corpus.write_schedule(ds.course, out / SCHEDULE_FILE)
     corpus.write_id_map(ds, out / ID_MAP_FILE)
@@ -259,7 +267,6 @@ def cmd_lda(args) -> int:
     train_end = parse_duration(args.train_end) if args.train_end else None
     data = Path(args.data)
     ds = _load_dataset(data)
-    out = _out_dir(args)
     window = ds if train_end is None else corpus.events_before(ds, train_end)
 
     num_topics = args.num_topics or ds.course.num_weeks
@@ -277,6 +284,7 @@ def cmd_lda(args) -> int:
     timings = {"vocabulary_s": t_fit - t_vocab, "lda_fit_s": t_topics - t_fit,
                "course_topics_s": time.perf_counter() - t_topics}
 
+    out = _out_dir(args)
     text.save_vocabulary(vocab, out / VOCAB_FILE)
     text.save_lda(lda, out / LDA_FILE)
     text.save_topic_distributions(week_topics, out / COURSE_TOPICS_FILE)
@@ -300,11 +308,11 @@ def cmd_train(args) -> int:
     train_end = parse_duration(args.train_end) if args.train_end else None
     data = Path(args.data)
     ds = _load_dataset(data)
-    out = _out_dir(args)
     window = ds if train_end is None else corpus.events_before(ds, train_end)
 
     t_features = time.perf_counter()
     features = _prepare_features(args.lda, window, cfg)
+    out = _out_dir(args)
     t_fit = time.perf_counter()
     sink = [] if args.export_trajectories else None
     params, store = train.fit(features, cfg, log_path=out / TRAIN_LOG_FILE,
@@ -350,9 +358,9 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     if args.baseline and args.per_event:
         raise UsageError("--per-event re-ranks with a --checkpoint, not a --baseline")
+    spec = _split_spec(args)
     data = Path(args.data)
     ds = _load_dataset(data)
-    spec = corpus.SplitSpec(parse_duration(args.train_end), parse_duration(args.test_end))
     train_ds, test_ds = corpus.split_by_time(ds, spec)
     timings = {"ingest_s": time.perf_counter() - started}
 
@@ -421,18 +429,15 @@ def cmd_ablate(args) -> int:
     base_cfg = _config(train.TrainConfig(), _collect_overrides(args))
     base_seed = (args.seed + SEED_OFFSETS["ablate"]
                  if args.seed is not None else base_cfg.seed)
-    train_end = parse_duration(args.train_end)
-    test_end = parse_duration(args.test_end)
-    out = _out_dir(args)
+    spec = _split_spec(args)
     seeds = [base_seed + i for i in range(args.seeds)]
 
     # the features depend on neither the flags nor the seed
-    train_ds, test_ds = corpus.split_by_time(_load_dataset(args.data),
-                                             corpus.SplitSpec(train_end, test_end))
+    train_ds, test_ds = corpus.split_by_time(_load_dataset(args.data), spec)
     t_features = time.perf_counter()
     features = _prepare_features(args.lda, train_ds, base_cfg)
     t_fits = time.perf_counter()
-    shared = (base_cfg, train_ds, test_ds, features, train_end, args.n_cutoff)
+    shared = (base_cfg, train_ds, test_ds, features, spec.train_end, args.n_cutoff)
     jobs = [(variant, seed) for variant in train.ABLATION_VARIANTS for seed in seeds]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only ablate starts processes
@@ -451,6 +456,7 @@ def cmd_ablate(args) -> int:
         rows.append((variant, scores, sum(scores) / len(scores)))
     users = results[-1][1]
 
+    out = _out_dir(args)
     with open(out / ABLATION_CSV, "w") as fh:
         fh.write("variant," + ",".join("seed_%d" % s for s in seeds) + ",mean\n")
         for variant, scores, mean in rows:
@@ -472,8 +478,8 @@ def cmd_ablate(args) -> int:
     inputs = ([Path(args.data) / n for n in DATA_FILES]
               + [Path(args.lda) / n for n in LDA_FILES])
     config = {**dataclasses.asdict(dataclasses.replace(base_cfg, seed=base_seed)),
-              "train_end": train_end, "test_end": test_end, "n_cutoff": args.n_cutoff,
-              "seeds": args.seeds}
+              "train_end": spec.train_end, "test_end": spec.test_end,
+              "n_cutoff": args.n_cutoff, "seeds": args.seeds}
     write_manifest(out, "ablate", base_seed, config, inputs,
                    [out / ABLATION_CSV, out / ABLATION_JSON], [],
                    time.perf_counter() - started, timings)

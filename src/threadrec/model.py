@@ -29,6 +29,11 @@ import numpy as np
 from .corpus import ReplyHistory
 from .text import _check_simplex
 
+# Elements per block of the training step's walks over a gradient: the
+# blocks of the Adam step and the leaves of clipping's pairwise sum, 256
+# KiB each, stay in cache across the passes over them.
+_STEP_BLOCK = 1 << 15
+
 TENSOR_NAMES = (
     "student_update",
     "thread_update",
@@ -174,6 +179,10 @@ class RowGrad:
         self.shape = shape
         # np.empty: start touches only the rows a batch reaches
         self._buf = np.empty((max_rows, shape[1]))
+        # take's blocks: _STEP_BLOCK elements span that many entries and
+        # parts of two more rows
+        self._scratch = np.zeros(_STEP_BLOCK + 2 * shape[1])
+        self._written = self._scratch, []
         self.start(np.empty(0, dtype=np.intp))
 
     def start(self, rows: np.ndarray) -> None:
@@ -185,19 +194,22 @@ class RowGrad:
         self.values = self._buf[:len(rows)]
         self.values.fill(0.0)
 
-    def take(self, idx, zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def take(self, idx) -> tuple[np.ndarray, int]:
         """The dense gradient's rows idx, a range or sorted rows that hold
         every row of the gradient from idx[0] to idx[-1], as a
-        (len(idx), width) view of the flat buffer zeros, which holds +0.0
-        there; and the positions in the view where the gradient's rows went.
-        The caller writes +0.0 back to those after use."""
+        (len(idx), width) view of the scratch buffer, +0.0 but in the
+        gradient's rows; and how many of those it holds. The caller may
+        overwrite those rows: the next take first writes +0.0 over them."""
+        block, at = self._written
+        block[at] = 0.0
         width = self.shape[1]
-        block = zeros[:len(idx) * width].reshape(len(idx), width)
+        block = self._scratch[:len(idx) * width].reshape(len(idx), width)
         lo, hi = self.rows.searchsorted((idx[0], idx[-1] + 1))
         rows = self.rows[lo:hi]
         at = rows - idx[0] if isinstance(idx, range) else idx.searchsorted(rows)
         block[at] = self.values[lo:hi]
-        return block, at
+        self._written = block, at
+        return block, len(at)
 
 
 def dense_grads(grads: dict) -> dict[str, np.ndarray]:

@@ -384,22 +384,21 @@ def lda_infer(
     model: LdaModel,
     doc: Mapping[int, int],
     iters: int = 50,
-    burn_in: int = 25,
 ) -> np.ndarray:
     """Fold-in Gibbs inference for one document: lda_infer_batch's row."""
-    return lda_infer_batch(model, [doc], iters=iters, burn_in=burn_in)[0]
+    return lda_infer_batch(model, [doc], iters=iters)[0]
 
 
 def lda_infer_batch(
     model: LdaModel,
     docs: Sequence[Mapping[int, int]],
     iters: int = 50,
-    burn_in: int = 25,
 ) -> np.ndarray:
     """Fold-in Gibbs inference under the fixed topic-word matrix: row d of
     the returned (len(docs), K) array averages the smoothed doc-topic
-    posterior of docs[d] over the sweeps after burn_in. An empty document
-    gets the prior, uniform for a symmetric doc_topic_prior.
+    posterior of docs[d] over the sweeps after the first iters // 2, which
+    are burn-in. An empty document gets the prior, uniform for a symmetric
+    doc_topic_prior.
 
     Each document samples with its own generator seeded from the model
     seed, so a row depends on its document alone, and documents of one
@@ -411,8 +410,9 @@ def lda_infer_batch(
     (n_dk + alpha) * topic_word[:, word] are summed left to right, and the
     new topic is the number of the first K - 1 cumulative weights <= u
     times the total, which is bisect_right clamped to the last topic."""
-    if iters <= burn_in:
-        raise ValueError("iters must exceed burn_in")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    burn_in = iters // 2
     K = model.num_topics
     alpha = model.doc_topic_prior
     words, doc_of, lengths, _ = _expand_docs(docs, model.vocab_size)
@@ -491,16 +491,16 @@ def course_topics(
     model: LdaModel,
     vocab: Vocabulary,
     iters: int = 50,
-    burn_in: int = 25,
 ) -> np.ndarray:
-    """(weeks, topics) topic profiles of the course weeks, from their syllabus text."""
+    """(weeks, topics) topic profiles of the course weeks, from their
+    syllabus text, by lda_infer_batch over iters sweeps."""
     docs = []
     for week, tokens in enumerate(schedule.week_docs):
         tf = term_frequency(tokens, vocab)
         if not tf:
             raise ValueError("course week %d has no modelable text" % week)
         docs.append(tf)
-    return lda_infer_batch(model, docs, iters=iters, burn_in=burn_in)
+    return lda_infer_batch(model, docs, iters=iters)
 
 
 # ---------------------------------------------------------------------------

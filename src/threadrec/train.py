@@ -6,19 +6,22 @@ latest batch touching its student or its thread, so no batch repeats an
 entity and replaying batches in order preserves every per-entity timeline.
 model.batch_grads adds a batch's gradients in one pass, with the dynamic
 states entering the batch treated as constants, into the one gradient set
-of the fit; Adam applies them in place and leaves the set zero for the
-next batch. A batch reaches only the predictor rows model.predictor_rows
+of the fit. A batch reaches only the predictor rows model.predictor_rows
 names, so its predictor gradient is compact: those rows and a block of
 their values (model.RowGrad), in a buffer fit sizes for its largest batch.
-Clipping sums the squares in numpy's pairwise order over the dense layout,
-rebuilding only the leaves that hold a batch row. While the rows reached
-so far (the live rows) are under half the predictor's, the Adam step
-gathers just those, block by block; afterwards it walks whole tensors.
-Both are bit for bit the whole-tensor expressions on the dense gradient.
-Training holds three predictor-sized arrays (parameters, two moments) and
-allocates none per step. The features come from one replay of the window
-through a state store's trackers, which training keeps; only the embeddings
-restart from zero at every epoch.
+A step is clip_gradients, then Adam.step, which applies the gradients in
+place and leaves the set zero for the next batch. Clipping sums the
+squares in numpy's pairwise order over the dense layout, rebuilding only
+the leaves that hold a batch row. Adam.step adds the batch's rows to the
+rows reached so far (the live rows); while those are under half the
+predictor's, it gathers just them, block by block, and afterwards it
+walks whole tensors. Both are bit for bit the whole-tensor expressions on
+the dense gradient, and both build a block of the compact gradient in
+the RowGrad's own scratch, which it clears itself. Training holds three
+predictor-sized arrays (parameters, two moments) and allocates none per
+step. The features come from one replay of the window through a state
+store's trackers, which training keeps; only the embeddings restart from
+zero at every epoch.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ from .model import (
     ModelParams,
     RowGrad,
     TENSOR_NAMES,
+    _STEP_BLOCK,
     _student_context,
     batch_grads,
     dense_grads,
@@ -182,9 +186,8 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
     trackers = DynamicStateStore(train.num_students, train.num_threads, 0, lda.num_topics,
                                  mean_event_gap(train.events))
     index = ThreadEventIndex(train)
-    iters = config.topic_infer_iters
     thetas = lda_infer_batch(lda, [term_frequency(ev.tokens, vocab) for ev in train.events],
-                             iters=iters, burn_in=iters // 2)
+                             iters=config.topic_infer_iters)
     rows = []
     for ev, theta in zip(train.events, thetas):
         s, c, t = ev.student_id, ev.thread_id, ev.timestamp
@@ -204,11 +207,6 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
 # optimizer
 
 
-# Elements per slice of the blocked Adam step: the slices of p, g, m, v and
-# one intermediate, 256 KiB each, stay in cache across the step's fifteen
-# elementwise passes over them.
-_STEP_BLOCK = 1 << 15
-
 # While the live predictor rows are fewer than this share of all its rows,
 # a step gathers them block by block; from it on it walks whole tensors.
 # Measured at paper shape (3,176 rows of 1,333) with every page in memory,
@@ -216,6 +214,8 @@ _STEP_BLOCK = 1 << 15
 # whole-tensor one at a tenth of the rows, 0.8 at half and as much from
 # about 0.65 on; half keeps a margin below that crossover.
 _SPARSE_SHARE = 0.5
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def _gather(arr: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -225,13 +225,6 @@ def _gather(arr: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.take(arr, idx, axis=0, out=block, mode="clip")
 
 
-def _leaf_buffer(width: int) -> np.ndarray:
-    """A zero buffer for _square_sum: a leaf of _STEP_BLOCK elements of a
-    dense layout width wide spans that many entries and parts of two more
-    rows."""
-    return np.zeros(_STEP_BLOCK + 2 * width)
-
-
 class Adam:
     """Adam over every tensor of a ModelParams. step consumes the gradient
     set: it applies it and leaves every gradient zero, the predictor's
@@ -239,27 +232,24 @@ class Adam:
 
     A predictor row no step has reached holds g, m and v of +0.0, where
     every operation of the step yields +0.0 and p -= 0.0 keeps p's bits,
-    so skipping it changes nothing. While the rows reach has named (live)
-    are fewer than _SPARSE_SHARE of the predictor's, step gathers p, m and
-    v of them block by block, runs the elementwise sequence on the block
-    and scatters the three back; otherwise it walks the predictor in
-    blocks of whole rows and the other tensors in slices of _STEP_BLOCK
-    elements. A predictor block's gradient is the batch's rows written
-    into the zero buffer _zeros (RowGrad.take), which gets +0.0 back
-    after the block. Each gradient block is multiplied by the clip scale
-    before use. Intermediates go into block-sized buffers, so no step
-    allocates a tensor-sized array, and since elementwise operations round
-    the same in any block or row order, the result is bit for bit that of
-    the whole-tensor expressions on the dense gradient. Training thus
-    holds three predictor-sized arrays: the parameters and the two
-    moments. clip_gradients builds its leaves in _zeros too. live is None,
-    every row, until reach names rows."""
+    so skipping it changes nothing. Each step adds the rows of its
+    predictor gradient to the live rows, kept as the mask _reached and,
+    sorted, as live. While they are fewer than _SPARSE_SHARE of the
+    predictor's, step gathers p, m and v of them block by block, runs the
+    elementwise sequence on the block and scatters the three back. Once
+    they reach that share, both become None for good, since the live rows
+    only grow: every step then walks the predictor in blocks of whole rows.
+    The other tensors are walked in slices of _STEP_BLOCK elements. A
+    predictor block's gradient is RowGrad.take's block. Each gradient
+    block is multiplied by the clip scale before use. Intermediates go
+    into block-sized buffers, so no step allocates a tensor-sized array,
+    and since elementwise operations round the same in any block or row
+    order, the result is bit for bit that of the whole-tensor expressions
+    on the dense gradient. Training thus holds three predictor-sized
+    arrays: the parameters and the two moments."""
 
-    def __init__(self, params: ModelParams, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: ModelParams, learning_rate):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         # np.zeros leaves zeroing to the first touch of each page; zeros_like
         # writes every entry up front
@@ -270,35 +260,24 @@ class Adam:
         # one block each for gathering p, m and v, and one for denominators
         self._block = np.empty((4, max(_STEP_BLOCK, width)))
         self._tmp = np.empty(_STEP_BLOCK)  # intermediates
-        self._zeros = _leaf_buffer(width)
         self._reached = np.zeros(rows, dtype=bool)  # None once steps walk every row
         self.live = None
 
-    def reach(self, rows) -> None:
-        """Add rows, predictor rows the coming step's gradient can reach
-        (model.predictor_rows), to the live rows, kept as the mask _reached
-        and, sorted, as live. Once they reach _SPARSE_SHARE of the
-        predictor's rows, both become None for good: the live rows only
-        grow, so steps walk whole tensors from then on."""
-        if self._reached is None:
-            return
-        self._reached[rows] = True
-        self.live = np.flatnonzero(self._reached)
-        if len(self.live) >= _SPARSE_SHARE * len(self._reached):
-            self._reached = self.live = None
-
     def step(self, params: ModelParams, grads: dict, scale: float = 1.0) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - _BETA1 ** self.t
+        bc2 = 1.0 - _BETA2 ** self.t
         for name in TENSOR_NAMES:
             p, g, m, v = params.tensor(name), grads[name], self.m[name], self.v[name]
             if name != "predictor":
                 self._update(*map(_flat, (p, g, m, v)), scale, bc1, bc2)
                 g.fill(0.0)
                 continue
-            if self.live is not None and not self._reached[g.rows].all():
-                raise ValueError("the predictor gradient holds rows reach did not name")
+            if self._reached is not None:
+                self._reached[g.rows] = True
+                self.live = np.flatnonzero(self._reached)
+                if len(self.live) >= _SPARSE_SHARE * len(self._reached):
+                    self._reached = self.live = None
             live = range(len(p)) if self.live is None else self.live
             per_block = max(1, _STEP_BLOCK // p.shape[1])  # rows, one if wider
             for lo in range(0, len(live), per_block):
@@ -307,10 +286,9 @@ class Adam:
                     pmv = [arr[idx[0]:idx[-1] + 1] for arr in (p, m, v)]
                 else:
                     pmv = [_gather(arr, idx, buf) for arr, buf in zip((p, m, v), self._block)]
-                gs, at = g.take(idx, self._zeros)
+                gs = g.take(idx)[0]
                 self._update(*(b.reshape(-1) for b in (pmv[0], gs, pmv[1], pmv[2])),
                              scale, bc1, bc2)
-                gs[at] = 0.0
                 if self.live is not None:
                     for arr, block in zip((p, m, v), pmv):
                         arr[idx] = block
@@ -319,7 +297,6 @@ class Adam:
     def _update(self, p, g, m, v, scale, bc1, bc2) -> None:
         """The elementwise Adam sequence on 1-D p, g, m and v, in place,
         slice by slice; g is only read."""
-        b1, b2 = self.beta1, self.beta2
         for lo in range(0, g.size, _STEP_BLOCK):
             block = slice(lo, lo + _STEP_BLOCK)
             ps, gs, ms, vs = p[block], g[block], m[block], v[block]
@@ -327,18 +304,18 @@ class Adam:
             if scale != 1.0:
                 gs = np.multiply(gs, scale, out=den)
             # v = b2 * v + ((1 - b2) * g) * g
-            vs *= b2
-            np.multiply(1.0 - b2, gs, out=tmp)
+            vs *= _BETA2
+            np.multiply(1.0 - _BETA2, gs, out=tmp)
             tmp *= gs
             vs += tmp
             # m = b1 * m + (1 - b1) * g
-            ms *= b1
-            np.multiply(1.0 - b1, gs, out=tmp)
+            ms *= _BETA1
+            np.multiply(1.0 - _BETA1, gs, out=tmp)
             ms += tmp
             # g is spent: den holds the denominator sqrt(v / bc2) + eps
             np.divide(vs, bc2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += _EPS
             # p -= (lr * (m / bc1)) / denominator
             np.divide(ms, bc1, out=tmp)
             tmp *= self.lr
@@ -353,54 +330,45 @@ def _flat(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def clip_gradients(grads: dict, max_norm: float,
-                   opt: Adam | None = None) -> tuple[float, float]:
+def clip_gradients(grads: dict, max_norm: float) -> tuple[float, float]:
     """The joint Euclidean norm of all gradients, arrays or a RowGrad, and
     the factor that brings it to at most max_norm: max_norm / norm when
     0 < max_norm < norm, else 1. The gradients are left as they are;
     Adam.step applies the factor. Each gradient's squares are summed by
-    _square_sum through opt's zero buffer (a new one without opt); the
-    sums add in dict order."""
-    total = np.sqrt(sum(_square_sum(g, _leaf_buffer(g.shape[-1]) if opt is None else opt._zeros)
-                        for g in grads.values()))
+    _square_sum; the sums add in dict order."""
+    total = np.sqrt(sum(_square_sum(g) for g in grads.values()))
     scale = max_norm / total if 0 < max_norm < total else 1.0
     return total, scale
 
 
-def _square_sum(g, buf: np.ndarray) -> float:
+def _square_sum(g) -> float:
     """float(np.sum(d * d)) bit for bit, where d is the array g or the
-    dense form of the RowGrad g, through buf, of _STEP_BLOCK elements or
-    more for an array and a zero buffer of _leaf_buffer's size for a
-    RowGrad; buf holds +0.0 again afterwards. numpy sums pairwise,
-    splitting a node of n > 128 elements after n // 2 rounded down to a
-    multiple of 8; so does this recursion, down to leaves of _STEP_BLOCK or
-    fewer, squared in buf and summed by np.add.reduce. A RowGrad leaf is
-    the gradient's rows it spans written into buf, squared in place:
-    0.0 * 0.0 leaves the zeros as they are. A leaf that spans none of the
-    rows holds only +0.0 entries and adds +0.0 unread, which changes no
-    sum of non-negative squares."""
+    dense form of the RowGrad g. numpy sums pairwise, splitting a node of
+    n > 128 elements after n // 2 rounded down to a multiple of 8; so does
+    this recursion, down to leaves of _STEP_BLOCK or fewer, squared into a
+    block buffer and summed by np.add.reduce. A RowGrad leaf is the
+    gradient's rows it spans, which RowGrad.take writes into its +0.0
+    scratch, squared in place: 0.0 * 0.0 leaves the zeros as they are. A
+    leaf that spans none of the rows holds only +0.0 entries and adds +0.0
+    unread, which changes no sum of non-negative squares."""
     if isinstance(g, RowGrad):
         size, width = g.shape[0] * g.shape[1], g.shape[1]
 
         def leaf(lo, n):
             first = lo // width
-            block, at = g.take(range(first, (lo + n - 1) // width + 1), buf)
-            if not len(at):
+            block, held = g.take(range(first, (lo + n - 1) // width + 1))
+            if not held:
                 return 0.0
             part = block.reshape(-1)[lo - first * width:][:n]
-            total = float(np.add.reduce(np.multiply(part, part, out=part)))
-            block[at] = 0.0
-            return total
+            return float(np.add.reduce(np.multiply(part, part, out=part)))
     else:
         flat = _flat(g)
         size = flat.size
+        buf = np.empty(min(size, _STEP_BLOCK))
 
         def leaf(lo, n):
             part = flat[lo:lo + n]
-            squares = np.multiply(part, part, out=buf[:n])
-            total = float(np.add.reduce(squares))
-            squares.fill(0.0)
-            return total
+            return float(np.add.reduce(np.multiply(part, part, out=buf[:n])))
 
     return _tree_sum(leaf, 0, size)
 
@@ -496,8 +464,7 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
                     trajectory_sink += [("student", s, t, *u), ("thread", c, t, *p)]
 
             step_start = time.perf_counter()
-            opt.reach(grads["predictor"].rows)
-            total, scale = clip_gradients(grads, config.clip_norm, opt)
+            total, scale = clip_gradients(grads, config.clip_norm)
             if not np.isfinite(total):
                 raise TrainingDiverged("non-finite gradient at epoch %d batch %d" % (epoch, b))
             grad_norm_max = max(grad_norm_max, total)

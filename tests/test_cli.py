@@ -369,6 +369,16 @@ def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
     assert main(["recommend", "--data", str(other),
                  "--checkpoint", str(pipeline["run"] / "checkpoint.bin"),
                  "--student", "0", "--at", "2w"]) == 2
+    # a reversed or empty split window is refused before the data are read
+    for test_end in ("1w", "2w"):
+        assert main(["eval", "--data", str(pipeline["data"]), "--out", str(tmp_path / "r"),
+                     "--baseline", "pop", "--train-end", "2w", "--test-end", test_end]) == 2
+        assert "need 0 < train_end < test_end" in capsys.readouterr().err
+        assert main(["ablate", "--data", str(pipeline["data"]), "--lda", str(pipeline["lda"]),
+                     "--out", str(tmp_path / "r"), "--train-end", "2w",
+                     "--test-end", test_end]) == 2
+        assert "need 0 < train_end < test_end" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
     # argparse's own rejections surface as exit code 2 as well
     assert main(["eval"]) == 2
     assert main(["not-a-command"]) == 2
@@ -427,7 +437,7 @@ def test_runtime_errors_exit_one(pipeline, tmp_path, capsys):
     assert main(["train", "--data", str(pipeline["data"]), "--lda", str(lda),
                  "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1
     assert "course topics" in capsys.readouterr().err
-    assert not (out / "checkpoint.bin").exists()
+    assert not out.exists()
     # a week of NaN topics is off the simplex, not a week every student nears
     rows = (pipeline["lda"] / "course_topics.csv").read_text().splitlines()
     rows[0] = " ".join(["nan"] * len(rows[0].split()))
@@ -435,7 +445,22 @@ def test_runtime_errors_exit_one(pipeline, tmp_path, capsys):
     assert main(["train", "--data", str(pipeline["data"]), "--lda", str(lda),
                  "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1
     assert "course_topics.csv must be nonnegative" in capsys.readouterr().err
-    assert not (out / "checkpoint.bin").exists()
+    assert not out.exists()
+    # a command refused after reading its inputs leaves no output directory
+    for argv, message in (
+            (["synth", "--set", "num_students=1", "--set", "mean_posts_per_student=1",
+              "--seed", "0"], "generated no posts"),
+            (["lda", "--data", str(pipeline["data"]), "--min-count", "100000"],
+             "vocabulary is empty"),
+            (["lda", "--data", str(pipeline["data"]), "--num-topics", "100000"],
+             "exceeds vocabulary size"),
+            (["train", "--data", str(pipeline["data"]), "--lda", str(tmp_path / "nowhere")],
+             "nowhere"),
+            (["ablate", "--data", str(pipeline["data"]), "--lda", str(tmp_path / "nowhere"),
+              "--train-end", "2w", "--test-end", "3w"], "nowhere")):
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
     capsys.readouterr()
 
 
@@ -463,7 +488,10 @@ def test_non_finite_inputs_exit_one_and_write_nothing(pipeline, tmp_path, capsys
                          ["train", "--data", str(bad), "--lda", str(pipeline["lda"]),
                           "--out", str(out), "--set", "epochs=1"],
                          ["eval", "--data", str(bad), "--out", str(out), "--baseline", "pop",
-                          "--train-end", "2w", "--test-end", "3w"]):
+                          "--train-end", "2w", "--test-end", "3w"],
+                         ["ablate", "--data", str(bad), "--lda", str(pipeline["lda"]),
+                          "--out", str(out), "--train-end", "2w", "--test-end", "3w",
+                          "--set", "epochs=1"]):
                 assert main(argv) == 1, argv
                 assert message in capsys.readouterr().err, argv
                 assert not out.exists(), argv

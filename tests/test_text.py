@@ -353,7 +353,7 @@ def test_joint_loglik_is_the_scipy_formula_on_random_states():
 def test_lda_infer_frozen_oracle(k, iters, expect):
     docs, vocab_size = _oracle_corpus()
     model = text.lda_fit(docs, k, iters=30, seed=7, vocab_size=vocab_size)
-    theta = text.lda_infer(model, docs[0], iters=iters, burn_in=iters // 2)
+    theta = text.lda_infer(model, docs[0], iters=iters)
     assert theta.tolist() == expect
 
 
@@ -403,19 +403,20 @@ def _mixed_length_docs(rng, vocab_size):
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 9])
-@pytest.mark.parametrize("iters, burn_in", [(10, 5), (7, 0)])
+@pytest.mark.parametrize("iters, burn_in", [(10, 5), (7, 3)])
 def test_lda_infer_batch_matches_per_document_loop(k, iters, burn_in):
+    # the first iters // 2 sweeps are burn-in
     docs, vocab_size = _oracle_corpus()
     model = text.lda_fit(docs, k, iters=10, seed=7, vocab_size=vocab_size)
     batch = _mixed_length_docs(np.random.default_rng(k), vocab_size) + docs[:3]
-    got = text.lda_infer_batch(model, batch, iters=iters, burn_in=burn_in)
+    got = text.lda_infer_batch(model, batch, iters=iters)
     assert got.shape == (len(batch), k) and got.dtype == np.float64
     for row, doc in zip(got, batch):
         assert np.array_equal(row, _loop_lda_infer(model, doc, iters, burn_in))
     # lda_infer is the batch of one
-    single = text.lda_infer(model, batch[9], iters=iters, burn_in=burn_in)
+    single = text.lda_infer(model, batch[9], iters=iters)
     assert np.array_equal(single, got[9])
-    assert text.lda_infer_batch(model, [], iters=iters, burn_in=burn_in).shape == (0, k)
+    assert text.lda_infer_batch(model, [], iters=iters).shape == (0, k)
 
 
 @pytest.mark.parametrize("bad, match", [({0: 0}, "term frequencies"),
@@ -427,10 +428,10 @@ def test_lda_infer_batch_rejects_what_lda_infer_rejects(bad, match):
         text.lda_infer(model, bad)
     with pytest.raises(ValueError, match=match):
         text.lda_infer_batch(model, [{0: 1}, {}, bad])
-    with pytest.raises(ValueError, match="burn_in"):
-        text.lda_infer(model, {0: 1}, iters=5, burn_in=5)
-    with pytest.raises(ValueError, match="burn_in"):
-        text.lda_infer_batch(model, [{0: 1}], iters=5, burn_in=5)
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        text.lda_infer(model, {0: 1}, iters=0)
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        text.lda_infer_batch(model, [{0: 1}], iters=0)
 
 
 def _one_token_sweep(u):

@@ -137,14 +137,52 @@ def test_adam_first_step_is_signed_learning_rate():
     assert params.predictor[1, 1] == before[1, 1]
 
 
-def test_adam_refuses_gradient_rows_reach_did_not_name():
-    params = ModelParams.init(np.random.default_rng(1), 2, 2, 2, 4, 4)
-    opt = Adam(params, 0.01)
-    opt.reach(np.array([0, 1]))
+def test_adam_learns_live_rows_from_the_gradient():
+    # nobody names the rows to the optimizer: each step adds its gradient's
+    # rows to the live rows, gathers them and matches the dense step
+    rng = np.random.default_rng(1)
+    params = ModelParams.init(rng, 2, 2, 2, 4, 4)
+    ref_params = params.copy()
+    opt, ref = Adam(params, 0.01), RefAdam(ref_params, 0.01)
     grads = params.zero_grads()
-    grads["predictor"].start(np.array([1, 5]))
-    with pytest.raises(ValueError, match="reach did not name"):
+    for rows, live in (([1, 5], [1, 5]), ([0, 5], [0, 1, 5])):
+        dense = dense_zero_grads(params)
+        for name in TENSOR_NAMES:
+            dense[name][...] = rng.normal(size=dense[name].shape)
+        outside = np.ones(len(params.predictor), dtype=bool)
+        outside[rows] = False
+        dense["predictor"][outside] = 0.0
+        load_grads(grads, dense, np.array(rows))
         opt.step(params, grads)
+        ref.step(ref_params, dense)
+        assert opt.live.tolist() == live
+        for name in TENSOR_NAMES:
+            assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
+            assert np.array_equal(opt.m[name], ref.m[name]), name
+            assert np.array_equal(opt.v[name], ref.v[name]), name
+
+
+def test_row_grad_scratch_is_zero_but_the_rows_take_wrote():
+    rng = np.random.default_rng(4)
+    shape = (40, 3000)  # a take of _STEP_BLOCK elements spans 11 or 12 rows
+    grad = RowGrad(shape, 12)
+    grad.start(np.array([0, 3, 4, 11, 12, 25, 39]))
+    grad.values[...] = rng.normal(size=grad.values.shape)
+    grad.values[1, :5] = -0.0
+    for idx in (range(0, 12), np.array([3, 4, 7]), range(10, 22), range(22, 34),
+                np.array([25, 39]), range(0, 1), range(39, 40)):
+        block, held = grad.take(idx)
+        wrote = np.isin(np.asarray(idx), grad.rows)
+        assert held == wrote.sum()
+        assert np.array_equal(block[wrote], grad.values[np.isin(grad.rows, idx)])
+        rest = np.ones(grad._scratch.size, dtype=bool)
+        rest[:block.size].reshape(block.shape)[wrote] = False
+        scratch = grad._scratch[rest]
+        assert not scratch.any() and not np.signbit(scratch).any(), idx
+        # callers may overwrite the rows take wrote, as clipping squares the
+        # block in place
+        np.multiply(block, block, out=block)
+        block[wrote] = -1.0
 
 
 def test_clip_gradients_scales_to_max_norm():
@@ -163,15 +201,12 @@ def test_clip_gradients_scales_to_max_norm():
     grads3 = {"a": np.array([100.0])}
     assert clip_gradients(grads3, 0.0)[1] == 1.0
     assert grads3["a"][0] == 100.0
-    # an optimizer's block buffer gives the same norm whatever it holds
-    # while every row is walked
+    # a compact predictor gradient adds its rows' squares
     params = ModelParams.init(np.random.default_rng(3), 1, 1, 1, 1, 1)
-    opt = Adam(params, 0.01)
-    opt._tmp.fill(np.nan)
     grads4 = params.zero_grads()
     grads4["predictor"].start(np.array([1]))
     grads4["time_context"][0, 0], grads4["predictor"].values[0, 1] = 3.0, 4.0
-    assert clip_gradients(grads4, 1.0, opt) == (total, scale)
+    assert clip_gradients(grads4, 1.0) == (total, scale)
     assert grads4["time_context"][0, 0] == 3.0
     assert dense_grads(grads4)["predictor"][1, 1] == 4.0
 
@@ -182,10 +217,9 @@ def test_square_sum_matches_numpy_pairwise_sum_bitwise(shape):
     # numpy's pairwise split is pinned here: if a numpy version splits
     # otherwise, this fails before any trained byte changes
     rng = np.random.default_rng(sum(shape))
-    buf = np.empty(train._STEP_BLOCK)
     for magnitude in (1e-8, 1.0, 1e8):
         g = rng.normal(0.0, magnitude, size=shape) * np.exp(rng.normal(0.0, 3.0, size=shape))
-        assert train._square_sum(g, buf) == float(np.sum(g * g))
+        assert train._square_sum(g) == float(np.sum(g * g))
         if g.ndim == 2:
             # rows outside a compact gradient's rows hold zero gradients and
             # are skipped
@@ -193,10 +227,9 @@ def test_square_sum_matches_numpy_pairwise_sum_bitwise(shape):
                 reached = rng.random(shape[0]) < share
                 g[~reached] = 0.0
                 compact = row_grad(g, np.flatnonzero(reached))
-                assert train._square_sum(compact, train._leaf_buffer(shape[1])) == float(
-                    np.sum(g * g))
+                assert train._square_sum(compact) == float(np.sum(g * g))
                 # skipping is exact: every square of an unreached row is +0.0
-                assert train._square_sum(g, buf) == float(np.sum(g * g))
+                assert train._square_sum(g) == float(np.sum(g * g))
 
 
 def row_grad(dense, rows):
@@ -248,9 +281,9 @@ def _sparse_grads(rng, params, step):
     return grads
 
 
-def _reach(rng, opt, params, grads):
-    """Name 40 random predictor rows and the two embedding blocks to opt
-    as the rows this step's gradient reaches, zero the predictor gradient
+def _reach(rng, params, grads):
+    """Pick 40 random predictor rows and the two embedding blocks as the
+    rows this step's gradient reaches, zero the predictor gradient
     elsewhere, as a t-batch would leave it, and return the rows."""
     d, m = params.embed_dim, params.num_students
     rows = np.unique(np.concatenate([np.arange(d), np.arange(d + m, 2 * d + m),
@@ -258,13 +291,12 @@ def _reach(rng, opt, params, grads):
     outside = np.ones(len(params.predictor), dtype=bool)
     outside[rows] = False
     grads["predictor"][outside] = 0.0
-    opt.reach(rows)
     return rows
 
 
 @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
 def test_adam_step_matches_reference_bitwise(clip_norm):
-    # steps given no rows, then steps whose named live rows grow past half
+    # steps given every row, then steps whose live rows grow past half
     for named in (False, True):
         rng = np.random.default_rng(21)
         params = _multi_slice_params(rng)
@@ -276,13 +308,13 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
             ref_grads = _sparse_grads(rng, params, step)
             rows = np.arange(len(params.predictor))
             if named:
-                rows = _reach(rng, opt, params, ref_grads)
-            walked.append(None if opt.live is None else len(opt.live))
+                rows = _reach(rng, params, ref_grads)
             load_grads(grads, ref_grads, rows)
-            norm, scale = clip_gradients(grads, clip_norm, opt)
+            norm, scale = clip_gradients(grads, clip_norm)
             assert norm == ref_clip_gradients(ref_grads, clip_norm)
             clipped += 0 < clip_norm < norm
             opt.step(params, grads, scale)
+            walked.append(None if opt.live is None else len(opt.live))
             ref.step(ref_params, ref_grads)
             for name in TENSOR_NAMES:
                 assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
@@ -303,7 +335,7 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
 
 
 def test_optimizer_allocates_no_tensor_sized_arrays():
-    # steps given no rows, then steps given named live rows under half
+    # steps given every row, then steps whose live rows stay under half
     for named in (False, True):
         rng = np.random.default_rng(22)
         params = _multi_slice_params(rng)
@@ -314,15 +346,15 @@ def test_optimizer_allocates_no_tensor_sized_arrays():
             dense = _sparse_grads(rng, params, step + 1)
             rows = np.arange(len(params.predictor))
             if named:
-                rows = _reach(rng, opt, params, dense)
-                assert opt.live is not None
+                rows = _reach(rng, params, dense)
             load_grads(grads, dense, rows)
             tracemalloc.start()
             try:
-                opt.step(params, grads, clip_gradients(grads, 1e-3, opt)[1])
+                opt.step(params, grads, clip_gradients(grads, 1e-3)[1])
                 sizes.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+            assert (opt.live is not None) == named
         # the first step is the warm-up
         assert max(sizes[1:]) < params.predictor.nbytes // 4, sizes
 
@@ -341,11 +373,11 @@ def test_adam_holds_two_tensor_sets_and_clipping_none():
     finally:
         tracemalloc.stop()
     # m and v besides the block buffers: no third set of tensors
-    made -= opt._block.nbytes + opt._tmp.nbytes + opt._zeros.nbytes
+    made -= opt._block.nbytes + opt._tmp.nbytes
     assert 2 * tensors <= made < 2 * tensors + params.predictor.nbytes // 4, made
     assert len(opt.m) == len(opt.v) == len(TENSOR_NAMES)
-    # without an optimizer, one block buffer of float64, under a third of
-    # the predictor, and some 16 KiB of Python objects at most
+    # one block buffer of float64, under a third of the predictor, and some
+    # 16 KiB of Python objects at most
     assert clipping < 8 * train._STEP_BLOCK + (1 << 14), clipping
 
 
@@ -454,8 +486,7 @@ def reference_features(ds, lda, vocab, week_topics, config):
     last_t_student, last_t_thread, last_theta, last_thread = {}, {}, {}, {}
     rows = []
     for ev in ds.events:
-        theta = lda_infer(lda, term_frequency(ev.tokens, vocab), iters=iters,
-                          burn_in=iters // 2)
+        theta = lda_infer(lda, term_frequency(ev.tokens, vocab), iters=iters)
         prev_theta = last_theta.get(ev.student_id)
         if prev_theta is None:
             week = ds.course.week_of(ev.timestamp)
@@ -1189,15 +1220,16 @@ class Lockstep:
             # bit for bit, so -0.0 stays -0.0
             assert np.array_equal(np.signbit(dense[name]), np.signbit(self.ref_grads[name]))
             assert np.array_equal(dense[name], self.ref_grads[name]), name
-        self.opt.reach(self.grads["predictor"].rows)
         self.ref.reach(self.grads["predictor"].rows)
-        self.walks.append(None if self.opt.live is None else len(self.opt.live))
-        total, scale = clip_gradients(self.grads, self.clip_norm, self.opt)
+        total, scale = clip_gradients(self.grads, self.clip_norm)
         ref_total, ref_scale = dense_clip_gradients(self.ref_grads, self.clip_norm, self.ref)
         assert (total, scale) == (ref_total, ref_scale)
+        # clipping leaves the gradient as it was
         assert clip_gradients(self.grads, self.clip_norm) == (total, scale)
         self.opt.step(self.params, self.grads, scale)
         self.ref.step(self.ref_params, self.ref_grads, ref_scale)
+        assert np.array_equal(self.opt.live, self.ref.live)
+        self.walks.append(None if self.opt.live is None else len(self.opt.live))
         for name in TENSOR_NAMES:
             assert np.array_equal(self.params.tensor(name), self.ref_params.tensor(name)), name
             assert np.array_equal(self.opt.m[name], self.ref.m[name]), name

@@ -8,7 +8,9 @@ eval and recommend open a checkpoint through one gate.
 Every run writes a manifest.json into its output directory recording the
 command, the effective config, the seed, and sha256 checksums of inputs and
 outputs, so results can be audited later. Timing logs are listed in the
-manifest but not checksummed, since wall time varies between runs.
+manifest but not checksummed, since wall time varies between runs; the
+stage timings and, for train, the peak resident set are recorded but not
+checksummed either.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad usage or config.
 """
@@ -20,6 +22,7 @@ import hashlib
 import json
 import math
 import re
+import resource
 import sys
 import time
 from pathlib import Path
@@ -150,9 +153,11 @@ def write_manifest(out_dir: Path, command: str, seed, config: dict,
                    inputs: list[Path], outputs: list[Path],
                    logs: list[Path], seconds: float,
                    timings: dict[str, float] | None = None,
-                   features: dict | None = None) -> Path:
+                   features: dict | None = None,
+                   peak_rss_mb: float | None = None) -> Path:
     """timings, if given, holds the seconds of each stage of the command;
-    features, if given, describes the event features it trained on."""
+    features, if given, describes the event features it trained on, and
+    peak_rss_mb the process's peak resident set."""
     manifest = {
         "command": command,
         "seed": seed,
@@ -166,6 +171,8 @@ def write_manifest(out_dir: Path, command: str, seed, config: dict,
         manifest["timings"] = {name: round(value, 3) for name, value in timings.items()}
     if features is not None:
         manifest["features"] = features
+    if peak_rss_mb is not None:
+        manifest["peak_rss_mb"] = round(peak_rss_mb, 1)
     path = out_dir / MANIFEST_FILE
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -318,6 +325,7 @@ def cmd_train(args) -> int:
     params, store = train.fit(features, cfg, log_path=out / TRAIN_LOG_FILE,
                               trajectory_sink=sink)
     t_save = time.perf_counter()
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
     # the data enter by content, so the bytes do not depend on where it lives;
     # the last post time bounds the queries the trained states can answer
     meta = {"config": dataclasses.asdict(cfg), "train_end": train_end,
@@ -342,7 +350,7 @@ def cmd_train(args) -> int:
                                   np.percentile(getattr(events, name), [50, 99, 100]).tolist()))
     inputs = [data / n for n in DATA_FILES] + [Path(args.lda) / n for n in LDA_FILES]
     write_manifest(out, "train", cfg.seed, dataclasses.asdict(cfg), inputs, outputs, logs,
-                   time.perf_counter() - started, timings, coverage)
+                   time.perf_counter() - started, timings, coverage, peak_rss_mb)
     print("train: %d events, %d epochs -> %s" % (len(window.events), cfg.epochs, out))
     return 0
 

@@ -19,15 +19,17 @@ walks whole tensors. Both are bit for bit the whole-tensor expressions on
 the dense gradient, and both build a block of the compact gradient in
 the RowGrad's own scratch, which it clears itself. Training holds three
 predictor-sized arrays (parameters, two moments) and allocates none per
-step. The features come from one replay of the window through a state
-store's trackers, which training keeps; only the embeddings restart from
-zero at every epoch.
+step; the moments sit on mappings of their own (_lazy_zeros), resident
+only in the 4 KB pages of the rows a step has written. The features come
+from one replay of the window through a state store's trackers, which
+training keeps; only the embeddings restart from zero at every epoch.
 """
 from __future__ import annotations
 
 import copy
 import csv
 import math
+import mmap
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -218,6 +220,21 @@ _SPARSE_SHARE = 0.5
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
+def _lazy_zeros(shape) -> np.ndarray:
+    """A C-contiguous, writable float64 array of zeros on an anonymous
+    mapping, whose pages the kernel zeroes and makes resident on their
+    first write, 4 KB at a time. np.zeros asks for 2 MB huge pages on
+    arrays of 4 MB or more, so that one written entry makes a whole 2 MB
+    resident; a mapping of its own is never so marked, and MADV_NOHUGEPAGE
+    keeps it off huge pages where the host uses them everywhere. The
+    array holds the mapping, which is unmapped when the array is freed."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, count) * 8)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+
+
 def _gather(arr: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """The rows idx of the 2-D arr, copied into the front of the flat
     buffer buf and returned as a (len(idx), width) view of it."""
@@ -246,16 +263,17 @@ class Adam:
     and since elementwise operations round the same in any block or row
     order, the result is bit for bit that of the whole-tensor expressions
     on the dense gradient. Training thus holds three predictor-sized
-    arrays: the parameters and the two moments."""
+    arrays: the parameters and the two moments. The moments come from
+    _lazy_zeros, so only the live rows of m and v are resident, all of
+    them once steps walk every row."""
 
     def __init__(self, params: ModelParams, learning_rate):
         self.lr = learning_rate
         self.t = 0
-        # np.zeros leaves zeroing to the first touch of each page; zeros_like
-        # writes every entry up front
+        # zero pages the kernel makes resident as steps first write them
         shapes = {name: params.tensor(name).shape for name in TENSOR_NAMES}
-        self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self.m = {name: _lazy_zeros(shape) for name, shape in shapes.items()}
+        self.v = {name: _lazy_zeros(shape) for name, shape in shapes.items()}
         rows, width = shapes["predictor"]
         # one block each for gathering p, m and v, and one for denominators
         self._block = np.empty((4, max(_STEP_BLOCK, width)))

@@ -141,6 +141,7 @@ def test_train_outputs(pipeline):
     timings = manifest["timings"]
     assert set(timings) == {"ingest_s", "features_s", "fit_s", "save_s"}
     assert all(seconds >= 0 for seconds in timings.values())
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
     # excitation coverage is that of the features the run trained on
     coverage = manifest["features"]
     ds = cli._load_dataset(pipeline["data"])

@@ -1,4 +1,5 @@
 import copy
+import os
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -372,6 +373,8 @@ def test_adam_holds_two_tensor_sets_and_clipping_none():
         clipping = tracemalloc.get_traced_memory()[1] - made
     finally:
         tracemalloc.stop()
+    # m and v live on mappings of their own, which tracemalloc does not see
+    made += _moment_bytes(opt)
     # m and v besides the block buffers: no third set of tensors
     made -= opt._block.nbytes + opt._tmp.nbytes
     assert 2 * tensors <= made < 2 * tensors + params.predictor.nbytes // 4, made
@@ -379,6 +382,38 @@ def test_adam_holds_two_tensor_sets_and_clipping_none():
     # one block buffer of float64, under a third of the predictor, and some
     # 16 KiB of Python objects at most
     assert clipping < 8 * train._STEP_BLOCK + (1 << 14), clipping
+
+
+def _moment_bytes(opt) -> int:
+    return sum(arr.nbytes for moments in (opt.m, opt.v) for arr in moments.values())
+
+
+def _resident_bytes() -> int:
+    """This process's resident set, VmRSS of /proc/self/status."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("/proc/self/status has no VmRSS")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux /proc")
+def test_a_step_makes_resident_only_the_moment_rows_it_writes():
+    rng = np.random.default_rng(24)
+    params = ModelParams.init(rng, 10, 20, 14, 1100, 1000)
+    assert params.predictor.nbytes >= 8 << 20
+    # a few rows spread over the whole predictor, one in every 2 MB of it
+    rows = np.linspace(0, len(params.predictor) - 1, 16).astype(np.intp)
+    grads = params.zero_grads(len(rows))
+    grads["predictor"].start(rows)
+    grads["predictor"].values[...] = rng.normal(size=grads["predictor"].values.shape)
+    before = _resident_bytes()
+    opt = Adam(params, 0.01)
+    opt.step(params, grads)
+    grown = _resident_bytes() - before
+    assert list(opt.live) == list(rows)
+    # m and v of those rows, the step's block buffers and no whole moment
+    assert grown < params.predictor.nbytes // 4, (grown, params.predictor.nbytes)
 
 
 # gradient checking
@@ -1361,12 +1396,23 @@ def test_fit_allocates_no_predictor_sized_gradient(batch_ds, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(ModelParams, "zero_grads", kept)
+    opts = []
+    adam_init = Adam.__init__
+
+    def recorded(self, *args):
+        adam_init(self, *args)
+        opts.append(self)
+
+    monkeypatch.setattr(Adam, "__init__", recorded)
     tracemalloc.start()
     try:
         params, _ = train.fit(features, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the moments, on mappings tracemalloc does not see, live through the fit
+    (opt,) = opts
+    peak += _moment_bytes(opt)
     predictor = params.predictor.nbytes
     batches = [features.events.take(b) for b in event_batches(ds.events)]
     max_rows = max(len(predictor_rows(b, params)) for b in batches)

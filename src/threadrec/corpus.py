@@ -172,6 +172,19 @@ def _field(record, name, line_no):
     return record[name]
 
 
+def _id_field(record, name, line_no) -> int:
+    """The integer id record[name]. int() would merge a boolean or a number
+    with a fractional part into another id, so those are refused too."""
+    value = _field(record, name, line_no)
+    lossy = isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+    try:
+        if not lossy:
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ParseError(line_no, "%s must be an integer, not %r" % (name, value))
+
+
 def ingest_jsonl(posts_path, schedule) -> Dataset:
     """Read a JSONL post log into a Dataset.
 
@@ -197,28 +210,23 @@ def ingest_jsonl(posts_path, schedule) -> Dataset:
                 raise ParseError(line_no, "invalid JSON (%s)" % exc.msg) from None
             if not isinstance(record, dict):
                 raise ParseError(line_no, "expected a JSON object")
+            post_id = _id_field(record, "post_id", line_no)
+            student = _id_field(record, "student_id", line_no)
+            thread = _id_field(record, "thread_id", line_no)
+            timestamp = _field(record, "timestamp", line_no)
             try:
-                post_id = int(_field(record, "post_id", line_no))
-                student = int(_field(record, "student_id", line_no))
-                thread = int(_field(record, "thread_id", line_no))
-                timestamp = float(_field(record, "timestamp", line_no))
-                text = _field(record, "text", line_no)
+                timestamp = float(timestamp)
             except (TypeError, ValueError) as exc:
-                if isinstance(exc, ParseError):
-                    raise
                 raise ParseError(line_no, "bad field value (%s)" % exc) from None
+            text = _field(record, "text", line_no)
             if not isinstance(text, str):
                 raise ParseError(line_no, "text must be a string")
             if not math.isfinite(timestamp):
                 raise ParseError(line_no, "timestamp must be finite")
             if timestamp < 0:
                 raise ParseError(line_no, "timestamp must be >= 0")
-            parent = record.get("parent_post_id")
-            if parent is not None:
-                try:
-                    parent = int(parent)
-                except (TypeError, ValueError):
-                    raise ParseError(line_no, "parent_post_id must be an integer") from None
+            parent = (None if record.get("parent_post_id") is None
+                      else _id_field(record, "parent_post_id", line_no))
             rows.append((post_id, student, thread, timestamp, text, parent))
 
     if not rows:

@@ -161,9 +161,9 @@ class ModelParams:
         return replace(self, **{name: self.tensor(name).copy() for name in TENSOR_NAMES})
 
     def zero_grads(self, max_rows: int | None = None) -> dict:
-        """A gradient set: a zero array per tensor but the predictor, whose
-        gradient is a RowGrad that holds up to max_rows rows (every row
-        when None)."""
+        """A gradient set, which batch_grads writes afresh for every batch:
+        a zero array per tensor but the predictor, whose gradient is a
+        RowGrad that holds up to max_rows rows (every row when None)."""
         rows = len(self.predictor) if max_rows is None else max_rows
         return {name: RowGrad(self.predictor.shape, rows) if name == "predictor"
                 else np.zeros(self.tensor(name).shape) for name in TENSOR_NAMES}
@@ -430,14 +430,6 @@ def _unit_rows(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return np.divide(x, norms[:, None], out=np.zeros_like(x), where=norms[:, None] > 0.0)
 
 
-def _sum_at(index: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
-    """(count, width) array whose row r sums, in batch order, the rows
-    whose index is r; sum(axis=0) would sum one-wide rows pairwise."""
-    out = np.zeros((count, rows.shape[1]))
-    np.add.at(out, index, rows)
-    return out
-
-
 def predictor_rows(batch: EventFeatures, params: ModelParams) -> np.ndarray:
     """The predictor rows a t-batch's gradient reaches, sorted and
     distinct, as batch_grads writes them: the projected-student block 0:d,
@@ -454,12 +446,12 @@ def predictor_rows(batch: EventFeatures, params: ModelParams) -> np.ndarray:
 
 def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelParams,
                 grads: dict | None, flags: AblationFlags = AblationFlags()):
-    """Add the gradients of a t-batch's summed loss into grads, a gradient
+    """Write the gradients of a t-batch's summed loss into grads, a gradient
     set the caller owns (ModelParams.zero_grads), and return (losses,
     student_rows, thread_rows): every event's loss and the new state pair
-    it writes back. The predictor's RowGrad starts afresh at the rows
-    predictor_rows names and sums the batch's terms into their values, as
-    the dense rows would; the other gradients are added to. With grads
+    it writes back. Every gradient, the predictor's RowGrad at the rows
+    predictor_rows names, starts afresh at +0.0 and sums the batch's terms
+    as the dense gradient would, whatever grads held before. With grads
     None the backward pass is skipped.
 
     No student or thread appears twice in a t-batch, so its events run as
@@ -498,6 +490,8 @@ def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelPar
     if grads is None:
         return losses, u_new, p_new
 
+    for g in (grads[name] for name in TENSOR_NAMES if name != "predictor"):
+        g.fill(0.0)
     g_q = _unit_rows(residual, norm_q)
     grads["predictor_bias"] += g_q.sum(axis=0)
     Wg = grads["predictor"]
@@ -505,23 +499,24 @@ def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelPar
     rows, Wv = Wg.rows, Wg.values
     # one (events, n + d) product at a time: the summed outer products of
     # the two embedding blocks, without an (events, d, n + d) array; rows
-    # 0:d come first, and rows d+m : 2d+m follow one another from prev
+    # 0:d come first, rows d+m : 2d+m follow one another from prev and the
+    # previous threads' rows, distinct, fill the rest
     prev = np.searchsorted(rows, d + m)
     for j in range(d):
         Wv[j] += (u_hat[:, j, None] * g_q).sum(axis=0)
         Wv[prev + j] += (last_vec[:, j, None] * g_q).sum(axis=0)
     Wv[np.searchsorted(rows, d + batch.student)] += g_q
-    # previous threads and weeks may repeat within a batch
+    # previous threads and weeks may repeat within a batch; np.add.at sums
+    # each one's rows in batch order, not pairwise as sum(axis=0) would
     has_last = batch.last_thread >= 0
-    last, at = np.unique(batch.last_thread[has_last], return_inverse=True)
-    Wv[np.searchsorted(rows, 2 * d + m + last)] += _sum_at(at, g_q[has_last], len(last))
+    at = rows[prev + d:].searchsorted(2 * d + m + batch.last_thread[has_last])
+    np.add.at(Wv[prev + d:], at, g_q[has_last])
 
     if not flags.no_student_projection:
         g_uhat = np.matmul(params.predictor[:d], g_q[:, :, None])[:, :, 0]
         g_gain = g_uhat * u_vec
-        grads["time_context"] += _sum_at(np.zeros(len(batch), dtype=np.intp),
-                                         g_gain * delta, 1).T
-        grads["week_context"] += _sum_at(batch.week, g_gain, params.num_weeks).T
+        np.add.at(grads["time_context"].T, np.zeros(len(batch), dtype=np.intp), g_gain * delta)
+        np.add.at(grads["week_context"].T, batch.week, g_gain)
 
     # each smoothness term lam * |new - old| reaches its update cell through
     # the rows that moved; a frozen side moves no row

@@ -549,6 +549,8 @@ def save_lda(model: LdaModel, path) -> None:
 
 
 def load_lda(path) -> LdaModel:
+    """The model save_lda wrote. The file is outside input: topic-word rows
+    off the simplex or priors not finite and positive raise a ValueError."""
     with open(path) as fh:
         header = fh.readline().strip()
         parts = header.split()
@@ -567,7 +569,12 @@ def load_lda(path) -> LdaModel:
     topic_word = np.array(rows, dtype=np.float64)
     if topic_word.shape != (K, W):
         raise ValueError("topic-word matrix shape does not match header")
-    return LdaModel(K, topic_word, float(meta["alpha"]), float(meta["beta"]), int(meta["seed"]))
+    _check_simplex(topic_word, "topic-word rows in %s" % path)
+    alpha, beta = float(meta["alpha"]), float(meta["beta"])
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):  # written so that NaN fails
+        raise ValueError("topic model priors in %s must be finite and positive, got alpha=%r "
+                         "and beta=%r" % (path, alpha, beta))
+    return LdaModel(K, topic_word, alpha, beta, int(meta["seed"]))
 
 
 def save_topic_distributions(thetas: np.ndarray, path) -> None:

@@ -4,25 +4,26 @@ and the finite-difference gradient checker.
 Events are grouped into t-batches: each event lands one batch after the
 latest batch touching its student or its thread, so no batch repeats an
 entity and replaying batches in order preserves every per-entity timeline.
-model.batch_grads adds a batch's gradients in one pass, with the dynamic
+model.batch_grads writes a batch's gradients in one pass, with the dynamic
 states entering the batch treated as constants, into the one gradient set
-of the fit. A batch reaches only the predictor rows model.predictor_rows
-names, so its predictor gradient is compact: those rows and a block of
-their values (model.RowGrad), in a buffer fit sizes for its largest batch.
-A step is clip_gradients, then Adam.step, which applies the gradients in
-place and leaves the set zero for the next batch. Clipping sums the
-squares in numpy's pairwise order over the dense layout, rebuilding only
-the leaves that hold a batch row. Adam.step adds the batch's rows to the
-rows reached so far (the live rows); while those are under half the
-predictor's, it gathers just them, block by block, and afterwards it
-walks whole tensors. Both are bit for bit the whole-tensor expressions on
-the dense gradient, and both build a block of the compact gradient in
-the RowGrad's own scratch, which it clears itself. Training holds three
-predictor-sized arrays (parameters, two moments) and allocates none per
-step; the moments sit on mappings of their own (_lazy_zeros), resident
-only in the 4 KB pages of the rows a step has written. The features come
-from one replay of the window through a state store's trackers, which
-training keeps; only the embeddings restart from zero at every epoch.
+of the fit, starting every gradient afresh. A batch reaches only the
+predictor rows model.predictor_rows names, so its predictor gradient is
+compact: those rows and a block of their values (model.RowGrad), in a
+buffer fit sizes for its largest batch. A step is clip_gradients, then
+Adam.step, which applies the gradients to the parameters; both only read
+the set. Clipping sums the predictor's squares in numpy's pairwise order
+over the dense layout, rebuilding only the leaves that hold a batch row.
+Adam.step adds the batch's rows to the rows reached so far (the live
+rows); while those are under half the predictor's, it gathers just them,
+block by block, and afterwards it walks whole tensors. Both are bit for
+bit the whole-tensor expressions on the dense gradient, and both build a
+block of the compact gradient in the RowGrad's own scratch, which it
+clears itself. Training holds three predictor-sized arrays (parameters,
+two moments) and allocates none per step; the moments sit on mappings of
+their own (_lazy_zeros), resident only in the 4 KB pages of the rows a
+step has written. The features come from one replay of the window
+through a state store's trackers, which training keeps; only the
+embeddings restart from zero at every epoch.
 """
 from __future__ import annotations
 
@@ -178,9 +179,13 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
     window once through the trackers of a state store whose time scale is
     the training mean event gap. Before a post advances them, its record
     reads from them the student's context, as ranking does, and the thread's
-    elapsed time. week_topics holds a row of the model's topics per week."""
+    elapsed time. week_topics holds a row of the model's topics per week,
+    and vocab a word per column of the topic model."""
     if not train.events:
         raise EmptyDatasetError("cannot fit on an empty training window")
+    if len(vocab) != lda.vocab_size:
+        raise ValueError("the vocabulary has %d words, the topic model %d"
+                         % (len(vocab), lda.vocab_size))
     shape = (train.course.num_weeks, lda.num_topics)
     if np.shape(week_topics) != shape:
         raise ValueError("course topics have shape %s, not (weeks, topics) = %s"
@@ -243,9 +248,8 @@ def _gather(arr: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Adam over every tensor of a ModelParams. step consumes the gradient
-    set: it applies it and leaves every gradient zero, the predictor's
-    RowGrad without rows.
+    """Adam over every tensor of a ModelParams. step reads the gradient
+    set and writes into none of it.
 
     A predictor row no step has reached holds g, m and v of +0.0, where
     every operation of the step yields +0.0 and p -= 0.0 keeps p's bits,
@@ -289,7 +293,6 @@ class Adam:
             p, g, m, v = params.tensor(name), grads[name], self.m[name], self.v[name]
             if name != "predictor":
                 self._update(*map(_flat, (p, g, m, v)), scale, bc1, bc2)
-                g.fill(0.0)
                 continue
             if self._reached is not None:
                 self._reached[g.rows] = True
@@ -310,7 +313,6 @@ class Adam:
                 if self.live is not None:
                     for arr, block in zip((p, m, v), pmv):
                         arr[idx] = block
-            g.start(g.rows[:0])
 
     def _update(self, p, g, m, v, scale, bc1, bc2) -> None:
         """The elementwise Adam sequence on 1-D p, g, m and v, in place,
@@ -361,43 +363,30 @@ def clip_gradients(grads: dict, max_norm: float) -> tuple[float, float]:
 
 def _square_sum(g) -> float:
     """float(np.sum(d * d)) bit for bit, where d is the array g or the
-    dense form of the RowGrad g. numpy sums pairwise, splitting a node of
-    n > 128 elements after n // 2 rounded down to a multiple of 8; so does
-    this recursion, down to leaves of _STEP_BLOCK or fewer, squared into a
-    block buffer and summed by np.add.reduce. A RowGrad leaf is the
-    gradient's rows it spans, which RowGrad.take writes into its +0.0
-    scratch, squared in place: 0.0 * 0.0 leaves the zeros as they are. A
-    leaf that spans none of the rows holds only +0.0 entries and adds +0.0
-    unread, which changes no sum of non-negative squares."""
-    if isinstance(g, RowGrad):
-        size, width = g.shape[0] * g.shape[1], g.shape[1]
+    dense form of the RowGrad g. For an array that is the expression
+    itself. For a RowGrad it follows numpy's pairwise sum, which splits a
+    node of n > 128 elements after n // 2 rounded down to a multiple of 8,
+    down to leaves of _STEP_BLOCK or fewer summed by np.add.reduce. A leaf
+    is the gradient's rows it spans, which RowGrad.take writes into its
+    +0.0 scratch, squared in place: 0.0 * 0.0 leaves the zeros as they
+    are. A leaf that spans none of the rows holds only +0.0 entries and
+    adds +0.0 unread, which changes no sum of non-negative squares."""
+    if not isinstance(g, RowGrad):
+        return float(np.sum(g * g))
+    width = g.shape[1]
 
-        def leaf(lo, n):
-            first = lo // width
-            block, held = g.take(range(first, (lo + n - 1) // width + 1))
-            if not held:
-                return 0.0
-            part = block.reshape(-1)[lo - first * width:][:n]
-            return float(np.add.reduce(np.multiply(part, part, out=part)))
-    else:
-        flat = _flat(g)
-        size = flat.size
-        buf = np.empty(min(size, _STEP_BLOCK))
+    def node(lo, n):
+        if n > _STEP_BLOCK:
+            half = n // 2 - n // 2 % 8
+            return node(lo, half) + node(lo + half, n - half)
+        first = lo // width
+        block, held = g.take(range(first, (lo + n - 1) // width + 1))
+        if not held:
+            return 0.0
+        part = block.reshape(-1)[lo - first * width:][:n]
+        return float(np.add.reduce(np.multiply(part, part, out=part)))
 
-        def leaf(lo, n):
-            part = flat[lo:lo + n]
-            return float(np.add.reduce(np.multiply(part, part, out=buf[:n])))
-
-    return _tree_sum(leaf, 0, size)
-
-
-def _tree_sum(leaf, lo: int, n: int) -> float:
-    """The sum of leaf(lo, n) over numpy's pairwise split of n elements
-    from lo, down to leaves of _STEP_BLOCK or fewer."""
-    if n > _STEP_BLOCK:
-        half = n // 2 - n // 2 % 8
-        return _tree_sum(leaf, lo, half) + _tree_sum(leaf, lo + half, n - half)
-    return leaf(lo, n)
+    return node(0, g.shape[0] * width)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +438,7 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
                for batch in t_batch(feats.student.tolist(), feats.thread.tolist())]
     flags = config.flags
     opt = Adam(params, config.learning_rate)
-    # every batch starts its predictor rows afresh; every step consumes the set
+    # every batch writes the whole set afresh, sized for the largest batch
     grads = params.zero_grads(max(len(predictor_rows(batch, params)) for batch in batches))
 
     log_rows = []

@@ -447,6 +447,22 @@ def test_runtime_errors_exit_one(pipeline, tmp_path, capsys):
                  "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1
     assert "course_topics.csv must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+    # a NaN topic-word row, and a vocabulary cut to half its rows, which
+    # would map words to the wrong columns of the topic model
+    for name, message in (("lda_model.csv", "lda_model.csv must be nonnegative"),
+                          ("vocab.csv", "vocabulary has")):
+        bad = tmp_path / ("lda-" + name)
+        shutil.copytree(pipeline["lda"], bad)
+        rows = (bad / name).read_text().splitlines()
+        if name == "vocab.csv":
+            rows = rows[:len(rows) // 2]
+        else:
+            rows[1] = " ".join(["nan"] + rows[1].split()[1:])
+        (bad / name).write_text("\n".join(rows) + "\n")
+        assert main(["train", "--data", str(pipeline["data"]), "--lda", str(bad),
+                     "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1, name
+        assert message in capsys.readouterr().err, name
+        assert not out.exists(), name
     # a command refused after reading its inputs leaves no output directory
     for argv, message in (
             (["synth", "--set", "num_students=1", "--set", "mean_posts_per_student=1",

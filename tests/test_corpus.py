@@ -119,6 +119,30 @@ def test_ingest_reports_missing_field_and_bad_types(tmp_path):
         corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("student_id", 3.7), ("thread_id", True), ("post_id", 2.9), ("parent_post_id", True),
+    ("student_id", False), ("post_id", float("inf")), ("thread_id", float("nan"))])
+def test_ingest_refuses_ids_int_would_merge(tmp_path, field, value):
+    # int() reads 3.7 as 3 and True as 1: the post would join another
+    # student, thread or post, or turn into a reply
+    posts = tmp_path / "posts.jsonl"
+    schedule = tmp_path / "schedule.json"
+    write_weeks(schedule)
+    records = [{"post_id": 1, "student_id": 3, "thread_id": 1, "timestamp": 1.0, "text": "x"},
+               {"post_id": 2, "student_id": 4, "thread_id": 1, "timestamp": 2.0, "text": "x"}]
+    write_posts(posts, records)
+    ds = corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+    assert ds.student_ids == [3, 4] and [ev.post_id for ev in ds.events] == [1, 2]
+    # integral floats name the same ids as before
+    records[1].update(student_id=4.0, parent_post_id=1.0)
+    write_posts(posts, records)
+    assert corpus.ingest_jsonl(posts, corpus.load_schedule(schedule)).student_ids == [3, 4]
+    records[1][field] = value
+    write_posts(posts, records)
+    with pytest.raises(ParseError, match="line 2: %s must be an integer" % field):
+        corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+
+
 def test_ingest_empty_file_raises(tmp_path):
     posts = tmp_path / "posts.jsonl"
     schedule = tmp_path / "schedule.json"

@@ -8,6 +8,7 @@ from threadrec import model
 from threadrec.corpus import ReplyHistory
 from threadrec.model import (AblationFlags, DynamicStateStore, EventFeatures,
                              ModelParams, TENSOR_NAMES)
+from threadrec.train import Adam
 from conftest import nearest_week_loop, random_batch
 
 
@@ -367,26 +368,33 @@ def test_frozen_embedding_ablations_keep_states(small_params):
     assert np.array_equal(p_new, store.thread_vecs[batch.thread])
 
 
-def test_batch_grads_add_into_shared_dict(small_params):
-    rng = np.random.default_rng(13)
-    batch, store = random_batch(rng, small_params)
-    batch.last_thread[:] = [3, -1, 0]
-    batches = [batch.take([0, 1]), batch.take([2]), batch]
-    shared = small_params.zero_grads()
-    # the predictor's RowGrad holds one batch's rows at a time: its dense
-    # forms add up across the batches
-    shared_predictor = np.zeros(small_params.predictor.shape)
-    separate = []
-    for b in batches:
-        model.batch_grads(b, store, small_params, shared)
-        shared_predictor += model.dense_grads(shared)["predictor"]
-        own = small_params.zero_grads()
-        model.batch_grads(b, store, small_params, own)
-        separate.append(model.dense_grads(own))
-    shared = {**shared, "predictor": shared_predictor}
-    for name in TENSOR_NAMES:
-        total = separate[0][name] + separate[1][name] + separate[2][name]
-        assert np.array_equal(shared[name], total), name
+def test_batch_grads_write_a_reused_set_afresh(small_params):
+    # a gradient set reused across t-batches, with or without an Adam step
+    # between them, holds after each batch what a fresh set holds
+    for step in (False, True):
+        rng = np.random.default_rng(13)
+        params = small_params.copy()
+        batch, store = random_batch(rng, params)
+        batch.last_thread[:] = [3, -1, 0]
+        batches = [batch.take([0, 1]), batch.take([2]), batch, batch.take([1, 2])]
+        shared = params.zero_grads()
+        # whatever the set held before the first batch is overwritten too
+        for name in TENSOR_NAMES:
+            if name != "predictor":
+                shared[name].fill(np.nan)
+        shared["predictor"].start(np.arange(len(params.predictor)))
+        shared["predictor"].values.fill(np.nan)
+        opt = Adam(params, 0.01)
+        for b in batches:
+            model.batch_grads(b, store, params, shared)
+            own = params.zero_grads()
+            model.batch_grads(b, store, params, own)
+            got, want = model.dense_grads(shared), model.dense_grads(own)
+            for name in TENSOR_NAMES:
+                assert np.array_equal(got[name], want[name]), (step, name)
+                assert np.array_equal(np.signbit(got[name]), np.signbit(want[name])), (step, name)
+            if step:
+                opt.step(params, shared)
 
 
 # parameter container

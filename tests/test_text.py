@@ -238,6 +238,36 @@ def test_load_lda_rejects_header_without_a_scalar(tmp_path, key):
         text.load_lda(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("nan -3.0 0.0", "nonnegative"), ("0.5 -0.5 1.0", "nonnegative"),
+    ("0.5 0.25 0.125", "sum to 1"), ("inf 0.0 0.0", "sum to 1")])
+def test_load_lda_rejects_topic_word_rows_off_the_simplex(tmp_path, row, message):
+    model = text.lda_fit([{0: 3, 1: 2}, {1: 4, 2: 1}], 2, iters=10, seed=5,
+                         vocab_size=3)
+    path = tmp_path / "lda.csv"
+    text.save_lda(model, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [row]) + "\n")
+    with pytest.raises(ValueError, match="topic-word rows in .*%s" % message):
+        text.load_lda(path)
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0.0", "-0.5"])
+def test_load_lda_rejects_priors_not_finite_and_positive(tmp_path, key, value):
+    model = text.lda_fit([{0: 3, 1: 2}, {1: 4, 2: 1}], 2, iters=10, seed=5,
+                         vocab_size=3)
+    path = tmp_path / "lda.csv"
+    text.save_lda(model, path)
+    header, rest = path.read_text().split("\n", 1)
+    header = " ".join(key + "=" + value if p.startswith(key + "=") else p
+                      for p in header.split())
+    path.write_text(header + "\n" + rest)
+    with pytest.raises(ValueError, match="priors in .* must be finite and positive, "
+                       ".*%s=%s" % (key, value)):
+        text.load_lda(path)
+
+
 def test_topic_distribution_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(6)
     thetas = rng.dirichlet(np.ones(4), 3)

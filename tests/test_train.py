@@ -12,7 +12,7 @@ from threadrec.corpus import Dataset, ThreadEventIndex
 from threadrec.model import (TENSOR_NAMES, AblationFlags, DynamicStateStore, EventFeatures,
                              ModelParams, RowGrad, assign_course_topic, batch_grads,
                              dense_grads, excitation, predictor_rows)
-from threadrec.text import (build_vocabulary, course_topics, lda_fit, lda_infer,
+from threadrec.text import (Vocabulary, build_vocabulary, course_topics, lda_fit, lda_infer,
                             term_frequency)
 from threadrec.train import (Adam, TrainConfig, TrainingDiverged, clip_gradients,
                              gradient_check, mean_event_gap, t_batch)
@@ -314,6 +314,7 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
             norm, scale = clip_gradients(grads, clip_norm)
             assert norm == ref_clip_gradients(ref_grads, clip_norm)
             clipped += 0 < clip_norm < norm
+            before = {name: g.copy() for name, g in dense_grads(grads).items()}
             opt.step(params, grads, scale)
             walked.append(None if opt.live is None else len(opt.live))
             ref.step(ref_params, ref_grads)
@@ -321,8 +322,10 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
                 assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
                 assert np.array_equal(opt.m[name], ref.m[name]), name
                 assert np.array_equal(opt.v[name], ref.v[name]), name
-                # the step consumed the gradients
-                assert not dense_grads(grads)[name].any(), name
+                # the step left the gradient set as it was
+                after = dense_grads(grads)[name]
+                assert np.array_equal(after, before[name]), name
+                assert np.array_equal(np.signbit(after), np.signbit(before[name])), name
         # with clipping on, every step but those at the smallest scale is clipped
         assert clipped == (9 if clip_norm else 0)
         if named:
@@ -788,6 +791,21 @@ def test_prepare_event_features_refuses_course_topics_of_another_width(tiny_ds):
         train.prepare_event_features(tiny_ds, lda, vocab, np.ones((2, 1)), cfg)
 
 
+def test_prepare_event_features_refuses_a_vocabulary_of_another_size(tiny_ds):
+    # a cut vocabulary still maps every word it keeps inside the topic
+    # model, to the wrong columns
+    lda, vocab, week_topics = _small_pipeline(tiny_ds)
+    cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5)
+    words = len(vocab)
+    half = {w: i for w, i in vocab.word_to_index.items() if i < words // 2}
+    more = {**vocab.word_to_index, "zqextra": words}
+    for word_to_index in (half, more):
+        other = Vocabulary(word_to_index, np.ones(len(word_to_index), dtype=np.int64))
+        with pytest.raises(ValueError, match="vocabulary has %d words, the topic model %d"
+                           % (len(word_to_index), words)):
+            train.prepare_event_features(tiny_ds, lda, other, week_topics, cfg)
+
+
 @pytest.mark.parametrize("field, other", [("post_decay", 0.25), ("reply_decay", 0.01),
                                           ("topic_infer_iters", 6)])
 def test_fit_refuses_features_of_other_settings(tiny_ds, field, other):
@@ -1077,6 +1095,14 @@ def test_exact_row_primitives():
 # or whole-tensor, that consumed it.
 
 
+def sum_at(index, rows, count):
+    """(count, width) array whose row r sums, in batch order, the rows
+    whose index is r."""
+    out = np.zeros((count, rows.shape[1]))
+    np.add.at(out, index, rows)
+    return out
+
+
 def dense_batch_grads(batch, store, params, grads, flags):
     """batch_grads with every gradient, the predictor's too, a dense array
     of grads."""
@@ -1113,13 +1139,13 @@ def dense_batch_grads(batch, store, params, grads, flags):
     Wg[d + batch.student] += g_q
     has_last = batch.last_thread >= 0
     last, at = np.unique(batch.last_thread[has_last], return_inverse=True)
-    Wg[2 * d + m + last] += model._sum_at(at, g_q[has_last], len(last))
+    Wg[2 * d + m + last] += sum_at(at, g_q[has_last], len(last))
     if not flags.no_student_projection:
         g_uhat = np.matmul(params.predictor[:d], g_q[:, :, None])[:, :, 0]
         g_gain = g_uhat * u_vec
-        grads["time_context"] += model._sum_at(np.zeros(len(batch), dtype=np.intp),
-                                               g_gain * delta, 1).T
-        grads["week_context"] += model._sum_at(batch.week, g_gain, params.num_weeks).T
+        grads["time_context"] += sum_at(np.zeros(len(batch), dtype=np.intp),
+                                        g_gain * delta, 1).T
+        grads["week_context"] += sum_at(batch.week, g_gain, params.num_weeks).T
     for name, lam, jump, norms, new, x in (
             ("student_update", params.lambda_student, du, norm_u, u_new, xu),
             ("thread_update", params.lambda_thread, dp, norm_p, p_new, xp)):
@@ -1261,6 +1287,7 @@ class Lockstep:
         assert (total, scale) == (ref_total, ref_scale)
         # clipping leaves the gradient as it was
         assert clip_gradients(self.grads, self.clip_norm) == (total, scale)
+        before = {name: g.copy() for name, g in dense.items()}
         self.opt.step(self.params, self.grads, scale)
         self.ref.step(self.ref_params, self.ref_grads, ref_scale)
         assert np.array_equal(self.opt.live, self.ref.live)
@@ -1269,7 +1296,10 @@ class Lockstep:
             assert np.array_equal(self.params.tensor(name), self.ref_params.tensor(name)), name
             assert np.array_equal(self.opt.m[name], self.ref.m[name]), name
             assert np.array_equal(self.opt.v[name], self.ref.v[name]), name
-            assert not dense_grads(self.grads)[name].any(), name
+            # the step left the gradient set as it was
+            after = dense_grads(self.grads)[name]
+            assert np.array_equal(after, before[name]), name
+            assert np.array_equal(np.signbit(after), np.signbit(before[name])), name
         return got
 
 

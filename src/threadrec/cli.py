@@ -34,7 +34,6 @@ from . import corpus, model, recommend, synth, text, train
 POSTS_FILE = "posts.jsonl"
 SCHEDULE_FILE = "schedule.json"
 GROUND_TRUTH_FILE = "ground_truth.json"
-ID_MAP_FILE = "id_map.csv"
 VOCAB_FILE = "vocab.csv"
 LDA_FILE = "lda_model.csv"
 COURSE_TOPICS_FILE = "course_topics.csv"
@@ -42,8 +41,6 @@ CHECKPOINT_FILE = "checkpoint.bin"
 TRAIN_LOG_FILE = "training_log.csv"
 TRAJECTORIES_FILE = "trajectories.csv"
 REPORT_FILE = "report.json"
-PER_USER_FILE = "per_user_ap.csv"
-ABLATION_CSV = "ablation.csv"
 ABLATION_JSON = "ablation.json"
 MANIFEST_FILE = "manifest.json"
 DATA_FILES = (POSTS_FILE, SCHEDULE_FILE)
@@ -226,12 +223,22 @@ def _prepare_features(lda_dir, window: corpus.Dataset, cfg) -> train.PreparedFea
 
 def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
     """Load a checkpoint to rank on ds at t_query, the time given by flag.
-    A checkpoint answers only for the course shape it was trained on. Its
-    states hold every training post, so a query at or before the last of
-    them would score posts the model has already seen. Returns (params,
-    store, week_topics, meta, flags), flags being the ablation flags it was
-    trained with."""
+    Its meta must hold its times as null or finite numbers and its config
+    as an object. A checkpoint answers only for the course shape it was
+    trained on. Its states hold every training post, so a query at or
+    before the last of them would score posts the model has already seen.
+    Returns (params, store, week_topics, meta, flags), flags being the
+    ablation flags it was trained with."""
     params, store, week_topics, meta = model.load_checkpoint(path)
+    for key in ("last_post_time", "train_end"):
+        value = meta.get(key)
+        # json reads true as a bool, which isinstance counts as an int
+        if value is not None and not (type(value) in (int, float) and math.isfinite(value)):
+            raise ValueError("the checkpoint's %s must be null or a finite number, not %r"
+                             % (key, value))
+    config = meta.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError("the checkpoint's config must be an object, not %r" % (config,))
     trained = (params.num_students, params.num_threads, params.num_weeks)
     given = (ds.num_students, ds.num_threads, ds.course.num_weeks)
     if trained != given:
@@ -241,7 +248,6 @@ def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
     if last_post is not None and t_query <= last_post:
         raise UsageError("%s %r is at or before the checkpoint's last training post at %r"
                          % (flag, t_query, last_post))
-    config = meta.get("config", {})
     flags = model.AblationFlags(**{name: bool(config.get(name, False))
                                    for name in model.AblationFlags.NAMES})
     return params, store, week_topics, meta, flags
@@ -257,11 +263,9 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     corpus.write_jsonl(ds, out / POSTS_FILE)
     corpus.write_schedule(ds.course, out / SCHEDULE_FILE)
-    corpus.write_id_map(ds, out / ID_MAP_FILE)
     synth.write_ground_truth(gt, out / GROUND_TRUTH_FILE)
 
-    outputs = [out / POSTS_FILE, out / SCHEDULE_FILE, out / ID_MAP_FILE,
-               out / GROUND_TRUTH_FILE]
+    outputs = [out / POSTS_FILE, out / SCHEDULE_FILE, out / GROUND_TRUTH_FILE]
     write_manifest(out, "synth", cfg.seed, dataclasses.asdict(cfg), [], outputs, [],
                    time.perf_counter() - started)
     print("synth: %d posts, %d students, %d threads -> %s"
@@ -401,12 +405,10 @@ def cmd_eval(args) -> int:
 
     out = _out_dir(args)
     recommend.write_report_json(report, out / REPORT_FILE)
-    recommend.write_report_csv(report, out / PER_USER_FILE)
     config = {"train_end": spec.train_end, "test_end": spec.test_end,
               "n_cutoff": args.n_cutoff, "method": report.method,
               "per_event": args.per_event}
-    write_manifest(out, "eval", args.seed, config, inputs,
-                   [out / REPORT_FILE, out / PER_USER_FILE], [],
+    write_manifest(out, "eval", args.seed, config, inputs, [out / REPORT_FILE], [],
                    time.perf_counter() - started, timings)
     print("eval: MAP@%d = %.6f over %d students (%s)"
           % (report.n_cutoff, report.map_at_n, report.users_evaluated, report.method))
@@ -447,9 +449,11 @@ def cmd_ablate(args) -> int:
     t_fits = time.perf_counter()
     shared = (base_cfg, train_ds, test_ds, features, spec.train_end, args.n_cutoff)
     jobs = [(variant, seed) for variant in train.ABLATION_VARIANTS for seed in seeds]
-    if args.jobs > 1:
+    # a pool starts all its workers at once, so it gets no more than there are jobs
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only ablate starts processes
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_ablate_inputs,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_ablate_inputs,
                                  initargs=(shared,)) as pool:
             results = list(pool.map(_ablate_job, jobs))
     else:
@@ -465,11 +469,6 @@ def cmd_ablate(args) -> int:
     users = results[-1][1]
 
     out = _out_dir(args)
-    with open(out / ABLATION_CSV, "w") as fh:
-        fh.write("variant," + ",".join("seed_%d" % s for s in seeds) + ",mean\n")
-        for variant, scores, mean in rows:
-            fh.write(variant + "," + ",".join(repr(float(v)) for v in scores)
-                     + "," + repr(float(mean)) + "\n")
     payload = {"n_cutoff": args.n_cutoff, "seeds": seeds, "users_evaluated": users,
                "variants": {variant: {"per_seed": scores, "mean": mean}
                             for variant, scores, mean in rows}}
@@ -488,8 +487,7 @@ def cmd_ablate(args) -> int:
     config = {**dataclasses.asdict(dataclasses.replace(base_cfg, seed=base_seed)),
               "train_end": spec.train_end, "test_end": spec.test_end,
               "n_cutoff": args.n_cutoff, "seeds": args.seeds}
-    write_manifest(out, "ablate", base_seed, config, inputs,
-                   [out / ABLATION_CSV, out / ABLATION_JSON], [],
+    write_manifest(out, "ablate", base_seed, config, inputs, [out / ABLATION_JSON], [],
                    time.perf_counter() - started, timings)
     return 0
 

@@ -2,12 +2,12 @@
 
 A dataset is an ordered list of post events over dense student and thread
 indices, together with the course schedule. External ids from the raw log
-are re-indexed at ingest time and the mapping is persisted separately.
+are re-indexed at ingest time, and the dataset keeps the mapping in its
+student_ids and thread_ids.
 """
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
 import json
 import logging
@@ -157,6 +157,8 @@ def load_schedule(path) -> CourseSchedule:
     bounds = []
     for i, wk in enumerate(weeks):
         try:
+            if isinstance(wk["start_ts"], bool):  # float() would read it as 0 or 1
+                raise ValueError("start_ts must be a number, not %r" % wk["start_ts"])
             bounds.append(float(wk["start_ts"]))
             if not math.isfinite(bounds[-1]):
                 raise ValueError("start_ts must be finite")
@@ -214,6 +216,8 @@ def ingest_jsonl(posts_path, schedule) -> Dataset:
             student = _id_field(record, "student_id", line_no)
             thread = _id_field(record, "thread_id", line_no)
             timestamp = _field(record, "timestamp", line_no)
+            if isinstance(timestamp, bool):  # float() would read it as 0 or 1
+                raise ParseError(line_no, "timestamp must be a number, not %r" % timestamp)
             try:
                 timestamp = float(timestamp)
             except (TypeError, ValueError) as exc:
@@ -273,31 +277,6 @@ def write_schedule(course: CourseSchedule, path) -> None:
     with open(path, "w") as fh:
         json.dump({"weeks": weeks}, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def write_id_map(ds: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["external_id", "dense_id", "kind"])
-        for dense, ext in enumerate(ds.student_ids):
-            writer.writerow([ext, dense, "student"])
-        for dense, ext in enumerate(ds.thread_ids):
-            writer.writerow([ext, dense, "thread"])
-
-
-def load_id_map(path) -> dict[str, dict[int, int]]:
-    """Returns {'student': {external: dense}, 'thread': {external: dense}}."""
-    out: dict[str, dict[int, int]] = {"student": {}, "thread": {}}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["external_id", "dense_id", "kind"]:
-            raise ValueError("unrecognized id map header")
-        for ext, dense, kind in reader:
-            if kind not in out:
-                raise ValueError("unknown id kind %r" % kind)
-            out[kind][int(ext)] = int(dense)
-    return out
 
 
 def events_before(ds: Dataset, t_end: float) -> Dataset:

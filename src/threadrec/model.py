@@ -619,17 +619,40 @@ def save_checkpoint(path, params: ModelParams, store: DynamicStateStore,
             fh.write(memoryview(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))))
 
 
+def _check_header(header) -> None:
+    """Refuse a header that is not an object holding an object of scalars
+    with every key save_checkpoint writes, its rates and time scale finite
+    numbers, a list of array objects and an object of meta."""
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header must be an object")
+    for key in ("scalars", "meta"):
+        if not isinstance(header.get(key), dict):
+            raise ValueError("checkpoint header %s must be an object" % key)
+    missing = [key for key in _SCALARS + ("time_scale",) if key not in header["scalars"]]
+    if missing:
+        raise ValueError("checkpoint header scalars lack %s" % ", ".join(missing))
+    for key in ("post_decay", "reply_decay", "lambda_student", "lambda_thread", "time_scale"):
+        value = header["scalars"][key]
+        if not (type(value) in (int, float) and math.isfinite(value)):  # not a bool
+            raise ValueError("checkpoint %s must be a finite number, not %r" % (key, value))
+    arrays = header.get("arrays")
+    if not (isinstance(arrays, list) and all(isinstance(a, dict) for a in arrays)):
+        raise ValueError("checkpoint header arrays must be a list of objects")
+
+
 def load_checkpoint(path):
     """Inverse of save_checkpoint. Returns (params, store, week_topics, meta).
-    The file is outside input: its array layout must be the one
-    save_checkpoint writes for its header scalars, its previous threads
-    must name threads or -1, its week topics lie on the simplex and its
-    time scale must be positive; a ValueError names the first that is not."""
+    The file is outside input: its header must have the shape save_checkpoint
+    writes, its array layout must be the one save_checkpoint writes for its
+    header scalars, its previous threads must name threads or -1, its week
+    topics lie on the simplex and its time scale must be positive; a
+    ValueError names the first that is not."""
     with open(path, "rb") as fh:
         magic = fh.readline().decode().strip()
         if magic != _CKPT_MAGIC:
             raise ValueError("%s is not a checkpoint file" % path)
         header = json.loads(fh.readline().decode())
+        _check_header(header)
         sc = header["scalars"]
         layout = _checkpoint_layout(sc)
         given = [(a.get("name"), a.get("dtype"), a.get("shape")) for a in header["arrays"]]
@@ -652,8 +675,8 @@ def load_checkpoint(path):
         raise ValueError("checkpoint array store.student_last_thread names a thread "
                          "outside [-1, %d)" % sc["num_threads"])
     _check_simplex(data["week_topics"], "checkpoint array week_topics")
-    if not (isinstance(sc.get("time_scale"), (int, float)) and sc["time_scale"] > 0):
-        raise ValueError("checkpoint time_scale must be positive, got %r" % sc.get("time_scale"))
+    if not sc["time_scale"] > 0:
+        raise ValueError("checkpoint time_scale must be positive, got %r" % sc["time_scale"])
     params = ModelParams(*(data["params." + name] for name in TENSOR_NAMES),
                          **{key: sc[key] for key in _SCALARS})
     store = DynamicStateStore(sc["num_students"], sc["num_threads"],

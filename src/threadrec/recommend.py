@@ -255,14 +255,6 @@ def write_report_json(report: EvalReport, path) -> None:
         fh.write("\n")
 
 
-def write_report_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["student_id", "ap_at_%d" % report.n_cutoff])
-        for student, ap in sorted(report.per_user_ap.items()):
-            writer.writerow([student, repr(float(ap))])
-
-
 def write_trajectories(rows: Iterable[tuple], path) -> None:
     """CSV of embedding snapshots: kind, entity, timestamp, then one column
     per embedding coordinate."""

@@ -524,9 +524,15 @@ def load_vocabulary(path) -> Vocabulary:
         if header != ["index", "word", "count"]:
             raise ValueError("unrecognized vocabulary file header")
         for row in reader:
+            if len(row) != 3:
+                raise ValueError("vocabulary line %d has %d fields, not 3"
+                                 % (reader.line_num, len(row)))
             idx, word, count = int(row[0]), row[1], int(row[2])
             if idx != len(counts):
                 raise ValueError("vocabulary indices must be dense and ordered")
+            if word in word_to_index:  # would shrink the vocabulary by one
+                raise ValueError("vocabulary line %d repeats the word %r"
+                                 % (reader.line_num, word))
             word_to_index[word] = idx
             counts.append(count)
     if not counts:

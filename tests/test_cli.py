@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threadrec import cli, corpus
+from threadrec import cli, corpus, model
 from threadrec.cli import (UsageError, main, parse_duration, read_config_file,
                            verify_manifest)
 from threadrec.synth import SynthConfig
@@ -108,8 +108,7 @@ def pipeline(tmp_path_factory):
 
 def test_synth_outputs(pipeline):
     data = pipeline["data"]
-    for name in ("posts.jsonl", "schedule.json", "ground_truth.json",
-                 "id_map.csv", "manifest.json"):
+    for name in ("posts.jsonl", "schedule.json", "ground_truth.json", "manifest.json"):
         assert (data / name).exists(), name
     assert verify_manifest(data / "manifest.json") == []
 
@@ -173,7 +172,6 @@ def test_eval_model_and_baselines(pipeline, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["method"] == "model"
     assert 0.0 <= report["map_at_n"] <= 1.0
-    assert (out / "per_user_ap.csv").exists()
     # timings live in the manifest only, so reports stay byte-deterministic
     assert "timings" not in report
     timings = json.loads((out / "manifest.json").read_text())["timings"]
@@ -248,9 +246,9 @@ def test_ablate_writes_table(pipeline, capsys):
     assert set(payload["variants"]) == {"full", "no_dynamic_student",
                                         "no_dynamic_thread", "no_student_projection",
                                         "no_thread_projection", "no_text_features"}
-    lines = (out / "ablation.csv").read_text().strip().splitlines()
-    assert lines[0].startswith("variant,seed_")
-    assert len(lines) == 7
+    assert payload["seeds"] == [6]  # base 2 plus the ablate stage offset
+    for row in payload["variants"].values():
+        assert len(row["per_seed"]) == 1 and row["mean"] == row["per_seed"][0]
     for variant in payload["variants"]:
         assert variant in table
     timings = json.loads((out / "manifest.json").read_text())["timings"]
@@ -262,9 +260,91 @@ def test_ablate_writes_table(pipeline, capsys):
                  "--lda", str(pipeline["lda"]), "--out", str(pool_out),
                  "--train-end", "2w", "--test-end", "3w", "--seed", "2", "--jobs", "2",
                  "--set", "epochs=1", "--set", "embed_dim=3"]) == 0
-    for name in ("ablation.csv", "ablation.json"):
-        assert (pool_out / name).read_bytes() == (out / name).read_bytes()
+    assert (pool_out / "ablation.json").read_bytes() == (out / "ablation.json").read_bytes()
     capsys.readouterr()
+
+
+def test_ablate_pool_starts_no_more_workers_than_jobs(pipeline, tmp_path, monkeypatch,
+                                                     capsys):
+    # a pool starts all its workers at once, and ablate has six variants
+    # times --seeds jobs; the stand-in pool runs the jobs here and starts
+    # no process
+    import concurrent.futures
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            cli._set_ablate_inputs(None)
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    args = ["ablate", "--data", str(pipeline["data"]), "--lda", str(pipeline["lda"]),
+            "--train-end", "2w", "--test-end", "3w", "--seed", "2",
+            "--set", "epochs=1", "--set", "embed_dim=3"]
+    for jobs, seeds, workers in ((1, 1, []), (64, 1, [6]), (5, 2, [5])):
+        out = tmp_path / ("jobs-%d-seeds-%d" % (jobs, seeds))
+        assert main(args + ["--out", str(out), "--jobs", str(jobs), "--seeds", str(seeds)]) == 0
+        assert started == workers, jobs
+        started.clear()
+    assert ((tmp_path / "jobs-64-seeds-1" / "ablation.json").read_bytes()
+            == (tmp_path / "jobs-1-seeds-1" / "ablation.json").read_bytes())
+    capsys.readouterr()
+
+
+def test_every_output_directory_holds_exactly_its_manifest(pipeline, tmp_path, capsys):
+    data, ckpt = str(pipeline["data"]), str(pipeline["run"] / "checkpoint.bin")
+    split = ["--train-end", "2w", "--test-end", "3w"]
+    eval_out, per_event_out, ablate_out = (tmp_path / "eval", tmp_path / "per-event",
+                                           tmp_path / "ablate")
+    assert main(["eval", "--data", data, "--out", str(eval_out), "--checkpoint", ckpt]
+                + split) == 0
+    assert main(["eval", "--data", data, "--out", str(per_event_out), "--checkpoint", ckpt,
+                 "--per-event"] + split) == 0
+    assert main(["ablate", "--data", data, "--lda", str(pipeline["lda"]),
+                 "--out", str(ablate_out), "--set", "epochs=1", "--set", "embed_dim=3"]
+                + split) == 0
+    for out, command in ((pipeline["data"], "synth"), (pipeline["lda"], "lda"),
+                         (pipeline["run"], "train"), (eval_out, "eval"),
+                         (per_event_out, "eval"), (ablate_out, "ablate")):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        listed = set(manifest["outputs"]) | set(manifest["logs"]) | {"manifest.json"}
+        assert {path.name for path in out.iterdir()} == listed, out
+        assert verify_manifest(out / "manifest.json") == [], out
+    capsys.readouterr()
+
+
+def test_checkpoint_gates_refuse_a_split_or_query_it_was_not_trained_for(pipeline, tmp_path,
+                                                                         capsys):
+    # the checkpoint was trained on the posts before 2w; after its last
+    # training post, an eval split at another time, or a query before 2w,
+    # would read states that miss or already hold the posts in between
+    data, ckpt = str(pipeline["data"]), str(pipeline["run"] / "checkpoint.bin")
+    meta = model.load_checkpoint(ckpt)[3]
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", data, "--out", str(out), "--checkpoint", ckpt,
+                 "--train-end", "17d", "--test-end", "3w"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert ("error: --train-end %r differs from the checkpoint's train_end %r"
+            % (parse_duration("17d"), meta["train_end"])) in captured.err
+    at = (meta["last_post_time"] + meta["train_end"]) / 2
+    assert meta["last_post_time"] < at < meta["train_end"]
+    assert main(["recommend", "--data", data, "--checkpoint", ckpt, "--student", "0",
+                 "--at", repr(at)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: --at %r is before the checkpoint's train_end %r"
+            % (at, meta["train_end"])) in captured.err
 
 
 def test_ablate_manifest_records_the_effective_config(pipeline, capsys):
@@ -447,22 +527,52 @@ def test_runtime_errors_exit_one(pipeline, tmp_path, capsys):
                  "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1
     assert "course_topics.csv must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
-    # a NaN topic-word row, and a vocabulary cut to half its rows, which
-    # would map words to the wrong columns of the topic model
-    for name, message in (("lda_model.csv", "lda_model.csv must be nonnegative"),
-                          ("vocab.csv", "vocabulary has")):
-        bad = tmp_path / ("lda-" + name)
+    # a NaN topic-word row, and a vocabulary cut to half its rows, with a
+    # row cut short or with a repeated word, each of which would map words
+    # to the wrong columns of the topic model
+    for i, (name, edit, message) in enumerate((
+            ("lda_model.csv", lambda rows: rows[:1] + [" ".join(["nan"] + rows[1].split()[1:])]
+             + rows[2:], "lda_model.csv must be nonnegative"),
+            ("vocab.csv", lambda rows: rows[:len(rows) // 2], "vocabulary has"),
+            ("vocab.csv", lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0]] + rows[3:],
+             "vocabulary line 3 has 2 fields, not 3"),
+            ("vocab.csv", lambda rows: rows[:-1] + ["%d,%s,1" % (len(rows) - 2,
+                                                                 rows[1].split(",")[1])],
+             "repeats the word"))):
+        bad = tmp_path / ("lda-bad-%d" % i)
         shutil.copytree(pipeline["lda"], bad)
-        rows = (bad / name).read_text().splitlines()
-        if name == "vocab.csv":
-            rows = rows[:len(rows) // 2]
-        else:
-            rows[1] = " ".join(["nan"] + rows[1].split()[1:])
+        rows = edit((bad / name).read_text().splitlines())
         (bad / name).write_text("\n".join(rows) + "\n")
         assert main(["train", "--data", str(pipeline["data"]), "--lda", str(bad),
-                     "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1, name
-        assert message in capsys.readouterr().err, name
-        assert not out.exists(), name
+                     "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1, message
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err, message
+        assert not out.exists(), message
+    # checkpoint headers that are valid JSON of another shape, and meta
+    # times and config of another type
+    magic, header, payload = (pipeline["run"] / "checkpoint.bin").read_bytes().split(b"\n", 2)
+    good = json.loads(header)
+    ckpt = tmp_path / "checkpoint.bin"
+    for bad, message in (
+            ({k: v for k, v in good.items() if k != "scalars"},
+             "checkpoint header scalars must be an object"),
+            ({**good, "arrays": [1, 2, 3]}, "checkpoint header arrays must be a list of objects"),
+            ([good], "checkpoint header must be an object"),
+            ({**good, "meta": {**good["meta"], "last_post_time": "1w"}},
+             "last_post_time must be null or a finite number, not '1w'"),
+            ({**good, "meta": {**good["meta"], "train_end": True}},
+             "train_end must be null or a finite number, not True"),
+            ({**good, "meta": {**good["meta"], "config": "full"}},
+             "config must be an object, not 'full'")):
+        ckpt.write_bytes(magic + b"\n" + json.dumps(bad).encode() + b"\n" + payload)
+        for argv in (["eval", "--data", str(pipeline["data"]), "--out", str(out),
+                      "--checkpoint", str(ckpt), "--train-end", "2w", "--test-end", "3w"],
+                     ["recommend", "--data", str(pipeline["data"]), "--checkpoint", str(ckpt),
+                      "--student", "0", "--at", "2w"]):
+            assert main(argv) == 1, (argv[0], message)
+            err = capsys.readouterr().err
+            assert "error: " in err and message in err, (argv[0], message)
+            assert "Traceback" not in err and not out.exists()
     # a command refused after reading its inputs leaves no output directory
     for argv, message in (
             (["synth", "--set", "num_students=1", "--set", "mean_posts_per_student=1",

@@ -143,6 +143,33 @@ def test_ingest_refuses_ids_int_would_merge(tmp_path, field, value):
         corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_ingest_and_schedule_refuse_boolean_times(tmp_path, value):
+    # float() reads true as 1.0 and false as 0.0: a post or a week would
+    # move to the start of the course without a word
+    posts = tmp_path / "posts.jsonl"
+    schedule = tmp_path / "schedule.json"
+    write_weeks(schedule)
+    records = [{"post_id": 1, "student_id": 3, "thread_id": 1, "timestamp": 1, "text": "x"},
+               {"post_id": 2, "student_id": 4, "thread_id": 1, "timestamp": 2.5, "text": "x"}]
+    write_posts(posts, records)
+    # integers and floats read as before
+    ds = corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+    assert [ev.timestamp for ev in ds.events] == [1.0, 2.5]
+    records[1]["timestamp"] = value
+    write_posts(posts, records)
+    with pytest.raises(ParseError, match="line 2: timestamp must be a number, not %s" % value):
+        corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+
+    weeks = json.loads(schedule.read_text())
+    assert corpus.load_schedule(schedule).week_boundaries == [0.0, float(WEEK)]
+    weeks["weeks"][1]["start_ts"] = value
+    schedule.write_text(json.dumps(weeks))
+    with pytest.raises(ValueError, match="week 1 malformed in schedule: start_ts must be "
+                                         "a number, not %s" % value):
+        corpus.load_schedule(schedule)
+
+
 def test_ingest_empty_file_raises(tmp_path):
     posts = tmp_path / "posts.jsonl"
     schedule = tmp_path / "schedule.json"
@@ -298,14 +325,6 @@ def test_history_matches_linear_scan_with_ties_and_replies(course2):
                 assert index.history(student, thread, t) == expect
                 with_replies += bool(expect.reply_times)
     assert with_replies > 0
-
-
-def test_id_map_roundtrip(tmp_path, tiny_ds):
-    path = tmp_path / "ids.csv"
-    corpus.write_id_map(tiny_ds, path)
-    mapping = corpus.load_id_map(path)
-    assert mapping["student"] == {0: 0, 1: 1, 2: 2}
-    assert mapping["thread"] == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_ingest_tokenizes_posts_on_first_read(tmp_path, monkeypatch):

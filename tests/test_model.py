@@ -521,6 +521,45 @@ def test_checkpoint_rejects_bad_shapes_and_last_threads(tmp_path):
     model.load_checkpoint(saved_checkpoint(tmp_path, last_thread=-1))
 
 
+def replace_header(path, header):
+    magic, _, payload = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.pop("scalars"), "header scalars must be an object"),
+    (lambda h: h.update(scalars=[1, 2]), "header scalars must be an object"),
+    (lambda h: h["scalars"].pop("activation"), "header scalars lack activation"),
+    (lambda h: h["scalars"].pop("time_scale"), "header scalars lack time_scale"),
+    (lambda h: h["scalars"].update(post_decay="0.5"), "post_decay must be a finite number"),
+    (lambda h: h["scalars"].update(lambda_student=None), "lambda_student must be a finite"),
+    (lambda h: h["scalars"].update(reply_decay=float("nan")), "reply_decay must be a finite"),
+    (lambda h: h["scalars"].update(time_scale=True), "time_scale must be a finite number"),
+    (lambda h: h.update(arrays=[1, 2, 3]), "header arrays must be a list of objects"),
+    (lambda h: h.update(arrays={"name": "week_topics"}), "header arrays must be a list"),
+    (lambda h: h.pop("arrays"), "header arrays must be a list of objects"),
+    (lambda h: h.update(meta="notes"), "header meta must be an object"),
+    (lambda h: h.pop("meta"), "header meta must be an object")],
+    ids=["no-scalars", "scalars-list", "no-activation", "no-time-scale", "string-decay",
+         "null-lambda", "nan-decay", "boolean-time-scale", "arrays-of-numbers",
+         "arrays-object", "no-arrays", "meta-string", "no-meta"])
+def test_checkpoint_rejects_headers_of_the_wrong_shape(tmp_path, edit, message):
+    # valid JSON of another shape would end in a KeyError, AttributeError
+    # or TypeError deep in the loader
+    path = saved_checkpoint(tmp_path)
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=message):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [[], ["scalars"], "scalars", 7, None])
+def test_checkpoint_rejects_a_header_that_is_not_an_object(tmp_path, header):
+    path = saved_checkpoint(tmp_path)
+    replace_header(path, header)
+    with pytest.raises(ValueError, match="checkpoint header must be an object"):
+        model.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_bad_time_scale_and_week_topics(tmp_path):
     # the projection takes the elapsed time over the time scale and the
     # week a student's last topics point to, without range checks

@@ -360,12 +360,8 @@ def test_write_report_files(tmp_path, course2):
     test_events = [make_event(0, 0, 1, 10.0)]
     report = evaluate(lambda s: [1, 2], test_events, n_cutoff=5, method="pop")
     jpath = tmp_path / "report.json"
-    cpath = tmp_path / "per_user.csv"
     recommend.write_report_json(report, jpath)
-    recommend.write_report_csv(report, cpath)
     payload = json.loads(jpath.read_text())
     assert payload["method"] == "pop"
     assert payload["map_at_n"] == 1.0
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0] == "student_id,ap_at_5"
-    assert lines[1] == "0,1.0"
+    assert payload["per_user_ap"] == {"0": 1.0}

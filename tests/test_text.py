@@ -213,6 +213,23 @@ def test_vocabulary_roundtrip(tmp_path):
     assert np.array_equal(loaded.counts, vocab.counts)
 
 
+@pytest.mark.parametrize("row, fields", [("2,c", 2), ("2", 1), ("", 0), ("2,c,1,9", 4)])
+def test_load_vocabulary_refuses_a_row_without_three_fields(tmp_path, row, fields):
+    path = tmp_path / "vocab.csv"
+    path.write_text("index,word,count\n0,a,2\n1,b,1\n%s\n" % row)
+    with pytest.raises(ValueError, match="vocabulary line 4 has %d fields, not 3" % fields):
+        text.load_vocabulary(path)
+
+
+def test_load_vocabulary_refuses_a_repeated_word(tmp_path):
+    # the second 'a' would take over the first one's index, and the
+    # vocabulary would hold a word fewer than the topic model's columns
+    path = tmp_path / "vocab.csv"
+    path.write_text("index,word,count\n0,a,2\n1,b,1\n2,a,1\n")
+    with pytest.raises(ValueError, match="vocabulary line 4 repeats the word 'a'"):
+        text.load_vocabulary(path)
+
+
 def test_lda_roundtrip_is_exact(tmp_path):
     model = text.lda_fit([{0: 3, 1: 2}, {1: 4, 2: 1}], 2, iters=10, seed=5,
                          vocab_size=3)

@@ -18,7 +18,7 @@ from .recommend import (EvalReport, average_precision, baseline_pop,
                         evaluate)
 from .synth import GroundTruth, SynthConfig, algo_like, generate
 from .text import (LdaModel, Vocabulary, build_vocabulary,
-                   course_topics, lda_fit, lda_infer, lda_infer_batch,
+                   course_topics, lda_fit, lda_infer_batch,
                    preprocess, term_frequency)
 from .train import TrainConfig, fit, gradient_check, prepare_event_features, t_batch
 
@@ -32,7 +32,7 @@ __all__ = [
     "algo_like", "average_precision", "baseline_pop", "baseline_rec",
     "baseline_user_rec", "build_model_ranker", "build_vocabulary",
     "course_topics", "evaluate", "excitation", "fit", "generate",
-    "gradient_check", "ingest_jsonl", "lda_fit", "lda_infer", "lda_infer_batch",
+    "gradient_check", "ingest_jsonl", "lda_fit", "lda_infer_batch",
     "load_checkpoint", "load_schedule", "prepare_event_features", "preprocess",
     "project_thread", "save_checkpoint", "split_by_time", "t_batch",
     "term_frequency", "validate_dataset", "__version__",

@@ -209,8 +209,7 @@ def _split_spec(args) -> corpus.SplitSpec:
 
 def _load_dataset(data_dir) -> corpus.Dataset:
     data = Path(data_dir)
-    schedule = corpus.load_schedule(data / SCHEDULE_FILE)
-    return corpus.ingest_jsonl(data / POSTS_FILE, schedule)
+    return corpus.ingest_jsonl(data / POSTS_FILE, data / SCHEDULE_FILE)
 
 
 def _prepare_features(lda_dir, window: corpus.Dataset, cfg) -> train.PreparedFeatures:
@@ -232,8 +231,7 @@ def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
     params, store, week_topics, meta = model.load_checkpoint(path)
     for key in ("last_post_time", "train_end"):
         value = meta.get(key)
-        # json reads true as a bool, which isinstance counts as an int
-        if value is not None and not (type(value) in (int, float) and math.isfinite(value)):
+        if value is not None and corpus.number_fault(value):
             raise ValueError("the checkpoint's %s must be null or a finite number, not %r"
                              % (key, value))
     config = meta.get("config", {})
@@ -255,7 +253,9 @@ def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
 
 def cmd_synth(args) -> int:
     started = time.perf_counter()
-    base = synth.algo_like(scale=args.scale) if args.preset else synth.SynthConfig()
+    if args.scale is not None and not args.preset:
+        raise UsageError("--scale needs a --preset to scale")
+    base = synth.algo_like(scale=args.scale or 1.0) if args.preset else synth.SynthConfig()
     cfg = _config(base, _collect_overrides(args))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed + SEED_OFFSETS["synth"])
@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic forum dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--preset", choices=["algo-like"])
-    p.add_argument("--scale", type=_positive(float), default=1.0)
+    p.add_argument("--scale", type=_positive(float))
     common(p)
     p.set_defaults(func=cmd_synth)
 

@@ -11,7 +11,7 @@ import bisect
 import functools
 import json
 import logging
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -147,9 +147,23 @@ def validate_dataset(ds: Dataset) -> None:
         prev_t, prev_id = ev.timestamp, ev.post_id
 
 
+def number_fault(value) -> str | None:
+    """None if value is a JSON number whose float is finite, else what it
+    must be instead. A bool, which isinstance counts as an int and float()
+    reads as 0 or 1, and a string such as "7.5", which float() reads as its
+    number, are not numbers."""
+    if type(value) not in (int, float):
+        return "a number, not %r" % (value,)
+    if not abs(value) <= sys.float_info.max:  # nan, and ints beyond a float's range
+        return "finite, not %r" % (value,)
+    return None
+
+
 def load_schedule(path) -> CourseSchedule:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("schedule %s must be a JSON object, not %s" % (path, type(raw).__name__))
     weeks = raw.get("weeks")
     if not isinstance(weeks, list) or not weeks:
         raise ValueError("schedule must contain a non-empty 'weeks' list")
@@ -157,11 +171,10 @@ def load_schedule(path) -> CourseSchedule:
     bounds = []
     for i, wk in enumerate(weeks):
         try:
-            if isinstance(wk["start_ts"], bool):  # float() would read it as 0 or 1
-                raise ValueError("start_ts must be a number, not %r" % wk["start_ts"])
+            fault = number_fault(wk["start_ts"])
+            if fault:
+                raise ValueError("start_ts must be " + fault)
             bounds.append(float(wk["start_ts"]))
-            if not math.isfinite(bounds[-1]):
-                raise ValueError("start_ts must be finite")
             docs.append(preprocess(str(wk["text"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("week %d malformed in schedule: %s" % (i, exc)) from None
@@ -175,20 +188,17 @@ def _field(record, name, line_no):
 
 
 def _id_field(record, name, line_no) -> int:
-    """The integer id record[name]. int() would merge a boolean or a number
-    with a fractional part into another id, so those are refused too."""
+    """The integer id record[name]: a JSON integer or an integral float.
+    int() would merge a boolean, a string such as "03" or a number with a
+    fractional part into another id, so those are refused."""
     value = _field(record, name, line_no)
-    lossy = isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
-    try:
-        if not lossy:
-            return int(value)
-    except (TypeError, ValueError):
-        pass
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
     raise ParseError(line_no, "%s must be an integer, not %r" % (name, value))
 
 
-def ingest_jsonl(posts_path, schedule) -> Dataset:
-    """Read a JSONL post log into a Dataset.
+def ingest_jsonl(posts_path, schedule_path) -> Dataset:
+    """Read a JSONL post log and its course schedule into a Dataset.
 
     Each line is an object with post_id, student_id, thread_id, timestamp,
     text, and optionally parent_post_id. Text is kept raw; each event
@@ -196,11 +206,7 @@ def ingest_jsonl(posts_path, schedule) -> Dataset:
     Student and thread ids are re-indexed densely in ascending external id
     order; events are sorted by (timestamp, post_id).
     """
-    if isinstance(schedule, CourseSchedule):
-        course = schedule
-    else:
-        course = load_schedule(schedule)
-
+    course = load_schedule(schedule_path)
     rows = []
     with open(posts_path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -216,17 +222,13 @@ def ingest_jsonl(posts_path, schedule) -> Dataset:
             student = _id_field(record, "student_id", line_no)
             thread = _id_field(record, "thread_id", line_no)
             timestamp = _field(record, "timestamp", line_no)
-            if isinstance(timestamp, bool):  # float() would read it as 0 or 1
-                raise ParseError(line_no, "timestamp must be a number, not %r" % timestamp)
-            try:
-                timestamp = float(timestamp)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(line_no, "bad field value (%s)" % exc) from None
+            fault = number_fault(timestamp)
+            if fault:
+                raise ParseError(line_no, "timestamp must be " + fault)
+            timestamp = float(timestamp)
             text = _field(record, "text", line_no)
             if not isinstance(text, str):
                 raise ParseError(line_no, "text must be a string")
-            if not math.isfinite(timestamp):
-                raise ParseError(line_no, "timestamp must be finite")
             if timestamp < 0:
                 raise ParseError(line_no, "timestamp must be >= 0")
             parent = (None if record.get("parent_post_id") is None

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ReplyHistory
+from .corpus import ReplyHistory, number_fault
 from .text import _check_simplex
 
 # Elements per block of the training step's walks over a gradient: the
@@ -160,25 +160,23 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return replace(self, **{name: self.tensor(name).copy() for name in TENSOR_NAMES})
 
-    def zero_grads(self, max_rows: int | None = None) -> dict:
+    def zero_grads(self) -> dict:
         """A gradient set, which batch_grads writes afresh for every batch:
         a zero array per tensor but the predictor, whose gradient is a
-        RowGrad that holds up to max_rows rows (every row when None)."""
-        rows = len(self.predictor) if max_rows is None else max_rows
-        return {name: RowGrad(self.predictor.shape, rows) if name == "predictor"
+        RowGrad."""
+        return {name: RowGrad(self.predictor.shape) if name == "predictor"
                 else np.zeros(self.tensor(name).shape) for name in TENSOR_NAMES}
 
 
 class RowGrad:
     """The predictor gradient of one t-batch: the sorted distinct rows it
     reaches and a (len(rows), width) block of their values, in a buffer
-    of max_rows rows. Every other row of the dense gradient, of the given
-    shape, is +0.0."""
+    that grows to the most rows a batch has reached. Every other row of
+    the dense gradient, of the given shape, is +0.0."""
 
-    def __init__(self, shape: tuple[int, int], max_rows: int):
+    def __init__(self, shape: tuple[int, int]):
         self.shape = shape
-        # np.empty: start touches only the rows a batch reaches
-        self._buf = np.empty((max_rows, shape[1]))
+        self._buf = np.empty((0, shape[1]))
         # take's blocks: _STEP_BLOCK elements span that many entries and
         # parts of two more rows
         self._scratch = np.zeros(_STEP_BLOCK + 2 * shape[1])
@@ -188,8 +186,8 @@ class RowGrad:
     def start(self, rows: np.ndarray) -> None:
         """Make rows, sorted and distinct, the gradient's rows, all +0.0."""
         if len(rows) > len(self._buf):
-            raise ValueError("%d gradient rows do not fit a buffer of %d"
-                             % (len(rows), len(self._buf)))
+            # np.empty: the fill below touches only the rows a batch reaches
+            self._buf = np.empty((len(rows), self.shape[1]))
         self.rows = rows
         self.values = self._buf[:len(rows)]
         self.values.fill(0.0)
@@ -633,7 +631,7 @@ def _check_header(header) -> None:
         raise ValueError("checkpoint header scalars lack %s" % ", ".join(missing))
     for key in ("post_decay", "reply_decay", "lambda_student", "lambda_thread", "time_scale"):
         value = header["scalars"][key]
-        if not (type(value) in (int, float) and math.isfinite(value)):  # not a bool
+        if number_fault(value):
             raise ValueError("checkpoint %s must be a finite number, not %r" % (key, value))
     arrays = header.get("arrays")
     if not (isinstance(arrays, list) and all(isinstance(a, dict) for a in arrays)):
@@ -648,10 +646,12 @@ def load_checkpoint(path):
     topics lie on the simplex and its time scale must be positive; a
     ValueError names the first that is not."""
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().strip()
-        if magic != _CKPT_MAGIC:
+        if fh.readline().strip() != _CKPT_MAGIC.encode():
             raise ValueError("%s is not a checkpoint file" % path)
-        header = json.loads(fh.readline().decode())
+        try:
+            header = json.loads(fh.readline().decode())
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ValueError("checkpoint %s: the header is not JSON: %s" % (path, exc)) from None
         _check_header(header)
         sc = header["scalars"]
         layout = _checkpoint_layout(sc)

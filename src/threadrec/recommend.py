@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -96,17 +96,15 @@ class EvalReport:
     per_user_ap: dict[int, float] = field(default_factory=dict)
 
 
-def evaluate(rank_fn: Callable[[int], object], test_events, n_cutoff: int = 5,
+def evaluate(rank_fn: Callable[[int], object], test: Dataset, n_cutoff: int = 5,
              method: str = "model") -> EvalReport:
     """Score a per-student ranking function against the test window.
 
     rank_fn maps a student id to a RankedRecommendation or a plain ordered
     list of thread ids. Students with no test-window post are skipped; a
     window with no students at all is an error."""
-    if isinstance(test_events, Dataset):
-        test_events = test_events.events
     relevant: dict[int, set[int]] = {}
-    for ev in test_events:
+    for ev in test.events:
         relevant.setdefault(ev.student_id, set()).add(ev.thread_id)
     if not relevant:
         raise EvaluationError("test window contains no students to evaluate")
@@ -176,7 +174,7 @@ def build_model_ranker(params: ModelParams, store: DynamicStateStore,
 
 def evaluate_per_event(params: ModelParams, store: DynamicStateStore,
                        week_topics: np.ndarray, train: Dataset,
-                       test_events, n_cutoff: int = 5,
+                       test: Dataset, n_cutoff: int = 5,
                        flags: AblationFlags = AblationFlags()) -> EvalReport:
     """Re-ranking variant of the protocol: every test event is scored by a
     fresh ranking for its student at the event's own time, with interaction
@@ -184,16 +182,13 @@ def evaluate_per_event(params: ModelParams, store: DynamicStateStore,
     frozen at their trained values. A student's score is the mean reciprocal
     quality of their events' rankings measured as single-item average
     precision; the report averages over students."""
-    if isinstance(test_events, Dataset):
-        test_events = test_events.events
-    if not test_events:
+    if not test.events:
         raise EvaluationError("test window contains no students to evaluate")
-    merged = Dataset(list(train.events) + list(test_events), train.num_students,
-                     train.num_threads, train.course, train.student_ids, train.thread_ids)
+    merged = replace(train, events=train.events + test.events)
     scorer = _Scorer(params, store, week_topics, train, ThreadEventIndex(merged), flags)
 
     scores: dict[int, list[float]] = {}
-    for ev in test_events:
+    for ev in test.events:
         ranking = scorer.rank(ev.student_id, ev.timestamp)
         ap = average_precision(ranking.thread_ids, {ev.thread_id}, n_cutoff)
         scores.setdefault(ev.student_id, []).append(ap)

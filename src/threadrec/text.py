@@ -33,20 +33,12 @@ _SPLIT_RE = re.compile(r"[^a-z0-9]+")
 _stem = functools.lru_cache(maxsize=None)(stem)
 
 
-def load_stopwords(path=None) -> frozenset[str]:
-    """Load one stopword per line; blank lines ignored. Defaults to the
-    list shipped with the package."""
-    if path is None:
-        text = resources.files(__package__).joinpath("stopwords.txt").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    return frozenset(w.strip() for w in text.splitlines() if w.strip())
-
-
 @functools.cache
-def _default_stopwords() -> frozenset[str]:
-    return load_stopwords()
+def load_stopwords() -> frozenset[str]:
+    """The stopword list shipped with the package, one word per line;
+    blank lines ignored. Read once per process."""
+    text = resources.files(__package__).joinpath("stopwords.txt").read_text()
+    return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
 def preprocess(raw_text: str, stopwords: frozenset[str] | None = None) -> list[str]:
@@ -58,7 +50,7 @@ def preprocess(raw_text: str, stopwords: frozenset[str] | None = None) -> list[s
     stopword, so inflected function words do not leak through stemming.
     """
     if stopwords is None:
-        stopwords = _default_stopwords()
+        stopwords = load_stopwords()
     text = _URL_RE.sub(" ", raw_text.lower())
     out = []
     for tok in _SPLIT_RE.split(text):
@@ -148,7 +140,7 @@ class LdaModel:
         return self.topic_word.shape[1]
 
 
-def _expand_docs(docs: Sequence[Mapping[int, int]], vocab_size: int | None):
+def _expand_docs(docs: Sequence[Mapping[int, int]], vocab_size: int):
     """Flatten sparse term-frequency docs into parallel token/doc arrays,
     words within a doc in ascending index order."""
     words = []
@@ -168,15 +160,12 @@ def _expand_docs(docs: Sequence[Mapping[int, int]], vocab_size: int | None):
             doc_of.extend([d] * c)
             length += c
         lengths.append(length)
-    if vocab_size is None:
-        vocab_size = max_idx + 1
-    elif max_idx >= vocab_size:
+    if max_idx >= vocab_size:
         raise ValueError("word index %d outside vocabulary of size %d" % (max_idx, vocab_size))
     return (
         np.array(words, dtype=np.int64),
         np.array(doc_of, dtype=np.int64),
         np.array(lengths, dtype=np.int64),
-        vocab_size,
     )
 
 
@@ -330,16 +319,16 @@ def lda_fit(
     docs: Sequence[Mapping[int, int]],
     num_topics: int,
     iters: int = 500,
-    doc_topic_prior: float | None = None,
-    topic_word_prior: float = 0.01,
     seed: int = 0,
-    vocab_size: int | None = None,
+    *,
+    vocab_size: int,
 ) -> LdaModel:
-    """Fit LDA by collapsed Gibbs sampling.
+    """Fit LDA over words [0, vocab_size) by collapsed Gibbs sampling.
 
-    doc_topic_prior defaults to 50 / num_topics. The returned topic_word
-    matrix is the smoothed count estimate from the final sweep, and
-    loglik_history holds the joint log likelihood after each sweep.
+    The doc-topic prior is 50 / num_topics and the topic-word prior 0.01.
+    The returned topic_word matrix is the smoothed count estimate from the
+    final sweep, and loglik_history holds the joint log likelihood after
+    each sweep.
     """
     if num_topics < 1:
         raise ValueError("num_topics must be >= 1")
@@ -347,29 +336,24 @@ def lda_fit(
         raise ValueError("iters must be >= 1")
     if not docs:
         raise ValueError("no documents to fit")
-    if doc_topic_prior is None:
-        doc_topic_prior = 50.0 / num_topics
-    if doc_topic_prior <= 0 or topic_word_prior <= 0:
-        raise ValueError("priors must be positive")
-    words, doc_of, lengths, W = _expand_docs(docs, vocab_size)
+    words, doc_of, lengths = _expand_docs(docs, vocab_size)
     if len(words) == 0:
         raise ValueError("all documents are empty")
-    if num_topics > W:
-        raise ValueError("num_topics %d exceeds vocabulary size %d" % (num_topics, W))
+    if num_topics > vocab_size:
+        raise ValueError("num_topics %d exceeds vocabulary size %d" % (num_topics, vocab_size))
 
     rng = np.random.default_rng(seed)
     z = rng.integers(0, num_topics, size=len(words))
     n_dk = np.zeros((len(docs), num_topics), dtype=np.int64)
-    n_kw = np.zeros((num_topics, W), dtype=np.int64)
+    n_kw = np.zeros((num_topics, vocab_size), dtype=np.int64)
     n_k = np.zeros(num_topics, dtype=np.int64)
     np.add.at(n_dk, (doc_of, z), 1)
     np.add.at(n_kw, (z, words), 1)
     np.add.at(n_k, z, 1)
 
     history = np.zeros(iters)
-    alpha = doc_topic_prior
-    beta = topic_word_prior
-    joint_loglik = _JointLoglik(lengths, num_topics, W, alpha, beta)
+    alpha, beta = 50.0 / num_topics, 0.01
+    joint_loglik = _JointLoglik(lengths, num_topics, vocab_size, alpha, beta)
     for sweep in range(iters):
         uniforms = rng.random(len(words))
         _gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms)
@@ -378,15 +362,6 @@ def lda_fit(
     topic_word = (n_kw + beta).astype(np.float64)
     topic_word /= topic_word.sum(axis=1, keepdims=True)
     return LdaModel(num_topics, topic_word, alpha, beta, seed, history)
-
-
-def lda_infer(
-    model: LdaModel,
-    doc: Mapping[int, int],
-    iters: int = 50,
-) -> np.ndarray:
-    """Fold-in Gibbs inference for one document: lda_infer_batch's row."""
-    return lda_infer_batch(model, [doc], iters=iters)[0]
 
 
 def lda_infer_batch(
@@ -415,7 +390,7 @@ def lda_infer_batch(
     burn_in = iters // 2
     K = model.num_topics
     alpha = model.doc_topic_prior
-    words, doc_of, lengths, _ = _expand_docs(docs, model.vocab_size)
+    words, doc_of, lengths = _expand_docs(docs, model.vocab_size)
     theta = np.full((len(docs), K), 1.0 / K)
     order = np.argsort(-lengths, kind="stable")
     D = int(np.count_nonzero(lengths))
@@ -490,17 +465,16 @@ def course_topics(
     schedule: "CourseSchedule",
     model: LdaModel,
     vocab: Vocabulary,
-    iters: int = 50,
 ) -> np.ndarray:
     """(weeks, topics) topic profiles of the course weeks, from their
-    syllabus text, by lda_infer_batch over iters sweeps."""
+    syllabus text, by lda_infer_batch over its default 50 sweeps."""
     docs = []
     for week, tokens in enumerate(schedule.week_docs):
         tf = term_frequency(tokens, vocab)
         if not tf:
             raise ValueError("course week %d has no modelable text" % week)
         docs.append(tf)
-    return lda_infer_batch(model, docs, iters=iters)
+    return lda_infer_batch(model, docs)
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +494,17 @@ def load_vocabulary(path) -> Vocabulary:
     counts = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "word", "count"]:
+        if next(reader, None) != ["index", "word", "count"]:  # None for an empty file
             raise ValueError("unrecognized vocabulary file header")
         for row in reader:
             if len(row) != 3:
                 raise ValueError("vocabulary line %d has %d fields, not 3"
                                  % (reader.line_num, len(row)))
-            idx, word, count = int(row[0]), row[1], int(row[2])
+            try:
+                idx, word, count = int(row[0]), row[1], int(row[2])
+            except ValueError:
+                raise ValueError("vocabulary %s line %d: index and count must be integers, "
+                                 "got %r" % (path, reader.line_num, row)) from None
             if idx != len(counts):
                 raise ValueError("vocabulary indices must be dense and ordered")
             if word in word_to_index:  # would shrink the vocabulary by one

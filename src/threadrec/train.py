@@ -9,7 +9,7 @@ states entering the batch treated as constants, into the one gradient set
 of the fit, starting every gradient afresh. A batch reaches only the
 predictor rows model.predictor_rows names, so its predictor gradient is
 compact: those rows and a block of their values (model.RowGrad), in a
-buffer fit sizes for its largest batch. A step is clip_gradients, then
+buffer that grows to the largest batch's rows. A step is clip_gradients, then
 Adam.step, which applies the gradients to the parameters; both only read
 the set. Clipping sums the predictor's squares in numpy's pairwise order
 over the dense layout, rebuilding only the leaves that hold a batch row.
@@ -49,7 +49,6 @@ from .model import (
     batch_grads,
     dense_grads,
     excitation,
-    predictor_rows,
 )
 from .text import LdaModel, Vocabulary, lda_infer_batch, term_frequency
 
@@ -108,13 +107,10 @@ class TrainConfig:
         return AblationFlags(**{name: getattr(self, name) for name in AblationFlags.NAMES})
 
 
-def ablation_variant(config: TrainConfig, names) -> TrainConfig:
-    """Copy of config with the named ablation flags switched on. 'full'
-    means no flags. Unknown names are an error."""
-    if isinstance(names, str):
-        names = [names]
-    names = [n for n in names if n != "full"]
-    flags = AblationFlags.from_names(names)  # validates
+def ablation_variant(config: TrainConfig, name: str) -> TrainConfig:
+    """Copy of config with the named ablation flag switched on. 'full'
+    means no flag. An unknown name is an error."""
+    flags = AblationFlags.from_names([] if name == "full" else [name])  # validates
     return replace(config, **{n: True for n in flags.active()})
 
 
@@ -438,8 +434,7 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
                for batch in t_batch(feats.student.tolist(), feats.thread.tolist())]
     flags = config.flags
     opt = Adam(params, config.learning_rate)
-    # every batch writes the whole set afresh, sized for the largest batch
-    grads = params.zero_grads(max(len(predictor_rows(batch, params)) for batch in batches))
+    grads = params.zero_grads()  # every batch writes the whole set afresh
 
     log_rows = []
     # the trackers already hold the whole window and training never reads

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threadrec import cli, corpus, model
+from threadrec import cli, corpus, model, synth
 from threadrec.cli import (UsageError, main, parse_duration, read_config_file,
                            verify_manifest)
 from threadrec.synth import SynthConfig
@@ -588,7 +588,56 @@ def test_runtime_errors_exit_one(pipeline, tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 1, argv
         assert message in capsys.readouterr().err, argv
         assert not out.exists(), argv
-    capsys.readouterr()
+    # a schedule whose top level is a list, not an object
+    bad = tmp_path / "schedule-list"
+    shutil.copytree(pipeline["data"], bad)
+    (bad / "schedule.json").write_text("[]\n")
+    assert main(["lda", "--data", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: schedule %s must be a JSON object, not list" % (bad / "schedule.json") in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_unreadable_inputs_name_their_file(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    # a checkpoint whose header line is not JSON
+    magic, _, payload = (pipeline["run"] / "checkpoint.bin").read_bytes().split(b"\n", 2)
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(magic + b"\n{oops\n" + payload)
+    for argv in (["eval", "--data", str(pipeline["data"]), "--out", str(out),
+                  "--checkpoint", str(ckpt), "--train-end", "2w", "--test-end", "3w"],
+                 ["recommend", "--data", str(pipeline["data"]), "--checkpoint", str(ckpt),
+                  "--student", "0", "--at", "2w"]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert ("error: checkpoint %s: the header is not JSON: Expecting property name" % ckpt
+                in err), argv[0]
+        assert not out.exists()
+    # a vocabulary row whose index is not an integer
+    lda = tmp_path / "lda"
+    shutil.copytree(pipeline["lda"], lda)
+    rows = (lda / "vocab.csv").read_text().splitlines()
+    rows[2] = "x," + rows[2].split(",", 1)[1]
+    (lda / "vocab.csv").write_text("\n".join(rows) + "\n")
+    assert main(["train", "--data", str(pipeline["data"]), "--lda", str(lda),
+                 "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1
+    err = capsys.readouterr().err
+    assert ("error: vocabulary %s line 3: index and count must be integers, got ['x', "
+            % (lda / "vocab.csv") in err)
+    assert not out.exists()
+
+
+def test_synth_scale_needs_a_preset(tmp_path, capsys):
+    # --scale shrinks the preset; alone it would be ignored
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--scale", "0.05", "--seed", "1"]) == 2
+    assert "error: --scale" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["synth", "--out", str(out), "--preset", "algo-like", "--scale", "0.05",
+                 "--seed", "1"]) == 0
+    ds, _ = synth.generate(synth.algo_like(scale=0.05, seed=1))
+    corpus.write_jsonl(ds, tmp_path / "posts.jsonl")
+    assert (out / "posts.jsonl").read_bytes() == (tmp_path / "posts.jsonl").read_bytes()
 
 
 def test_non_finite_inputs_exit_one_and_write_nothing(pipeline, tmp_path, capsys):

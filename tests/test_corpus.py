@@ -42,7 +42,7 @@ def test_ingest_roundtrip(tmp_path, tiny_ds):
     schedule = tmp_path / "schedule.json"
     corpus.write_jsonl(tiny_ds, posts)
     corpus.write_schedule(tiny_ds.course, schedule)
-    loaded = corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+    loaded = corpus.ingest_jsonl(posts, schedule)
     assert loaded.num_students == tiny_ds.num_students
     assert loaded.num_threads == tiny_ds.num_threads
     assert loaded.events == tiny_ds.events
@@ -65,7 +65,7 @@ def test_ingest_reindexes_sparse_ids(tmp_path):
         {"post_id": 100, "student_id": 9, "thread_id": 400, "timestamp": 20.0,
          "text": "zqaab zqaab", "parent_post_id": 900},
     ])
-    ds = corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+    ds = corpus.ingest_jsonl(posts, schedule)
     assert ds.student_ids == [9, 77]
     assert ds.thread_ids == [400]
     # dense ids assigned by sorted external id; post ids stay as-is so
@@ -84,7 +84,7 @@ def test_ingest_orders_ties_by_post_id(tmp_path):
         {"post_id": 5, "student_id": 1, "thread_id": 1, "timestamp": 10.0, "text": "zqaaa"},
         {"post_id": 2, "student_id": 2, "thread_id": 1, "timestamp": 10.0, "text": "zqaaa"},
     ])
-    ds = corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+    ds = corpus.ingest_jsonl(posts, schedule)
     assert [ev.student_id for ev in ds.events] == [1, 0]  # post 2 first
 
 
@@ -97,7 +97,7 @@ def test_ingest_reports_bad_json_line(tmp_path):
                              "timestamp": 1.0, "text": "zqaaa"}) + "\n")
         fh.write("{broken\n")
     with pytest.raises(ParseError) as err:
-        corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+        corpus.ingest_jsonl(posts, schedule)
     assert err.value.line_no == 2
     assert "line 2" in str(err.value)
 
@@ -108,15 +108,15 @@ def test_ingest_reports_missing_field_and_bad_types(tmp_path):
     write_weeks(schedule)
     write_posts(posts, [{"post_id": 1, "student_id": 1, "timestamp": 1.0, "text": "x"}])
     with pytest.raises(ParseError, match="thread_id"):
-        corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+        corpus.ingest_jsonl(posts, schedule)
     write_posts(posts, [{"post_id": 1, "student_id": 1, "thread_id": 1,
                          "timestamp": -4.0, "text": "x"}])
     with pytest.raises(ParseError, match="timestamp"):
-        corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+        corpus.ingest_jsonl(posts, schedule)
     write_posts(posts, [{"post_id": "abc", "student_id": 1, "thread_id": 1,
                          "timestamp": 1.0, "text": "x"}])
     with pytest.raises(ParseError):
-        corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+        corpus.ingest_jsonl(posts, schedule)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -131,16 +131,16 @@ def test_ingest_refuses_ids_int_would_merge(tmp_path, field, value):
     records = [{"post_id": 1, "student_id": 3, "thread_id": 1, "timestamp": 1.0, "text": "x"},
                {"post_id": 2, "student_id": 4, "thread_id": 1, "timestamp": 2.0, "text": "x"}]
     write_posts(posts, records)
-    ds = corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+    ds = corpus.ingest_jsonl(posts, schedule)
     assert ds.student_ids == [3, 4] and [ev.post_id for ev in ds.events] == [1, 2]
     # integral floats name the same ids as before
     records[1].update(student_id=4.0, parent_post_id=1.0)
     write_posts(posts, records)
-    assert corpus.ingest_jsonl(posts, corpus.load_schedule(schedule)).student_ids == [3, 4]
+    assert corpus.ingest_jsonl(posts, schedule).student_ids == [3, 4]
     records[1][field] = value
     write_posts(posts, records)
     with pytest.raises(ParseError, match="line 2: %s must be an integer" % field):
-        corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+        corpus.ingest_jsonl(posts, schedule)
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -154,12 +154,12 @@ def test_ingest_and_schedule_refuse_boolean_times(tmp_path, value):
                {"post_id": 2, "student_id": 4, "thread_id": 1, "timestamp": 2.5, "text": "x"}]
     write_posts(posts, records)
     # integers and floats read as before
-    ds = corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+    ds = corpus.ingest_jsonl(posts, schedule)
     assert [ev.timestamp for ev in ds.events] == [1.0, 2.5]
     records[1]["timestamp"] = value
     write_posts(posts, records)
     with pytest.raises(ParseError, match="line 2: timestamp must be a number, not %s" % value):
-        corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+        corpus.ingest_jsonl(posts, schedule)
 
     weeks = json.loads(schedule.read_text())
     assert corpus.load_schedule(schedule).week_boundaries == [0.0, float(WEEK)]
@@ -170,13 +170,78 @@ def test_ingest_and_schedule_refuse_boolean_times(tmp_path, value):
         corpus.load_schedule(schedule)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("student_id", "03"), ("thread_id", "1"), ("post_id", "2"), ("parent_post_id", "1")])
+def test_ingest_refuses_ids_as_strings(tmp_path, field, value):
+    # int("03") == 3: a string id would join the student, thread or post
+    # that the number names
+    posts = tmp_path / "posts.jsonl"
+    schedule = tmp_path / "schedule.json"
+    write_weeks(schedule)
+    records = [{"post_id": 1, "student_id": 3, "thread_id": 1, "timestamp": 1.0, "text": "x"},
+               {"post_id": 2, "student_id": 4, "thread_id": 1, "timestamp": 2.0, "text": "x"}]
+    records[1][field] = value
+    write_posts(posts, records)
+    with pytest.raises(ParseError, match="line 2: %s must be an integer, not '%s'"
+                       % (field, value)):
+        corpus.ingest_jsonl(posts, schedule)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("7.5", "a number, not '7.5'"), ("1", "a number, not '1'"), (None, "a number, not None"),
+    (10 ** 400, "finite, not 1000")])
+def test_ingest_and_schedule_refuse_times_that_are_not_finite_numbers(tmp_path, value,
+                                                                     message):
+    # float("7.5") is 7.5: a string would pass for the number it spells
+    posts = tmp_path / "posts.jsonl"
+    schedule = tmp_path / "schedule.json"
+    write_weeks(schedule)
+    records = [{"post_id": 1, "student_id": 3, "thread_id": 1, "timestamp": 1.0, "text": "x"},
+               {"post_id": 2, "student_id": 4, "thread_id": 1, "timestamp": value, "text": "x"}]
+    write_posts(posts, records)
+    with pytest.raises(ParseError, match="line 2: timestamp must be " + message):
+        corpus.ingest_jsonl(posts, schedule)
+
+    weeks = json.loads(schedule.read_text())
+    weeks["weeks"][0]["start_ts"] = value
+    schedule.write_text(json.dumps(weeks))
+    with pytest.raises(ValueError, match="week 0 malformed in schedule: start_ts must be "
+                       + message):
+        corpus.load_schedule(schedule)
+
+
+@pytest.mark.parametrize("top", [[], "weeks", 3, None])
+def test_load_schedule_refuses_a_top_level_that_is_not_an_object(tmp_path, top):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps(top))
+    with pytest.raises(ValueError, match="schedule .*schedule.json must be a JSON object"):
+        corpus.load_schedule(schedule)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "line 2: expected a JSON object"),
+    ('"post"', "line 2: expected a JSON object"),
+    (json.dumps({"post_id": 2, "student_id": 4, "thread_id": 1, "timestamp": 2.0,
+                 "text": 5}), "line 2: text must be a string"),
+    (json.dumps({"post_id": 2, "student_id": 4, "thread_id": 1, "timestamp": 2.0,
+                 "text": None}), "line 2: text must be a string")])
+def test_ingest_refuses_a_line_that_is_not_a_post_object(tmp_path, line, message):
+    posts = tmp_path / "posts.jsonl"
+    schedule = tmp_path / "schedule.json"
+    write_weeks(schedule)
+    first = {"post_id": 1, "student_id": 3, "thread_id": 1, "timestamp": 1.0, "text": "x"}
+    posts.write_text(json.dumps(first) + "\n" + line + "\n")
+    with pytest.raises(ParseError, match=message):
+        corpus.ingest_jsonl(posts, schedule)
+
+
 def test_ingest_empty_file_raises(tmp_path):
     posts = tmp_path / "posts.jsonl"
     schedule = tmp_path / "schedule.json"
     write_weeks(schedule)
     posts.write_text("")
     with pytest.raises(EmptyDatasetError):
-        corpus.ingest_jsonl(posts, corpus.load_schedule(schedule))
+        corpus.ingest_jsonl(posts, schedule)
 
 
 def test_validate_rejects_unsorted_events(course2):
@@ -207,6 +272,30 @@ def test_validate_rejects_out_of_range_ids(course2):
     events = [make_event(0, 5, 0, 10.0)]
     with pytest.raises(IntegrityError):
         corpus.validate_dataset(Dataset(events, 1, 1, course2, [0], [0]))
+
+
+def test_validate_rejects_negative_timestamp(course2):
+    events = [make_event(0, 0, 0, -1.0)]
+    with pytest.raises(IntegrityError, match="post 0 has negative timestamp"):
+        corpus.validate_dataset(Dataset(events, 1, 1, course2, [0], [0]))
+
+
+def test_validate_rejects_unknown_thread(course2):
+    events = [make_event(0, 0, 3, 10.0)]
+    with pytest.raises(IntegrityError, match="post 0 references unknown thread 3"):
+        corpus.validate_dataset(Dataset(events, 1, 2, course2, [0], [0, 1]))
+
+
+def test_validate_rejects_post_ids_out_of_order_within_a_tie(course2):
+    events = [make_event(5, 0, 0, 10.0), make_event(2, 1, 0, 10.0)]
+    with pytest.raises(IntegrityError, match="within timestamp tie at post 2"):
+        corpus.validate_dataset(Dataset(events, 2, 1, course2, [0, 1], [0]))
+
+
+def test_validate_rejects_reply_at_its_parents_time(course2):
+    events = [make_event(0, 0, 0, 10.0), make_event(1, 1, 0, 10.0, parent=0)]
+    with pytest.raises(IntegrityError, match="post 1 does not strictly follow its parent"):
+        corpus.validate_dataset(Dataset(events, 2, 1, course2, [0, 1], [0]))
 
 
 def test_split_spec_validation():

@@ -10,7 +10,7 @@ from threadrec.model import (AblationFlags, DynamicStateStore, ModelParams,
 from threadrec.recommend import (EvaluationError, _rank_by_distance,
                                  average_precision, baseline_pop, baseline_rec,
                                  baseline_user_rec, build_model_ranker, evaluate)
-from threadrec.text import build_vocabulary, lda_fit, lda_infer, term_frequency
+from threadrec.text import build_vocabulary, lda_fit, lda_infer_batch, term_frequency
 from threadrec.train import TrainConfig
 
 from conftest import WEEK, make_event, nearest_week_loop
@@ -212,16 +212,16 @@ def test_evaluate_means_over_users(course2):
     test_events = [make_event(0, 0, 1, 10.0), make_event(1, 1, 2, 11.0),
                    make_event(2, 0, 3, 12.0)]
     rankings = {0: [1, 3, 5], 1: [5, 6, 7]}
-    report = evaluate(lambda s: rankings[s], test_events, n_cutoff=5)
+    report = evaluate(lambda s: rankings[s], Dataset(test_events, 2, 8, course2), n_cutoff=5)
     # user 0: relevant {1, 3} hit at ranks 1 and 2 -> AP 1.0; user 1: 0.0
     assert report.per_user_ap == {0: 1.0, 1: 0.0}
     assert report.map_at_n == pytest.approx(0.5)
     assert report.users_evaluated == 2
 
 
-def test_evaluate_rejects_empty_window():
+def test_evaluate_rejects_empty_window(course2):
     with pytest.raises(EvaluationError):
-        evaluate(lambda s: [], [], n_cutoff=5)
+        evaluate(lambda s: [], Dataset([], 1, 1, course2), n_cutoff=5)
 
 
 # baselines
@@ -275,7 +275,7 @@ def _trained(tiny_ds):
     vocab = build_vocabulary(docs, min_count=1)
     tf_docs = [term_frequency(doc, vocab) for doc in docs]
     lda = lda_fit(tf_docs, 2, iters=20, seed=0, vocab_size=len(vocab))
-    week_topics = np.array([lda_infer(lda, term_frequency(doc, vocab))
+    week_topics = np.array([lda_infer_batch(lda, [term_frequency(doc, vocab)])[0]
                             for doc in tiny_ds.course.week_docs])
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
     features = train.prepare_event_features(tiny_ds, lda, vocab, week_topics, cfg)
@@ -311,7 +311,7 @@ def test_model_ranker_full_evaluation_path(tiny_ds):
     vocab = build_vocabulary(docs, min_count=1)
     tf_docs = [term_frequency(doc, vocab) for doc in docs]
     lda = lda_fit(tf_docs, 2, iters=20, seed=0, vocab_size=len(vocab))
-    week_topics = np.array([lda_infer(lda, term_frequency(doc, vocab))
+    week_topics = np.array([lda_infer_batch(lda, [term_frequency(doc, vocab)])[0]
                             for doc in train_ds.course.week_docs])
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
     features = train.prepare_event_features(train_ds, lda, vocab, week_topics, cfg)
@@ -331,7 +331,7 @@ def test_per_event_evaluation(tiny_ds):
     vocab = build_vocabulary(docs, min_count=1)
     tf_docs = [term_frequency(doc, vocab) for doc in docs]
     lda = lda_fit(tf_docs, 2, iters=20, seed=0, vocab_size=len(vocab))
-    week_topics = np.array([lda_infer(lda, term_frequency(doc, vocab))
+    week_topics = np.array([lda_infer_batch(lda, [term_frequency(doc, vocab)])[0]
                             for doc in train_ds.course.week_docs])
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
     features = train.prepare_event_features(train_ds, lda, vocab, week_topics, cfg)
@@ -358,7 +358,8 @@ def test_ranker_with_ablations_runs(tiny_ds):
 
 def test_write_report_files(tmp_path, course2):
     test_events = [make_event(0, 0, 1, 10.0)]
-    report = evaluate(lambda s: [1, 2], test_events, n_cutoff=5, method="pop")
+    report = evaluate(lambda s: [1, 2], Dataset(test_events, 1, 3, course2), n_cutoff=5,
+                      method="pop")
     jpath = tmp_path / "report.json"
     recommend.write_report_json(report, jpath)
     payload = json.loads(jpath.read_text())

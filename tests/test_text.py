@@ -1,4 +1,5 @@
 import hashlib
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -168,7 +169,7 @@ def test_lda_default_doc_topic_prior():
 
 def test_lda_infer_empty_doc_is_uniform():
     model = text.lda_fit([{0: 2, 1: 2}], 2, iters=5, vocab_size=2)
-    theta = text.lda_infer(model, {})
+    theta = text.lda_infer_batch(model, [{}])[0]
     assert np.allclose(theta, [0.5, 0.5])
 
 
@@ -176,8 +177,8 @@ def test_lda_infer_is_deterministic_and_simplex():
     rng = np.random.default_rng(3)
     docs, _, half = _two_topic_corpus(rng, docs_per_topic=10)
     model = text.lda_fit(docs, 2, iters=30, seed=2, vocab_size=2 * half)
-    a = text.lda_infer(model, docs[0])
-    b = text.lda_infer(model, docs[0])
+    a = text.lda_infer_batch(model, [docs[0]])[0]
+    b = text.lda_infer_batch(model, [docs[0]])[0]
     assert np.array_equal(a, b)
     assert a.min() > 0
     assert abs(a.sum() - 1.0) < 1e-9
@@ -189,7 +190,7 @@ def test_lda_infer_finds_planted_topic():
     model = text.lda_fit(docs, 2, iters=100, seed=1, vocab_size=2 * half)
     mass_low = model.topic_word[:, :half].sum(axis=1)
     lo = int(np.argmax(mass_low))
-    theta = text.lda_infer(model, docs[0])  # a low-half document
+    theta = text.lda_infer_batch(model, [docs[0]])[0]  # a low-half document
     # the strong default doc-topic prior (50/K) caps a 30-token doc at
     # (30 + 25) / (30 + 50), so anything near that is a perfect assignment
     assert int(np.argmax(theta)) == lo
@@ -228,6 +229,48 @@ def test_load_vocabulary_refuses_a_repeated_word(tmp_path):
     path.write_text("index,word,count\n0,a,2\n1,b,1\n2,a,1\n")
     with pytest.raises(ValueError, match="vocabulary line 4 repeats the word 'a'"):
         text.load_vocabulary(path)
+
+
+@pytest.mark.parametrize("content, message", [
+    ("idx,word,count\n0,a,2\n", "unrecognized vocabulary file header"),
+    ("", "unrecognized vocabulary file header"),
+    ("index,word,count\n0,a,2\n2,b,1\n", "vocabulary indices must be dense and ordered"),
+    ("index,word,count\n1,a,2\n", "vocabulary indices must be dense and ordered"),
+    ("index,word,count\n", "vocabulary file is empty")])
+def test_load_vocabulary_refuses_a_file_that_is_not_a_vocabulary(tmp_path, content, message):
+    path = tmp_path / "vocab.csv"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=message):
+        text.load_vocabulary(path)
+
+
+@pytest.mark.parametrize("row", ["x,zqaab,47", "1,zqaab,many", "1.0,zqaab,4"])
+def test_load_vocabulary_names_file_and_line_of_a_number_that_is_not_an_integer(tmp_path,
+                                                                                 row):
+    path = tmp_path / "vocab.csv"
+    path.write_text("index,word,count\n0,a,2\n%s\n" % row)
+    with pytest.raises(ValueError, match="vocabulary .*vocab.csv line 3: index and count "
+                       "must be integers, got " + re.escape(repr(row.split(",")))):
+        text.load_vocabulary(path)
+
+
+def test_load_lda_refuses_a_file_that_is_not_a_model_or_does_not_match_its_header(tmp_path):
+    model = text.lda_fit([{0: 3, 1: 2}, {1: 4, 2: 1}], 2, iters=10, seed=5,
+                         vocab_size=3)
+    path = tmp_path / "lda.csv"
+    text.save_lda(model, path)
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(header.replace("lda ", "topics ", 1) + "\n" + rest)
+    with pytest.raises(ValueError, match="not a topic model file"):
+        text.load_lda(path)
+    # a topic row missing, a header of three topics over two rows, and one
+    # of four words over rows of three
+    for header_out, rest_out in ((header, rest.split("\n", 1)[1]),
+                                 (header.replace("K=2", "K=3"), rest),
+                                 (header.replace("W=3", "W=4"), rest)):
+        path.write_text(header_out + "\n" + rest_out)
+        with pytest.raises(ValueError, match="topic-word matrix shape does not match header"):
+            text.load_lda(path)
 
 
 def test_lda_roundtrip_is_exact(tmp_path):
@@ -400,7 +443,7 @@ def test_joint_loglik_is_the_scipy_formula_on_random_states():
 def test_lda_infer_frozen_oracle(k, iters, expect):
     docs, vocab_size = _oracle_corpus()
     model = text.lda_fit(docs, k, iters=30, seed=7, vocab_size=vocab_size)
-    theta = text.lda_infer(model, docs[0], iters=iters)
+    theta = text.lda_infer_batch(model, [docs[0]], iters=iters)[0]
     assert theta.tolist() == expect
 
 
@@ -460,8 +503,8 @@ def test_lda_infer_batch_matches_per_document_loop(k, iters, burn_in):
     assert got.shape == (len(batch), k) and got.dtype == np.float64
     for row, doc in zip(got, batch):
         assert np.array_equal(row, _loop_lda_infer(model, doc, iters, burn_in))
-    # lda_infer is the batch of one
-    single = text.lda_infer(model, batch[9], iters=iters)
+    # a row does not depend on the batch: alone, a document gets the same row
+    single = text.lda_infer_batch(model, [batch[9]], iters=iters)[0]
     assert np.array_equal(single, got[9])
     assert text.lda_infer_batch(model, [], iters=iters).shape == (0, k)
 
@@ -472,11 +515,9 @@ def test_lda_infer_batch_matches_per_document_loop(k, iters, burn_in):
 def test_lda_infer_batch_rejects_what_lda_infer_rejects(bad, match):
     model = text.lda_fit([{0: 2, 1: 2}], 2, iters=5, vocab_size=2)
     with pytest.raises(ValueError, match=match):
-        text.lda_infer(model, bad)
+        text.lda_infer_batch(model, [bad])
     with pytest.raises(ValueError, match=match):
         text.lda_infer_batch(model, [{0: 1}, {}, bad])
-    with pytest.raises(ValueError, match="iters must be >= 1"):
-        text.lda_infer(model, {0: 1}, iters=0)
     with pytest.raises(ValueError, match="iters must be >= 1"):
         text.lda_infer_batch(model, [{0: 1}], iters=0)
 
@@ -522,7 +563,7 @@ def _numpy_gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms)
 
 def test_gibbs_sweep_matches_array_reference():
     docs, vocab_size = _oracle_corpus()
-    words, doc_of, _, _ = text._expand_docs(docs, vocab_size)
+    words, doc_of, _ = text._expand_docs(docs, vocab_size)
     rng = np.random.default_rng(5)
     k = 9
     z = rng.integers(0, k, size=len(words))

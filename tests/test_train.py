@@ -12,8 +12,8 @@ from threadrec.corpus import Dataset, ThreadEventIndex
 from threadrec.model import (TENSOR_NAMES, AblationFlags, DynamicStateStore, EventFeatures,
                              ModelParams, RowGrad, assign_course_topic, batch_grads,
                              dense_grads, excitation, predictor_rows)
-from threadrec.text import (Vocabulary, build_vocabulary, course_topics, lda_fit, lda_infer,
-                            term_frequency)
+from threadrec.text import (Vocabulary, build_vocabulary, course_topics, lda_fit,
+                            lda_infer_batch, term_frequency)
 from threadrec.train import (Adam, TrainConfig, TrainingDiverged, clip_gradients,
                              gradient_check, mean_event_gap, t_batch)
 
@@ -166,7 +166,7 @@ def test_adam_learns_live_rows_from_the_gradient():
 def test_row_grad_scratch_is_zero_but_the_rows_take_wrote():
     rng = np.random.default_rng(4)
     shape = (40, 3000)  # a take of _STEP_BLOCK elements spans 11 or 12 rows
-    grad = RowGrad(shape, 12)
+    grad = RowGrad(shape)
     grad.start(np.array([0, 3, 4, 11, 12, 25, 39]))
     grad.values[...] = rng.normal(size=grad.values.shape)
     grad.values[1, :5] = -0.0
@@ -236,7 +236,7 @@ def test_square_sum_matches_numpy_pairwise_sum_bitwise(shape):
 def row_grad(dense, rows):
     """The RowGrad of a dense predictor gradient that is zero outside the
     sorted distinct rows."""
-    grad = RowGrad(dense.shape, len(rows))
+    grad = RowGrad(dense.shape)
     grad.start(rows)
     grad.values[...] = dense[rows]
     return grad
@@ -407,7 +407,7 @@ def test_a_step_makes_resident_only_the_moment_rows_it_writes():
     assert params.predictor.nbytes >= 8 << 20
     # a few rows spread over the whole predictor, one in every 2 MB of it
     rows = np.linspace(0, len(params.predictor) - 1, 16).astype(np.intp)
-    grads = params.zero_grads(len(rows))
+    grads = params.zero_grads()
     grads["predictor"].start(rows)
     grads["predictor"].values[...] = rng.normal(size=grads["predictor"].values.shape)
     before = _resident_bytes()
@@ -473,7 +473,7 @@ def _small_pipeline(ds):
     vocab = build_vocabulary(docs, min_count=1)
     tf_docs = [term_frequency(doc, vocab) for doc in docs]
     lda = lda_fit(tf_docs, 2, iters=30, seed=0, vocab_size=len(vocab))
-    week_topics = np.array([lda_infer(lda, term_frequency(doc, vocab))
+    week_topics = np.array([lda_infer_batch(lda, [term_frequency(doc, vocab)])[0]
                             for doc in ds.course.week_docs])
     return lda, vocab, week_topics
 
@@ -524,7 +524,7 @@ def reference_features(ds, lda, vocab, week_topics, config):
     last_t_student, last_t_thread, last_theta, last_thread = {}, {}, {}, {}
     rows = []
     for ev in ds.events:
-        theta = lda_infer(lda, term_frequency(ev.tokens, vocab), iters=iters)
+        theta = lda_infer_batch(lda, [term_frequency(ev.tokens, vocab)], iters=iters)[0]
         prev_theta = last_theta.get(ev.student_id)
         if prev_theta is None:
             week = ds.course.week_of(ev.timestamp)
@@ -1254,11 +1254,11 @@ class Lockstep:
     state, gradient entry, clip norm, parameter and moment asserted equal
     at every t-batch."""
 
-    def __init__(self, params, learning_rate, clip_norm, max_rows=None):
+    def __init__(self, params, learning_rate, clip_norm):
         self.params, self.ref_params = params, params.copy()
         self.opt = Adam(self.params, learning_rate)
         self.ref = DenseAdam(self.ref_params, learning_rate, sparse_share=train._SPARSE_SHARE)
-        self.grads = params.zero_grads(max_rows)
+        self.grads = params.zero_grads()
         self.ref_grads = dense_zero_grads(params)
         self.clip_norm = clip_norm
         self.walks = []
@@ -1368,7 +1368,7 @@ def test_paper_shape_batches_match_dense_gradient_path(walk, monkeypatch):
     params = ModelParams.init(rng, 10, 9, 9, 1833, 1323)
     store = DynamicStateStore(1833, 1323, 10, 9)
     batches = [_paper_batch(rng, params, size) for size in (150, 90, 120)]
-    run = Lockstep(params, 0.01, 5.0, max(len(predictor_rows(b, params)) for b in batches))
+    run = Lockstep(params, 0.01, 5.0)
     for batch in batches:
         store.student_vecs[:] = rng.uniform(-0.9, 0.9, store.student_vecs.shape)
         store.thread_vecs[:] = rng.uniform(-0.9, 0.9, store.thread_vecs.shape)
@@ -1408,7 +1408,7 @@ def test_edge_rows_and_negative_zero_match_dense_gradient_path(walk, monkeypatch
     store.thread_vecs[:] = rng.uniform(-0.9, 0.9, store.thread_vecs.shape)
     reached = predictor_rows(batch, params)
     assert reached[0] == 0 and reached[-1] == rows - 1 and crossing in reached
-    run = Lockstep(params, 0.01, 1e-3, len(reached))
+    run = Lockstep(params, 0.01, 1e-3)
     for col in (cut - crossing * width, 0):
         run.batch(batch, store, negative_zero=(crossing, col))
     assert run.walks[-1] == (None if walk == "dense" else len(reached))

@@ -15,7 +15,7 @@ from .model import (AblationFlags, DynamicStateStore, ModelParams,
                     save_checkpoint)
 from .recommend import (EvalReport, average_precision, baseline_pop,
                         baseline_rec, baseline_user_rec, build_model_ranker,
-                        evaluate)
+                        evaluate, event_queries, split_queries)
 from .synth import GroundTruth, SynthConfig, algo_like, generate
 from .text import (LdaModel, Vocabulary, build_vocabulary,
                    course_topics, lda_fit, lda_infer_batch,
@@ -31,9 +31,9 @@ __all__ = [
     "SynthConfig", "TrainConfig", "Vocabulary",
     "algo_like", "average_precision", "baseline_pop", "baseline_rec",
     "baseline_user_rec", "build_model_ranker", "build_vocabulary",
-    "course_topics", "evaluate", "excitation", "fit", "generate",
-    "gradient_check", "ingest_jsonl", "lda_fit", "lda_infer_batch",
+    "course_topics", "evaluate", "event_queries", "excitation", "fit",
+    "generate", "gradient_check", "ingest_jsonl", "lda_fit", "lda_infer_batch",
     "load_checkpoint", "load_schedule", "prepare_event_features", "preprocess",
-    "project_thread", "save_checkpoint", "split_by_time", "t_batch",
-    "term_frequency", "validate_dataset", "__version__",
+    "project_thread", "save_checkpoint", "split_by_time", "split_queries",
+    "t_batch", "term_frequency", "validate_dataset", "__version__",
 ]

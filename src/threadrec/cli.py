@@ -361,9 +361,9 @@ def cmd_train(args) -> int:
 
 def _baseline_rank_fn(name: str, train_ds: corpus.Dataset):
     if name == "user-rec":
-        return lambda student: recommend.baseline_user_rec(train_ds, student)
+        return lambda student, t: recommend.baseline_user_rec(train_ds, student)
     ranking = (recommend.baseline_pop if name == "pop" else recommend.baseline_rec)(train_ds)
-    return lambda student: ranking
+    return lambda student, t: ranking
 
 
 def cmd_eval(args) -> int:
@@ -377,9 +377,11 @@ def cmd_eval(args) -> int:
     timings = {"ingest_s": time.perf_counter() - started}
 
     inputs = [data / n for n in DATA_FILES]
+    queries = (recommend.event_queries(test_ds) if args.per_event
+               else recommend.split_queries(test_ds, spec.train_end))
     if args.baseline:
         t_rank = time.perf_counter()
-        report = recommend.evaluate(_baseline_rank_fn(args.baseline, train_ds), test_ds,
+        report = recommend.evaluate(_baseline_rank_fn(args.baseline, train_ds), queries,
                                     n_cutoff=args.n_cutoff, method=args.baseline)
     else:
         inputs.append(Path(args.checkpoint))
@@ -392,15 +394,11 @@ def cmd_eval(args) -> int:
         if trained_to is not None and trained_to != spec.train_end:
             raise UsageError("--train-end %r differs from the checkpoint's train_end %r"
                              % (spec.train_end, trained_to))
-        if args.per_event:
-            report = recommend.evaluate_per_event(params, store, week_topics,
-                                                  train_ds, test_ds,
-                                                  n_cutoff=args.n_cutoff, flags=flags)
-        else:
-            rank_fn = recommend.build_model_ranker(params, store, week_topics,
-                                                   train_ds, spec.train_end,
-                                                   flags=flags)
-            report = recommend.evaluate(rank_fn, test_ds, n_cutoff=args.n_cutoff)
+        rank_fn = recommend.build_model_ranker(params, store, week_topics,
+                                               corpus.events_before(ds, spec.test_end),
+                                               spec.train_end, flags=flags)
+        report = recommend.evaluate(rank_fn, queries, n_cutoff=args.n_cutoff,
+                                    method="model-per-event" if args.per_event else "model")
     timings["rank_s"] = time.perf_counter() - t_rank
 
     out = _out_dir(args)
@@ -424,13 +422,13 @@ def _set_ablate_inputs(inputs) -> None:
 
 
 def _ablate_job(job, shared=None):
-    base_cfg, train_ds, test_ds, features, train_end, n_cutoff = shared or _ablate_inputs
+    base_cfg, train_ds, queries, features, train_end, n_cutoff = shared or _ablate_inputs
     variant, seed = job
     cfg = train.ablation_variant(dataclasses.replace(base_cfg, seed=seed), variant)
     params, store = train.fit(features, cfg)
     rank_fn = recommend.build_model_ranker(params, store, features.week_topics, train_ds,
                                            train_end, flags=cfg.flags)
-    report = recommend.evaluate(rank_fn, test_ds, n_cutoff=n_cutoff, method=variant)
+    report = recommend.evaluate(rank_fn, queries, n_cutoff=n_cutoff, method=variant)
     return report.map_at_n, report.users_evaluated
 
 
@@ -447,7 +445,8 @@ def cmd_ablate(args) -> int:
     t_features = time.perf_counter()
     features = _prepare_features(args.lda, train_ds, base_cfg)
     t_fits = time.perf_counter()
-    shared = (base_cfg, train_ds, test_ds, features, spec.train_end, args.n_cutoff)
+    queries = recommend.split_queries(test_ds, spec.train_end)
+    shared = (base_cfg, train_ds, queries, features, spec.train_end, args.n_cutoff)
     jobs = [(variant, seed) for variant in train.ABLATION_VARIANTS for seed in seeds]
     # a pool starts all its workers at once, so it gets no more than there are jobs
     workers = min(args.jobs, len(jobs))

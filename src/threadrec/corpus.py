@@ -161,7 +161,10 @@ def number_fault(value) -> str | None:
 
 def load_schedule(path) -> CourseSchedule:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError("schedule %s is not JSON: %s" % (path, exc)) from None
     if not isinstance(raw, dict):
         raise ValueError("schedule %s must be a JSON object, not %s" % (path, type(raw).__name__))
     weeks = raw.get("weeks")
@@ -214,8 +217,8 @@ def ingest_jsonl(posts_path, schedule_path) -> Dataset:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, "invalid JSON (%s)" % exc.msg) from None
+            except (ValueError, RecursionError) as exc:  # a too-long integer, deep nesting
+                raise ParseError(line_no, "invalid JSON (%s)" % getattr(exc, "msg", exc)) from None
             if not isinstance(record, dict):
                 raise ParseError(line_no, "expected a JSON object")
             post_id = _id_field(record, "post_id", line_no)

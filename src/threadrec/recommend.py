@@ -1,11 +1,12 @@
-"""Ranking, evaluation protocol, and reference baselines.
+"""Ranking, evaluation protocols, and reference baselines.
 
-The protocol ranks candidate threads once per student at the start of the
-test window, using the student's trained state projected to that time, and
-scores the ranking with mean average precision at a cutoff against the
-threads the student actually posted on inside the window. Candidates are
-the threads with at least one training post, and the excitation weights
-entering the candidate targets are computed from training history only.
+A protocol is a list of queries, each a student, a time and the threads
+they post on next: once per test-window student at the split, for every
+thread they post on in the window, or before every held-out post, for its
+thread. One evaluate scores either list by mean average precision at a
+cutoff. The model ranker projects the student's trained state to the query
+time; candidates are the threads with a post before the ranker's time, and
+excitation weights come from the posts before the query time.
 
 A candidate's target is its one-hot identity next to its projected state,
 so the distance from the prediction q has the closed form
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -96,105 +97,83 @@ class EvalReport:
     per_user_ap: dict[int, float] = field(default_factory=dict)
 
 
-def evaluate(rank_fn: Callable[[int], object], test: Dataset, n_cutoff: int = 5,
+def evaluate(rank_fn: Callable[[int, float], object],
+             queries: Sequence[tuple[int, float, set[int]]], n_cutoff: int = 5,
              method: str = "model") -> EvalReport:
-    """Score a per-student ranking function against the test window.
+    """Score a ranking function on a protocol's queries.
 
-    rank_fn maps a student id to a RankedRecommendation or a plain ordered
-    list of thread ids. Students with no test-window post are skipped; a
-    window with no students at all is an error."""
+    Each query is (student, time, relevant thread ids), and rank_fn(student,
+    time) returns a RankedRecommendation or a plain ordered list of thread
+    ids. A student's AP is the mean of their query APs in query order, and
+    MAP the mean over students in id order. No query at all is an error."""
+    if not queries:
+        raise EvaluationError("test window contains no students to evaluate")
+    scores: dict[int, list[float]] = {}
+    for student, t, relevant in queries:
+        ranking = rank_fn(student, t)
+        if isinstance(ranking, RankedRecommendation):
+            ranking = ranking.thread_ids
+        scores.setdefault(student, []).append(average_precision(ranking, relevant, n_cutoff))
+    per_user = {u: sum(v) / len(v) for u, v in sorted(scores.items())}
+    map_at_n = sum(per_user.values()) / len(per_user)
+    return EvalReport(method, n_cutoff, len(per_user), map_at_n, per_user)
+
+
+def split_queries(test: Dataset, t: float) -> list[tuple[int, float, set[int]]]:
+    """The split protocol: one query per test-window student at time t,
+    holding every thread they post on in the window, in student id order."""
     relevant: dict[int, set[int]] = {}
     for ev in test.events:
         relevant.setdefault(ev.student_id, set()).add(ev.thread_id)
-    if not relevant:
-        raise EvaluationError("test window contains no students to evaluate")
-    per_user = {}
-    for student in sorted(relevant):
-        ranking = rank_fn(student)
-        if isinstance(ranking, RankedRecommendation):
-            ranking = ranking.thread_ids
-        per_user[student] = average_precision(ranking, relevant[student], n_cutoff)
-    map_at_n = sum(per_user.values()) / len(per_user)
-    return EvalReport(method, n_cutoff, len(per_user), map_at_n, per_user)
+    return [(student, t, relevant[student]) for student in sorted(relevant)]
+
+
+def event_queries(test: Dataset) -> list[tuple[int, float, set[int]]]:
+    """The per-event protocol: one query per test-window post at its own
+    time, holding its thread."""
+    return [(ev.student_id, ev.timestamp, {ev.thread_id}) for ev in test.events]
 
 
 # ---------------------------------------------------------------------------
 # model ranker
 
 
-class _Scorer:
-    """Ranks the threads with a training post for any student at any query
-    time, reading the trained states from the store at call time and the
-    interaction histories from index. week_topics is the (weeks, topics)
-    array of course week topics."""
-
-    def __init__(self, params: ModelParams, store: DynamicStateStore,
-                 week_topics: np.ndarray, train: Dataset,
-                 index: ThreadEventIndex, flags: AblationFlags):
-        self.ids = np.array(sorted({ev.thread_id for ev in train.events}), dtype=np.int64)
-        if len(self.ids) == 0:
-            raise EvaluationError("training window has no posted threads")
-        self.row = {int(c): i for i, c in enumerate(self.ids)}
-        self.params, self.store, self.flags, self.week_topics = params, store, flags, week_topics
-        self.course, self.index = train.course, index
-
-    def rank(self, student: int, t_query: float,
-             top_k: int | None = None) -> RankedRecommendation:
-        params, store, flags = self.params, self.store, self.flags
-        context = _student_context(store, student, t_query, self.course, self.week_topics)
-        q, u_vec = _predict_from_store(store, student, *context, params, flags)[:2]
-        p_hat = store.thread_vecs[self.ids]
-        if not flags.no_thread_projection:
-            for c in self.index.student_threads.get(student, ()):
-                i = self.row.get(c)
-                if i is None:
-                    continue
-                z = excitation(self.index.history(student, c, t_query), t_query,
-                               params.post_decay, params.reply_decay, store.time_scale)
-                p_hat[i] = project_thread(u_vec, p_hat[i], z)
-        return _rank_by_distance(q, self.ids, p_hat, top_k)
-
-
 def build_model_ranker(params: ModelParams, store: DynamicStateStore,
-                       week_topics: np.ndarray, train: Dataset,
+                       week_topics: np.ndarray, posts: Dataset,
                        t_query: float, flags: AblationFlags = AblationFlags(),
-                       top_k: int | None = None) -> Callable[[int], RankedRecommendation]:
-    """Ranking function over training-active threads for any student at a
-    fixed query time. Interaction histories come from the training window
-    only."""
-    scorer = _Scorer(params, store, week_topics, train, ThreadEventIndex(train), flags)
+                       top_k: int | None = None) -> Callable[..., RankedRecommendation]:
+    """Ranking function rank(student, t=t_query) over the threads with a
+    post before t_query. It projects the trained states, read from the store
+    at call time, to t, and reads the interaction histories from the posts
+    before t. week_topics is the (weeks, topics) array of course week
+    topics. A time before t_query is refused: the trained states already
+    hold the posts up to t_query."""
+    ids = np.array(sorted({ev.thread_id for ev in posts.events if ev.timestamp < t_query}),
+                   dtype=np.int64)
+    if len(ids) == 0:
+        raise EvaluationError("no thread has a post before the query time %r" % t_query)
+    row = {int(c): i for i, c in enumerate(ids)}
+    index = ThreadEventIndex(posts)
 
-    def rank(student: int) -> RankedRecommendation:
+    def rank(student: int, t: float = t_query) -> RankedRecommendation:
         if not (0 <= student < params.num_students):
             raise EvaluationError("unknown student %d" % student)
-        return scorer.rank(student, t_query, top_k)
+        if not t >= t_query:
+            raise EvaluationError("query time %r is before the ranker's time %r" % (t, t_query))
+        context = _student_context(store, student, t, posts.course, week_topics)
+        q, u_vec = _predict_from_store(store, student, *context, params, flags)[:2]
+        p_hat = store.thread_vecs[ids]
+        if not flags.no_thread_projection:
+            for c in index.student_threads.get(student, ()):
+                i = row.get(c)
+                if i is None:
+                    continue
+                z = excitation(index.history(student, c, t), t,
+                               params.post_decay, params.reply_decay, store.time_scale)
+                p_hat[i] = project_thread(u_vec, p_hat[i], z)
+        return _rank_by_distance(q, ids, p_hat, top_k)
 
     return rank
-
-
-def evaluate_per_event(params: ModelParams, store: DynamicStateStore,
-                       week_topics: np.ndarray, train: Dataset,
-                       test: Dataset, n_cutoff: int = 5,
-                       flags: AblationFlags = AblationFlags()) -> EvalReport:
-    """Re-ranking variant of the protocol: every test event is scored by a
-    fresh ranking for its student at the event's own time, with interaction
-    histories extended by the earlier test-window posts. Embeddings stay
-    frozen at their trained values. A student's score is the mean reciprocal
-    quality of their events' rankings measured as single-item average
-    precision; the report averages over students."""
-    if not test.events:
-        raise EvaluationError("test window contains no students to evaluate")
-    merged = replace(train, events=train.events + test.events)
-    scorer = _Scorer(params, store, week_topics, train, ThreadEventIndex(merged), flags)
-
-    scores: dict[int, list[float]] = {}
-    for ev in test.events:
-        ranking = scorer.rank(ev.student_id, ev.timestamp)
-        ap = average_precision(ranking.thread_ids, {ev.thread_id}, n_cutoff)
-        scores.setdefault(ev.student_id, []).append(ap)
-    per_user = {u: sum(v) / len(v) for u, v in sorted(scores.items())}
-    map_at_n = sum(per_user.values()) / len(per_user)
-    return EvalReport("model-per-event", n_cutoff, len(per_user), map_at_n, per_user)
 
 
 # ---------------------------------------------------------------------------

@@ -531,33 +531,47 @@ def save_lda(model: LdaModel, path) -> None:
             fh.write("\n")
 
 
+def _float_rows(path, lines, first_line: int) -> list[list[float]]:
+    """The numbers of each non-blank line, the first numbered first_line.
+    A field that is not a number raises a ValueError naming path and line."""
+    rows = []
+    for line_no, line in enumerate(lines, start=first_line):
+        if line.strip():
+            try:
+                rows.append([float(v) for v in line.split()])
+            except ValueError as exc:
+                raise ValueError("%s line %d: %s" % (path, line_no, exc)) from None
+    return rows
+
+
 def load_lda(path) -> LdaModel:
-    """The model save_lda wrote. The file is outside input: topic-word rows
-    off the simplex or priors not finite and positive raise a ValueError."""
+    """The model save_lda wrote. The file is outside input: a header or row
+    that does not parse, topic-word rows off the simplex or priors not
+    finite and positive raise a ValueError."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        parts = header.split()
+        parts = fh.readline().split()
         if not parts or parts[0] != "lda":
             raise ValueError("not a topic model file")
-        meta = dict(p.split("=", 1) for p in parts[1:])
+        try:
+            meta = dict(p.split("=", 1) for p in parts[1:])
+        except ValueError:
+            raise ValueError("%s line 1: header fields must be key=value" % path) from None
         missing = [key for key in ("K", "W", "alpha", "beta", "seed") if key not in meta]
         if missing:
             raise ValueError("topic model header lacks %s" % ", ".join(missing))
-        K = int(meta["K"])
-        W = int(meta["W"])
-        rows = []
-        for line in fh:
-            if line.strip():
-                rows.append([float(v) for v in line.split()])
-    topic_word = np.array(rows, dtype=np.float64)
+        try:
+            K, W, seed = int(meta["K"]), int(meta["W"]), int(meta["seed"])
+            alpha, beta = float(meta["alpha"]), float(meta["beta"])
+        except ValueError as exc:
+            raise ValueError("%s line 1: %s" % (path, exc)) from None
+        topic_word = np.array(_float_rows(path, fh, 2), dtype=np.float64)
     if topic_word.shape != (K, W):
         raise ValueError("topic-word matrix shape does not match header")
     _check_simplex(topic_word, "topic-word rows in %s" % path)
-    alpha, beta = float(meta["alpha"]), float(meta["beta"])
     if not (0 < alpha < math.inf and 0 < beta < math.inf):  # written so that NaN fails
         raise ValueError("topic model priors in %s must be finite and positive, got alpha=%r "
                          "and beta=%r" % (path, alpha, beta))
-    return LdaModel(K, topic_word, alpha, beta, int(meta["seed"]))
+    return LdaModel(K, topic_word, alpha, beta, seed)
 
 
 def save_topic_distributions(thetas: np.ndarray, path) -> None:
@@ -569,9 +583,10 @@ def save_topic_distributions(thetas: np.ndarray, path) -> None:
 
 def load_topic_distributions(path) -> np.ndarray:
     """The (rows, topics) array save_topic_distributions wrote. The file is
-    outside input: ragged rows or rows off the simplex raise a ValueError."""
+    outside input: a field that is not a number, ragged rows or rows off the
+    simplex raise a ValueError."""
     with open(path) as fh:
-        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
+        rows = _float_rows(path, fh, 1)
     widths = {len(row) for row in rows}
     if len(widths) > 1:
         raise ValueError("topic vectors in %s have different lengths %s" % (path, sorted(widths)))

@@ -188,6 +188,7 @@ def course_run():
 
     base = TrainConfig(epochs=80, embed_dim=10, topic_infer_iters=50, seed=0)
     feats = train.prepare_event_features(train_ds, lda, vocab, weeks, base)
+    queries = recommend.split_queries(test_ds, horizon)
     scores = {}
     for variant in ("full", "no_thread_projection", "no_text_features"):
         per_seed = []
@@ -196,13 +197,13 @@ def course_run():
             params, store = train.fit(feats, cfg)
             ranker = recommend.build_model_ranker(params, store, weeks, train_ds,
                                                   horizon, flags=cfg.flags)
-            per_seed.append(recommend.evaluate(ranker, test_ds).map_at_n)
+            per_seed.append(recommend.evaluate(ranker, queries).map_at_n)
         scores[variant] = float(np.mean(per_seed))
 
     pop = recommend.baseline_pop(train_ds)
     rec = recommend.baseline_rec(train_ds)
-    scores["pop"] = recommend.evaluate(lambda s: pop, test_ds).map_at_n
-    scores["rec"] = recommend.evaluate(lambda s: rec, test_ds).map_at_n
+    scores["pop"] = recommend.evaluate(lambda s, t: pop, queries).map_at_n
+    scores["rec"] = recommend.evaluate(lambda s, t: rec, queries).map_at_n
     scores["elapsed"] = time.perf_counter() - start
     return scores
 

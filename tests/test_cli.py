@@ -627,6 +627,54 @@ def test_unreadable_inputs_name_their_file(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unparsable_inputs_name_their_file_or_line(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    # topic artifacts with a field that is not a number
+    for name, edit, message in (
+            ("lda_model.csv", lambda rows: rows[:1] + ["abc " + rows[1].split(" ", 1)[1]]
+             + rows[2:], "line 2: could not convert string to float: 'abc'"),
+            ("lda_model.csv", lambda rows: [rows[0].replace("K=", "K=x", 1)] + rows[1:],
+             "line 1: invalid literal for int() with base 10: 'x"),
+            ("course_topics.csv", lambda rows: rows[:1] + ["x " + rows[1].split(" ", 1)[1]]
+             + rows[2:], "line 2: could not convert string to float: 'x'")):
+        lda = tmp_path / ("lda-%s-%d" % (name, len(message)))
+        shutil.copytree(pipeline["lda"], lda)
+        rows = edit((lda / name).read_text().splitlines())
+        (lda / name).write_text("\n".join(rows) + "\n")
+        assert main(["train", "--data", str(pipeline["data"]), "--lda", str(lda),
+                     "--out", str(out), "--train-end", "2w", "--set", "epochs=1"]) == 1, message
+        err = capsys.readouterr().err
+        assert "error: %s %s" % (lda / name, message) in err, message
+        assert not out.exists(), message
+    # a post line json cannot read, and a schedule that is not JSON
+    first = (pipeline["data"] / "posts.jsonl").read_text().splitlines()[0]
+    for posts, schedule, message in (
+            (first + '\n{"student_id": %s}\n' % ("9" * 5001), None,
+             "error: line 2: invalid JSON (Exceeds the limit (4300 digits)"),
+            (first + "\n" + "[" * 100000 + "\n", None,
+             "error: line 2: invalid JSON (maximum recursion depth exceeded"),
+            (None, '{"weeks":\n', "is not JSON: Expecting value")):
+        data = tmp_path / ("data-%d" % len(message))
+        shutil.copytree(pipeline["data"], data)
+        if posts is not None:
+            (data / "posts.jsonl").write_text(posts)
+        if schedule is not None:
+            (data / "schedule.json").write_text(schedule)
+            message = "error: schedule %s %s" % (data / "schedule.json", message)
+        assert main(["lda", "--data", str(data), "--out", str(out)]) == 1, message
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, message
+        assert not out.exists(), message
+
+
+def test_set_without_a_value_exits_two(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(pipeline["data"]), "--lda", str(pipeline["lda"]),
+                 "--out", str(out), "--set", "epochs"]) == 2
+    assert "error: --set expects key=value, got 'epochs'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_scale_needs_a_preset(tmp_path, capsys):
     # --scale shrinks the preset; alone it would be ignored
     out = tmp_path / "out"

@@ -102,6 +102,26 @@ def test_ingest_reports_bad_json_line(tmp_path):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"post_id": 2, "student_id": %s}' % ("9" * 5001), "line 2: invalid JSON .*4300 digits"),
+    ("[" * 100000, "line 2: invalid JSON .*recursion")])
+def test_ingest_names_the_line_json_cannot_read(tmp_path, line, message):
+    posts = tmp_path / "posts.jsonl"
+    schedule = tmp_path / "schedule.json"
+    write_weeks(schedule)
+    first = {"post_id": 1, "student_id": 3, "thread_id": 1, "timestamp": 1.0, "text": "x"}
+    posts.write_text(json.dumps(first) + "\n" + line + "\n")
+    with pytest.raises(ParseError, match=message):
+        corpus.ingest_jsonl(posts, schedule)
+
+
+def test_load_schedule_names_a_file_that_is_not_json(tmp_path):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text('{"weeks":\n')
+    with pytest.raises(ValueError, match="schedule .*schedule.json is not JSON: Expecting value"):
+        corpus.load_schedule(schedule)
+
+
 def test_ingest_reports_missing_field_and_bad_types(tmp_path):
     posts = tmp_path / "posts.jsonl"
     schedule = tmp_path / "schedule.json"
@@ -320,6 +340,13 @@ def test_split_by_time_partitions(tiny_ds):
 def test_split_by_time_drops_events_at_or_after_test_end(tiny_ds):
     _, test = corpus.split_by_time(tiny_ds, SplitSpec(WEEK, WEEK + 500.0))
     assert [ev.post_id for ev in test.events] == [4]
+
+
+def test_split_by_time_warns_of_an_empty_test_window(tiny_ds, caplog):
+    with caplog.at_level("WARNING", logger="threadrec.corpus"):
+        _, test = corpus.split_by_time(tiny_ds, SplitSpec(WEEK, WEEK + 50.0))
+    assert test.events == []
+    assert "test window [%r, %r) contains no events" % (WEEK, WEEK + 50.0) in caplog.text
 
 
 def test_reply_history_worked_example(course2):

@@ -171,6 +171,11 @@ def test_excitation_rejects_bad_windows():
         model.excitation(ReplyHistory(0.0, [6.0], []), 6.0, 0.5, 0.001)
 
 
+def test_excitation_refuses_a_time_scale_that_is_not_positive():
+    with pytest.raises(ValueError, match="time_scale must be positive"):
+        model.excitation(ReplyHistory(0.0, [2.0], []), 3.0, 0.5, 0.001, time_scale=0.0)
+
+
 # thread projection
 
 
@@ -549,6 +554,14 @@ def test_checkpoint_rejects_headers_of_the_wrong_shape(tmp_path, edit, message):
     path = saved_checkpoint(tmp_path)
     rewrite_header(path, edit)
     with pytest.raises(ValueError, match=message):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dim", ["embed_dim", "num_threads"])
+def test_checkpoint_rejects_a_zero_dimension(tmp_path, dim):
+    path = saved_checkpoint(tmp_path)
+    rewrite_header(path, lambda h: h["scalars"].update({dim: 0}))
+    with pytest.raises(ValueError, match="dimensions .* must be positive integers"):
         model.load_checkpoint(path)
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from threadrec import model, recommend, train
-from threadrec.corpus import Dataset, SplitSpec, ThreadEventIndex, split_by_time
+from threadrec.corpus import (Dataset, SplitSpec, ThreadEventIndex, events_before,
+                              split_by_time)
 from threadrec.model import (AblationFlags, DynamicStateStore, ModelParams,
                              excitation, project_thread)
 from threadrec.recommend import (EvaluationError, _rank_by_distance,
                                  average_precision, baseline_pop, baseline_rec,
-                                 baseline_user_rec, build_model_ranker, evaluate)
+                                 baseline_user_rec, build_model_ranker, evaluate,
+                                 event_queries, split_queries)
 from threadrec.text import build_vocabulary, lda_fit, lda_infer_batch, term_frequency
 from threadrec.train import TrainConfig
 
@@ -164,20 +166,70 @@ def test_per_event_scorer_matches_stacked_targets(scored, flags):
     z = excitation(index.history(0, 2, WEEK + 400.0), WEEK + 400.0,
                    params.post_decay, params.reply_decay, store.time_scale)
     assert z > 0.0
-    scorer = recommend._Scorer(params, store, week_topics, train_ds, index, flags)
+    rank = build_model_ranker(params, store, week_topics, merged, WEEK, flags=flags)
     expect: dict[int, list[float]] = {}
     for ev in test_ds.events:
         ref = stacked_target_ranking(params, store, week_topics, train_ds.course, index,
                                      [0, 1, 2, 3, 4], ev.student_id, ev.timestamp, flags)
-        assert_same_ranking(scorer.rank(ev.student_id, ev.timestamp), ref)
+        assert_same_ranking(rank(ev.student_id, ev.timestamp), ref)
         expect.setdefault(ev.student_id, []).append(
             average_precision(ref[0], {ev.thread_id}, 5))
-    report = recommend.evaluate_per_event(params, store, week_topics, train_ds,
-                                          test_ds, n_cutoff=5, flags=flags)
+    report = evaluate(rank, event_queries(test_ds), n_cutoff=5)
     assert report.per_user_ap == {u: sum(v) / len(v) for u, v in sorted(expect.items())}
 
 
+@pytest.mark.parametrize("flags", flag_sets(), ids=lambda f: "+".join(f.active()) or "full")
+def test_split_ranker_over_test_posts_matches_training_window_ranker(scored, flags):
+    # posts after the ranker's time add no candidate and no history at it:
+    # student 3 first posts on candidate thread 0 inside the test window
+    params, store, week_topics, train_ds, test_ds = scored
+    merged = Dataset(train_ds.events + test_ds.events, 4, 6, train_ds.course,
+                     train_ds.student_ids, train_ds.thread_ids)
+    ref = build_model_ranker(params, store, week_topics, train_ds, WEEK, flags=flags)
+    rank = build_model_ranker(params, store, week_topics, merged, WEEK, flags=flags)
+    for student in range(4):
+        got, want = rank(student), ref(student)
+        assert got.thread_ids == want.thread_ids
+        assert got.distances == want.distances
+
+
+def test_model_ranker_refuses_a_time_before_its_own(scored):
+    params, store, week_topics, train_ds, _ = scored
+    rank = build_model_ranker(params, store, week_topics, train_ds, WEEK)
+    for t in (WEEK - 1.0, float("nan")):
+        with pytest.raises(EvaluationError, match="before the ranker's time"):
+            rank(0, t)
+    assert rank(0, WEEK).thread_ids == rank(0).thread_ids
+
+
+def test_model_ranker_refuses_posts_with_no_thread_before_its_time(scored):
+    params, store, week_topics, train_ds, _ = scored
+    with pytest.raises(EvaluationError, match="no thread has a post before"):
+        build_model_ranker(params, store, week_topics, train_ds, 100.0)
+
+
+def test_rank_threads_refuses_top_k_below_one():
+    with pytest.raises(ValueError, match="top_k must be >= 1"):
+        _rank_by_distance(np.zeros(3), np.array([0]), np.zeros((1, 2)), top_k=0)
+
+
+# queries
+
+
+def test_split_and_event_queries(course2):
+    test = Dataset([make_event(0, 1, 2, 10.0), make_event(1, 0, 3, 11.0),
+                    make_event(2, 1, 4, 12.0), make_event(3, 1, 2, 13.0)], 2, 5, course2)
+    assert split_queries(test, 5.0) == [(0, 5.0, {3}), (1, 5.0, {2, 4})]
+    assert event_queries(test) == [(1, 10.0, {2}), (0, 11.0, {3}), (1, 12.0, {4}),
+                                   (1, 13.0, {2})]
+
+
 # average precision
+
+
+def test_average_precision_refuses_cutoff_below_one():
+    with pytest.raises(ValueError, match="n_cutoff must be >= 1"):
+        average_precision([1, 2], {1}, 0)
 
 
 def test_average_precision_oracle():
@@ -212,7 +264,8 @@ def test_evaluate_means_over_users(course2):
     test_events = [make_event(0, 0, 1, 10.0), make_event(1, 1, 2, 11.0),
                    make_event(2, 0, 3, 12.0)]
     rankings = {0: [1, 3, 5], 1: [5, 6, 7]}
-    report = evaluate(lambda s: rankings[s], Dataset(test_events, 2, 8, course2), n_cutoff=5)
+    report = evaluate(lambda s, t: rankings[s],
+                      split_queries(Dataset(test_events, 2, 8, course2), 10.0), n_cutoff=5)
     # user 0: relevant {1, 3} hit at ranks 1 and 2 -> AP 1.0; user 1: 0.0
     assert report.per_user_ap == {0: 1.0, 1: 0.0}
     assert report.map_at_n == pytest.approx(0.5)
@@ -221,7 +274,7 @@ def test_evaluate_means_over_users(course2):
 
 def test_evaluate_rejects_empty_window(course2):
     with pytest.raises(EvaluationError):
-        evaluate(lambda s: [], Dataset([], 1, 1, course2), n_cutoff=5)
+        evaluate(lambda s, t: [], split_queries(Dataset([], 1, 1, course2), 0.0), n_cutoff=5)
 
 
 # baselines
@@ -317,7 +370,7 @@ def test_model_ranker_full_evaluation_path(tiny_ds):
     features = train.prepare_event_features(train_ds, lda, vocab, week_topics, cfg)
     params, store = train.fit(features, cfg)
     rank_fn = build_model_ranker(params, store, week_topics, train_ds, WEEK)
-    report = evaluate(rank_fn, test_ds, n_cutoff=5)
+    report = evaluate(rank_fn, split_queries(test_ds, WEEK), n_cutoff=5)
     assert 0.0 <= report.map_at_n <= 1.0
     assert set(report.per_user_ap) == {0, 2}
     # candidates limited to threads seen in training
@@ -336,8 +389,9 @@ def test_per_event_evaluation(tiny_ds):
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
     features = train.prepare_event_features(train_ds, lda, vocab, week_topics, cfg)
     params, store = train.fit(features, cfg)
-    report = recommend.evaluate_per_event(params, store, week_topics,
-                                          train_ds, test_ds, n_cutoff=5)
+    rank_fn = build_model_ranker(params, store, week_topics,
+                                 events_before(tiny_ds, 2 * WEEK), WEEK)
+    report = evaluate(rank_fn, event_queries(test_ds), n_cutoff=5, method="model-per-event")
     assert report.method == "model-per-event"
     assert 0.0 <= report.map_at_n <= 1.0
     assert report.users_evaluated == 2
@@ -358,8 +412,8 @@ def test_ranker_with_ablations_runs(tiny_ds):
 
 def test_write_report_files(tmp_path, course2):
     test_events = [make_event(0, 0, 1, 10.0)]
-    report = evaluate(lambda s: [1, 2], Dataset(test_events, 1, 3, course2), n_cutoff=5,
-                      method="pop")
+    queries = split_queries(Dataset(test_events, 1, 3, course2), 0.0)
+    report = evaluate(lambda s, t: [1, 2], queries, n_cutoff=5, method="pop")
     jpath = tmp_path / "report.json"
     recommend.write_report_json(report, jpath)
     payload = json.loads(jpath.read_text())

@@ -273,6 +273,30 @@ def test_load_lda_refuses_a_file_that_is_not_a_model_or_does_not_match_its_heade
             text.load_lda(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:1] + ["abc " + lines[1].split(" ", 1)[1]] + lines[2:],
+     "line 2: could not convert string to float: 'abc'"),
+    (lambda lines: [lines[0].replace("K=2", "K=x")] + lines[1:],
+     "line 1: invalid literal for int.*'x'"),
+    (lambda lines: [lines[0] + " tag"] + lines[1:], "line 1: header fields must be key=value")])
+def test_load_lda_names_file_and_line_of_a_field_that_does_not_parse(tmp_path, edit, message):
+    model = text.lda_fit([{0: 3, 1: 2}, {1: 4, 2: 1}], 2, iters=10, seed=5,
+                         vocab_size=3)
+    path = tmp_path / "lda.csv"
+    text.save_lda(model, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match="lda.csv " + message):
+        text.load_lda(path)
+
+
+def test_load_topic_distributions_names_file_and_line_of_a_field_that_is_not_a_number(
+        tmp_path):
+    path = tmp_path / "topics.csv"
+    path.write_text("0.5 0.5\n\nx 0.5\n")
+    with pytest.raises(ValueError, match="topics.csv line 3: could not convert .*'x'"):
+        text.load_topic_distributions(path)
+
+
 def test_lda_roundtrip_is_exact(tmp_path):
     model = text.lda_fit([{0: 3, 1: 2}, {1: 4, 2: 1}], 2, iters=10, seed=5,
                          vocab_size=3)

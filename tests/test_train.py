@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from threadrec import model, synth, train
-from threadrec.corpus import Dataset, ThreadEventIndex
+from threadrec.corpus import Dataset, EmptyDatasetError, ThreadEventIndex
 from threadrec.model import (TENSOR_NAMES, AblationFlags, DynamicStateStore, EventFeatures,
                              ModelParams, RowGrad, assign_course_topic, batch_grads,
                              dense_grads, excitation, predictor_rows)
@@ -481,6 +481,12 @@ def _small_pipeline(ds):
 def _prepared(ds, cfg):
     """The features of ds under _small_pipeline's topic model, for cfg."""
     return train.prepare_event_features(ds, *_small_pipeline(ds), cfg)
+
+
+def test_prepare_event_features_refuses_an_empty_training_window(tiny_ds):
+    empty = Dataset([], tiny_ds.num_students, tiny_ds.num_threads, tiny_ds.course)
+    with pytest.raises(EmptyDatasetError, match="empty training window"):
+        train.prepare_event_features(empty, *_small_pipeline(tiny_ds), TrainConfig())
 
 
 def test_prepare_event_features(tiny_ds):

@@ -61,11 +61,15 @@ _DURATION_UNITS = {None: 1.0, "s": 1.0, "min": 60.0, "h": 3600.0,
 
 
 def parse_duration(value: str) -> float:
-    """Seconds from '3600', '45min', '8h', '2d', or '8w'."""
+    """Seconds from '3600', '45min', '8h', '2d', or '8w'; a count of
+    seconds beyond a float's range is refused."""
     m = _DURATION_RE.match(str(value))
     if not m:
         raise UsageError("cannot parse duration %r" % (value,))
-    return float(m.group(1)) * _DURATION_UNITS[m.group(2)]
+    seconds = float(m.group(1)) * _DURATION_UNITS[m.group(2)]
+    if not math.isfinite(seconds):
+        raise UsageError("duration %r is not a finite number of seconds" % (value,))
+    return seconds
 
 
 def _positive(kind):
@@ -80,11 +84,11 @@ def _positive(kind):
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat 'key = value' file; '#' starts a comment."""
+    """Flat 'key = value' file in UTF-8; '#' starts a comment."""
     mapping: dict[str, str] = {}
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read config file %s: %s" % (path, exc))
     for line_no, line in enumerate(raw.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -171,9 +175,7 @@ def write_manifest(out_dir: Path, command: str, seed, config: dict,
     if peak_rss_mb is not None:
         manifest["peak_rss_mb"] = round(peak_rss_mb, 1)
     path = out_dir / MANIFEST_FILE
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    corpus.write_json(manifest, path)
     return path
 
 
@@ -468,12 +470,9 @@ def cmd_ablate(args) -> int:
     users = results[-1][1]
 
     out = _out_dir(args)
-    payload = {"n_cutoff": args.n_cutoff, "seeds": seeds, "users_evaluated": users,
-               "variants": {variant: {"per_seed": scores, "mean": mean}
-                            for variant, scores, mean in rows}}
-    with open(out / ABLATION_JSON, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    corpus.write_json({"n_cutoff": args.n_cutoff, "seeds": seeds, "users_evaluated": users,
+                       "variants": {variant: {"per_seed": scores, "mean": mean}
+                                    for variant, scores, mean in rows}}, out / ABLATION_JSON)
 
     width = max(len(v) for v in train.ABLATION_VARIANTS)
     print("variant".ljust(width) + "  MAP@%d (mean of %d seed%s)"

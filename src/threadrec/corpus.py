@@ -11,8 +11,9 @@ import bisect
 import functools
 import json
 import logging
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .text import preprocess
@@ -159,8 +160,26 @@ def number_fault(value) -> str | None:
     return None
 
 
+def check_finite_fields(config) -> None:
+    """Refuse a dataclass config with a float field that is not finite,
+    naming the field: a NaN passes every range check."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("%s must be finite" % f.name)
+
+
+def write_json(payload, path) -> None:
+    """Write payload in the one JSON artifact format of schedules, reports,
+    ablation tables and manifests: keys sorted, one-space indent, a newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
 def load_schedule(path) -> CourseSchedule:
-    with open(path) as fh:
+    """The course schedule a JSON file holds, decoded as UTF-8 whatever the
+    locale."""
+    with open(path, "rb") as fh:
         try:
             raw = json.load(fh)
         except (ValueError, RecursionError) as exc:
@@ -204,14 +223,14 @@ def ingest_jsonl(posts_path, schedule_path) -> Dataset:
     """Read a JSONL post log and its course schedule into a Dataset.
 
     Each line is an object with post_id, student_id, thread_id, timestamp,
-    text, and optionally parent_post_id. Text is kept raw; each event
+    text, and optionally parent_post_id, in UTF-8. Text is kept raw; each event
     tokenizes it on the first read of its tokens.
     Student and thread ids are re-indexed densely in ascending external id
     order; events are sorted by (timestamp, post_id).
     """
     course = load_schedule(schedule_path)
     rows = []
-    with open(posts_path) as fh:
+    with open(posts_path, "rb") as fh:  # json decodes each line as UTF-8
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -279,9 +298,7 @@ def write_schedule(course: CourseSchedule, path) -> None:
         {"start_ts": b, "text": " ".join(doc)}
         for b, doc in zip(course.week_boundaries, course.week_docs)
     ]
-    with open(path, "w") as fh:
-        json.dump({"weeks": weeks}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json({"weeks": weeks}, path)
 
 
 def events_before(ds: Dataset, t_end: float) -> Dataset:
@@ -334,6 +351,7 @@ class ThreadEventIndex:
             self.author_of[ev.post_id] = ev.student_id
 
     def history(self, student: int, thread: int, t_end: float) -> ReplyHistory:
+        """The student's ReplyHistory on thread before t_end: no own post follows t_up."""
         own = self.own_times.get((student, thread), ())
         n_own = bisect.bisect_left(own, t_end)
         if n_own == 0:
@@ -345,8 +363,6 @@ class ThreadEventIndex:
         posts = []
         replies = []
         for ev in self.by_thread[thread][lo:hi]:
-            if ev.student_id == student:
-                continue
             parent = ev.parent_post_id
             if parent is not None and self.author_of.get(parent) == student:
                 replies.append(ev.timestamp)

@@ -52,14 +52,6 @@ class AblationFlags:
     no_thread_projection: bool = False
     no_text_features: bool = False
 
-    NAMES = (
-        "no_dynamic_student",
-        "no_dynamic_thread",
-        "no_student_projection",
-        "no_thread_projection",
-        "no_text_features",
-    )
-
     @classmethod
     def from_names(cls, names: Sequence[str]) -> "AblationFlags":
         unknown = [n for n in names if n not in cls.NAMES]
@@ -69,6 +61,20 @@ class AblationFlags:
 
     def active(self) -> list[str]:
         return [n for n in self.NAMES if getattr(self, n)]
+
+
+# the flag names in field order, the one list every reader of the flags takes
+AblationFlags.NAMES = tuple(f.name for f in fields(AblationFlags))
+
+
+def check_hyperparameters(h) -> None:
+    """Refuse the settings of a TrainConfig or ModelParams h that no model takes."""
+    if h.post_decay < 0 or h.reply_decay < 0:
+        raise ValueError("decay rates must be nonnegative")
+    if h.lambda_student < 0 or h.lambda_thread < 0:
+        raise ValueError("smoothness weights must be nonnegative")
+    if h.activation not in ("sigmoid", "tanh"):
+        raise ValueError("activation must be 'sigmoid' or 'tanh'")
 
 
 _DIMS = ("embed_dim", "num_topics", "num_weeks", "num_students", "num_threads")
@@ -127,12 +133,7 @@ class ModelParams:
             if arr.shape != shape:
                 raise ValueError("%s has shape %s, expected %s" % (name, arr.shape, shape))
             setattr(self, name, arr)
-        if self.post_decay < 0 or self.reply_decay < 0:
-            raise ValueError("decay rates must be nonnegative")
-        if self.lambda_student < 0 or self.lambda_thread < 0:
-            raise ValueError("smoothness weights must be nonnegative")
-        if self.activation not in ("sigmoid", "tanh"):
-            raise ValueError("activation must be 'sigmoid' or 'tanh'")
+        check_hyperparameters(self)
 
     @classmethod
     def init(cls, rng: np.random.Generator, embed_dim, num_topics, num_weeks,
@@ -650,7 +651,7 @@ def load_checkpoint(path):
             raise ValueError("%s is not a checkpoint file" % path)
         try:
             header = json.loads(fh.readline().decode())
-        except ValueError as exc:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise ValueError("checkpoint %s: the header is not JSON: %s" % (path, exc)) from None
         _check_header(header)
         sc = header["scalars"]

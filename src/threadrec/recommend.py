@@ -17,13 +17,12 @@ excitation; every other candidate keeps its stored state.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, ThreadEventIndex
+from .corpus import Dataset, ThreadEventIndex, write_json
 from .model import (
     AblationFlags,
     DynamicStateStore,
@@ -217,29 +216,20 @@ def baseline_user_rec(train: Dataset, student: int) -> list[int]:
 
 
 def write_report_json(report: EvalReport, path) -> None:
-    payload = {
-        "method": report.method,
-        "n_cutoff": report.n_cutoff,
-        "users_evaluated": report.users_evaluated,
-        "map_at_n": report.map_at_n,
-        "per_user_ap": {str(u): ap for u, ap in sorted(report.per_user_ap.items())},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    """The report's fields as a JSON artifact (corpus.write_json), students
+    keyed by their dense index."""
+    write_json({**asdict(report),
+                "per_user_ap": {str(u): ap for u, ap in report.per_user_ap.items()}}, path)
 
 
-def write_trajectories(rows: Iterable[tuple], path) -> None:
+def write_trajectories(rows: Sequence[tuple], path) -> None:
     """CSV of embedding snapshots: kind, entity, timestamp, then one column
-    per embedding coordinate."""
-    rows = list(rows)
+    per embedding coordinate. rows, two per event of fit's final epoch, is
+    never empty: its first row sets the number of coordinates."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if rows:
-            dim = len(rows[0]) - 3
-            writer.writerow(["kind", "entity", "timestamp"] + ["e%d" % i for i in range(dim)])
-            for row in rows:
-                writer.writerow([row[0], row[1], repr(float(row[2]))]
-                                + [repr(float(v)) for v in row[3:]])
-        else:
-            writer.writerow(["kind", "entity", "timestamp"])
+        dim = len(rows[0]) - 3
+        writer.writerow(["kind", "entity", "timestamp"] + ["e%d" % i for i in range(dim)])
+        for row in rows:
+            writer.writerow([row[0], row[1], repr(float(row[2]))]
+                            + [repr(float(v)) for v in row[3:]])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CourseSchedule, Dataset, PostEvent, validate_dataset
+from .corpus import CourseSchedule, Dataset, PostEvent, check_finite_fields, validate_dataset
 from .text import preprocess
 
 
@@ -41,6 +41,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_fields(self)
         for name in ("num_students", "num_threads", "num_weeks", "num_topics",
                      "vocab_size", "mean_posts_per_student", "post_length_mean",
                      "week_doc_length"):

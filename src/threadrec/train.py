@@ -32,11 +32,11 @@ import csv
 import math
 import mmap
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Dataset, EmptyDatasetError, ThreadEventIndex
+from .corpus import Dataset, EmptyDatasetError, ThreadEventIndex, check_finite_fields
 from .model import (
     AblationFlags,
     DynamicStateStore,
@@ -47,6 +47,7 @@ from .model import (
     _STEP_BLOCK,
     _student_context,
     batch_grads,
+    check_hyperparameters,
     dense_grads,
     excitation,
 )
@@ -79,10 +80,7 @@ class TrainConfig:
     no_text_features: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError("%s must be finite" % f.name)
+        check_finite_fields(self)
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
         if self.epochs < 1:
@@ -93,12 +91,7 @@ class TrainConfig:
             raise ValueError("clip_norm must be >= 0 (0 disables clipping)")
         if self.init_std <= 0:
             raise ValueError("init_std must be positive")
-        if self.post_decay < 0 or self.reply_decay < 0:
-            raise ValueError("decay rates must be nonnegative")
-        if self.lambda_student < 0 or self.lambda_thread < 0:
-            raise ValueError("smoothness weights must be nonnegative")
-        if self.activation not in ("sigmoid", "tanh"):
-            raise ValueError("activation must be 'sigmoid' or 'tanh'")
+        check_hyperparameters(self)
         if self.topic_infer_iters < 2:
             raise ValueError("topic_infer_iters must be >= 2")
 
@@ -317,8 +310,7 @@ class Adam:
             block = slice(lo, lo + _STEP_BLOCK)
             ps, gs, ms, vs = p[block], g[block], m[block], v[block]
             tmp, den = self._tmp[:gs.size], self._block[3, :gs.size]
-            if scale != 1.0:
-                gs = np.multiply(gs, scale, out=den)
+            gs = np.multiply(gs, scale, out=den)
             # v = b2 * v + ((1 - b2) * g) * g
             vs *= _BETA2
             np.multiply(1.0 - _BETA2, gs, out=tmp)

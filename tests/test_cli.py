@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +46,16 @@ def test_read_config_file(tmp_path):
         read_config_file(tmp_path / "missing.cfg")
 
 
+def test_read_config_file_reads_utf8_and_names_a_file_that_is_not(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("# réglages\nepochs = 3\n".encode("utf-8"))
+    assert read_config_file(cfg) == {"epochs": "3"}
+    cfg.write_bytes(b"epochs = 3 # \xff\n")
+    with pytest.raises(UsageError, match="cannot read config file %s: 'utf-8' codec"
+                                         % re.escape(str(cfg))):
+        read_config_file(cfg)
+
+
 def test_config_coerces_types():
     cfg = cli._config(TrainConfig(), {"epochs": "7", "learning_rate": "0.01",
                                       "no_text_features": "true", "seed": "3"})
@@ -63,6 +74,19 @@ def test_config_coerces_types():
     assert synth.drift_strength == 0.25
     with pytest.raises(UsageError):
         cli._config(SynthConfig(), {"num_students": "15.7"})
+
+
+def test_config_reads_false_words_as_false():
+    for word in ("0", "false", "No", "off"):
+        cfg = cli._config(TrainConfig(no_text_features=True), {"no_text_features": word})
+        assert cfg.no_text_features is False, word
+
+
+def test_durations_beyond_a_float_are_refused():
+    # 400 nines read as inf; times inf would turn every distance to nan
+    for value in ("9" * 400, "9" * 305 + "w"):
+        with pytest.raises(UsageError, match="not a finite number of seconds"):
+            parse_duration(value)
 
 
 def test_each_command_takes_only_the_flags_it_reads():
@@ -737,6 +761,110 @@ def test_non_finite_numbers_end_in_an_error_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err, scale
     assert not out.exists()
+
+
+def test_checkpoint_header_too_deep_for_json_exits_one(pipeline, tmp_path, capsys):
+    magic, _, payload = (pipeline["run"] / "checkpoint.bin").read_bytes().split(b"\n", 2)
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(magic + b"\n" + b"[" * 100000 + b"\n" + payload)
+    out = tmp_path / "out"
+    for argv in (["eval", "--data", str(pipeline["data"]), "--out", str(out),
+                  "--checkpoint", str(ckpt), "--train-end", "2w", "--test-end", "3w"],
+                 ["recommend", "--data", str(pipeline["data"]), "--checkpoint", str(ckpt),
+                  "--student", "0", "--at", "2w"]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert ("error: checkpoint %s: the header is not JSON: maximum recursion depth" % ckpt
+                in err), argv[0]
+        assert "Traceback" not in err and not out.exists(), argv[0]
+
+
+def test_durations_that_are_not_finite_exit_two(pipeline, tmp_path, capsys):
+    # at the parent lda and train wrote Infinity into their JSON, and
+    # recommend ranked by nan distances
+    huge = "9" * 400
+    data, lda, ckpt = (str(pipeline["data"]), str(pipeline["lda"]),
+                       str(pipeline["run"] / "checkpoint.bin"))
+    out = tmp_path / "out"
+    for argv in (["lda", "--data", data, "--out", str(out), "--train-end", huge],
+                 ["train", "--data", data, "--lda", lda, "--out", str(out),
+                  "--train-end", huge, "--set", "epochs=1"],
+                 ["eval", "--data", data, "--out", str(out), "--checkpoint", ckpt,
+                  "--train-end", "2w", "--test-end", huge],
+                 ["eval", "--data", data, "--out", str(out), "--baseline", "pop",
+                  "--train-end", huge + "d", "--test-end", huge + "w"],
+                 ["recommend", "--data", data, "--checkpoint", ckpt, "--student", "0",
+                  "--at", huge]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error: duration '%s" % huge in err and "not a finite number" in err, argv
+        assert not out.exists(), argv
+
+
+def test_synth_settings_that_are_not_finite_exit_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    for setting in ("week_seconds=nan", "week_seconds=inf", "reply_pull=nan",
+                    "revisit_boost=inf"):
+        assert main(["synth", "--out", str(out), "--set", setting] + SYNTH_ARGS) == 2, setting
+        err = capsys.readouterr().err
+        assert "error: %s must be finite" % setting.split("=")[0] in err, setting
+        assert not out.exists(), setting
+
+
+def test_inputs_are_read_as_utf8_whatever_the_locale(pipeline, tmp_path):
+    # under the C locale without UTF-8 mode open() decodes as ASCII: the
+    # parent's lda stopped at the first non-ASCII byte without naming a line
+    import threadrec
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "posts.jsonl").read_text().splitlines()
+    last = json.loads(lines[-1])
+    post = {**last, "post_id": last["post_id"] + 1, "timestamp": last["timestamp"] + 1.0,
+            "text": "café naïve"}
+    post.pop("parent_post_id", None)
+    with open(data / "posts.jsonl", "ab") as fh:
+        fh.write(json.dumps(post, ensure_ascii=False).encode("utf-8") + b"\n")
+    schedule = json.loads((data / "schedule.json").read_text())
+    schedule["weeks"][0]["text"] += " déjà vu"
+    (data / "schedule.json").write_bytes(json.dumps(schedule, ensure_ascii=False).encode("utf-8"))
+    bad = tmp_path / "bad"
+    shutil.copytree(data, bad)
+    with open(bad / "posts.jsonl", "ab") as fh:
+        fh.write(b'{"post_id": 1, "text": "\xff"}\n')
+    cfg = tmp_path / "lda.cfg"
+    cfg.write_bytes("# réglages\nepochs = 1\n".encode("utf-8"))
+    lda = ["lda", "--iters", "5", "--min-count", "2", "--seed", "1"]
+    assert main(lda + ["--data", str(data), "--out", str(tmp_path / "utf8")]) == 0
+    script = ("import json, locale, sys\n"
+              "from threadrec import cli\n"
+              "args = json.loads(sys.argv[1])\n"
+              "print(locale.getpreferredencoding(False))\n"
+              "print(cli.read_config_file(args[0]))\n"
+              "sys.exit(10 * cli.main(args[1]) + cli.main(args[2]))\n")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(threadrec.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([
+            str(cfg), lda + ["--data", str(data), "--out", str(tmp_path / "c")],
+            lda + ["--data", str(bad), "--out", str(tmp_path / "c-bad")]])],
+        env=env, capture_output=True, text=True, encoding="utf-8")
+    encoding, config = done.stdout.splitlines()[:2]
+    assert encoding.lower() in ("ansi_x3.4-1968", "ascii", "us-ascii")
+    assert config == "{'epochs': '1'}"
+    assert done.returncode == 1, done.stderr  # lda exits 0 on data, 1 on bad
+    assert ("error: line %d: invalid JSON ('utf-8' codec can't decode byte 0xff"
+            % (len(lines) + 2) in done.stderr)
+    assert not (tmp_path / "c-bad").exists()
+    for name in ("vocab.csv", "lda_model.csv", "course_topics.csv"):
+        assert ((tmp_path / "c" / name).read_bytes()
+                == (tmp_path / "utf8" / name).read_bytes()), name
+
+
+def test_verify_manifest_names_a_missing_output(pipeline, tmp_path):
+    out = tmp_path / "synth"
+    shutil.copytree(pipeline["data"], out)
+    (out / "ground_truth.json").unlink()
+    assert verify_manifest(out / "manifest.json") == ["missing output ground_truth.json"]
 
 
 def test_config_file_feeds_train(pipeline, tmp_path):

@@ -37,6 +37,28 @@ def test_schedule_requires_sorted_boundaries():
         CourseSchedule([["a"]], [0.0, 1.0])
 
 
+def test_schedule_requires_a_week():
+    with pytest.raises(ValueError, match="at least one week"):
+        CourseSchedule([], [])
+
+
+def test_load_schedule_refuses_an_empty_weeks_list(tmp_path):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text('{"weeks": []}')
+    with pytest.raises(ValueError, match="non-empty 'weeks' list"):
+        corpus.load_schedule(schedule)
+
+
+def test_ingest_skips_blank_lines(tmp_path, tiny_ds):
+    posts = tmp_path / "posts.jsonl"
+    schedule = tmp_path / "schedule.json"
+    corpus.write_jsonl(tiny_ds, posts)
+    corpus.write_schedule(tiny_ds.course, schedule)
+    lines = posts.read_text().splitlines()
+    posts.write_text("\n" + lines[0] + "\n  \n\n" + "\n".join(lines[1:]) + "\n\t\n")
+    assert corpus.ingest_jsonl(posts, schedule).events == tiny_ds.events
+
+
 def test_ingest_roundtrip(tmp_path, tiny_ds):
     posts = tmp_path / "posts.jsonl"
     schedule = tmp_path / "schedule.json"
@@ -262,6 +284,12 @@ def test_ingest_empty_file_raises(tmp_path):
     posts.write_text("")
     with pytest.raises(EmptyDatasetError):
         corpus.ingest_jsonl(posts, schedule)
+
+
+@pytest.mark.parametrize("students, threads", [(0, 1), (1, 0)])
+def test_validate_requires_a_student_and_a_thread(course2, students, threads):
+    with pytest.raises(IntegrityError, match="at least one student and thread"):
+        corpus.validate_dataset(Dataset([], students, threads, course2))
 
 
 def test_validate_rejects_unsorted_events(course2):

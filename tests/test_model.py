@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from threadrec import model
 from threadrec.corpus import ReplyHistory
 from threadrec.model import (AblationFlags, DynamicStateStore, EventFeatures,
                              ModelParams, TENSOR_NAMES)
-from threadrec.train import Adam
+from threadrec.train import Adam, TrainConfig
 from conftest import nearest_week_loop, random_batch
 
 
@@ -430,6 +432,39 @@ def test_params_rejects_bad_activation():
         ModelParams.init(rng, 2, 2, 2, 2, 2, activation="relu")
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    ("post_decay", -0.5, "decay rates must be nonnegative"),
+    ("reply_decay", -1e-3, "decay rates must be nonnegative"),
+    ("lambda_student", -1.0, "smoothness weights must be nonnegative"),
+    ("lambda_thread", -0.25, "smoothness weights must be nonnegative"),
+    ("activation", "relu", "activation must be 'sigmoid' or 'tanh'")])
+def test_params_and_config_refuse_settings_no_model_takes(small_params, setting, value,
+                                                          message):
+    # one rule for the parameters, the training config and a checkpoint's
+    # header scalars
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(small_params, **{setting: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**{setting: value})
+
+
+def test_params_refuse_a_tensor_of_another_shape(small_params):
+    with pytest.raises(ValueError, match=re.escape("time_context has shape (2, 1), "
+                                                   "expected (3, 1)")):
+        replace(small_params, time_context=np.zeros((2, 1)))
+
+
+def test_params_init_refuses_a_zero_dimension():
+    with pytest.raises(ValueError, match="all dimensions must be >= 1"):
+        ModelParams.init(np.random.default_rng(0), 2, 2, 2, 0, 2)
+
+
+def test_params_tensor_names_only_tensors(small_params):
+    # a field that is not a tensor, such as a dimension, is not handed out
+    with pytest.raises(KeyError):
+        small_params.tensor("embed_dim")
+
+
 # state store and checkpointing
 
 
@@ -609,6 +644,23 @@ def test_checkpoint_rejects_truncated_and_trailing_payloads(tmp_path):
         model.load_checkpoint(path)
     path.write_bytes(whole + b"\0")
     with pytest.raises(ValueError, match="trailing bytes"):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_a_header_too_deep_for_json(tmp_path):
+    # json.loads exhausts the recursion limit on deep nesting
+    path = saved_checkpoint(tmp_path)
+    magic, _, payload = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(magic + b"\n" + b"[" * 100000 + b"\n" + payload)
+    with pytest.raises(ValueError, match="checkpoint %s: the header is not JSON: "
+                                         "maximum recursion depth" % re.escape(str(path))):
+        model.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_settings_no_model_takes(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    rewrite_header(path, lambda h: h["scalars"].update(lambda_thread=-1.0))
+    with pytest.raises(ValueError, match="smoothness weights must be nonnegative"):
         model.load_checkpoint(path)
 
 

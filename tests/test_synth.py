@@ -34,6 +34,29 @@ def test_config_validation():
             algo_like(scale=scale)
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    ("revisit_boost", -1.0, "revisit_boost must be nonnegative"),
+    ("reply_pull", -0.5, "reply_pull must be nonnegative"),
+    ("week_seconds", 0.0, "week_seconds must be positive"),
+    ("week_seconds", float("nan"), "week_seconds must be finite"),
+    ("week_seconds", float("inf"), "week_seconds must be finite"),
+    ("reply_pull", float("nan"), "reply_pull must be finite"),
+    ("revisit_boost", float("inf"), "revisit_boost must be finite"),
+    ("drift_strength", float("nan"), "drift_strength must be finite")])
+def test_config_refuses_each_setting_by_name(setting, value, message):
+    # a NaN weight passes every range check and ends in numpy's "Probabilities
+    # contain NaN"; an infinite week overflows the arrival times
+    with pytest.raises(ValueError, match=message):
+        small_config(**{setting: value})
+
+
+def test_stable_vocabulary_refuses_more_words_than_its_candidates():
+    # three letters after "zq" give 26**3 candidates, and preprocessing
+    # changes some of them
+    with pytest.raises(ValueError, match="vocabulary request too large"):
+        stable_vocabulary(26 ** 3)
+
+
 def test_algo_like_preset_scales():
     cfg = algo_like(scale=0.1)
     assert cfg.num_students == 183

@@ -84,6 +84,11 @@ def test_build_vocabulary_empty_raises():
         text.build_vocabulary([["rare"]], min_count=2)
 
 
+def test_build_vocabulary_refuses_a_min_count_below_one():
+    with pytest.raises(ValueError, match="min_count must be >= 1"):
+        text.build_vocabulary([["a", "b"]], min_count=0)
+
+
 def test_term_frequency_skips_unknown_words():
     vocab = text.build_vocabulary([["a", "b", "a"]], min_count=1)
     tf = text.term_frequency(["a", "zz", "a", "b"], vocab)
@@ -160,6 +165,17 @@ def test_lda_single_topic_matches_smoothed_frequencies():
 def test_lda_more_topics_than_words_raises():
     with pytest.raises(ValueError):
         text.lda_fit([{0: 2}], 3, iters=5, vocab_size=1)
+
+
+@pytest.mark.parametrize("docs, num_topics, iters, message", [
+    ([{0: 2}], 0, 5, "num_topics must be >= 1"),
+    ([{0: 2}], 1, 0, "iters must be >= 1"),
+    ([], 1, 5, "no documents to fit"),
+    ([{}, {}], 1, 5, "all documents are empty")],
+    ids=["no-topic", "no-sweep", "no-document", "empty-documents"])
+def test_lda_fit_refuses_what_it_cannot_fit(docs, num_topics, iters, message):
+    with pytest.raises(ValueError, match=message):
+        text.lda_fit(docs, num_topics, iters=iters, vocab_size=2)
 
 
 def test_lda_default_doc_topic_prior():

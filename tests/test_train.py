@@ -85,6 +85,14 @@ def test_config_validation():
         TrainConfig(clip_norm=-2.0)
 
 
+def test_config_refuses_a_weight_scale_and_fold_in_too_small():
+    with pytest.raises(ValueError, match="init_std must be positive"):
+        TrainConfig(init_std=0.0)
+    # a fold-in of one sweep would have no sweep after its burn-in
+    with pytest.raises(ValueError, match="topic_infer_iters must be >= 2"):
+        TrainConfig(topic_infer_iters=1)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_refuses_non_finite_floats(value):
     floats = [f.name for f in fields(TrainConfig) if isinstance(getattr(TrainConfig(), f.name),
@@ -779,6 +787,23 @@ def test_fit_raises_on_divergence(tiny_ds):
     features = _prepared(tiny_ds, cfg)
     with pytest.raises(TrainingDiverged, match="epoch"):
         train.fit(features, cfg)
+
+
+def test_fit_raises_on_a_gradient_too_large_to_square(tiny_ds):
+    # projected students of about 1e160 against a predictor of about 1e-10:
+    # every loss is finite, but the gradient's sum of squares is not
+    cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5, init_std=1e-10)
+    features = _prepared(tiny_ds, cfg)
+    features.events.delta_student[:] = 1e170
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged,
+                                                   match="non-finite gradient at epoch 0"):
+        train.fit(features, cfg)
+
+
+def test_optimizer_walks_only_c_contiguous_tensors():
+    # reshape would copy a strided tensor, and the step would write the copy
+    with pytest.raises(ValueError, match="C-contiguous"):
+        train._flat(np.zeros((3, 4))[:, ::2])
 
 
 def test_fit_validates_week_topics(tiny_ds):

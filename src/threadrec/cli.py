@@ -1,9 +1,11 @@
 """Command line pipeline: synth -> lda -> train -> eval / ablate / recommend.
 
 A thin layer over the library: each subcommand parses only the flags its
-handler reads. synth, train and ablate take config overrides (--config and
---set), which become a SynthConfig or TrainConfig through one parser, and
-eval and recommend open a checkpoint through one gate.
+handler reads, and imports only the modules it runs; corpus and text,
+which every command uses, are imported here. synth, train and ablate take
+config overrides (--config and --set), which become a SynthConfig or
+TrainConfig through one parser, and eval and recommend open a checkpoint
+through one gate.
 
 Every run writes a manifest.json into its output directory recording the
 command, the effective config, the seed, and sha256 checksums of inputs and
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus, model, recommend, synth, text, train
+from . import corpus, text
 
 POSTS_FILE = "posts.jsonl"
 SCHEDULE_FILE = "schedule.json"
@@ -216,6 +218,7 @@ def _load_dataset(data_dir) -> corpus.Dataset:
 
 def _prepare_features(lda_dir, window: corpus.Dataset, cfg) -> train.PreparedFeatures:
     """The event features of window under the lda command's artifacts."""
+    from . import train
     lda_dir = Path(lda_dir)
     return train.prepare_event_features(
         window, text.load_lda(lda_dir / LDA_FILE), text.load_vocabulary(lda_dir / VOCAB_FILE),
@@ -230,6 +233,7 @@ def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
     before the last of them would score posts the model has already seen.
     Returns (params, store, week_topics, meta, flags), flags being the
     ablation flags it was trained with."""
+    from . import model
     params, store, week_topics, meta = model.load_checkpoint(path)
     for key in ("last_post_time", "train_end"):
         value = meta.get(key)
@@ -254,6 +258,7 @@ def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
 
 
 def cmd_synth(args) -> int:
+    from . import synth
     started = time.perf_counter()
     if args.scale is not None and not args.preset:
         raise UsageError("--scale needs a --preset to scale")
@@ -314,6 +319,7 @@ def cmd_lda(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import model, train
     started = time.perf_counter()
     cfg = _config(train.TrainConfig(), _collect_overrides(args))
     if args.seed is not None:
@@ -342,6 +348,7 @@ def cmd_train(args) -> int:
     outputs = [out / CHECKPOINT_FILE]
     logs = [out / TRAIN_LOG_FILE]
     if sink is not None:
+        from . import recommend
         recommend.write_trajectories(sink, out / TRAJECTORIES_FILE)
         outputs.append(out / TRAJECTORIES_FILE)
     timings = {"ingest_s": t_features - started, "features_s": t_fit - t_features,
@@ -362,6 +369,7 @@ def cmd_train(args) -> int:
 
 
 def _baseline_rank_fn(name: str, train_ds: corpus.Dataset):
+    from . import recommend
     if name == "user-rec":
         return lambda student, t: recommend.baseline_user_rec(train_ds, student)
     ranking = (recommend.baseline_pop if name == "pop" else recommend.baseline_rec)(train_ds)
@@ -369,6 +377,7 @@ def _baseline_rank_fn(name: str, train_ds: corpus.Dataset):
 
 
 def cmd_eval(args) -> int:
+    from . import recommend
     started = time.perf_counter()
     if args.baseline and args.per_event:
         raise UsageError("--per-event re-ranks with a --checkpoint, not a --baseline")
@@ -424,6 +433,7 @@ def _set_ablate_inputs(inputs) -> None:
 
 
 def _ablate_job(job, shared=None):
+    from . import recommend, train
     base_cfg, train_ds, queries, features, train_end, n_cutoff = shared or _ablate_inputs
     variant, seed = job
     cfg = train.ablation_variant(dataclasses.replace(base_cfg, seed=seed), variant)
@@ -435,6 +445,7 @@ def _ablate_job(job, shared=None):
 
 
 def cmd_ablate(args) -> int:
+    from . import recommend, train
     started = time.perf_counter()
     base_cfg = _config(train.TrainConfig(), _collect_overrides(args))
     base_seed = (args.seed + SEED_OFFSETS["ablate"]
@@ -466,7 +477,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for i, variant in enumerate(train.ABLATION_VARIANTS):
         scores = [map_at_n for map_at_n, _ in results[i * len(seeds):(i + 1) * len(seeds)]]
-        rows.append((variant, scores, sum(scores) / len(scores)))
+        rows.append((variant, scores, recommend.mean(scores)))
     users = results[-1][1]
 
     out = _out_dir(args)
@@ -491,6 +502,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    from . import recommend
     t_query = parse_duration(args.at)
     ds = _load_dataset(args.data)
     params, store, week_topics, meta, flags = _open_checkpoint(args.checkpoint, ds, t_query,
@@ -507,7 +519,12 @@ def cmd_recommend(args) -> int:
         raise UsageError("unknown student id %r" % (args.student,))
     rank_fn = recommend.build_model_ranker(params, store, week_topics, window,
                                            t_query, flags=flags, top_k=args.top_k)
-    ranked = rank_fn(student)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        ranked = rank_fn(student)
+    if not all(map(math.isfinite, ranked.distances)):
+        # the student's projection overflows this far past its last post
+        raise UsageError("--at %r is too far ahead: the distances to the threads "
+                         "are not finite" % (args.at,))
     print("top threads for student %s at t=%s:" % (args.student, args.at))
     for rank, (thread, dist) in enumerate(zip(ranked.thread_ids, ranked.distances),
                                           start=1):
@@ -604,11 +621,19 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (OSError, ValueError, train.TrainingDiverged) as exc:
-        # ParseError, IntegrityError, EmptyDatasetError and EvaluationError
-        # are ValueErrors
+    except _runtime_failures() as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+
+
+def _runtime_failures() -> tuple[type[Exception], ...]:
+    """What main reports as a runtime failure, exit 1: an OSError, a
+    ValueError (ParseError, IntegrityError, EmptyDatasetError and
+    EvaluationError are ValueErrors) and a diverged fit. Only a command
+    that has imported train can have raised the last, so it is looked up
+    and never imported."""
+    train = sys.modules.get(__package__ + ".train")
+    return (OSError, ValueError) + ((train.TrainingDiverged,) if train else ())
 
 
 def entry() -> None:

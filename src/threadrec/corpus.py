@@ -10,15 +10,13 @@ from __future__ import annotations
 import bisect
 import functools
 import json
-import logging
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import NamedTuple
 
 from .text import preprocess
-
-log = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
@@ -219,6 +217,66 @@ def _id_field(record, name, line_no) -> int:
     raise ParseError(line_no, "%s must be an integer, not %r" % (name, value))
 
 
+_scan = json.JSONDecoder().scan_once  # json's C decoder, without whitespace handling
+
+
+def _plain_row(line: bytes) -> tuple | None:
+    """The row of a post line in the form write_jsonl writes, or None.
+
+    The line must be UTF-8 holding one JSON object and at most a newline,
+    with int ids, a float timestamp in [0, float max], a string text and a
+    parent that is absent, null or an int. Such a line reads as it would
+    through json.loads and the field checks. Any other line, a refused one
+    included, returns None, and the checked path reads it."""
+    try:
+        text = line.decode()
+        record, end = _scan(text, 0)
+    except (ValueError, RecursionError, StopIteration):  # StopIteration: no value at 0
+        return None
+    if end != len(text) and text[end:] != "\n" or type(record) is not dict:
+        return None
+    post_id = record.get("post_id")
+    student = record.get("student_id")
+    thread = record.get("thread_id")
+    timestamp = record.get("timestamp")
+    body = record.get("text")
+    parent = record.get("parent_post_id")
+    if (type(post_id) is int and type(student) is int and type(thread) is int
+            and type(timestamp) is float and 0.0 <= timestamp <= sys.float_info.max
+            and type(body) is str and (parent is None or type(parent) is int)):
+        return post_id, student, thread, timestamp, body, parent
+    return None
+
+
+def _checked_row(line: bytes, line_no: int) -> tuple | None:
+    """The row of any post line, None for a blank one; a line that is not
+    a post raises ParseError naming line_no and what is wrong."""
+    if not line.strip():
+        return None
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # a too-long integer, deep nesting
+        raise ParseError(line_no, "invalid JSON (%s)" % getattr(exc, "msg", exc)) from None
+    if not isinstance(record, dict):
+        raise ParseError(line_no, "expected a JSON object")
+    post_id = _id_field(record, "post_id", line_no)
+    student = _id_field(record, "student_id", line_no)
+    thread = _id_field(record, "thread_id", line_no)
+    timestamp = _field(record, "timestamp", line_no)
+    fault = number_fault(timestamp)
+    if fault:
+        raise ParseError(line_no, "timestamp must be " + fault)
+    timestamp = float(timestamp)
+    text = _field(record, "text", line_no)
+    if not isinstance(text, str):
+        raise ParseError(line_no, "text must be a string")
+    if timestamp < 0:
+        raise ParseError(line_no, "timestamp must be >= 0")
+    parent = (None if record.get("parent_post_id") is None
+              else _id_field(record, "parent_post_id", line_no))
+    return post_id, student, thread, timestamp, text, parent
+
+
 def ingest_jsonl(posts_path, schedule_path) -> Dataset:
     """Read a JSONL post log and its course schedule into a Dataset.
 
@@ -232,30 +290,9 @@ def ingest_jsonl(posts_path, schedule_path) -> Dataset:
     rows = []
     with open(posts_path, "rb") as fh:  # json decodes each line as UTF-8
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # a too-long integer, deep nesting
-                raise ParseError(line_no, "invalid JSON (%s)" % getattr(exc, "msg", exc)) from None
-            if not isinstance(record, dict):
-                raise ParseError(line_no, "expected a JSON object")
-            post_id = _id_field(record, "post_id", line_no)
-            student = _id_field(record, "student_id", line_no)
-            thread = _id_field(record, "thread_id", line_no)
-            timestamp = _field(record, "timestamp", line_no)
-            fault = number_fault(timestamp)
-            if fault:
-                raise ParseError(line_no, "timestamp must be " + fault)
-            timestamp = float(timestamp)
-            text = _field(record, "text", line_no)
-            if not isinstance(text, str):
-                raise ParseError(line_no, "text must be a string")
-            if timestamp < 0:
-                raise ParseError(line_no, "timestamp must be >= 0")
-            parent = (None if record.get("parent_post_id") is None
-                      else _id_field(record, "parent_post_id", line_no))
-            rows.append((post_id, student, thread, timestamp, text, parent))
+            row = _plain_row(line) or _checked_row(line, line_no)
+            if row is not None:
+                rows.append(row)
 
     if not rows:
         raise EmptyDatasetError("post log %s contains no events" % posts_path)
@@ -265,11 +302,11 @@ def ingest_jsonl(posts_path, schedule_path) -> Dataset:
     student_map = {ext: i for i, ext in enumerate(student_ids)}
     thread_map = {ext: i for i, ext in enumerate(thread_ids)}
 
+    rows.sort(key=itemgetter(3, 0))  # (timestamp, post_id)
     events = [
         PostEvent(pid, student_map[s], thread_map[t], ts, text, parent)
         for pid, s, t, ts, text, parent in rows
     ]
-    events.sort(key=lambda ev: (ev.timestamp, ev.post_id))
     ds = Dataset(events, len(student_ids), len(thread_ids), course, student_ids, thread_ids)
     validate_dataset(ds)
     return ds
@@ -321,7 +358,9 @@ def split_by_time(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         ev for ev in ds.events if spec.train_end <= ev.timestamp < spec.test_end
     ]
     if not test_events:
-        log.warning("test window [%r, %r) contains no events", spec.train_end, spec.test_end)
+        import logging  # this warning is its only use, and a rare one
+        logging.getLogger(__name__).warning("test window [%r, %r) contains no events",
+                                            spec.train_end, spec.test_end)
     test = Dataset(test_events, ds.num_students, ds.num_threads, ds.course,
                    ds.student_ids, ds.thread_ids)
     return train, test

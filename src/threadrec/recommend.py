@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -113,9 +113,18 @@ def evaluate(rank_fn: Callable[[int, float], object],
         if isinstance(ranking, RankedRecommendation):
             ranking = ranking.thread_ids
         scores.setdefault(student, []).append(average_precision(ranking, relevant, n_cutoff))
-    per_user = {u: sum(v) / len(v) for u, v in sorted(scores.items())}
-    map_at_n = sum(per_user.values()) / len(per_user)
+    per_user = {u: mean(v) for u, v in sorted(scores.items())}
+    map_at_n = mean(per_user.values())
     return EvalReport(method, n_cutoff, len(per_user), map_at_n, per_user)
+
+
+def mean(values: Collection[float]) -> float:
+    """The mean of values summed left to right. sum() compensates rounding
+    from Python 3.12 on, so its last bits would depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def split_queries(test: Dataset, t: float) -> list[tuple[int, float, set[int]]]:

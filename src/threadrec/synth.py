@@ -57,6 +57,9 @@ class SynthConfig:
             raise ValueError("reply_pull must be nonnegative")
         if self.week_seconds <= 0:
             raise ValueError("week_seconds must be positive")
+        if not math.isfinite(self.num_weeks * self.week_seconds):
+            raise ValueError("week_seconds must keep the course length, num_weeks * "
+                             "week_seconds, finite")
         if self.vocab_size < self.num_topics:
             raise ValueError("vocab_size must be at least num_topics")
 

@@ -343,8 +343,12 @@ def clip_gradients(grads: dict, max_norm: float) -> tuple[float, float]:
     the factor that brings it to at most max_norm: max_norm / norm when
     0 < max_norm < norm, else 1. The gradients are left as they are;
     Adam.step applies the factor. Each gradient's squares are summed by
-    _square_sum; the sums add in dict order."""
-    total = np.sqrt(sum(_square_sum(g) for g in grads.values()))
+    _square_sum; the sums add left to right in dict order, as sum() no
+    longer does from Python 3.12 on."""
+    total = 0.0
+    for g in grads.values():
+        total += _square_sum(g)
+    total = np.sqrt(total)
     scale = max_norm / total if 0 < max_norm < total else 1.0
     return total, scale
 

@@ -288,6 +288,20 @@ def test_ablate_writes_table(pipeline, capsys):
     capsys.readouterr()
 
 
+def test_ablate_adds_the_seed_scores_left_to_right(pipeline, tmp_path, monkeypatch, capsys):
+    # Python 3.12's sum() makes the mean of these six scores 0.4222222222222222
+    scores = [0.7000000000000001, 0.24444444444444446, 0.27777777777777773, 0.45, 0.75,
+              0.1111111111111111]
+    monkeypatch.setattr(cli, "_ablate_job", lambda job, shared=None: (scores[job[1] - 6], 3))
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--data", str(pipeline["data"]), "--lda", str(pipeline["lda"]),
+                 "--out", str(out), "--train-end", "2w", "--test-end", "3w", "--seed", "2",
+                 "--seeds", "6"]) == 0
+    variants = json.loads((out / "ablation.json").read_text())["variants"]
+    assert {row["mean"] for row in variants.values()} == {0.4222222222222223}
+    capsys.readouterr()
+
+
 def test_ablate_pool_starts_no_more_workers_than_jobs(pipeline, tmp_path, monkeypatch,
                                                      capsys):
     # a pool starts all its workers at once, and ablate has six variants
@@ -389,7 +403,8 @@ def test_ablate_manifest_records_the_effective_config(pipeline, capsys):
 
 def test_lda_and_read_only_commands_leave_scipy_and_process_pools_unloaded(pipeline):
     # no command imports scipy, and only ablate starts processes; no other
-    # command pays for importing them
+    # command pays for importing them, nor for the package modules it does
+    # not run
     import threadrec
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -406,12 +421,12 @@ def test_lda_and_read_only_commands_leave_scipy_and_process_pools_unloaded(pipel
          "--at", "2w"],
     ]
 
-    def loaded_after(commands):
+    def loaded_after(commands, modules=heavy):
         script = ("import json, sys\n"
                   "import threadrec, threadrec.cli\n"
                   "codes = [threadrec.cli.main(a) for a in json.loads(sys.argv[1])]\n"
                   "print(json.dumps([codes, [m for m in %r if m in sys.modules]]))\n"
-                  % (heavy,))
+                  % (modules,))
         done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                               env=env, capture_output=True, text=True, check=True)
         codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
@@ -419,10 +434,11 @@ def test_lda_and_read_only_commands_leave_scipy_and_process_pools_unloaded(pipel
         return loaded
 
     assert loaded_after([]) == []
-    assert loaded_after(commands) == []
+    assert loaded_after(commands, heavy + ("threadrec.train", "threadrec.synth")) == []
     lda = ["lda", "--data", data, "--out", str(pipeline["root"] / "lean-lda"),
            "--iters", "2", "--min-count", "2"]
-    assert loaded_after([lda]) == []
+    assert loaded_after([lda], heavy + ("threadrec.model", "threadrec.train",
+                                         "threadrec.recommend", "threadrec.synth")) == []
 
 
 def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
@@ -809,6 +825,39 @@ def test_synth_settings_that_are_not_finite_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error: %s must be finite" % setting.split("=")[0] in err, setting
         assert not out.exists(), setting
+
+
+def test_synth_refuses_a_course_length_that_overflows(tmp_path, capsys):
+    # at the parent a finite week_seconds whose nine weeks overflow ended in
+    # an OverflowError traceback from the arrival times
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--set", "week_seconds=1e308", "--seed", "0"]
+                + SYNTH_ARGS) == 2
+    assert "error: week_seconds must keep the course length" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recommend_refuses_a_query_time_whose_distances_are_not_finite(pipeline, capsys):
+    # the student's projection overflows this far ahead, and the parent
+    # printed every thread at distance inf
+    assert main(["recommend", "--data", str(pipeline["data"]),
+                 "--checkpoint", str(pipeline["run"] / "checkpoint.bin"),
+                 "--student", "0", "--at", "1" + "0" * 300]) == 2
+    captured = capsys.readouterr()
+    assert "error: --at '1000" in captured.err and "not finite" in captured.err
+    assert captured.out == ""
+
+
+def test_a_diverged_fit_exits_one(pipeline, tmp_path, monkeypatch, capsys):
+    from threadrec import train
+
+    def diverge(*args, **kwargs):
+        raise train.TrainingDiverged("non-finite loss at epoch 0 batch 0 post 0")
+
+    monkeypatch.setattr(train, "fit", diverge)
+    assert main(["train", "--data", str(pipeline["data"]), "--lda", str(pipeline["lda"]),
+                 "--out", str(tmp_path / "run"), "--train-end", "2w"]) == 1
+    assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
 
 
 def test_inputs_are_read_as_utf8_whatever_the_locale(pipeline, tmp_path):

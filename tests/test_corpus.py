@@ -137,6 +137,49 @@ def test_ingest_names_the_line_json_cannot_read(tmp_path, line, message):
         corpus.ingest_jsonl(posts, schedule)
 
 
+FIRST = b'{"post_id": 1, "student_id": 3, "thread_id": 1, "timestamp": 1.0, "text": "x"}'
+REPLY = (b'{"post_id": 2, "student_id": 4, "thread_id": 1, "timestamp": 2.0, "text": "y", '
+         b'"parent_post_id": 1}')
+# the two posts of FIRST and REPLY as events: students 3 and 4, thread 1
+BOTH = [(1, 0, 0, 1.0, "x", None), (2, 1, 0, 2.0, "y", 1)]
+
+
+@pytest.mark.parametrize("posts, expected", [
+    (FIRST + b"\r\n" + REPLY + b"\r\n", BOTH),
+    (FIRST + b"\n\xef\xbb\xbf" + REPLY + b"\n", BOTH),
+    (FIRST + b"\n" + REPLY.replace(b'"post_id": 2', b'"post_id": 3.0') + b"\n",
+     [BOTH[0], (3, 1, 0, 2.0, "y", 1)]),
+    (FIRST + b"\n" + REPLY.replace(b"2.0", b"2") + b"\n", BOTH),
+    (FIRST + b"\n \t \n" + REPLY + b"\n", BOTH),
+    (FIRST + b"\n" + REPLY.replace(b'"parent_post_id": 1', b'"parent_post_id": null') + b"\n",
+     [BOTH[0], (2, 1, 0, 2.0, "y", None)]),
+    (FIRST + b"\n" + REPLY.replace(b'"y"', "\"café ☃\"".encode()) + b"\n",
+     [BOTH[0], (2, 1, 0, 2.0, "café ☃", 1)]),
+    (FIRST + b"\n" + REPLY + b" " + REPLY + b"\n", "line 2: invalid JSON (Extra data)"),
+    (FIRST + b"\n" + REPLY.replace(b'"thread_id"', b'\n"thread_id"') + b"\n",
+     "line 2: invalid JSON (Expecting property name enclosed in double quotes)"),
+    (FIRST + b"\n" + REPLY.replace(b"2.0", b"1e400") + b"\n",
+     "line 2: timestamp must be finite, not inf")],
+    ids=["crlf", "utf8-bom", "integral-float-id", "integer-timestamp", "whitespace-line",
+         "null-parent", "non-ascii-text", "two-objects", "split-object", "timestamp-1e400"])
+def test_ingest_reads_each_form_of_line_as_json_loads_does(tmp_path, posts, expected):
+    # a line json.loads reads with a conversion, or refuses, keeps its result
+    # after the decoder's shortcut for plain lines
+    (tmp_path / "posts.jsonl").write_bytes(posts)
+    write_weeks(tmp_path / "schedule.json")
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as err:
+            corpus.ingest_jsonl(tmp_path / "posts.jsonl", tmp_path / "schedule.json")
+        assert str(err.value) == expected and err.value.line_no == 2
+        return
+    ds = corpus.ingest_jsonl(tmp_path / "posts.jsonl", tmp_path / "schedule.json")
+    rows = [(ev.post_id, ev.student_id, ev.thread_id, ev.timestamp, ev.text, ev.parent_post_id)
+            for ev in ds.events]
+    assert rows == expected
+    assert [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in expected]
+    assert (ds.num_students, ds.num_threads, ds.student_ids, ds.thread_ids) == (2, 1, [3, 4], [1])
+
+
 def test_load_schedule_names_a_file_that_is_not_json(tmp_path):
     schedule = tmp_path / "schedule.json"
     schedule.write_text('{"weeks":\n')

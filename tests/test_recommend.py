@@ -272,6 +272,16 @@ def test_evaluate_means_over_users(course2):
     assert report.users_evaluated == 2
 
 
+def test_evaluate_adds_the_means_left_to_right():
+    # student 1's APs are 2/3, 0.3667 and 0.2. Python 3.12's sum() makes their
+    # mean 0.4111111111111111 and the MAP 0.3680555555555556; adding in order
+    # gives the values below on every version
+    queries = [(0, 1.0, {3, 4}), (1, 1.0, {0, 1, 5}), (1, 2.0, {2, 4}), (1, 3.0, {4})]
+    report = evaluate(lambda s, t: list(range(10)), queries, n_cutoff=5)
+    assert report.per_user_ap == {0: 0.325, 1: 0.41111111111111104}
+    assert report.map_at_n == 0.3680555555555555
+
+
 def test_evaluate_rejects_empty_window(course2):
     with pytest.raises(EvaluationError):
         evaluate(lambda s, t: [], split_queries(Dataset([], 1, 1, course2), 0.0), n_cutoff=5)

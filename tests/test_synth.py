@@ -40,6 +40,7 @@ def test_config_validation():
     ("week_seconds", 0.0, "week_seconds must be positive"),
     ("week_seconds", float("nan"), "week_seconds must be finite"),
     ("week_seconds", float("inf"), "week_seconds must be finite"),
+    ("week_seconds", 1e308, "week_seconds must keep the course length"),
     ("reply_pull", float("nan"), "reply_pull must be finite"),
     ("revisit_boost", float("inf"), "revisit_boost must be finite"),
     ("drift_strength", float("nan"), "drift_strength must be finite")])

@@ -220,6 +220,18 @@ def test_clip_gradients_scales_to_max_norm():
     assert dense_grads(grads4)["predictor"][1, 1] == 4.0
 
 
+def test_clip_gradients_adds_the_square_sums_left_to_right():
+    # Python 3.12's sum() of these six squares is 226.35604100000003; adding
+    # them in order gives 226.356041 on every version
+    values = [7.65, 0.121, 4.51, 7.24, 2.36, 9.46]
+    total, scale = clip_gradients({str(i): np.array([v]) for i, v in enumerate(values)}, 1.0)
+    in_order = 0.0
+    for v in values:
+        in_order += v * v
+    assert in_order == 226.356041
+    assert total == np.sqrt(in_order) and scale == 1.0 / total
+
+
 @pytest.mark.parametrize("shape", [(3176, 1333), (1,), (7,), (129,), (1001,), (8193,),
                                    (32769,), (65537,), (300, 257)])
 def test_square_sum_matches_numpy_pairwise_sum_bitwise(shape):

@@ -419,8 +419,10 @@ def cmd_eval(args) -> int:
               "per_event": args.per_event}
     write_manifest(out, "eval", args.seed, config, inputs, [out / REPORT_FILE], [],
                    time.perf_counter() - started, timings)
-    print("eval: MAP@%d = %.6f over %d students (%s)"
-          % (report.n_cutoff, report.map_at_n, report.users_evaluated, report.method))
+    print("eval: MAP@%d = %.6f, 95%% CI [%.6f, %.6f], over %d students, %.0f%% with "
+          "non-zero AP (%s)" % (report.n_cutoff, report.map_at_n, *report.map_ci95,
+                                report.users_evaluated, 100 * report.nonzero_ap_share,
+                                report.method))
     return 0
 
 
@@ -441,7 +443,7 @@ def _ablate_job(job, shared=None):
     rank_fn = recommend.build_model_ranker(params, store, features.week_topics, train_ds,
                                            train_end, flags=cfg.flags)
     report = recommend.evaluate(rank_fn, queries, n_cutoff=n_cutoff, method=variant)
-    return report.map_at_n, report.users_evaluated
+    return report.map_at_n, list(report.per_user_ap.values())
 
 
 def cmd_ablate(args) -> int:
@@ -473,23 +475,35 @@ def cmd_ablate(args) -> int:
     timings = {"ingest_s": t_features - started, "features_s": t_fits - t_features,
                "fits_s": time.perf_counter() - t_fits}
 
-    # results come in job order: every seed of one variant, then the next
-    rows = []
+    # results come in job order: every seed of one variant, then the next;
+    # a variant's students are paired with full's by their AP averaged over
+    # the seeds
+    variants, student_means = {}, {}
     for i, variant in enumerate(train.ABLATION_VARIANTS):
-        scores = [map_at_n for map_at_n, _ in results[i * len(seeds):(i + 1) * len(seeds)]]
-        rows.append((variant, scores, recommend.mean(scores)))
-    users = results[-1][1]
+        runs = results[i * len(seeds):(i + 1) * len(seeds)]
+        scores = [map_at_n for map_at_n, _ in runs]
+        student_means[variant] = np.array([recommend.mean(aps)
+                                           for aps in zip(*(aps for _, aps in runs))])
+        row = variants[variant] = {"per_seed": scores, "mean": recommend.mean(scores),
+                                   "min": min(scores), "max": max(scores)}
+        if variant != "full":
+            diff = student_means[variant] - student_means["full"]
+            row["diff_from_full"] = recommend.mean(diff.tolist())
+            row["diff_ci95"] = recommend.bootstrap_interval(diff)
 
     out = _out_dir(args)
-    corpus.write_json({"n_cutoff": args.n_cutoff, "seeds": seeds, "users_evaluated": users,
-                       "variants": {variant: {"per_seed": scores, "mean": mean}
-                                    for variant, scores, mean in rows}}, out / ABLATION_JSON)
+    corpus.write_json({"n_cutoff": args.n_cutoff, "seeds": seeds,
+                       "users_evaluated": len(student_means["full"]), "variants": variants},
+                      out / ABLATION_JSON)
 
     width = max(len(v) for v in train.ABLATION_VARIANTS)
-    print("variant".ljust(width) + "  MAP@%d (mean of %d seed%s)"
+    print("variant".ljust(width) + "  MAP@%d (mean, min-max of %d seed%s)  minus full [95%% CI]"
           % (args.n_cutoff, len(seeds), "" if len(seeds) == 1 else "s"))
-    for variant, _, mean in rows:
-        print(variant.ljust(width) + "  %.6f" % mean)
+    for variant, row in variants.items():
+        line = "%s  %.6f  %.4f-%.4f" % (variant.ljust(width), row["mean"], row["min"], row["max"])
+        if "diff_from_full" in row:
+            line += "  %+.4f [%+.4f, %+.4f]" % (row["diff_from_full"], *row["diff_ci95"])
+        print(line)
 
     inputs = ([Path(args.data) / n for n in DATA_FILES]
               + [Path(args.lda) / n for n in LDA_FILES])

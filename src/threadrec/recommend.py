@@ -89,10 +89,15 @@ def average_precision(ranked: Sequence[int], relevant: set, n_cutoff: int) -> fl
 
 @dataclass
 class EvalReport:
+    """A protocol's score: MAP@n_cutoff over the evaluated students, its
+    bootstrap 95% interval over them (bootstrap_interval), the share of them
+    with non-zero AP and every student's AP."""
     method: str
     n_cutoff: int
     users_evaluated: int
     map_at_n: float
+    map_ci95: list[float]
+    nonzero_ap_share: float
     per_user_ap: dict[int, float] = field(default_factory=dict)
 
 
@@ -114,8 +119,9 @@ def evaluate(rank_fn: Callable[[int, float], object],
             ranking = ranking.thread_ids
         scores.setdefault(student, []).append(average_precision(ranking, relevant, n_cutoff))
     per_user = {u: mean(v) for u, v in sorted(scores.items())}
-    map_at_n = mean(per_user.values())
-    return EvalReport(method, n_cutoff, len(per_user), map_at_n, per_user)
+    aps = list(per_user.values())
+    return EvalReport(method, n_cutoff, len(aps), mean(aps), bootstrap_interval(aps),
+                      sum(ap > 0.0 for ap in aps) / len(aps), per_user)
 
 
 def mean(values: Collection[float]) -> float:
@@ -125,6 +131,22 @@ def mean(values: Collection[float]) -> float:
     for value in values:
         total += value
     return total / len(values)
+
+
+# resamples of a bootstrap interval, drawn from one fixed seed so that the
+# same values always give the same interval
+BOOTSTRAP_DRAWS = 2000
+
+
+def bootstrap_interval(values: Sequence[float]) -> list[float]:
+    """The percentile bootstrap 95% interval of the mean of values: the 2.5th
+    and 97.5th percentiles of the means of BOOTSTRAP_DRAWS resamples with
+    replacement, taken in one (draws, len(values)) index draw from seed 0.
+    Two equally long value lists resample the same positions, so the
+    interval of their per-position differences is a paired one."""
+    values = np.asarray(values, dtype=np.float64)
+    draws = np.random.default_rng(0).integers(len(values), size=(BOOTSTRAP_DRAWS, len(values)))
+    return np.percentile(values[draws].mean(axis=1), [2.5, 97.5]).tolist()
 
 
 def split_queries(test: Dataset, t: float) -> list[tuple[int, float, set[int]]]:

@@ -14,6 +14,7 @@ import pytest
 from threadrec import cli, corpus, model, synth
 from threadrec.cli import (UsageError, main, parse_duration, read_config_file,
                            verify_manifest)
+from threadrec.recommend import bootstrap_interval, mean
 from threadrec.synth import SynthConfig
 from threadrec.train import TrainConfig, mean_event_gap
 
@@ -273,6 +274,7 @@ def test_ablate_writes_table(pipeline, capsys):
     assert payload["seeds"] == [6]  # base 2 plus the ablate stage offset
     for row in payload["variants"].values():
         assert len(row["per_seed"]) == 1 and row["mean"] == row["per_seed"][0]
+        assert row["min"] == row["max"] == row["mean"]
     for variant in payload["variants"]:
         assert variant in table
     timings = json.loads((out / "manifest.json").read_text())["timings"]
@@ -292,7 +294,8 @@ def test_ablate_adds_the_seed_scores_left_to_right(pipeline, tmp_path, monkeypat
     # Python 3.12's sum() makes the mean of these six scores 0.4222222222222222
     scores = [0.7000000000000001, 0.24444444444444446, 0.27777777777777773, 0.45, 0.75,
               0.1111111111111111]
-    monkeypatch.setattr(cli, "_ablate_job", lambda job, shared=None: (scores[job[1] - 6], 3))
+    monkeypatch.setattr(cli, "_ablate_job",
+                        lambda job, shared=None: (scores[job[1] - 6], [scores[job[1] - 6]] * 3))
     out = tmp_path / "ablate"
     assert main(["ablate", "--data", str(pipeline["data"]), "--lda", str(pipeline["lda"]),
                  "--out", str(out), "--train-end", "2w", "--test-end", "3w", "--seed", "2",
@@ -300,6 +303,45 @@ def test_ablate_adds_the_seed_scores_left_to_right(pipeline, tmp_path, monkeypat
     variants = json.loads((out / "ablation.json").read_text())["variants"]
     assert {row["mean"] for row in variants.values()} == {0.4222222222222223}
     capsys.readouterr()
+
+
+def test_ablate_reports_the_seed_spread_and_the_paired_difference(pipeline, tmp_path,
+                                                                  monkeypatch, capsys):
+    # three students; every variant but no_text_features scores as full
+    # does, and no_text_features adds 0.5 at student 1 in seed 7 only
+    full = {6: [0.5, 0.0, 1.0], 7: [0.0, 0.0, 1.0]}
+
+    def job(job, shared=None):
+        variant, seed = job
+        aps = list(full[seed])
+        if variant == "no_text_features" and seed == 7:
+            aps[1] = 0.5
+        return mean(aps), aps
+
+    monkeypatch.setattr(cli, "_ablate_job", job)
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--data", str(pipeline["data"]), "--lda", str(pipeline["lda"]),
+                 "--out", str(out), "--train-end", "2w", "--test-end", "3w", "--seed", "2",
+                 "--seeds", "2"]) == 0
+    payload = json.loads((out / "ablation.json").read_text())
+    assert payload["users_evaluated"] == 3
+    rows = payload["variants"]
+    assert rows["full"] == {"per_seed": [0.5, 1 / 3], "mean": 0.41666666666666663,
+                            "min": 1 / 3, "max": 0.5}
+    for variant in ("no_dynamic_student", "no_thread_projection"):
+        assert rows[variant]["diff_from_full"] == 0.0
+        assert rows[variant]["diff_ci95"] == [0.0, 0.0]
+    # student 1's seed-mean AP rises by 0.25, the others' not at all
+    text = rows["no_text_features"]
+    assert (text["min"], text["max"]) == (0.5, 0.5)
+    assert text["diff_from_full"] == mean([0.0, 0.25, 0.0])
+    assert text["diff_ci95"] == bootstrap_interval([0.0, 0.25, 0.0])
+    assert text["diff_ci95"][0] == 0.0 < text["diff_ci95"][1]
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].startswith("variant") and "minus full [95% CI]" in table[0]
+    assert table[1].split() == ["full", "0.416667", "0.3333-0.5000"]
+    assert table[-1].split() == ["no_text_features", "0.500000", "0.5000-0.5000",
+                                 "+0.0833", "[+0.0000,", "+0.2500]"]
 
 
 def test_ablate_pool_starts_no_more_workers_than_jobs(pipeline, tmp_path, monkeypatch,

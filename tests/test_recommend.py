@@ -10,8 +10,9 @@ from threadrec.model import (AblationFlags, DynamicStateStore, ModelParams,
                              excitation, project_thread)
 from threadrec.recommend import (EvaluationError, _rank_by_distance,
                                  average_precision, baseline_pop, baseline_rec,
-                                 baseline_user_rec, build_model_ranker, evaluate,
-                                 event_queries, split_queries)
+                                 baseline_user_rec, bootstrap_interval,
+                                 build_model_ranker, evaluate, event_queries,
+                                 split_queries)
 from threadrec.text import build_vocabulary, lda_fit, lda_infer_batch, term_frequency
 from threadrec.train import TrainConfig
 
@@ -270,6 +271,32 @@ def test_evaluate_means_over_users(course2):
     assert report.per_user_ap == {0: 1.0, 1: 0.0}
     assert report.map_at_n == pytest.approx(0.5)
     assert report.users_evaluated == 2
+
+
+def test_evaluate_reports_the_interval_and_the_nonzero_share(course2):
+    test_events = [make_event(i, i, i % 4, 10.0 + i) for i in range(8)]
+    report = evaluate(lambda s, t: [0, 1, 2, 3],
+                      split_queries(Dataset(test_events, 8, 4, course2), 10.0), n_cutoff=2)
+    aps = list(report.per_user_ap.values())
+    assert aps == [1.0, 0.5, 0.0, 0.0] * 2
+    assert report.nonzero_ap_share == 0.5
+    assert report.map_ci95 == bootstrap_interval(aps)
+    lo, hi = report.map_ci95
+    assert 0.0 <= lo < report.map_at_n < hi <= 1.0
+
+
+def test_bootstrap_interval_is_the_percentiles_of_resampled_means():
+    values = [0.0] * 19 + [1.0]
+    draws = np.random.default_rng(0).integers(20, size=(recommend.BOOTSTRAP_DRAWS, 20))
+    means = [np.mean([values[i] for i in row]) for row in draws]
+    assert bootstrap_interval(values) == np.percentile(means, [2.5, 97.5]).tolist()
+    # one student of 20 with non-zero AP: resamples without them are common
+    assert bootstrap_interval(values)[0] == 0.0
+    assert bootstrap_interval([0.25] * 7) == [0.25, 0.25]
+    # a fixed seed: the same values, the same bytes
+    rng = np.random.default_rng(5)
+    more = rng.random(138).tolist()
+    assert bootstrap_interval(more) == bootstrap_interval(list(more))
 
 
 def test_evaluate_adds_the_means_left_to_right():

@@ -193,19 +193,17 @@ class RowGrad:
         self.values = self._buf[:len(rows)]
         self.values.fill(0.0)
 
-    def take(self, idx) -> tuple[np.ndarray, int]:
-        """The dense gradient's rows idx, a range or sorted rows that hold
-        every row of the gradient from idx[0] to idx[-1], as a
-        (len(idx), width) view of the scratch buffer, +0.0 but in the
-        gradient's rows; and how many of those it holds. The caller may
-        overwrite those rows: the next take first writes +0.0 over them."""
+    def take(self, idx: range) -> tuple[np.ndarray, int]:
+        """The dense gradient's rows idx, a range, as a (len(idx), width)
+        view of the scratch buffer, +0.0 but in the gradient's rows; and
+        how many of those it holds. The caller may overwrite those rows:
+        the next take first writes +0.0 over them."""
         block, at = self._written
         block[at] = 0.0
         width = self.shape[1]
         block = self._scratch[:len(idx) * width].reshape(len(idx), width)
-        lo, hi = self.rows.searchsorted((idx[0], idx[-1] + 1))
-        rows = self.rows[lo:hi]
-        at = rows - idx[0] if isinstance(idx, range) else idx.searchsorted(rows)
+        lo, hi = self.rows.searchsorted((idx.start, idx.stop))
+        at = self.rows[lo:hi] - idx.start
         block[at] = self.values[lo:hi]
         self._written = block, at
         return block, len(at)
@@ -231,12 +229,13 @@ def _act(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
         # 1/(1+exp(-x)) with the C library's exp, which is scipy's expit bit
         # for bit; numpy's vectorized exp rounds some values differently.
-        # Values at or below -700, where exp(-v) can overflow, and nan take
-        # the checked path.
-        exp = math.exp
-        out = [1.0 / (1.0 + exp(-v)) if v > -700.0 else _sigmoid_checked(v)
-               for v in x.ravel().tolist()]
-        return np.array(out).reshape(x.shape)
+        # Below about -709.78, where exp(-v) overflows and math.exp raises,
+        # every value takes the checked path.
+        try:
+            e = np.fromiter(map(math.exp, (-x).ravel().tolist()), np.float64, x.size)
+        except OverflowError:
+            return np.array([_sigmoid_checked(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return (1.0 / (1.0 + e)).reshape(x.shape)
     return np.tanh(x)
 
 
@@ -444,14 +443,16 @@ def predictor_rows(batch: EventFeatures, params: ModelParams) -> np.ndarray:
 
 
 def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelParams,
-                grads: dict | None, flags: AblationFlags = AblationFlags()):
+                grads: dict | None, flags: AblationFlags = AblationFlags(),
+                rows: np.ndarray | None = None):
     """Write the gradients of a t-batch's summed loss into grads, a gradient
     set the caller owns (ModelParams.zero_grads), and return (losses,
     student_rows, thread_rows): every event's loss and the new state pair
     it writes back. Every gradient, the predictor's RowGrad at the rows
     predictor_rows names, starts afresh at +0.0 and sums the batch's terms
-    as the dense gradient would, whatever grads held before. With grads
-    None the backward pass is skipped.
+    as the dense gradient would, whatever grads held before. A caller that
+    steps the same batch again may pass those rows once computed. With
+    grads None the backward pass is skipped.
 
     No student or thread appears twice in a t-batch, so its events run as
     the rows of one pass. The backward pass is hand derived. States
@@ -494,7 +495,7 @@ def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelPar
     g_q = _unit_rows(residual, norm_q)
     grads["predictor_bias"] += g_q.sum(axis=0)
     Wg = grads["predictor"]
-    Wg.start(predictor_rows(batch, params))
+    Wg.start(predictor_rows(batch, params) if rows is None else rows)
     rows, Wv = Wg.rows, Wg.values
     # one (events, n + d) product at a time: the summed outer products of
     # the two embedding blocks, without an (events, d, n + d) array; rows

@@ -7,22 +7,19 @@ entity and replaying batches in order preserves every per-entity timeline.
 model.batch_grads writes a batch's gradients in one pass, with the dynamic
 states entering the batch treated as constants, into the one gradient set
 of the fit, starting every gradient afresh. A batch reaches only the
-predictor rows model.predictor_rows names, so its predictor gradient is
-compact: those rows and a block of their values (model.RowGrad), in a
-buffer that grows to the largest batch's rows. A step is clip_gradients, then
-Adam.step, which applies the gradients to the parameters; both only read
-the set. Clipping sums the predictor's squares in numpy's pairwise order
-over the dense layout, rebuilding only the leaves that hold a batch row.
-Adam.step adds the batch's rows to the rows reached so far (the live
-rows); while those are under half the predictor's, it gathers just them,
-block by block, and afterwards it walks whole tensors. Both are bit for
-bit the whole-tensor expressions on the dense gradient, and both build a
-block of the compact gradient in the RowGrad's own scratch, which it
-clears itself. Training holds three predictor-sized arrays (parameters,
-two moments) and allocates none per step; the moments sit on mappings of
-their own (_lazy_zeros), resident only in the 4 KB pages of the rows a
-step has written. The features come from one replay of the window
-through a state store's trackers, which training keeps; only the
+predictor rows model.predictor_rows names, which fit computes once per
+batch, so its predictor gradient is compact: those rows and a block of
+their values (model.RowGrad), in a buffer that grows to the largest
+batch's rows. A step is clip_gradients, then Adam.step, which applies the
+gradients to the parameters; both only read the set. Clipping sums the
+predictor's squares in numpy's pairwise order over the dense layout,
+rebuilding only the leaves that hold a batch row. Adam.step is lazy: it
+moves the predictor only at the batch's rows, gathered block by block,
+and the other tensors whole. Training holds three predictor-sized arrays
+(parameters, two moments) and allocates none per step; the moments sit
+on mappings of their own (_lazy_zeros), resident only in the 4 KB pages
+of the rows a step has written. The features come from one replay of the
+window through a state store's trackers, which training keeps; only the
 embeddings restart from zero at every epoch.
 """
 from __future__ import annotations
@@ -50,6 +47,7 @@ from .model import (
     check_hyperparameters,
     dense_grads,
     excitation,
+    predictor_rows,
 )
 from .text import LdaModel, Vocabulary, lda_infer_batch, term_frequency
 
@@ -203,14 +201,6 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
 # optimizer
 
 
-# While the live predictor rows are fewer than this share of all its rows,
-# a step gathers them block by block; from it on it walks whole tensors.
-# Measured at paper shape (3,176 rows of 1,333) with every page in memory,
-# and with clipping then gathered too, a gathered step cost about 0.2 of a
-# whole-tensor one at a tenth of the rows, 0.8 at half and as much from
-# about 0.65 on; half keeps a margin below that crossover.
-_SPARSE_SHARE = 0.5
-
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
@@ -237,28 +227,27 @@ def _gather(arr: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Adam over every tensor of a ModelParams. step reads the gradient
-    set and writes into none of it.
+    """Lazy Adam over every tensor of a ModelParams, as TensorFlow Addons'
+    LazyAdam and torch.optim.SparseAdam: a step moves p, m and v of the
+    predictor only at the rows of its compact gradient, the rows its
+    t-batch reaches, and every entry of the other tensors. The step count,
+    and so the bias correction, is global. A predictor row the batch does
+    not reach keeps p, m and v as they are: its moments do not decay until
+    a batch reaches it again. step reads the gradient set and writes into
+    none of it.
 
-    A predictor row no step has reached holds g, m and v of +0.0, where
-    every operation of the step yields +0.0 and p -= 0.0 keeps p's bits,
-    so skipping it changes nothing. Each step adds the rows of its
-    predictor gradient to the live rows, kept as the mask _reached and,
-    sorted, as live. While they are fewer than _SPARSE_SHARE of the
-    predictor's, step gathers p, m and v of them block by block, runs the
-    elementwise sequence on the block and scatters the three back. Once
-    they reach that share, both become None for good, since the live rows
-    only grow: every step then walks the predictor in blocks of whole rows.
-    The other tensors are walked in slices of _STEP_BLOCK elements. A
-    predictor block's gradient is RowGrad.take's block. Each gradient
-    block is multiplied by the clip scale before use. Intermediates go
-    into block-sized buffers, so no step allocates a tensor-sized array,
-    and since elementwise operations round the same in any block or row
-    order, the result is bit for bit that of the whole-tensor expressions
-    on the dense gradient. Training thus holds three predictor-sized
-    arrays: the parameters and the two moments. The moments come from
-    _lazy_zeros, so only the live rows of m and v are resident, all of
-    them once steps walk every row."""
+    The batch's rows are gathered block by block: p, m and v of a block of
+    them are copied into block buffers, the elementwise sequence runs on
+    them and on the gradient's own block of values, and the three are
+    scattered back. The other tensors are walked in slices of _STEP_BLOCK
+    elements. Each gradient block is multiplied by the clip scale before
+    use. Intermediates go into block-sized buffers, so no step allocates a
+    tensor-sized array, and since elementwise operations round the same in
+    any block or row order, the result is bit for bit that of the
+    whole-tensor expressions applied to the batch's rows. Training thus
+    holds three predictor-sized arrays: the parameters and the two
+    moments. The moments come from _lazy_zeros, so only the rows some
+    batch has reached are resident in m and v."""
 
     def __init__(self, params: ModelParams, learning_rate):
         self.lr = learning_rate
@@ -267,12 +256,9 @@ class Adam:
         shapes = {name: params.tensor(name).shape for name in TENSOR_NAMES}
         self.m = {name: _lazy_zeros(shape) for name, shape in shapes.items()}
         self.v = {name: _lazy_zeros(shape) for name, shape in shapes.items()}
-        rows, width = shapes["predictor"]
         # one block each for gathering p, m and v, and one for denominators
-        self._block = np.empty((4, max(_STEP_BLOCK, width)))
+        self._block = np.empty((4, max(_STEP_BLOCK, shapes["predictor"][1])))
         self._tmp = np.empty(_STEP_BLOCK)  # intermediates
-        self._reached = np.zeros(rows, dtype=bool)  # None once steps walk every row
-        self.live = None
 
     def step(self, params: ModelParams, grads: dict, scale: float = 1.0) -> None:
         self.t += 1
@@ -283,25 +269,15 @@ class Adam:
             if name != "predictor":
                 self._update(*map(_flat, (p, g, m, v)), scale, bc1, bc2)
                 continue
-            if self._reached is not None:
-                self._reached[g.rows] = True
-                self.live = np.flatnonzero(self._reached)
-                if len(self.live) >= _SPARSE_SHARE * len(self._reached):
-                    self._reached = self.live = None
-            live = range(len(p)) if self.live is None else self.live
             per_block = max(1, _STEP_BLOCK // p.shape[1])  # rows, one if wider
-            for lo in range(0, len(live), per_block):
-                idx = live[lo:lo + per_block]
-                if self.live is None:  # consecutive rows: views
-                    pmv = [arr[idx[0]:idx[-1] + 1] for arr in (p, m, v)]
-                else:
-                    pmv = [_gather(arr, idx, buf) for arr, buf in zip((p, m, v), self._block)]
-                gs = g.take(idx)[0]
+            for lo in range(0, len(g.rows), per_block):
+                idx = g.rows[lo:lo + per_block]
+                pmv = [_gather(arr, idx, buf) for arr, buf in zip((p, m, v), self._block)]
+                gs = g.values[lo:lo + per_block]
                 self._update(*(b.reshape(-1) for b in (pmv[0], gs, pmv[1], pmv[2])),
                              scale, bc1, bc2)
-                if self.live is not None:
-                    for arr, block in zip((p, m, v), pmv):
-                        arr[idx] = block
+                for arr, block in zip((p, m, v), pmv):
+                    arr[idx] = block
 
     def _update(self, p, g, m, v, scale, bc1, bc2) -> None:
         """The elementwise Adam sequence on 1-D p, g, m and v, in place,
@@ -428,6 +404,7 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
     )
     batches = [feats.take(batch)
                for batch in t_batch(feats.student.tolist(), feats.thread.tolist())]
+    reached = [predictor_rows(batch, params) for batch in batches]  # the same every epoch
     flags = config.flags
     opt = Adam(params, config.learning_rate)
     grads = params.zero_grads()  # every batch writes the whole set afresh
@@ -436,47 +413,50 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
     # the trackers already hold the whole window and training never reads
     # them; only the embeddings restart from zero every epoch
     store = copy.deepcopy(trackers)
-    for epoch in range(config.epochs):
-        start = time.perf_counter()
-        store.student_vecs = np.zeros((num_students, config.embed_dim))
-        store.thread_vecs = np.zeros((num_threads, config.embed_dim))
-        collect = trajectory_sink is not None and epoch == config.epochs - 1
-        epoch_loss, grad_norm_max, clipped, optimizer_seconds = 0.0, 0.0, 0, 0.0
-        stepped_rows = 0
-        for b, batch in enumerate(batches):
-            losses, u_new, p_new = batch_grads(batch, store, params, grads, flags)
-            finite = np.isfinite(losses)
-            if not finite.all():
-                raise TrainingDiverged("non-finite loss at epoch %d batch %d post %d"
-                                       % (epoch, b, batch.post_id[np.argmin(finite)]))
-            for loss in losses.tolist():  # a running sum in event order, not pairwise
-                epoch_loss += loss
+    # a diverging fit overflows before its loss or gradient norm turns
+    # non-finite, which raises TrainingDiverged below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            start = time.perf_counter()
+            store.student_vecs = np.zeros((num_students, config.embed_dim))
+            store.thread_vecs = np.zeros((num_threads, config.embed_dim))
+            collect = trajectory_sink is not None and epoch == config.epochs - 1
+            epoch_loss, grad_norm_max, clipped, optimizer_seconds = 0.0, 0.0, 0, 0.0
+            stepped_rows = 0
+            for b, (batch, rows) in enumerate(zip(batches, reached)):
+                losses, u_new, p_new = batch_grads(batch, store, params, grads, flags, rows)
+                finite = np.isfinite(losses)
+                if not finite.all():
+                    raise TrainingDiverged("non-finite loss at epoch %d batch %d post %d"
+                                           % (epoch, b, batch.post_id[np.argmin(finite)]))
+                for loss in losses.tolist():  # a running sum in event order, not pairwise
+                    epoch_loss += loss
 
-            # state writes land after the whole batch so every event read
-            # the values from the previous batch
-            store.student_vecs[batch.student] = u_new
-            store.thread_vecs[batch.thread] = p_new
-            if collect:
-                for s, c, t, u, p in zip(batch.student.tolist(), batch.thread.tolist(),
-                                         batch.timestamp.tolist(), u_new, p_new):
-                    trajectory_sink += [("student", s, t, *u), ("thread", c, t, *p)]
+                # state writes land after the whole batch so every event read
+                # the values from the previous batch
+                store.student_vecs[batch.student] = u_new
+                store.thread_vecs[batch.thread] = p_new
+                if collect:
+                    for s, c, t, u, p in zip(batch.student.tolist(), batch.thread.tolist(),
+                                             batch.timestamp.tolist(), u_new, p_new):
+                        trajectory_sink += [("student", s, t, *u), ("thread", c, t, *p)]
 
-            step_start = time.perf_counter()
-            total, scale = clip_gradients(grads, config.clip_norm)
-            if not np.isfinite(total):
-                raise TrainingDiverged("non-finite gradient at epoch %d batch %d" % (epoch, b))
-            grad_norm_max = max(grad_norm_max, total)
-            clipped += 0 < config.clip_norm < total
-            opt.step(params, grads, scale)
-            optimizer_seconds += time.perf_counter() - step_start
-            stepped_rows += len(params.predictor) if opt.live is None else len(opt.live)
-        seconds = time.perf_counter() - start
-        log_rows.append([epoch, repr(epoch_loss / len(feats)), "%.6f" % seconds,
-                         repr(float(grad_norm_max)), clipped, "%.6f" % optimizer_seconds,
-                         repr(stepped_rows / len(batches)),
-                         repr(mean_state_norm(store.student_vecs, store.student_seen)),
-                         repr(mean_state_norm(store.thread_vecs, store.thread_seen)),
-                         "%.1f" % (len(feats) / seconds)])
+                step_start = time.perf_counter()
+                total, scale = clip_gradients(grads, config.clip_norm)
+                if not np.isfinite(total):
+                    raise TrainingDiverged("non-finite gradient at epoch %d batch %d" % (epoch, b))
+                grad_norm_max = max(grad_norm_max, total)
+                clipped += 0 < config.clip_norm < total
+                opt.step(params, grads, scale)
+                optimizer_seconds += time.perf_counter() - step_start
+                stepped_rows += len(rows)
+            seconds = time.perf_counter() - start
+            log_rows.append([epoch, repr(epoch_loss / len(feats)), "%.6f" % seconds,
+                             repr(float(grad_norm_max)), clipped, "%.6f" % optimizer_seconds,
+                             repr(stepped_rows / len(batches)),
+                             repr(mean_state_norm(store.student_vecs, store.student_seen)),
+                             repr(mean_state_norm(store.thread_vecs, store.thread_seen)),
+                             "%.1f" % (len(feats) / seconds)])
 
     if log_path is not None:
         with open(log_path, "w", newline="") as fh:

@@ -147,14 +147,14 @@ def test_adam_first_step_is_signed_learning_rate():
 
 
 def test_adam_learns_live_rows_from_the_gradient():
-    # nobody names the rows to the optimizer: each step adds its gradient's
-    # rows to the live rows, gathers them and matches the dense step
+    # nobody names the rows to the optimizer: each step moves the rows of
+    # its gradient, and a row it does not reach keeps p, m and v as they are
     rng = np.random.default_rng(1)
     params = ModelParams.init(rng, 2, 2, 2, 4, 4)
     ref_params = params.copy()
     opt, ref = Adam(params, 0.01), RefAdam(ref_params, 0.01)
     grads = params.zero_grads()
-    for rows, live in (([1, 5], [1, 5]), ([0, 5], [0, 1, 5])):
+    for rows in ([1, 5], [0, 5]):
         dense = dense_zero_grads(params)
         for name in TENSOR_NAMES:
             dense[name][...] = rng.normal(size=dense[name].shape)
@@ -162,13 +162,19 @@ def test_adam_learns_live_rows_from_the_gradient():
         outside[rows] = False
         dense["predictor"][outside] = 0.0
         load_grads(grads, dense, np.array(rows))
+        kept = [arr[outside].copy() for arr in (params.predictor, opt.m["predictor"],
+                                                opt.v["predictor"])]
         opt.step(params, grads)
-        ref.step(ref_params, dense)
-        assert opt.live.tolist() == live
+        ref.step(ref_params, dense, np.array(rows))
         for name in TENSOR_NAMES:
             assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
             assert np.array_equal(opt.m[name], ref.m[name]), name
             assert np.array_equal(opt.v[name], ref.v[name]), name
+        for arr, before in zip((params.predictor, opt.m["predictor"], opt.v["predictor"]),
+                               kept):
+            assert arr[outside].tobytes() == before.tobytes()
+    # row 1, reached by the first step only, keeps its first moments
+    assert opt.m["predictor"][1].any() and not opt.m["predictor"][2].any()
 
 
 def test_row_grad_scratch_is_zero_but_the_rows_take_wrote():
@@ -178,8 +184,8 @@ def test_row_grad_scratch_is_zero_but_the_rows_take_wrote():
     grad.start(np.array([0, 3, 4, 11, 12, 25, 39]))
     grad.values[...] = rng.normal(size=grad.values.shape)
     grad.values[1, :5] = -0.0
-    for idx in (range(0, 12), np.array([3, 4, 7]), range(10, 22), range(22, 34),
-                np.array([25, 39]), range(0, 1), range(39, 40)):
+    for idx in (range(0, 12), range(3, 8), range(10, 22), range(22, 34), range(28, 40),
+                range(0, 1), range(39, 40)):
         block, held = grad.take(idx)
         wrote = np.isin(np.asarray(idx), grad.rows)
         assert held == wrote.sum()
@@ -303,12 +309,12 @@ def _sparse_grads(rng, params, step):
 
 
 def _reach(rng, params, grads):
-    """Pick 40 random predictor rows and the two embedding blocks as the
+    """Pick 200 random predictor rows and the two embedding blocks as the
     rows this step's gradient reaches, zero the predictor gradient
     elsewhere, as a t-batch would leave it, and return the rows."""
     d, m = params.embed_dim, params.num_students
     rows = np.unique(np.concatenate([np.arange(d), np.arange(d + m, 2 * d + m),
-                                     rng.choice(len(params.predictor), 40, replace=False)]))
+                                     rng.choice(len(params.predictor), 200, replace=False)]))
     outside = np.ones(len(params.predictor), dtype=bool)
     outside[rows] = False
     grads["predictor"][outside] = 0.0
@@ -317,14 +323,14 @@ def _reach(rng, params, grads):
 
 @pytest.mark.parametrize("clip_norm", [0.0, 5.0])
 def test_adam_step_matches_reference_bitwise(clip_norm):
-    # steps given every row, then steps whose live rows grow past half
+    # steps given every row, then steps given the rows a batch would reach
     for named in (False, True):
         rng = np.random.default_rng(21)
         params = _multi_slice_params(rng)
         ref_params = params.copy()
         opt, ref = Adam(params, 0.01), RefAdam(ref_params, 0.01)
         grads = params.zero_grads()
-        clipped, walked = 0, []
+        clipped, stepped = 0, []
         for step in range(12):
             ref_grads = _sparse_grads(rng, params, step)
             rows = np.arange(len(params.predictor))
@@ -332,12 +338,12 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
                 rows = _reach(rng, params, ref_grads)
             load_grads(grads, ref_grads, rows)
             norm, scale = clip_gradients(grads, clip_norm)
-            assert norm == ref_clip_gradients(ref_grads, clip_norm)
+            assert (norm, scale) == ref_clip_gradients(ref_grads, clip_norm)
             clipped += 0 < clip_norm < norm
             before = {name: g.copy() for name, g in dense_grads(grads).items()}
             opt.step(params, grads, scale)
-            walked.append(None if opt.live is None else len(opt.live))
-            ref.step(ref_params, ref_grads)
+            stepped.append(len(rows))
+            ref.step(ref_params, ref_grads, rows)
             for name in TENSOR_NAMES:
                 assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
                 assert np.array_equal(opt.m[name], ref.m[name]), name
@@ -348,18 +354,14 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
                 assert np.array_equal(np.signbit(after), np.signbit(before[name])), name
         # with clipping on, every step but those at the smallest scale is clipped
         assert clipped == (9 if clip_norm else 0)
-        if named:
-            # the live rows span several gather blocks, then pass half the rows
-            per_block = train._STEP_BLOCK // params.predictor.shape[1]
-            sparse = [n for n in walked if n is not None]
-            assert max(sparse) > per_block and 2 * max(sparse) < len(params.predictor)
-            assert walked[-1] is None and None not in walked[:len(sparse)]
-        else:
-            assert walked == [None] * 12
+        # a step's rows span several gather blocks, all rows or some
+        per_block = train._STEP_BLOCK // params.predictor.shape[1]
+        assert min(stepped) > per_block
+        assert (max(stepped) < len(params.predictor)) == named
 
 
 def test_optimizer_allocates_no_tensor_sized_arrays():
-    # steps given every row, then steps whose live rows stay under half
+    # steps given every row, then steps given the rows a batch would reach
     for named in (False, True):
         rng = np.random.default_rng(22)
         params = _multi_slice_params(rng)
@@ -378,7 +380,6 @@ def test_optimizer_allocates_no_tensor_sized_arrays():
                 sizes.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert (opt.live is not None) == named
         # the first step is the warm-up
         assert max(sizes[1:]) < params.predictor.nbytes // 4, sizes
 
@@ -434,9 +435,9 @@ def test_a_step_makes_resident_only_the_moment_rows_it_writes():
     opt = Adam(params, 0.01)
     opt.step(params, grads)
     grown = _resident_bytes() - before
-    assert list(opt.live) == list(rows)
     # m and v of those rows, the step's block buffers and no whole moment
     assert grown < params.predictor.nbytes // 4, (grown, params.predictor.nbytes)
+    assert np.flatnonzero(opt.m["predictor"].any(axis=1)).tolist() == rows.tolist()
 
 
 # gradient checking
@@ -943,37 +944,52 @@ def event_grads(feats, i, store, params, grads, flags):
 
 
 class RefAdam:
-    """The whole-tensor Adam step that Adam.step's blocked, in-place form
-    must match bit for bit."""
+    """The lazy Adam step that Adam.step's blocked, gathered form must match
+    bit for bit: the whole-tensor Adam expressions on every tensor but the
+    predictor, and on the predictor's rows the step is given only, with the
+    step count global. grads are dense and already clipped."""
 
     def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps, self.t = learning_rate, beta1, beta2, eps, 0
         self.m = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
         self.v = {name: np.zeros_like(params.tensor(name)) for name in TENSOR_NAMES}
 
-    def step(self, params, grads):
+    def step(self, params, grads, rows):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name in TENSOR_NAMES:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params.tensor(name)[...] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            at = rows if name == "predictor" else slice(None)
+            g = grads[name][at]
+            m = self.beta1 * self.m[name][at] + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v[name][at] + (1.0 - self.beta2) * g * g
+            self.m[name][at], self.v[name][at] = m, v
+            params.tensor(name)[at] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def ref_clip_gradients(grads, max_norm):
-    """The clipping clip_gradients must match bit for bit."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-    return total
+    """The clipping clip_gradients must match bit for bit, on dense
+    gradients, which it scales in place: the norm, the square sums added
+    left to right, and the factor."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    total = np.sqrt(total)
+    scale = max_norm / total if 0 < max_norm < total else 1.0
+    for g in grads.values():
+        g *= scale
+    return total, scale
+
+
+def reference_rows(students, last_threads, params):
+    """The predictor rows that events of these students and previous
+    threads write, sorted: the two embedding blocks, each student's row
+    and each previous thread's row."""
+    d, m = params.embed_dim, params.num_students
+    rows = set(range(d)) | set(range(d + m, 2 * d + m))
+    rows |= {d + int(s) for s in students}
+    rows |= {2 * d + m + int(c) for c in last_threads if c >= 0}
+    return np.array(sorted(rows))
 
 
 def reference_fit(ds, features, config, num_topics):
@@ -1003,7 +1019,8 @@ def reference_fit(ds, features, config, num_topics):
                 store.student_vecs[feats.student[i]] = u_new
                 store.thread_vecs[feats.thread[i]] = p_new
             ref_clip_gradients(grads, config.clip_norm)
-            opt.step(params, grads)
+            opt.step(params, grads,
+                     reference_rows(feats.student[batch], feats.last_thread[batch], params))
         mean_losses.append(epoch_loss / len(feats))
     return params, store, mean_losses
 
@@ -1029,8 +1046,8 @@ def batch_ds(course2):
 @pytest.fixture
 def sparse_ds(batch_ds):
     """batch_ds's posts in a course that registers 60 students and 40
-    threads, most of which never post: the predictor rows its t-batches
-    reach stay under half of all its rows."""
+    threads, most of which never post: no t-batch reaches most of the
+    predictor's rows."""
     return replace(batch_ds, num_students=60, num_threads=40, student_ids=list(range(60)),
                    thread_ids=list(range(40)))
 
@@ -1102,14 +1119,13 @@ def test_fit_matches_per_event_loop_bitwise(name, request, tmp_path):
             logged = [line.split(",") for line in log.read_text().splitlines()[1:]]
             assert [row[1] for row in logged] == [repr(loss) for loss in ref_losses]
             clipped += sum(int(row[4]) for row in logged)
+            # every step moves the rows its batch reaches, and no more
+            feats = features.events
+            reached = [len(reference_rows(feats.student[b], feats.last_thread[b], params))
+                       for b in event_batches(ds.events)]
+            assert float(logged[-1][6]) == sum(reached) / len(reached)
             if name == "sparse_ds":
-                # every step of both epochs gathers the live rows: by the
-                # second epoch they are every row the batches reach, fewer
-                # than half the predictor's
-                reached = np.unique(np.concatenate([predictor_rows(features.events.take(b), params)
-                                                    for b in event_batches(ds.events)]))
-                assert 2 * len(reached) < len(params.predictor)
-                assert float(logged[-1][6]) == len(reached)
+                assert 2 * max(reached) < len(params.predictor)
     assert clipped > 0
 
 
@@ -1134,8 +1150,8 @@ def test_exact_row_primitives():
 
 # The dense predictor gradient that RowGrad replaced, frozen as the
 # reference the compact path must match bit for bit: batch_grads into a
-# dense dict, clipping's _square_sum over it, and the Adam step, gathered
-# or whole-tensor, that consumed it.
+# dense dict, clipping's np.sum(g * g) over it, and the lazy Adam step on
+# the rows the batch reaches.
 
 
 def sum_at(index, rows, count):
@@ -1199,117 +1215,24 @@ def dense_batch_grads(batch, store, params, grads, flags):
     return losses, u_new, p_new
 
 
-def dense_square_sum(g, buf, reached=None):
-    """float(np.sum(g * g)) in numpy's pairwise order, skipping the leaves
-    without a row of the boolean mask reached."""
-    flat, width = g.reshape(-1), g.shape[-1]
-
-    def node(lo, n):
-        if n > train._STEP_BLOCK:
-            half = n // 2 - n // 2 % 8
-            return node(lo, half) + node(lo + half, n - half)
-        if reached is not None and not reached[lo // width:(lo + n - 1) // width + 1].any():
-            return 0.0
-        part = flat[lo:lo + n]
-        return float(np.add.reduce(np.multiply(part, part, out=buf[:n])))
-
-    return node(0, flat.size)
-
-
-def dense_clip_gradients(grads, max_norm, opt):
-    reached = None if opt.live is None else opt._reached
-    total = np.sqrt(sum(dense_square_sum(g, opt._tmp, reached if name == "predictor" else None)
-                        for name, g in grads.items()))
-    return total, (max_norm / total if 0 < max_norm < total else 1.0)
-
-
-class DenseAdam:
-    """Adam.step over a dense gradient set, which it leaves zero: the live
-    predictor rows gathered block by block while under sparse_share of its
-    rows, every tensor walked in flat slices after."""
-
-    def __init__(self, params, learning_rate, sparse_share=0.5, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps, self.t = learning_rate, beta1, beta2, eps, 0
-        self.sparse_share = sparse_share
-        self.m = {name: np.zeros(params.tensor(name).shape) for name in TENSOR_NAMES}
-        self.v = {name: np.zeros(params.tensor(name).shape) for name in TENSOR_NAMES}
-        rows, width = params.predictor.shape
-        self._block = np.empty((4, max(train._STEP_BLOCK, width)))
-        self._tmp = np.empty(max(train._STEP_BLOCK, width))
-        self._reached = np.zeros(rows, dtype=bool)
-        self.live = None
-
-    def reach(self, rows):
-        if self._reached is None:
-            return
-        self._reached[rows] = True
-        self.live = np.flatnonzero(self._reached)
-        if len(self.live) >= self.sparse_share * len(self._reached):
-            self._reached = self.live = None
-
-    def step(self, params, grads, scale=1.0):
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for name in TENSOR_NAMES:
-            arrays = (params.tensor(name), grads[name], self.m[name], self.v[name])
-            if self.live is not None and name == "predictor":
-                per_block = max(1, train._STEP_BLOCK // arrays[0].shape[1])
-                for lo in range(0, len(self.live), per_block):
-                    idx = self.live[lo:lo + per_block]
-                    blocks = [train._gather(arr, idx, buf)
-                              for arr, buf in zip(arrays, self._block)]
-                    self._update(*(b.reshape(-1) for b in blocks), scale, bc1, bc2)
-                    for arr, block in zip(arrays, blocks):
-                        arr[idx] = block
-            else:
-                self._update(*(arr.reshape(-1) for arr in arrays), scale, bc1, bc2)
-
-    def _update(self, p, g, m, v, scale, bc1, bc2):
-        b1, b2 = self.beta1, self.beta2
-        for lo in range(0, g.size, train._STEP_BLOCK):
-            block = slice(lo, lo + train._STEP_BLOCK)
-            ps, gs, ms, vs = p[block], g[block], m[block], v[block]
-            tmp = self._tmp[:gs.size]
-            if scale != 1.0:
-                gs *= scale
-            vs *= b2
-            np.multiply(1.0 - b2, gs, out=tmp)
-            tmp *= gs
-            vs += tmp
-            ms *= b1
-            np.multiply(1.0 - b1, gs, out=tmp)
-            ms += tmp
-            np.divide(vs, bc2, out=gs)
-            np.sqrt(gs, out=gs)
-            gs += self.eps
-            np.divide(ms, bc1, out=tmp)
-            tmp *= self.lr
-            tmp /= gs
-            ps -= tmp
-            gs.fill(0.0)
-
-
 class Lockstep:
     """One parameter set trained by batch_grads, clip_gradients and
     Adam.step, and a copy trained by the frozen dense path, with every loss,
-    state, gradient entry, clip norm, parameter and moment asserted equal
-    at every t-batch."""
+    state, gradient entry, stepped row, clip norm, parameter and moment
+    asserted equal at every t-batch."""
 
     def __init__(self, params, learning_rate, clip_norm):
         self.params, self.ref_params = params, params.copy()
         self.opt = Adam(self.params, learning_rate)
-        self.ref = DenseAdam(self.ref_params, learning_rate, sparse_share=train._SPARSE_SHARE)
+        self.ref = RefAdam(self.ref_params, learning_rate)
         self.grads = params.zero_grads()
-        self.ref_grads = dense_zero_grads(params)
         self.clip_norm = clip_norm
-        self.walks = []
 
     def batch(self, batch, store, flags=AblationFlags(), negative_zero=None):
         """Run one t-batch; negative_zero, a (row, column) of the predictor
         the batch reaches, is set to -0.0 in both gradients before clipping."""
         got = batch_grads(batch, store, self.params, self.grads, flags)
+        self.ref_grads = dense_zero_grads(self.params)
         ref = dense_batch_grads(batch, store, self.ref_params, self.ref_grads, flags)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
@@ -1324,17 +1247,15 @@ class Lockstep:
             # bit for bit, so -0.0 stays -0.0
             assert np.array_equal(np.signbit(dense[name]), np.signbit(self.ref_grads[name]))
             assert np.array_equal(dense[name], self.ref_grads[name]), name
-        self.ref.reach(self.grads["predictor"].rows)
+        rows = reference_rows(batch.student, batch.last_thread, self.params)
+        assert np.array_equal(self.grads["predictor"].rows, rows)
         total, scale = clip_gradients(self.grads, self.clip_norm)
-        ref_total, ref_scale = dense_clip_gradients(self.ref_grads, self.clip_norm, self.ref)
-        assert (total, scale) == (ref_total, ref_scale)
+        assert (total, scale) == ref_clip_gradients(self.ref_grads, self.clip_norm)
         # clipping leaves the gradient as it was
         assert clip_gradients(self.grads, self.clip_norm) == (total, scale)
         before = {name: g.copy() for name, g in dense.items()}
         self.opt.step(self.params, self.grads, scale)
-        self.ref.step(self.ref_params, self.ref_grads, ref_scale)
-        assert np.array_equal(self.opt.live, self.ref.live)
-        self.walks.append(None if self.opt.live is None else len(self.opt.live))
+        self.ref.step(self.ref_params, self.ref_grads, rows)
         for name in TENSOR_NAMES:
             assert np.array_equal(self.params.tensor(name), self.ref_params.tensor(name)), name
             assert np.array_equal(self.opt.m[name], self.ref.m[name]), name
@@ -1381,8 +1302,6 @@ def test_fit_matches_dense_gradient_path_on_acceptance_course(tmp_path):
         assert np.array_equal(params.tensor(name), run.params.tensor(name)), name
     logged = [line.split(",")[1] for line in log.read_text().splitlines()[1:]]
     assert logged == [repr(loss) for loss in mean_losses]
-    # steps gathered the live rows, then walked whole tensors
-    assert run.walks[0] is not None and run.walks[-1] is None
 
 
 def _paper_batch(rng, params, size):
@@ -1402,10 +1321,7 @@ def _paper_batch(rng, params, size):
         post_id=np.arange(size))
 
 
-@pytest.mark.parametrize("walk", ["gathered", "dense"])
-def test_paper_shape_batches_match_dense_gradient_path(walk, monkeypatch):
-    if walk == "dense":
-        monkeypatch.setattr(train, "_SPARSE_SHARE", 0.0)
+def test_paper_shape_batches_match_dense_gradient_path():
     rng = np.random.default_rng(31)
     # 1,833 students and 1,323 threads: a 3,176 x 1,333 predictor
     params = ModelParams.init(rng, 10, 9, 9, 1833, 1323)
@@ -1416,10 +1332,6 @@ def test_paper_shape_batches_match_dense_gradient_path(walk, monkeypatch):
         store.student_vecs[:] = rng.uniform(-0.9, 0.9, store.student_vecs.shape)
         store.thread_vecs[:] = rng.uniform(-0.9, 0.9, store.thread_vecs.shape)
         run.batch(batch, store)
-    if walk == "dense":
-        assert run.walks == [None] * 3
-    else:
-        assert None not in run.walks and 2 * run.walks[-1] < len(params.predictor)
 
 
 def _leaf_bounds(size):
@@ -1432,10 +1344,7 @@ def _leaf_bounds(size):
     return node(0, size)
 
 
-@pytest.mark.parametrize("walk", ["gathered", "dense"])
-def test_edge_rows_and_negative_zero_match_dense_gradient_path(walk, monkeypatch):
-    if walk == "dense":
-        monkeypatch.setattr(train, "_SPARSE_SHARE", 0.0)
+def test_edge_rows_and_negative_zero_match_dense_gradient_path():
     rng = np.random.default_rng(32)
     params = _multi_slice_params(rng)
     d, m, n = params.embed_dim, params.num_students, params.num_threads
@@ -1454,7 +1363,6 @@ def test_edge_rows_and_negative_zero_match_dense_gradient_path(walk, monkeypatch
     run = Lockstep(params, 0.01, 1e-3)
     for col in (cut - crossing * width, 0):
         run.batch(batch, store, negative_zero=(crossing, col))
-    assert run.walks[-1] == (None if walk == "dense" else len(reached))
 
 
 def test_fit_allocates_no_predictor_sized_gradient(batch_ds, monkeypatch):

@@ -66,8 +66,12 @@ def test_sigmoid_is_scipy_expit_bit_for_bit():
         assert out.shape == shape and out.dtype == np.float64
         assert np.array_equal(out, expit(rows))
     edges = np.array([0.0, -0.0, 709.78, -709.78, 709.79, -709.79, 710.0, -710.0,
-                      800.0, -800.0, np.inf, -np.inf, np.nan])
+                      800.0, -800.0, 1e308, -1e308, np.inf, -np.inf, np.nan])
     assert np.array_equal(model._act(edges, "sigmoid"), expit(edges), equal_nan=True)
+    # a row holding a value whose exp(-v) overflows takes the checked path;
+    # without one, every value takes the vectorized one
+    fast = np.concatenate([x[x > -700.0], edges[~(edges < -709.78)]])
+    assert np.array_equal(model._act(fast, "sigmoid"), expit(fast), equal_nan=True)
     assert np.array_equal(model._act(x, "tanh"), np.tanh(x))
 
 

@@ -285,11 +285,30 @@ def test_evaluate_reports_the_interval_and_the_nonzero_share(course2):
     assert 0.0 <= lo < report.map_at_n < hi <= 1.0
 
 
+def _splitmix64(count):
+    """SplitMix64 from seed 0 in Python integers, one output at a time."""
+    mask, state, out = (1 << 64) - 1, 0, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_splitmix64_is_the_reference_stream():
+    # the first output from seed 0 is the published one
+    assert recommend.splitmix64(1)[0] == 0xE220A8397B1DCDAF
+    assert recommend.splitmix64(5000).tolist() == _splitmix64(5000)
+
+
 def test_bootstrap_interval_is_the_percentiles_of_resampled_means():
     values = [0.0] * 19 + [1.0]
-    draws = np.random.default_rng(0).integers(20, size=(recommend.BOOTSTRAP_DRAWS, 20))
+    stream = _splitmix64(recommend.BOOTSTRAP_DRAWS * 20)
+    draws = [[z % 20 for z in stream[i:i + 20]] for i in range(0, len(stream), 20)]
     means = [np.mean([values[i] for i in row]) for row in draws]
-    assert bootstrap_interval(values) == np.percentile(means, [2.5, 97.5]).tolist()
+    assert bootstrap_interval(values) == sorted(means)[50:-50:1900]
+    assert bootstrap_interval(values) == pytest.approx(np.percentile(means, [2.5, 97.5]))
     # one student of 20 with non-zero AP: resamples without them are common
     assert bootstrap_interval(values)[0] == 0.0
     assert bootstrap_interval([0.25] * 7) == [0.25, 0.25]

@@ -138,20 +138,16 @@ def mean(values: Collection[float]) -> float:
 # 2.5th and 97.5th percentiles are the 51st smallest and largest means
 BOOTSTRAP_DRAWS = 2001
 
-_SPLITMIX = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
-                                         0x94D049BB133111EB, 30, 27, 31))
-
 
 def splitmix64(count: int) -> np.ndarray:
     """The first count outputs of SplitMix64 (Steele, Lea and Flood, 2014)
     from seed 0, as uint64. It is vectorized numpy arithmetic, which wraps
     modulo 2**64, so drawing needs no numpy.random, whose import alone costs
     a command about 16 ms."""
-    golden, mix1, mix2, s1, s2, s3 = _SPLITMIX
-    z = np.arange(1, count + 1, dtype=np.uint64) * golden
-    z = (z ^ (z >> s1)) * mix1
-    z = (z ^ (z >> s2)) * mix2
-    return z ^ (z >> s3)
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def bootstrap_interval(values: Sequence[float]) -> list[float]:

@@ -482,8 +482,8 @@ def cmd_ablate(args) -> int:
     for i, variant in enumerate(train.ABLATION_VARIANTS):
         runs = results[i * len(seeds):(i + 1) * len(seeds)]
         scores = [map_at_n for map_at_n, _ in runs]
-        student_means[variant] = np.array([recommend.mean(aps)
-                                           for aps in zip(*(aps for _, aps in runs))])
+        student_means[variant] = np.array([recommend.mean(student_aps)
+                                           for student_aps in zip(*(aps for _, aps in runs))])
         row = variants[variant] = {"per_seed": scores, "mean": recommend.mean(scores),
                                    "min": min(scores), "max": max(scores)}
         if variant != "full":

@@ -112,6 +112,32 @@ def test_written_posts_keep_their_bytes(tmp_path):
     assert digest == "349e4457ec2c6ba5a2be4568b80ad45405c183cccefc0d30823cd173d8311679"
 
 
+DENSE = dict(num_students=500, num_threads=30, mean_posts_per_student=8,
+             reply_prob=0.8, revisit_boost=40)
+
+
+@pytest.mark.parametrize("cfg, digests", [
+    # the acceptance course
+    (algo_like(scale=0.1), {
+        "posts.jsonl": "f27f9030c6337a500baa583431f3ede48ae8e1ede42b5699e85e1d5bbbf6833c",
+        "schedule.json": "ce5ede4fe9afe7a837c53297a1807c574d96e5f23566cbe47684d8519bb303c4",
+        "ground_truth.json": "40013475f59d597fcd40f90a19f811a4e9c1bfb7dae5cadfa9de148fc4c2c8bc"}),
+    # few, long threads: many revisit boosts and replies per draw
+    (SynthConfig(**DENSE), {
+        "posts.jsonl": "39a2706f04ef7b2fdd6af90bbb8150fd4069ef14ce30767c40ab91997c53164b",
+        "schedule.json": "6698d40eb9b56bf9705589bbdbcd3740868d0019b2ec5bda6fead2cd15ae85ae",
+        "ground_truth.json": "7fd8ac4f910213301f7d1b9717495bd3d0819f19725d1e725de3697c2543b4df"}),
+], ids=["algo_like_0.1", "dense"])
+def test_written_courses_keep_their_bytes(tmp_path, cfg, digests):
+    # every draw, and so every byte of the three files, is frozen
+    ds, gt = generate(cfg)
+    corpus.write_jsonl(ds, tmp_path / "posts.jsonl")
+    corpus.write_schedule(ds.course, tmp_path / "schedule.json")
+    synth.write_ground_truth(gt, tmp_path / "ground_truth.json")
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 def test_generate_post_ids_follow_time_order():
     ds, _ = generate(small_config())
     ids = [ev.post_id for ev in ds.events]

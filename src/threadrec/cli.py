@@ -266,15 +266,18 @@ def cmd_synth(args) -> int:
     cfg = _config(base, _collect_overrides(args))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed + SEED_OFFSETS["synth"])
+    t_generate = time.perf_counter()
     ds, gt = synth.generate(cfg)
+    t_write = time.perf_counter()
     out = _out_dir(args)
     corpus.write_jsonl(ds, out / POSTS_FILE)
     corpus.write_schedule(ds.course, out / SCHEDULE_FILE)
     synth.write_ground_truth(gt, out / GROUND_TRUTH_FILE)
+    timings = {"generate_s": t_write - t_generate, "write_s": time.perf_counter() - t_write}
 
     outputs = [out / POSTS_FILE, out / SCHEDULE_FILE, out / GROUND_TRUTH_FILE]
     write_manifest(out, "synth", cfg.seed, dataclasses.asdict(cfg), [], outputs, [],
-                   time.perf_counter() - started)
+                   time.perf_counter() - started, timings)
     print("synth: %d posts, %d students, %d threads -> %s"
           % (len(ds.events), ds.num_students, ds.num_threads, out))
     return 0

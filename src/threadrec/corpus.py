@@ -312,6 +312,10 @@ def ingest_jsonl(posts_path, schedule_path) -> Dataset:
     return ds
 
 
+# json.dumps(obj, sort_keys=True) builds this encoder on every call
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_jsonl(ds: Dataset, path) -> None:
     """Serialize events using the dataset's dense ids; together with
     write_schedule this round-trips through ingest_jsonl."""
@@ -326,7 +330,7 @@ def write_jsonl(ds: Dataset, path) -> None:
             }
             if ev.parent_post_id is not None:
                 record["parent_post_id"] = ev.parent_post_id
-            fh.write(json.dumps(record, sort_keys=True))
+            fh.write(_encode_sorted(record))
             fh.write("\n")
 
 

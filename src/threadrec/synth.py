@@ -118,6 +118,18 @@ def _sample_words(rng, cum_rows, topics):
     return [bisect_left(cum_rows[z], u) for z, u in zip(topics.tolist(), draws.tolist())]
 
 
+def _choice(rng, p, size=None):
+    """rng.choice(len(p), size, p=p) without its argument checks: choice's
+    own arithmetic on the same stream (the cumulative sum divided by its
+    last entry, searched on the right by rng.random(size)), so this draw
+    and every later one are choice's. p must be finite, nonnegative and
+    sum to 1 within choice's tolerance; generate refuses the one case
+    where it would not, a thread weight total that overflows."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     """Draw a full synthetic dataset. Deterministic for a fixed config."""
     rng = np.random.default_rng(cfg.seed)
@@ -152,41 +164,49 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     unseen_replies = [dict() for _ in range(m)]  # student -> {thread: count}
     thread_posts: dict[int, list[tuple[int, int]]] = {}  # thread -> [(post_id, student)]
     events = []
-    for post_id, (t, s) in enumerate(arrivals):
-        week = min(int(t // cfg.week_seconds), W - 1)
-        interest = interests[s, week]
-        affinity = mixtures @ interest + 1e-12
-        boost = np.ones(n)
-        for th in visited[s]:
-            boost[th] += cfg.revisit_boost
-        for th, waiting in unseen_replies[s].items():
-            boost[th] += cfg.reply_pull * waiting
-        probs = affinity * boost
-        probs /= probs.sum()
-        thread = int(rng.choice(n, p=probs))
+    # a boost or thread weight that overflows is refused by the finite
+    # check of its total, before it is divided by
+    with np.errstate(over="ignore"):
+        for post_id, (t, s) in enumerate(arrivals):
+            week = min(int(t // cfg.week_seconds), W - 1)
+            interest = interests[s, week]
+            affinity = mixtures @ interest + 1e-12
+            boost = np.ones(n)
+            for th in visited[s]:
+                boost[th] += cfg.revisit_boost
+            for th, waiting in unseen_replies[s].items():
+                boost[th] += cfg.reply_pull * waiting
+            probs = affinity * boost
+            total = probs.sum()
+            if not math.isfinite(total):
+                raise ValueError("revisit_boost and reply_pull overflow the thread weights of "
+                                 "post %d; lower them (got %r and %r)"
+                                 % (post_id, cfg.revisit_boost, cfg.reply_pull))
+            probs /= total
+            thread = int(_choice(rng, probs))
 
-        parent = None
-        prior = thread_posts.get(thread, [])
-        if prior and float(rng.random()) < cfg.reply_prob:
-            others = [(pid, author) for pid, author in prior if author != s]
-            pool = others if others else prior
-            parent, parent_author = pool[rng.integers(len(pool))]
-            parent = int(parent)
-            if parent_author != s:
-                counts_for = unseen_replies[parent_author]
-                counts_for[thread] = counts_for.get(thread, 0) + 1
+            parent = None
+            prior = thread_posts.get(thread, [])
+            if prior and float(rng.random()) < cfg.reply_prob:
+                others = [(pid, author) for pid, author in prior if author != s]
+                pool = others if others else prior
+                parent, parent_author = pool[rng.integers(len(pool))]
+                parent = int(parent)
+                if parent_author != s:
+                    counts_for = unseen_replies[parent_author]
+                    counts_for[thread] = counts_for.get(thread, 0) + 1
 
-        mix = interest * mixtures[thread]
-        total = mix.sum()
-        mix = mixtures[thread] if total <= 0 else mix / total
-        length = 4 + int(rng.poisson(cfg.post_length_mean))
-        topics = rng.choice(K, size=length, p=mix)
-        tokens = [vocab_words[i] for i in _sample_words(rng, cum_rows, topics)]
+            mix = interest * mixtures[thread]
+            total = mix.sum()
+            mix = mixtures[thread] if total <= 0 else mix / total
+            length = 4 + int(rng.poisson(cfg.post_length_mean))
+            topics = _choice(rng, mix, length)
+            tokens = [vocab_words[i] for i in _sample_words(rng, cum_rows, topics)]
 
-        events.append(PostEvent(post_id, s, thread, t, " ".join(tokens), parent))
-        visited[s].add(thread)
-        unseen_replies[s].pop(thread, None)
-        thread_posts.setdefault(thread, []).append((post_id, s))
+            events.append(PostEvent(post_id, s, thread, t, " ".join(tokens), parent))
+            visited[s].add(thread)
+            unseen_replies[s].pop(thread, None)
+            thread_posts.setdefault(thread, []).append((post_id, s))
 
     week_docs = []
     boundaries = []

@@ -136,6 +136,9 @@ def test_synth_outputs(pipeline):
     for name in ("posts.jsonl", "schedule.json", "ground_truth.json", "manifest.json"):
         assert (data / name).exists(), name
     assert verify_manifest(data / "manifest.json") == []
+    timings = json.loads((data / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"generate_s", "write_s"}
+    assert all(seconds >= 0 for seconds in timings.values())
 
 
 def test_lda_outputs(pipeline):
@@ -877,6 +880,22 @@ def test_synth_refuses_a_course_length_that_overflows(tmp_path, capsys):
                 + SYNTH_ARGS) == 2
     assert "error: week_seconds must keep the course length" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_synth_refuses_thread_weights_that_overflow(tmp_path, capsys):
+    # at the parent this printed numpy's divide warning and "error:
+    # Probabilities contain NaN"; pytest turns any RuntimeWarning into an error
+    course = ["--seed", "1", "--set", "num_students=30", "--set", "num_threads=5"]
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--set", "reply_pull=1e308"] + course) == 1
+    err = capsys.readouterr().err
+    assert "error: revisit_boost and reply_pull overflow the thread weights" in err
+    assert "Warning" not in err
+    assert not out.exists()
+    # a boost that leaves every total finite writes the parent's bytes
+    assert main(["synth", "--out", str(out), "--set", "revisit_boost=1e308"] + course) == 0
+    digest = hashlib.sha256((out / "posts.jsonl").read_bytes()).hexdigest()
+    assert digest == "5d3f0276e0ef83a9acf395caabea8e3f7cdcc50e1cb26b95e8a638d37dcd5889"
 
 
 def test_recommend_refuses_a_query_time_whose_distances_are_not_finite(pipeline, capsys):

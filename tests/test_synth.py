@@ -138,6 +138,58 @@ def test_written_courses_keep_their_bytes(tmp_path, cfg, digests):
             for name in digests} == digests
 
 
+def _weights(n, zeros, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.random(n)
+    p[rng.permutation(n)[:zeros]] = 0.0
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("p", [
+    _weights(1, 0, 1),
+    _weights(9, 4, 2),  # zero entries, as in a post's topic mix
+    _weights(1323, 0, 3),  # the paper-size thread count
+    _weights(1323, 600, 4),
+], ids=["one", "zeros", "paper", "paper_zeros"])
+@pytest.mark.parametrize("size", [None, 1, 17])
+def test_choice_draws_what_generator_choice_draws(p, size):
+    # the installed numpy's own choice is the oracle: the same indices, and
+    # the stream left where choice leaves it
+    for seed in range(20):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synth._choice(ours, p, size)
+        want = theirs.choice(len(p), size=size, p=p)
+        if size is None:
+            assert int(got) == int(want)
+        else:
+            assert got.tolist() == want.tolist()
+        assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("overrides", [
+    # a weight of inf: at the parent, inf / inf warned and choice said
+    # "Probabilities contain NaN"
+    dict(num_students=30, num_threads=5, seed=1, reply_pull=1e308),
+    # finite weights whose total overflows: at the parent the sum warned and
+    # choice said "Probabilities do not sum to 1"
+    dict(num_students=10, num_threads=3, num_topics=1, reply_prob=0.9,
+         revisit_boost=0.0, reply_pull=6e307, seed=0),
+], ids=["inf_weight", "inf_total"])
+def test_generate_refuses_thread_weights_that_overflow(overrides):
+    # the settings are finite, so SynthConfig takes them; the overflow is
+    # refused before the division, by name and without a warning
+    with pytest.raises(ValueError, match="revisit_boost and reply_pull overflow"):
+        generate(SynthConfig(**overrides))
+
+
+def test_a_boost_that_leaves_the_weights_finite_is_drawn():
+    # a revisit boost this large keeps a student on their first thread, so
+    # no post's total overflows; the parent drew the same 125 posts
+    ds, _ = generate(SynthConfig(num_students=30, num_threads=5, seed=1,
+                                 revisit_boost=1e308))
+    assert len(ds.events) == 125
+
+
 def test_generate_post_ids_follow_time_order():
     ds, _ = generate(small_config())
     ids = [ev.post_id for ev in ds.events]

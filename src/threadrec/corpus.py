@@ -218,6 +218,7 @@ def _id_field(record, name, line_no) -> int:
 
 
 _scan = json.JSONDecoder().scan_once  # json's C decoder, without whitespace handling
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
 
 
 def _plain_row(line: bytes) -> tuple | None:
@@ -310,10 +311,6 @@ def ingest_jsonl(posts_path, schedule_path) -> Dataset:
     ds = Dataset(events, len(student_ids), len(thread_ids), course, student_ids, thread_ids)
     validate_dataset(ds)
     return ds
-
-
-# json.dumps(obj, sort_keys=True) builds this encoder on every call
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def write_jsonl(ds: Dataset, path) -> None:

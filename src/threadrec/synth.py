@@ -9,6 +9,12 @@ visit, and sometimes replies to an earlier post. Post text is drawn from
 per-topic word distributions over a vocabulary of tokens that survive
 preprocessing unchanged, so a generated corpus round-trips through
 ingestion.
+
+A post's thread and its words' topics are drawn with Generator.choice's
+own arithmetic on the same stream, without its per-call checks, so the
+draws are choice's. Of those checks only one can fail on these weights,
+a post whose total thread weight overflows; generate refuses it, naming
+revisit_boost and reply_pull.
 """
 from __future__ import annotations
 
@@ -119,12 +125,9 @@ def _sample_words(rng, cum_rows, topics):
 
 
 def _choice(rng, p, size=None):
-    """rng.choice(len(p), size, p=p) without its argument checks: choice's
-    own arithmetic on the same stream (the cumulative sum divided by its
-    last entry, searched on the right by rng.random(size)), so this draw
-    and every later one are choice's. p must be finite, nonnegative and
-    sum to 1 within choice's tolerance; generate refuses the one case
-    where it would not, a thread weight total that overflows."""
+    """rng.choice(len(p), size, p=p): choice's own arithmetic on the same
+    stream, without its argument checks, which p must pass; generate
+    refuses the one weight it could fail on, a total that overflows."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(size), side="right")
@@ -179,9 +182,8 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             probs = affinity * boost
             total = probs.sum()
             if not math.isfinite(total):
-                raise ValueError("revisit_boost and reply_pull overflow the thread weights of "
-                                 "post %d; lower them (got %r and %r)"
-                                 % (post_id, cfg.revisit_boost, cfg.reply_pull))
+                raise ValueError("revisit_boost and reply_pull overflow the thread "
+                                 "weights of post %d; lower them" % post_id)
             probs /= total
             thread = int(_choice(rng, probs))
 

@@ -883,8 +883,8 @@ def test_synth_refuses_a_course_length_that_overflows(tmp_path, capsys):
 
 
 def test_synth_refuses_thread_weights_that_overflow(tmp_path, capsys):
-    # at the parent this printed numpy's divide warning and "error:
-    # Probabilities contain NaN"; pytest turns any RuntimeWarning into an error
+    # the refusal names the settings and comes before any division, so no
+    # numpy warning is raised (pytest turns one into an error)
     course = ["--seed", "1", "--set", "num_students=30", "--set", "num_threads=5"]
     out = tmp_path / "out"
     assert main(["synth", "--out", str(out), "--set", "reply_pull=1e308"] + course) == 1
@@ -892,7 +892,7 @@ def test_synth_refuses_thread_weights_that_overflow(tmp_path, capsys):
     assert "error: revisit_boost and reply_pull overflow the thread weights" in err
     assert "Warning" not in err
     assert not out.exists()
-    # a boost that leaves every total finite writes the parent's bytes
+    # a boost that leaves every total finite is drawn, with frozen bytes
     assert main(["synth", "--out", str(out), "--set", "revisit_boost=1e308"] + course) == 0
     digest = hashlib.sha256((out / "posts.jsonl").read_bytes()).hexdigest()
     assert digest == "5d3f0276e0ef83a9acf395caabea8e3f7cdcc50e1cb26b95e8a638d37dcd5889"

@@ -167,11 +167,9 @@ def test_choice_draws_what_generator_choice_draws(p, size):
 
 
 @pytest.mark.parametrize("overrides", [
-    # a weight of inf: at the parent, inf / inf warned and choice said
-    # "Probabilities contain NaN"
+    # a weight of inf, whose inf / inf would be NaN
     dict(num_students=30, num_threads=5, seed=1, reply_pull=1e308),
-    # finite weights whose total overflows: at the parent the sum warned and
-    # choice said "Probabilities do not sum to 1"
+    # finite weights whose sum overflows, which would warn
     dict(num_students=10, num_threads=3, num_topics=1, reply_prob=0.9,
          revisit_boost=0.0, reply_pull=6e307, seed=0),
 ], ids=["inf_weight", "inf_total"])
@@ -180,14 +178,6 @@ def test_generate_refuses_thread_weights_that_overflow(overrides):
     # refused before the division, by name and without a warning
     with pytest.raises(ValueError, match="revisit_boost and reply_pull overflow"):
         generate(SynthConfig(**overrides))
-
-
-def test_a_boost_that_leaves_the_weights_finite_is_drawn():
-    # a revisit boost this large keeps a student on their first thread, so
-    # no post's total overflows; the parent drew the same 125 posts
-    ds, _ = generate(SynthConfig(num_students=30, num_threads=5, seed=1,
-                                 revisit_boost=1e308))
-    assert len(ds.events) == 125
 
 
 def test_generate_post_ids_follow_time_order():

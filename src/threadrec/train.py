@@ -14,11 +14,11 @@ batch's rows. A step is clip_gradients, then Adam.step, which applies the
 gradients to the parameters; both only read the set. Clipping sums the
 predictor's squares in numpy's pairwise order over the dense layout,
 rebuilding only the leaves that hold a batch row. Adam.step is lazy: it
-moves the predictor only at the batch's rows, gathered block by block,
+moves the predictor only at the batch's rows, a block of rows at a time,
 and the other tensors whole. Training holds three predictor-sized arrays
-(parameters, two moments) and allocates none per step; the moments sit
-on mappings of their own (_lazy_zeros), resident only in the 4 KB pages
-of the rows a step has written. The features come from one replay of the
+(parameters, two moments); the moments sit on mappings of their own
+(_lazy_zeros), resident only in the 4 KB pages of the rows a step has
+written. The features come from one replay of the
 window through a state store's trackers, which training keeps; only the
 embeddings restart from zero at every epoch.
 """
@@ -219,13 +219,6 @@ def _lazy_zeros(shape) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
 
 
-def _gather(arr: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The rows idx of the 2-D arr, copied into the front of the flat
-    buffer buf and returned as a (len(idx), width) view of it."""
-    block = buf[:len(idx) * arr.shape[1]].reshape(len(idx), arr.shape[1])
-    return np.take(arr, idx, axis=0, out=block, mode="clip")
-
-
 class Adam:
     """Lazy Adam over every tensor of a ModelParams, as TensorFlow Addons'
     LazyAdam and torch.optim.SparseAdam: a step moves p, m and v of the
@@ -236,18 +229,13 @@ class Adam:
     a batch reaches it again. step reads the gradient set and writes into
     none of it.
 
-    The batch's rows are gathered block by block: p, m and v of a block of
-    them are copied into block buffers, the elementwise sequence runs on
-    them and on the gradient's own block of values, and the three are
-    scattered back. The other tensors are walked in slices of _STEP_BLOCK
-    elements. Each gradient block is multiplied by the clip scale before
-    use. Intermediates go into block-sized buffers, so no step allocates a
-    tensor-sized array, and since elementwise operations round the same in
-    any block or row order, the result is bit for bit that of the
-    whole-tensor expressions applied to the batch's rows. Training thus
-    holds three predictor-sized arrays: the parameters and the two
-    moments. The moments come from _lazy_zeros, so only the rows some
-    batch has reached are resident in m and v."""
+    Each tensor runs the whole-tensor Adam expressions in place, on the
+    gradient times the clip scale. The predictor runs them on blocks of the
+    batch's rows: p, m and v of a block are taken by fancy index, updated
+    and assigned back. Elementwise operations round the same in any block
+    or row order, so the result is bit for bit that of the expressions
+    applied to the batch's rows at once. The moments come from _lazy_zeros,
+    so only the rows some batch has reached are resident in m and v."""
 
     def __init__(self, params: ModelParams, learning_rate):
         self.lr = learning_rate
@@ -256,9 +244,6 @@ class Adam:
         shapes = {name: params.tensor(name).shape for name in TENSOR_NAMES}
         self.m = {name: _lazy_zeros(shape) for name, shape in shapes.items()}
         self.v = {name: _lazy_zeros(shape) for name, shape in shapes.items()}
-        # one block each for gathering p, m and v, and one for denominators
-        self._block = np.empty((4, max(_STEP_BLOCK, shapes["predictor"][1])))
-        self._tmp = np.empty(_STEP_BLOCK)  # intermediates
 
     def step(self, params: ModelParams, grads: dict, scale: float = 1.0) -> None:
         self.t += 1
@@ -267,51 +252,23 @@ class Adam:
         for name in TENSOR_NAMES:
             p, g, m, v = params.tensor(name), grads[name], self.m[name], self.v[name]
             if name != "predictor":
-                self._update(*map(_flat, (p, g, m, v)), scale, bc1, bc2)
+                self._update(p, g, m, v, scale, bc1, bc2)
                 continue
             per_block = max(1, _STEP_BLOCK // p.shape[1])  # rows, one if wider
             for lo in range(0, len(g.rows), per_block):
                 idx = g.rows[lo:lo + per_block]
-                pmv = [_gather(arr, idx, buf) for arr, buf in zip((p, m, v), self._block)]
-                gs = g.values[lo:lo + per_block]
-                self._update(*(b.reshape(-1) for b in (pmv[0], gs, pmv[1], pmv[2])),
-                             scale, bc1, bc2)
-                for arr, block in zip((p, m, v), pmv):
-                    arr[idx] = block
+                pr, mr, vr = p[idx], m[idx], v[idx]
+                self._update(pr, g.values[lo:lo + per_block], mr, vr, scale, bc1, bc2)
+                p[idx], m[idx], v[idx] = pr, mr, vr
 
     def _update(self, p, g, m, v, scale, bc1, bc2) -> None:
-        """The elementwise Adam sequence on 1-D p, g, m and v, in place,
-        slice by slice; g is only read."""
-        for lo in range(0, g.size, _STEP_BLOCK):
-            block = slice(lo, lo + _STEP_BLOCK)
-            ps, gs, ms, vs = p[block], g[block], m[block], v[block]
-            tmp, den = self._tmp[:gs.size], self._block[3, :gs.size]
-            gs = np.multiply(gs, scale, out=den)
-            # v = b2 * v + ((1 - b2) * g) * g
-            vs *= _BETA2
-            np.multiply(1.0 - _BETA2, gs, out=tmp)
-            tmp *= gs
-            vs += tmp
-            # m = b1 * m + (1 - b1) * g
-            ms *= _BETA1
-            np.multiply(1.0 - _BETA1, gs, out=tmp)
-            ms += tmp
-            # g is spent: den holds the denominator sqrt(v / bc2) + eps
-            np.divide(vs, bc2, out=den)
-            np.sqrt(den, out=den)
-            den += _EPS
-            # p -= (lr * (m / bc1)) / denominator
-            np.divide(ms, bc1, out=tmp)
-            tmp *= self.lr
-            tmp /= den
-            ps -= tmp
-
-
-def _flat(arr: np.ndarray) -> np.ndarray:
-    """A 1-D view of a C-contiguous array; writes through it land in arr."""
-    if not arr.flags.c_contiguous:
-        raise ValueError("optimizer tensors must be C-contiguous")
-    return arr.reshape(-1)
+        """The Adam expressions on p, m and v in place; g is only read."""
+        g = g * scale
+        v *= _BETA2
+        v += ((1.0 - _BETA2) * g) * g
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        p -= (self.lr * (m / bc1)) / (np.sqrt(v / bc2) + _EPS)
 
 
 def clip_gradients(grads: dict, max_norm: float) -> tuple[float, float]:

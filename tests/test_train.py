@@ -285,12 +285,13 @@ def load_grads(grads, dense, rows):
             grads[name][...] = dense[name]
 
 
-def _multi_slice_params(rng):
-    """Parameters whose predictor spans several step slices and ends in a
-    partial one."""
+def _multi_block_params(rng):
+    """Parameters whose predictor spans several of a step's row blocks and
+    ends in a partial one."""
     params = ModelParams.init(rng, 3, 2, 2, 150, 250)
-    assert params.predictor.size > 3 * train._STEP_BLOCK
-    assert params.predictor.size % train._STEP_BLOCK != 0
+    rows, width = params.predictor.shape
+    assert rows > 3 * (train._STEP_BLOCK // width)
+    assert rows % (train._STEP_BLOCK // width) != 0
     return params
 
 
@@ -326,7 +327,7 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
     # steps given every row, then steps given the rows a batch would reach
     for named in (False, True):
         rng = np.random.default_rng(21)
-        params = _multi_slice_params(rng)
+        params = _multi_block_params(rng)
         ref_params = params.copy()
         opt, ref = Adam(params, 0.01), RefAdam(ref_params, 0.01)
         grads = params.zero_grads()
@@ -364,7 +365,8 @@ def test_optimizer_allocates_no_tensor_sized_arrays():
     # steps given every row, then steps given the rows a batch would reach
     for named in (False, True):
         rng = np.random.default_rng(22)
-        params = _multi_slice_params(rng)
+        # a 16.3 MB head: one row block is far below a quarter of it
+        params = ModelParams.init(rng, 10, 20, 14, 1100, 1000)
         opt = Adam(params, 0.01)
         grads = params.zero_grads()
         sizes = []
@@ -380,12 +382,13 @@ def test_optimizer_allocates_no_tensor_sized_arrays():
                 sizes.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the first step is the warm-up
+        # the first step is the warm-up; the rest hold a few row blocks
         assert max(sizes[1:]) < params.predictor.nbytes // 4, sizes
+        assert max(sizes[1:]) < 8 * train._STEP_BLOCK * 8, sizes
 
 
 def test_adam_holds_two_tensor_sets_and_clipping_none():
-    params = _multi_slice_params(np.random.default_rng(23))
+    params = _multi_block_params(np.random.default_rng(23))
     tensors = sum(params.tensor(name).nbytes for name in TENSOR_NAMES)
     grads = params.zero_grads()
     tracemalloc.start()
@@ -399,8 +402,7 @@ def test_adam_holds_two_tensor_sets_and_clipping_none():
         tracemalloc.stop()
     # m and v live on mappings of their own, which tracemalloc does not see
     made += _moment_bytes(opt)
-    # m and v besides the block buffers: no third set of tensors
-    made -= opt._block.nbytes + opt._tmp.nbytes
+    # m and v: no third set of tensors
     assert 2 * tensors <= made < 2 * tensors + params.predictor.nbytes // 4, made
     assert len(opt.m) == len(opt.v) == len(TENSOR_NAMES)
     # one block buffer of float64, under a third of the predictor, and some
@@ -435,7 +437,7 @@ def test_a_step_makes_resident_only_the_moment_rows_it_writes():
     opt = Adam(params, 0.01)
     opt.step(params, grads)
     grown = _resident_bytes() - before
-    # m and v of those rows, the step's block buffers and no whole moment
+    # m and v of those rows, the step's row blocks and no whole moment
     assert grown < params.predictor.nbytes // 4, (grown, params.predictor.nbytes)
     assert np.flatnonzero(opt.m["predictor"].any(axis=1)).tolist() == rows.tolist()
 
@@ -813,10 +815,31 @@ def test_fit_raises_on_a_gradient_too_large_to_square(tiny_ds):
         train.fit(features, cfg)
 
 
-def test_optimizer_walks_only_c_contiguous_tensors():
-    # reshape would copy a strided tensor, and the step would write the copy
-    with pytest.raises(ValueError, match="C-contiguous"):
-        train._flat(np.zeros((3, 4))[:, ::2])
+def test_optimizer_steps_a_strided_tensor_in_place():
+    # a step writes through a tensor that is a view of every other column of
+    # a wider array, and leaves the columns between them as they are
+    rng = np.random.default_rng(25)
+    params = ModelParams.init(rng, 3, 2, 4, 5, 6)
+    wide = rng.normal(size=(3, 8))
+    wide[:, ::2] = params.week_context
+    params = replace(params, week_context=wide[:, ::2])
+    assert not params.week_context.flags.c_contiguous
+    between = wide[:, 1::2].copy()
+    ref_params = params.copy()
+    opt, ref = Adam(params, 0.01), RefAdam(ref_params, 0.01)
+    grads = params.zero_grads()
+    rows = np.arange(len(params.predictor))
+    for step in range(3):
+        dense = _sparse_grads(rng, params, step)
+        load_grads(grads, dense, rows)
+        opt.step(params, grads)
+        ref.step(ref_params, dense, rows)
+        for name in TENSOR_NAMES:
+            assert np.array_equal(params.tensor(name), ref_params.tensor(name)), name
+            assert np.array_equal(opt.m[name], ref.m[name]), name
+            assert np.array_equal(opt.v[name], ref.v[name]), name
+    assert np.array_equal(wide[:, ::2], ref_params.week_context)
+    assert wide[:, 1::2].tobytes() == between.tobytes()
 
 
 def test_fit_validates_week_topics(tiny_ds):
@@ -1346,7 +1369,7 @@ def _leaf_bounds(size):
 
 def test_edge_rows_and_negative_zero_match_dense_gradient_path():
     rng = np.random.default_rng(32)
-    params = _multi_slice_params(rng)
+    params = _multi_block_params(rng)
     d, m, n = params.embed_dim, params.num_students, params.num_threads
     rows, width = params.predictor.shape
     # a previous-thread row that a leaf boundary cuts, and the last row

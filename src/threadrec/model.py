@@ -29,11 +29,6 @@ import numpy as np
 from .corpus import ReplyHistory, number_fault
 from .text import _check_simplex
 
-# Elements per block of the training step's walks over a gradient: the
-# blocks of the Adam step and the leaves of clipping's pairwise sum, 256
-# KiB each, stay in cache across the passes over them.
-_STEP_BLOCK = 1 << 15
-
 TENSOR_NAMES = (
     "student_update",
     "thread_update",
@@ -173,15 +168,12 @@ class RowGrad:
     """The predictor gradient of one t-batch: the sorted distinct rows it
     reaches and a (len(rows), width) block of their values, in a buffer
     that grows to the most rows a batch has reached. Every other row of
-    the dense gradient, of the given shape, is +0.0."""
+    the dense gradient, of the given shape, is +0.0, so clipping and the
+    Adam step read only rows and values."""
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = shape
         self._buf = np.empty((0, shape[1]))
-        # take's blocks: _STEP_BLOCK elements span that many entries and
-        # parts of two more rows
-        self._scratch = np.zeros(_STEP_BLOCK + 2 * shape[1])
-        self._written = self._scratch, []
         self.start(np.empty(0, dtype=np.intp))
 
     def start(self, rows: np.ndarray) -> None:
@@ -192,21 +184,6 @@ class RowGrad:
         self.rows = rows
         self.values = self._buf[:len(rows)]
         self.values.fill(0.0)
-
-    def take(self, idx: range) -> tuple[np.ndarray, int]:
-        """The dense gradient's rows idx, a range, as a (len(idx), width)
-        view of the scratch buffer, +0.0 but in the gradient's rows; and
-        how many of those it holds. The caller may overwrite those rows:
-        the next take first writes +0.0 over them."""
-        block, at = self._written
-        block[at] = 0.0
-        width = self.shape[1]
-        block = self._scratch[:len(idx) * width].reshape(len(idx), width)
-        lo, hi = self.rows.searchsorted((idx.start, idx.stop))
-        at = self.rows[lo:hi] - idx.start
-        block[at] = self.values[lo:hi]
-        self._written = block, at
-        return block, len(at)
 
 
 def dense_grads(grads: dict) -> dict[str, np.ndarray]:

@@ -12,15 +12,14 @@ batch, so its predictor gradient is compact: those rows and a block of
 their values (model.RowGrad), in a buffer that grows to the largest
 batch's rows. A step is clip_gradients, then Adam.step, which applies the
 gradients to the parameters; both only read the set. Clipping sums the
-predictor's squares in numpy's pairwise order over the dense layout,
-rebuilding only the leaves that hold a batch row. Adam.step is lazy: it
+squares of the predictor gradient's rows only. Adam.step is lazy: it
 moves the predictor only at the batch's rows, a block of rows at a time,
 and the other tensors whole. Training holds three predictor-sized arrays
 (parameters, two moments); the moments sit on mappings of their own
 (_lazy_zeros), resident only in the 4 KB pages of the rows a step has
-written. The features come from one replay of the
-window through a state store's trackers, which training keeps; only the
-embeddings restart from zero at every epoch.
+written. The features come from one replay of the window through a state
+store's trackers, which training keeps; only the embeddings restart from
+zero at every epoch.
 """
 from __future__ import annotations
 
@@ -41,7 +40,6 @@ from .model import (
     ModelParams,
     RowGrad,
     TENSOR_NAMES,
-    _STEP_BLOCK,
     _student_context,
     batch_grads,
     check_hyperparameters,
@@ -202,6 +200,10 @@ def prepare_event_features(train: Dataset, lda: LdaModel, vocab: Vocabulary,
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# Elements per row block of an Adam step on the predictor. A paper-size
+# t-batch reaches up to 936 rows of 1,333 entries, so the block bounds each
+# of the step's temporaries at 256 KiB instead of about 10 MB.
+_STEP_BLOCK = 1 << 15
 
 
 def _lazy_zeros(shape) -> np.ndarray:
@@ -275,43 +277,17 @@ def clip_gradients(grads: dict, max_norm: float) -> tuple[float, float]:
     """The joint Euclidean norm of all gradients, arrays or a RowGrad, and
     the factor that brings it to at most max_norm: max_norm / norm when
     0 < max_norm < norm, else 1. The gradients are left as they are;
-    Adam.step applies the factor. Each gradient's squares are summed by
-    _square_sum; the sums add left to right in dict order, as sum() no
-    longer does from Python 3.12 on."""
+    Adam.step applies the factor. Each gradient adds np.sum of the squares
+    of the values it holds, a RowGrad those of its rows: every other entry
+    of its dense form is +0.0. The sums add left to right in dict order,
+    as sum() no longer does from Python 3.12 on."""
     total = 0.0
     for g in grads.values():
-        total += _square_sum(g)
+        held = g.values if isinstance(g, RowGrad) else g
+        total += float(np.sum(held * held))
     total = np.sqrt(total)
     scale = max_norm / total if 0 < max_norm < total else 1.0
     return total, scale
-
-
-def _square_sum(g) -> float:
-    """float(np.sum(d * d)) bit for bit, where d is the array g or the
-    dense form of the RowGrad g. For an array that is the expression
-    itself. For a RowGrad it follows numpy's pairwise sum, which splits a
-    node of n > 128 elements after n // 2 rounded down to a multiple of 8,
-    down to leaves of _STEP_BLOCK or fewer summed by np.add.reduce. A leaf
-    is the gradient's rows it spans, which RowGrad.take writes into its
-    +0.0 scratch, squared in place: 0.0 * 0.0 leaves the zeros as they
-    are. A leaf that spans none of the rows holds only +0.0 entries and
-    adds +0.0 unread, which changes no sum of non-negative squares."""
-    if not isinstance(g, RowGrad):
-        return float(np.sum(g * g))
-    width = g.shape[1]
-
-    def node(lo, n):
-        if n > _STEP_BLOCK:
-            half = n // 2 - n // 2 % 8
-            return node(lo, half) + node(lo + half, n - half)
-        first = lo // width
-        block, held = g.take(range(first, (lo + n - 1) // width + 1))
-        if not held:
-            return 0.0
-        part = block.reshape(-1)[lo - first * width:][:n]
-        return float(np.add.reduce(np.multiply(part, part, out=part)))
-
-    return node(0, g.shape[0] * width)
 
 
 # ---------------------------------------------------------------------------

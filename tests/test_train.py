@@ -177,29 +177,6 @@ def test_adam_learns_live_rows_from_the_gradient():
     assert opt.m["predictor"][1].any() and not opt.m["predictor"][2].any()
 
 
-def test_row_grad_scratch_is_zero_but_the_rows_take_wrote():
-    rng = np.random.default_rng(4)
-    shape = (40, 3000)  # a take of _STEP_BLOCK elements spans 11 or 12 rows
-    grad = RowGrad(shape)
-    grad.start(np.array([0, 3, 4, 11, 12, 25, 39]))
-    grad.values[...] = rng.normal(size=grad.values.shape)
-    grad.values[1, :5] = -0.0
-    for idx in (range(0, 12), range(3, 8), range(10, 22), range(22, 34), range(28, 40),
-                range(0, 1), range(39, 40)):
-        block, held = grad.take(idx)
-        wrote = np.isin(np.asarray(idx), grad.rows)
-        assert held == wrote.sum()
-        assert np.array_equal(block[wrote], grad.values[np.isin(grad.rows, idx)])
-        rest = np.ones(grad._scratch.size, dtype=bool)
-        rest[:block.size].reshape(block.shape)[wrote] = False
-        scratch = grad._scratch[rest]
-        assert not scratch.any() and not np.signbit(scratch).any(), idx
-        # callers may overwrite the rows take wrote, as clipping squares the
-        # block in place
-        np.multiply(block, block, out=block)
-        block[wrote] = -1.0
-
-
 def test_clip_gradients_scales_to_max_norm():
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
     total, scale = clip_gradients(grads, 1.0)
@@ -241,22 +218,27 @@ def test_clip_gradients_adds_the_square_sums_left_to_right():
 @pytest.mark.parametrize("shape", [(3176, 1333), (1,), (7,), (129,), (1001,), (8193,),
                                    (32769,), (65537,), (300, 257)])
 def test_square_sum_matches_numpy_pairwise_sum_bitwise(shape):
-    # numpy's pairwise split is pinned here: if a numpy version splits
-    # otherwise, this fails before any trained byte changes
+    # clipping squares and sums an array as np.sum(g * g), and a compact
+    # gradient as np.sum over its rows' values, which is within 1e-12 of the
+    # dense gradient's pairwise sum
     rng = np.random.default_rng(sum(shape))
     for magnitude in (1e-8, 1.0, 1e8):
         g = rng.normal(0.0, magnitude, size=shape) * np.exp(rng.normal(0.0, 3.0, size=shape))
-        assert train._square_sum(g) == float(np.sum(g * g))
+        dense = float(np.sqrt(np.sum(g * g)))
+        assert clip_gradients({"g": g}, 0.0) == (dense, 1.0)
         if g.ndim == 2:
             # rows outside a compact gradient's rows hold zero gradients and
-            # are skipped
+            # are not read
             for share in (0.02, 0.3):
-                reached = rng.random(shape[0]) < share
-                g[~reached] = 0.0
-                compact = row_grad(g, np.flatnonzero(reached))
-                assert train._square_sum(compact) == float(np.sum(g * g))
-                # skipping is exact: every square of an unreached row is +0.0
-                assert train._square_sum(g) == float(np.sum(g * g))
+                rows = np.flatnonzero(rng.random(shape[0]) < share)
+                outside = np.ones(shape[0], dtype=bool)
+                outside[rows] = False
+                g[outside] = 0.0
+                held = g[rows]
+                norm, scale = clip_gradients({"predictor": row_grad(g, rows)}, 0.0)
+                assert (norm, scale) == (float(np.sqrt(np.sum(held * held))), 1.0)
+                dense = float(np.sqrt(np.sum(g * g)))
+                assert abs(norm - dense) <= 1e-12 * dense, (norm, dense)
 
 
 def row_grad(dense, rows):
@@ -339,7 +321,9 @@ def test_adam_step_matches_reference_bitwise(clip_norm):
                 rows = _reach(rng, params, ref_grads)
             load_grads(grads, ref_grads, rows)
             norm, scale = clip_gradients(grads, clip_norm)
-            assert (norm, scale) == ref_clip_gradients(ref_grads, clip_norm)
+            dense = dense_norm(ref_grads)
+            assert (norm, scale) == ref_clip_gradients(ref_grads, clip_norm, rows)
+            assert abs(norm - dense) <= 1e-12 * dense, (norm, dense)
             clipped += 0 < clip_norm < norm
             before = {name: g.copy() for name, g in dense_grads(grads).items()}
             opt.step(params, grads, scale)
@@ -376,9 +360,10 @@ def test_optimizer_allocates_no_tensor_sized_arrays():
             if named:
                 rows = _reach(rng, params, dense)
             load_grads(grads, dense, rows)
+            scale = clip_gradients(grads, 1e-3)[1]
             tracemalloc.start()
             try:
-                opt.step(params, grads, clip_gradients(grads, 1e-3)[1])
+                opt.step(params, grads, scale)
                 sizes.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -990,18 +975,28 @@ class RefAdam:
             params.tensor(name)[at] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def ref_clip_gradients(grads, max_norm):
+def ref_clip_gradients(grads, max_norm, rows):
     """The clipping clip_gradients must match bit for bit, on dense
     gradients, which it scales in place: the norm, the square sums added
-    left to right, and the factor."""
+    left to right, the predictor's over its rows only, and the factor."""
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
+    for name, g in grads.items():
+        held = g[rows] if name == "predictor" else g
+        total += float(np.sum(held * held))
     total = np.sqrt(total)
     scale = max_norm / total if 0 < max_norm < total else 1.0
     for g in grads.values():
         g *= scale
     return total, scale
+
+
+def dense_norm(grads):
+    """The joint norm of dense gradients with every entry's square summed,
+    which clipping over the held rows must be within 1e-12 of."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    return np.sqrt(total)
 
 
 def reference_rows(students, last_threads, params):
@@ -1041,9 +1036,9 @@ def reference_fit(ds, features, config, num_topics):
             for i, u_new, p_new in writes:
                 store.student_vecs[feats.student[i]] = u_new
                 store.thread_vecs[feats.thread[i]] = p_new
-            ref_clip_gradients(grads, config.clip_norm)
-            opt.step(params, grads,
-                     reference_rows(feats.student[batch], feats.last_thread[batch], params))
+            rows = reference_rows(feats.student[batch], feats.last_thread[batch], params)
+            ref_clip_gradients(grads, config.clip_norm, rows)
+            opt.step(params, grads, rows)
         mean_losses.append(epoch_loss / len(feats))
     return params, store, mean_losses
 
@@ -1273,7 +1268,9 @@ class Lockstep:
         rows = reference_rows(batch.student, batch.last_thread, self.params)
         assert np.array_equal(self.grads["predictor"].rows, rows)
         total, scale = clip_gradients(self.grads, self.clip_norm)
-        assert (total, scale) == ref_clip_gradients(self.ref_grads, self.clip_norm)
+        every = dense_norm(self.ref_grads)
+        assert (total, scale) == ref_clip_gradients(self.ref_grads, self.clip_norm, rows)
+        assert abs(total - every) <= 1e-12 * every, (total, every)
         # clipping leaves the gradient as it was
         assert clip_gradients(self.grads, self.clip_norm) == (total, scale)
         before = {name: g.copy() for name, g in dense.items()}
@@ -1357,35 +1354,23 @@ def test_paper_shape_batches_match_dense_gradient_path():
         run.batch(batch, store)
 
 
-def _leaf_bounds(size):
-    """The element offsets where _square_sum's pairwise leaves meet."""
-    def node(lo, n):
-        if n <= train._STEP_BLOCK:
-            return []
-        half = n // 2 - n // 2 % 8
-        return node(lo, half) + [lo + half] + node(lo + half, n - half)
-    return node(0, size)
-
-
 def test_edge_rows_and_negative_zero_match_dense_gradient_path():
     rng = np.random.default_rng(32)
     params = _multi_block_params(rng)
     d, m, n = params.embed_dim, params.num_students, params.num_threads
     rows, width = params.predictor.shape
-    # a previous-thread row that a leaf boundary cuts, and the last row
-    cut = next(b for b in _leaf_bounds(params.predictor.size)
-               if b % width and b // width >= 2 * d + m)
-    crossing = cut // width
+    # a previous-thread row inside a row block of the step, and the last row
+    middle = 2 * d + m + n // 2
     batch = _paper_batch(rng, params, 3)
-    batch.last_thread[:] = [crossing - 2 * d - m, n - 1, -1]
+    batch.last_thread[:] = [n // 2, n - 1, -1]
     store = DynamicStateStore(m, n, d, params.num_topics)
     store.student_vecs[:] = rng.uniform(-0.9, 0.9, store.student_vecs.shape)
     store.thread_vecs[:] = rng.uniform(-0.9, 0.9, store.thread_vecs.shape)
     reached = predictor_rows(batch, params)
-    assert reached[0] == 0 and reached[-1] == rows - 1 and crossing in reached
+    assert reached[0] == 0 and reached[-1] == rows - 1 and middle in reached
     run = Lockstep(params, 0.01, 1e-3)
-    for col in (cut - crossing * width, 0):
-        run.batch(batch, store, negative_zero=(crossing, col))
+    for row, col in ((middle, width // 2), (middle, 0), (rows - 1, width - 1)):
+        run.batch(batch, store, negative_zero=(row, col))
 
 
 def test_fit_allocates_no_predictor_sized_gradient(batch_ds, monkeypatch):

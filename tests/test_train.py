@@ -230,10 +230,9 @@ def test_square_sum_matches_numpy_pairwise_sum_bitwise(shape):
             # rows outside a compact gradient's rows hold zero gradients and
             # are not read
             for share in (0.02, 0.3):
-                rows = np.flatnonzero(rng.random(shape[0]) < share)
-                outside = np.ones(shape[0], dtype=bool)
-                outside[rows] = False
-                g[outside] = 0.0
+                reached = rng.random(shape[0]) < share
+                g[~reached] = 0.0
+                rows = np.flatnonzero(reached)
                 held = g[rows]
                 norm, scale = clip_gradients({"predictor": row_grad(g, rows)}, 0.0)
                 assert (norm, scale) == (float(np.sqrt(np.sum(held * held))), 1.0)
@@ -390,8 +389,8 @@ def test_adam_holds_two_tensor_sets_and_clipping_none():
     # m and v: no third set of tensors
     assert 2 * tensors <= made < 2 * tensors + params.predictor.nbytes // 4, made
     assert len(opt.m) == len(opt.v) == len(TENSOR_NAMES)
-    # one block buffer of float64, under a third of the predictor, and some
-    # 16 KiB of Python objects at most
+    # one row block's worth of float64, under a third of the predictor, and
+    # some 16 KiB of Python objects at most
     assert clipping < 8 * train._STEP_BLOCK + (1 << 14), clipping
 
 
@@ -1359,7 +1358,7 @@ def test_edge_rows_and_negative_zero_match_dense_gradient_path():
     params = _multi_block_params(rng)
     d, m, n = params.embed_dim, params.num_students, params.num_threads
     rows, width = params.predictor.shape
-    # a previous-thread row inside a row block of the step, and the last row
+    # a previous-thread row in the middle of the head, and the last row
     middle = 2 * d + m + n // 2
     batch = _paper_batch(rng, params, 3)
     batch.last_thread[:] = [n // 2, n - 1, -1]

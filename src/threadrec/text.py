@@ -169,51 +169,74 @@ def _expand_docs(docs: Sequence[Mapping[int, int]], vocab_size: int):
     )
 
 
-def _gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
+def _sweep_setup(words, lengths, vocab_size, alpha, beta):
+    """The arguments of _gibbs_sweep after the sampler state, fixed for a
+    fit: the tokens' words and the end of each document's tokens as lists;
+    count + prior lookup lists for the document and word counts, as long as
+    the largest count each can reach, whose entries are the float64 numpy
+    forms for an int64 count plus the prior; and beta_sum, the prior of a
+    topic's total, beta * vocab_size."""
+    doc_plus = np.arange(lengths.max() + 1) + alpha
+    word_plus = np.arange(np.bincount(words).max() + 1) + beta
+    return (words.tolist(), np.cumsum(lengths).tolist(), doc_plus.tolist(), word_plus.tolist(),
+            beta * vocab_size)
+
+
+def _gibbs_sweep(z, n_dk, n_kw, n_k, uniforms, words, ends, doc_plus, word_plus, beta_sum):
     """One full sampling pass. Counts are updated in place; uniforms supplies
-    one draw per token so the sweep is a pure function of its inputs.
+    one draw per token so the sweep is a pure function of its inputs. The
+    arguments after uniforms are _sweep_setup's, and the counts must be
+    those of z.
 
     The per-token step runs on Python lists, taken once per sweep and
     written back at its end, with the float64 operations of the array form
     in the same order: each weight is (n_dk + alpha) * (n_kw + beta) /
     (n_k + beta_sum), summed left to right into the cumulative weights.
     Float lists of count + prior ride beside the integer counts, the
-    document's taken afresh whenever the document changes; an entry is
-    recomputed from its integer count whenever the count changes. The
-    draw is the index of the first cumulative weight greater than u times
-    the total, clamped to the last topic: np.searchsorted(cum, u * cum[-1],
-    side="right") and the clamp. The weights are positive, so cum never
-    decreases and bisect_right finds that index."""
-    beta_sum = beta * n_kw.shape[1]
+    document's read from doc_plus once per document and each word's from
+    word_plus once per sweep. A step swaps in only the three floats of the
+    token's own topic with the token taken out, and leaves the integer
+    counts as they are. If the draw keeps the topic, the saved floats go
+    back; only a token that moves takes itself out of its old topic's
+    counts, whose floats are already in place, and adds itself to its new
+    topic's counts and floats. The draw is the index of the first
+    cumulative weight greater than u times the total, clamped to the last
+    topic: np.searchsorted(cum, u * cum[-1], side="right") and the clamp.
+    The weights are positive, so cum never decreases and bisect_right
+    finds that index."""
     last = n_k.shape[0] - 1
     z_list = z.tolist()
     dk_rows = n_dk.tolist()
-    wk_rows, wkf_rows = n_kw.T.tolist(), (n_kw.T + beta).tolist()
-    nk, nkf = n_k.tolist(), (n_k + beta_sum).tolist()
-    doc = -1
-    for i, (w, d, u) in enumerate(zip(words.tolist(), doc_of.tolist(), uniforms.tolist())):
-        k = z_list[i]
-        if d != doc:
-            doc, dk = d, dk_rows[d]
-            dkf = [a + alpha for a in dk]
-        wk, wkf = wk_rows[w], wkf_rows[w]
-        dk[k] -= 1
-        wk[k] -= 1
-        nk[k] -= 1
-        dkf[k] = dk[k] + alpha
-        wkf[k] = wk[k] + beta
-        nkf[k] = nk[k] + beta_sum
-        cum = list(accumulate(map(truediv, map(mul, dkf, wkf), nkf)))
-        k = bisect_right(cum, u * cum[-1])
-        if k > last:
-            k = last
-        dk[k] += 1
-        wk[k] += 1
-        nk[k] += 1
-        dkf[k] = dk[k] + alpha
-        wkf[k] = wk[k] + beta
-        nkf[k] = nk[k] + beta_sum
-        z_list[i] = k
+    wk_rows = n_kw.T.tolist()
+    wkf_rows = [[word_plus[c] for c in wk] for wk in wk_rows]
+    nk = n_k.tolist()
+    nkf = [c + beta_sum for c in nk]
+    us = uniforms.tolist()
+    lo = 0
+    for dk, hi in zip(dk_rows, ends):
+        if lo == hi:
+            continue
+        dkf = [doc_plus[c] for c in dk]
+        for i in range(lo, hi):
+            k = z_list[i]
+            w = words[i]
+            wk, wkf = wk_rows[w], wkf_rows[w]
+            dk_k, wk_k, nk_k = dk[k] - 1, wk[k] - 1, nk[k] - 1
+            saved_d, saved_w, saved_n = dkf[k], wkf[k], nkf[k]
+            dkf[k], wkf[k], nkf[k] = doc_plus[dk_k], word_plus[wk_k], nk_k + beta_sum
+            cum = list(accumulate(map(truediv, map(mul, dkf, wkf), nkf)))
+            j = bisect_right(cum, us[i] * cum[-1])
+            if j > last:
+                j = last
+            if j == k:
+                dkf[k], wkf[k], nkf[k] = saved_d, saved_w, saved_n
+                continue
+            dk[k], wk[k], nk[k] = dk_k, wk_k, nk_k
+            dk_j, wk_j, nk_j = dk[j] + 1, wk[j] + 1, nk[j] + 1
+            dk[j], wk[j], nk[j] = dk_j, wk_j, nk_j
+            dkf[j], wkf[j], nkf[j] = doc_plus[dk_j], word_plus[wk_j], nk_j + beta_sum
+            z_list[i] = j
+        lo = hi
     z[:] = z_list
     n_dk[:] = dk_rows
     n_kw.T[:] = wk_rows
@@ -354,9 +377,10 @@ def lda_fit(
     history = np.zeros(iters)
     alpha, beta = 50.0 / num_topics, 0.01
     joint_loglik = _JointLoglik(lengths, num_topics, vocab_size, alpha, beta)
+    setup = _sweep_setup(words, lengths, vocab_size, alpha, beta)
     for sweep in range(iters):
         uniforms = rng.random(len(words))
-        _gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms)
+        _gibbs_sweep(z, n_dk, n_kw, n_k, uniforms, *setup)
         history[sweep] = joint_loglik(n_dk, n_kw, n_k)
 
     topic_word = (n_kw + beta).astype(np.float64)

@@ -1,13 +1,16 @@
 import hashlib
 import re
 from bisect import bisect_right
+from itertools import accumulate
+from operator import mul, truediv
 
 import numpy as np
 import pytest
 
 from threadrec import text
-from threadrec.corpus import CourseSchedule
+from threadrec.corpus import CourseSchedule, SplitSpec, split_by_time
 from threadrec.stem import stem
+from threadrec.synth import algo_like, generate
 
 NO_STOP = frozenset()
 
@@ -562,16 +565,26 @@ def test_lda_infer_batch_rejects_what_lda_infer_rejects(bad, match):
         text.lda_infer_batch(model, [{0: 1}], iters=0)
 
 
+def _sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
+    # text._gibbs_sweep with its fixed arguments set up as lda_fit sets them
+    lengths = np.bincount(doc_of, minlength=len(n_dk))
+    text._gibbs_sweep(z, n_dk, n_kw, n_k, uniforms,
+                      *text._sweep_setup(words, lengths, n_kw.shape[1], alpha, beta))
+
+
 def _one_token_sweep(u):
-    # with alpha = beta = 1 and one word, the token's three topics weigh
-    # 1, 1 and 2 once it is removed: cumulative weights 1, 2, 4
-    z = np.array([0])
+    # one word, alpha = beta = 1, and a document of two tokens in topics 0
+    # and 2: once the first is removed, the three topics weigh 1, 1 and 2,
+    # cumulative weights 1, 2, 4; the second token draws with u = 1 and so
+    # stays in the last topic
+    z = np.array([0, 2])
     n_dk = np.array([[1, 0, 1]])
     n_kw = np.array([[1], [0], [1]])
     n_k = np.array([1, 0, 1])
-    text._gibbs_sweep(np.array([0]), np.array([0]), z, n_dk, n_kw, n_k, 1.0, 1.0,
-                      np.array([u]))
-    assert n_dk.tolist() == [[int(z[0] == 0), int(z[0] == 1), 1 + int(z[0] == 2)]]
+    _sweep(np.array([0, 0]), np.array([0, 0]), z, n_dk, n_kw, n_k, 1.0, 1.0,
+           np.array([u, 1.0]))
+    assert z[1] == 2
+    assert n_dk[0].tolist() == np.bincount(z, minlength=3).tolist()
     assert n_kw[:, 0].tolist() == n_dk[0].tolist() and n_k.tolist() == n_dk[0].tolist()
     return int(z[0])
 
@@ -616,7 +629,107 @@ def test_gibbs_sweep_matches_array_reference():
     ref = [a.copy() for a in (z, n_dk, n_kw, n_k)]
     for _ in range(3):
         uniforms = rng.random(len(words))
-        text._gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, 50.0 / k, 0.01, uniforms)
+        _sweep(words, doc_of, z, n_dk, n_kw, n_k, 50.0 / k, 0.01, uniforms)
         _numpy_gibbs_sweep(words, doc_of, *ref, 50.0 / k, 0.01, uniforms)
         for got, expect in zip((z, n_dk, n_kw, n_k), ref):
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+def _ref_gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
+    """The list form of the token step that _gibbs_sweep must match bit for
+    bit: every token decrements and increments its three counts and
+    recomputes their three count + prior floats, whether its topic moves
+    or not."""
+    beta_sum = beta * n_kw.shape[1]
+    last = n_k.shape[0] - 1
+    z_list = z.tolist()
+    dk_rows = n_dk.tolist()
+    wk_rows, wkf_rows = n_kw.T.tolist(), (n_kw.T + beta).tolist()
+    nk, nkf = n_k.tolist(), (n_k + beta_sum).tolist()
+    doc = -1
+    for i, (w, d, u) in enumerate(zip(words.tolist(), doc_of.tolist(), uniforms.tolist())):
+        k = z_list[i]
+        if d != doc:
+            doc, dk = d, dk_rows[d]
+            dkf = [a + alpha for a in dk]
+        wk, wkf = wk_rows[w], wkf_rows[w]
+        dk[k] -= 1
+        wk[k] -= 1
+        nk[k] -= 1
+        dkf[k] = dk[k] + alpha
+        wkf[k] = wk[k] + beta
+        nkf[k] = nk[k] + beta_sum
+        cum = list(accumulate(map(truediv, map(mul, dkf, wkf), nkf)))
+        k = bisect_right(cum, u * cum[-1])
+        if k > last:
+            k = last
+        dk[k] += 1
+        wk[k] += 1
+        nk[k] += 1
+        dkf[k] = dk[k] + alpha
+        wkf[k] = wk[k] + beta
+        nkf[k] = nk[k] + beta_sum
+        z_list[i] = k
+    z[:] = z_list
+    n_dk[:] = dk_rows
+    n_kw.T[:] = wk_rows
+    n_k[:] = nk
+
+
+def _ragged_corpus(rng, vocab_size):
+    # documents of 0 to 12 tokens, empty ones between non-empty ones, and
+    # words repeated within a document
+    docs = []
+    for length in rng.integers(0, 13, size=40).tolist() + [1, 0, 1, 1, 0, 0, 2]:
+        tf = {}
+        for w in rng.integers(0, vocab_size, size=length).tolist():
+            tf[w] = tf.get(w, 0) + 1
+        docs.append(tf)
+    return docs
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gibbs_sweep_matches_the_step_that_updates_every_token(k, seed):
+    rng = np.random.default_rng(seed)
+    vocab_size = 12
+    docs = _ragged_corpus(rng, vocab_size)
+    words, doc_of, _ = text._expand_docs(docs, vocab_size)
+    z = rng.integers(0, k, size=len(words))
+    n_dk = np.zeros((len(docs), k), dtype=np.int64)
+    n_kw = np.zeros((k, vocab_size), dtype=np.int64)
+    n_k = np.zeros(k, dtype=np.int64)
+    np.add.at(n_dk, (doc_of, z), 1)
+    np.add.at(n_kw, (z, words), 1)
+    np.add.at(n_k, z, 1)
+    ref = [a.copy() for a in (z, n_dk, n_kw, n_k)]
+    # u = 0 draws the first topic and the largest u below 1 the last; a
+    # sweep of each empties every other topic, and the sweep after moves
+    # every token
+    crafted = rng.random(len(words))
+    crafted[::3] = 0.0
+    crafted[1::5] = np.nextafter(1.0, 0.0)
+    sweeps = [rng.random(len(words)), crafted, np.zeros(len(words)),
+              np.full(len(words), np.nextafter(1.0, 0.0)), rng.random(len(words)),
+              rng.random(len(words))]
+    for uniforms in sweeps:
+        _sweep(words, doc_of, z, n_dk, n_kw, n_k, 50.0 / k, 0.01, uniforms)
+        _ref_gibbs_sweep(words, doc_of, *ref, 50.0 / k, 0.01, uniforms)
+        for got, expect in zip((z, n_dk, n_kw, n_k), ref):
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+def test_lda_fit_keeps_the_acceptance_course_bytes():
+    # the topic model of the acceptance course, fit as acceptance 7 and 8
+    # fit it; at 60 sweeps most token steps keep their topic
+    ds, _ = generate(algo_like(scale=0.1, seed=0))
+    horizon = 8 * 604800.0
+    train_ds, _ = split_by_time(ds, SplitSpec(horizon, horizon + 86400.0))
+    docs = [ev.tokens for ev in train_ds.events] + ds.course.week_docs
+    vocab = text.build_vocabulary(docs, min_count=10)
+    tf = [text.term_frequency(doc, vocab) for doc in docs]
+    model = text.lda_fit(tf, 9, iters=60, seed=1, vocab_size=len(vocab))
+    assert _sha(model.topic_word) == (
+        "490a99ceb622e17424cd4dd05be16bd2f5ffd21db8aa8d8763863297517ec17a")
+    assert _sha(model.loglik_history) == (
+        "2db9b4b579200417a41e01ee1e016d3e259a6e478f168a182edacf52a575930f")

@@ -150,8 +150,10 @@ def test_lda_outputs(pipeline):
     assert manifest["command"] == "lda"
     assert manifest["seed"] == 3  # base 2 plus the lda stage offset
     timings = manifest["timings"]
-    assert set(timings) == {"vocabulary_s", "lda_fit_s", "course_topics_s"}
+    assert set(timings) == {"vocabulary_s", "lda_fit_s", "lda_sweep_s", "course_topics_s"}
     assert all(seconds >= 0 for seconds in timings.values())
+    # each value is rounded on its own, so a sweep's share may round up by half a millisecond
+    assert timings["lda_sweep_s"] <= timings["lda_fit_s"] / manifest["config"]["iters"] + 5e-4
 
 
 def test_train_outputs(pipeline):
@@ -446,15 +448,30 @@ def test_ablate_manifest_records_the_effective_config(pipeline, capsys):
     capsys.readouterr()
 
 
-def test_lda_and_read_only_commands_leave_scipy_and_process_pools_unloaded(pipeline):
-    # no command imports scipy, and only ablate starts processes; no other
-    # command pays for importing them, nor for the package modules it does
-    # not run
+def _modules_loaded_after(commands, modules):
+    """Which of modules are imported once a fresh interpreter has run the
+    CLI commands, each asserted to exit 0."""
     import threadrec
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(threadrec.__file__).parents[1])]
         + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import json, sys\n"
+              "import threadrec, threadrec.cli\n"
+              "codes = [threadrec.cli.main(a) for a in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, [m for m in %r if m in sys.modules]]))\n"
+              % (tuple(modules),))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(commands)
+    return loaded
+
+
+def test_lda_and_read_only_commands_leave_scipy_and_process_pools_unloaded(pipeline):
+    # no command imports scipy, and only ablate starts processes; no other
+    # command pays for importing them, nor for the package modules it does
+    # not run
     heavy = ("scipy", "scipy.special", "concurrent.futures.process")
     data, ckpt = str(pipeline["data"]), str(pipeline["run"] / "checkpoint.bin")
     commands = [
@@ -465,25 +482,36 @@ def test_lda_and_read_only_commands_leave_scipy_and_process_pools_unloaded(pipel
         ["recommend", "--data", data, "--checkpoint", ckpt, "--student", "0",
          "--at", "2w"],
     ]
-
-    def loaded_after(commands, modules=heavy):
-        script = ("import json, sys\n"
-                  "import threadrec, threadrec.cli\n"
-                  "codes = [threadrec.cli.main(a) for a in json.loads(sys.argv[1])]\n"
-                  "print(json.dumps([codes, [m for m in %r if m in sys.modules]]))\n"
-                  % (modules,))
-        done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                              env=env, capture_output=True, text=True, check=True)
-        codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
-        assert codes == [0] * len(commands)
-        return loaded
-
-    assert loaded_after([]) == []
-    assert loaded_after(commands, heavy + ("threadrec.train", "threadrec.synth")) == []
+    assert _modules_loaded_after([], heavy) == []
+    assert _modules_loaded_after(commands, heavy + ("threadrec.train", "threadrec.synth")) == []
     lda = ["lda", "--data", data, "--out", str(pipeline["root"] / "lean-lda"),
            "--iters", "2", "--min-count", "2"]
-    assert loaded_after([lda], heavy + ("threadrec.model", "threadrec.train",
-                                         "threadrec.recommend", "threadrec.synth")) == []
+    assert _modules_loaded_after([lda], heavy + ("threadrec.model", "threadrec.train",
+                                                 "threadrec.recommend",
+                                                 "threadrec.synth")) == []
+
+
+def test_train_leaves_numpy_ma_unloaded(pipeline):
+    # the manifest's elapsed-time percentiles are computed without np.percentile
+    train = ["train", "--data", str(pipeline["data"]), "--lda", str(pipeline["lda"]),
+             "--out", str(pipeline["root"] / "lean-train"), "--train-end", "2w",
+             "--set", "epochs=1", "--set", "embed_dim=4"]
+    assert _modules_loaded_after([train], ("numpy.ma",)) == []
+
+
+@pytest.mark.parametrize("values", [
+    [3.5], [0.1, 0.7], [0.1, 0.7, 0.3], [1 / 3, 2 / 7, 5 / 9], [0.25, 7.0, 0.25],
+    np.random.default_rng(4).exponential(size=797).tolist(),
+    np.random.default_rng(5).integers(0, 6, size=797).astype(float).tolist(),
+])
+def test_percentiles_are_numpy_percentile(values):
+    # every half percent: on these values both of _lerp's branches give
+    # results the other would round differently
+    values = np.array(values)
+    percents = np.arange(201) / 2
+    assert cli._percentiles(values, percents.tolist()) == np.percentile(values, percents).tolist()
+    assert cli._percentiles(values, (50, 99, 100)) == (
+        np.percentile(values, [50, 99, 100]).tolist())
 
 
 def test_usage_errors_exit_two(pipeline, tmp_path, capsys):

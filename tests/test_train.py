@@ -394,6 +394,28 @@ def test_adam_holds_two_tensor_sets_and_clipping_none():
     assert clipping < 8 * train._STEP_BLOCK + (1 << 14), clipping
 
 
+def test_clipping_a_head_of_many_rows_holds_one_copy_of_its_values():
+    rng = np.random.default_rng(25)
+    params = _multi_block_params(rng)
+    grads = params.zero_grads()
+    head = grads["predictor"]
+    rows = np.sort(rng.choice(head.shape[0], size=2 * head.shape[0] // 5, replace=False))
+    head.start(rows)
+    head.values[:] = rng.normal(size=head.values.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        clip_gradients(grads, 1.0)
+        clipping = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the squares of the held rows, some 16 KiB of Python objects at most,
+    # and well under the dense head, which squaring the dense form would
+    # take twice
+    assert head.values.nbytes < params.predictor.nbytes // 2
+    assert clipping < head.values.nbytes + (1 << 14), (clipping, head.values.nbytes)
+
+
 def _moment_bytes(opt) -> int:
     return sum(arr.nbytes for moments in (opt.m, opt.v) for arr in moments.values())
 

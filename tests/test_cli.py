@@ -510,8 +510,6 @@ def test_percentiles_are_numpy_percentile(values):
     values = np.array(values)
     percents = np.arange(201) / 2
     assert cli._percentiles(values, percents.tolist()) == np.percentile(values, percents).tolist()
-    assert cli._percentiles(values, (50, 99, 100)) == (
-        np.percentile(values, [50, 99, 100]).tolist())
 
 
 def test_usage_errors_exit_two(pipeline, tmp_path, capsys):

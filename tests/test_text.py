@@ -572,7 +572,7 @@ def _sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):
                       *text._sweep_setup(words, lengths, n_kw.shape[1], alpha, beta))
 
 
-def _one_token_sweep(u):
+def _first_token_draw(u):
     # one word, alpha = beta = 1, and a document of two tokens in topics 0
     # and 2: once the first is removed, the three topics weigh 1, 1 and 2,
     # cumulative weights 1, 2, 4; the second token draws with u = 1 and so
@@ -590,12 +590,12 @@ def _one_token_sweep(u):
 
 
 def test_gibbs_draw_rule_ties_and_clamp():
-    assert _one_token_sweep(0.2499) == 0
+    assert _first_token_draw(0.2499) == 0
     # u * total lands exactly on a cumulative weight: the next topic wins
-    assert _one_token_sweep(0.25) == 1
-    assert _one_token_sweep(0.5) == 2
+    assert _first_token_draw(0.25) == 1
+    assert _first_token_draw(0.5) == 2
     # u * total reaches the total: clamped to the last topic
-    assert _one_token_sweep(1.0) == 2
+    assert _first_token_draw(1.0) == 2
 
 
 def _numpy_gibbs_sweep(words, doc_of, z, n_dk, n_kw, n_k, alpha, beta, uniforms):

@@ -154,13 +154,12 @@ def _file_sha256(path: Path) -> str:
 
 def write_manifest(out_dir: Path, command: str, seed, config: dict,
                    inputs: list[Path], outputs: list[Path],
-                   logs: list[Path], seconds: float,
-                   timings: dict[str, float] | None = None,
+                   logs: list[Path], seconds: float, timings: dict[str, float],
                    features: dict | None = None,
                    peak_rss_mb: float | None = None) -> Path:
-    """timings, if given, holds the seconds of each stage of the command;
-    features, if given, describes the event features it trained on, and
-    peak_rss_mb the process's peak resident set."""
+    """timings holds the seconds of each stage of the command; features, if
+    given, describes the event features it trained on, and peak_rss_mb the
+    process's peak resident set."""
     manifest = {
         "command": command,
         "seed": seed,
@@ -169,9 +168,8 @@ def write_manifest(out_dir: Path, command: str, seed, config: dict,
         "outputs": {Path(p).name: _file_sha256(Path(p)) for p in outputs},
         "logs": [Path(p).name for p in logs],
         "seconds": round(seconds, 3),
+        "timings": {name: round(value, 3) for name, value in timings.items()},
     }
-    if timings is not None:
-        manifest["timings"] = {name: round(value, 3) for name, value in timings.items()}
     if features is not None:
         manifest["features"] = features
     if peak_rss_mb is not None:
@@ -228,9 +226,10 @@ def _prepare_features(lda_dir, window: corpus.Dataset, cfg) -> train.PreparedFea
 def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
     """Load a checkpoint to rank on ds at t_query, the time given by flag.
     Its meta must hold its times as null or finite numbers and its config
-    as an object. A checkpoint answers only for the course shape it was
-    trained on. Its states hold every training post, so a query at or
-    before the last of them would score posts the model has already seen.
+    as an object, whose ablation flags, where present, are booleans. A
+    checkpoint answers only for the course shape it was trained on. Its
+    states hold every training post, so a query at or before the last of
+    them would score posts the model has already seen.
     Returns (params, store, week_topics, meta, flags), flags being the
     ablation flags it was trained with."""
     from . import model
@@ -243,6 +242,11 @@ def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
     config = meta.get("config", {})
     if not isinstance(config, dict):
         raise ValueError("the checkpoint's config must be an object, not %r" % (config,))
+    flags = {name: config.get(name, False) for name in model.AblationFlags.NAMES}
+    for name, value in flags.items():
+        if not isinstance(value, bool):  # "false" would read as true
+            raise ValueError("the checkpoint's config %s must be true or false, not %r"
+                             % (name, value))
     trained = (params.num_students, params.num_threads, params.num_weeks)
     given = (ds.num_students, ds.num_threads, ds.course.num_weeks)
     if trained != given:
@@ -252,9 +256,7 @@ def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
     if last_post is not None and t_query <= last_post:
         raise UsageError("%s %r is at or before the checkpoint's last training post at %r"
                          % (flag, t_query, last_post))
-    flags = model.AblationFlags(**{name: bool(config.get(name, False))
-                                   for name in model.AblationFlags.NAMES})
-    return params, store, week_topics, meta, flags
+    return params, store, week_topics, meta, model.AblationFlags(**flags)
 
 
 def cmd_synth(args) -> int:
@@ -322,31 +324,8 @@ def cmd_lda(args) -> int:
     return 0
 
 
-def _percentiles(values: np.ndarray, percents) -> list[float]:
-    """np.percentile(values, percents).tolist(), by its default linear rule
-    and numpy's _lerp, from a sorted copy: percent p lies at position
-    (n - 1) * (p / 100) and is interpolated up from the value below it when
-    its weight is under 0.5, and down from the value above otherwise.
-    np.percentile would import numpy.ma, about 11 ms of a train process."""
-    ordered = np.sort(values).tolist()
-    last = len(ordered) - 1
-    out = []
-    for p in percents:
-        x = last * (p / 100)
-        if x < last:
-            lo = math.floor(x)
-            hi, t = lo + 1, x - lo
-        else:  # numpy takes both values from index -1 and the weight from there
-            lo = hi = last
-            t = x + 1
-        a, b = ordered[lo], ordered[hi]
-        diff = b - a
-        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
-    return out
-
-
 def cmd_train(args) -> int:
-    from . import model, train
+    from . import model, recommend, train
     started = time.perf_counter()
     cfg = _config(train.TrainConfig(), _collect_overrides(args))
     if args.seed is not None:
@@ -375,7 +354,6 @@ def cmd_train(args) -> int:
     outputs = [out / CHECKPOINT_FILE]
     logs = [out / TRAIN_LOG_FILE]
     if sink is not None:
-        from . import recommend
         recommend.write_trajectories(sink, out / TRAJECTORIES_FILE)
         outputs.append(out / TRAJECTORIES_FILE)
     timings = {"ingest_s": t_features - started, "features_s": t_fit - t_features,
@@ -387,7 +365,7 @@ def cmd_train(args) -> int:
                 "time_scale": features.trackers.time_scale}
     for name in ("delta_student", "delta_thread"):  # elapsed times in time_scale units
         coverage[name] = dict(zip(("p50", "p99", "max"),
-                                  _percentiles(getattr(events, name), (50, 99, 100))))
+                                  recommend.percentiles(getattr(events, name), (50, 99, 100))))
     inputs = [data / n for n in DATA_FILES] + [Path(args.lda) / n for n in LDA_FILES]
     write_manifest(out, "train", cfg.seed, dataclasses.asdict(cfg), inputs, outputs, logs,
                    time.perf_counter() - started, timings, coverage, peak_rss_mb)

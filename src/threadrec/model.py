@@ -195,23 +195,19 @@ def dense_grads(grads: dict) -> dict[str, np.ndarray]:
     return {**grads, "predictor": predictor}
 
 
-def _sigmoid_checked(v: float) -> float:
-    try:
-        return 1.0 / (1.0 + math.exp(-v))
-    except OverflowError:  # C's exp gives inf there, and the sigmoid 0
-        return 0.0
+# the largest float whose exp is finite: math.exp raises above it, where
+# C's exp gives inf
+_EXP_MAX = float.fromhex("0x1.62e42fefa39efp+9")
 
 
 def _act(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
         # 1/(1+exp(-x)) with the C library's exp, which is scipy's expit bit
         # for bit; numpy's vectorized exp rounds some values differently.
-        # Below about -709.78, where exp(-v) overflows and math.exp raises,
-        # every value takes the checked path.
-        try:
-            e = np.fromiter(map(math.exp, (-x).ravel().tolist()), np.float64, x.size)
-        except OverflowError:
-            return np.array([_sigmoid_checked(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        # Above _EXP_MAX, exp(-x) is inf and the sigmoid 0; NaN stays NaN.
+        v = (-x).ravel()
+        e = np.fromiter(map(math.exp, np.minimum(v, _EXP_MAX).tolist()), np.float64, x.size)
+        e[v > _EXP_MAX] = np.inf
         return (1.0 / (1.0 + e)).reshape(x.shape)
     return np.tanh(x)
 
@@ -281,9 +277,8 @@ def _project_student_kernel(u_vec, delta, week, params):
     """Drift the student's embedding forward by elapsed time delta within
     course week `week`: an elementwise gain of one plus a time term plus a
     week term multiplies the stored embedding. For rows, delta is a column
-    and week an index array. Returns (projection, gain)."""
-    gain = 1.0 + params.time_context[:, 0] * delta + params.week_context.T[week]
-    return gain * u_vec, gain
+    and week an index array."""
+    return (1.0 + params.time_context[:, 0] * delta + params.week_context.T[week]) * u_vec
 
 
 def excitation(history: ReplyHistory, t_query: float, post_decay: float,
@@ -394,7 +389,7 @@ def _predict_from_store(store: DynamicStateStore, student, delta, week, last_thr
     if flags.no_student_projection:
         u_hat = u_vec
     else:
-        u_hat = _project_student_kernel(u_vec, delta, week, params)[0]
+        u_hat = _project_student_kernel(u_vec, delta, week, params)
     last_vec = store.thread_vecs[last_thread] * _has_last(last_thread)
     return _predict_kernel(u_hat, student, last_vec, last_thread, params), u_vec, u_hat, last_vec
 

@@ -133,6 +133,29 @@ def mean(values: Collection[float]) -> float:
     return total / len(values)
 
 
+def percentiles(values: np.ndarray, percents) -> list[float]:
+    """np.percentile(values, percents).tolist(), by its default linear rule
+    and numpy's _lerp, from a sorted copy: percent p lies at position
+    (n - 1) * (p / 100) and is interpolated up from the value below it when
+    its weight is under 0.5, and down from the value above otherwise.
+    np.percentile would import numpy.ma, about 11 ms of a command."""
+    ordered = np.sort(values).tolist()
+    last = len(ordered) - 1
+    out = []
+    for p in percents:
+        x = last * (p / 100)
+        if x < last:
+            lo = int(x)  # x >= 0, so this is its floor
+            hi, t = lo + 1, x - lo
+        else:  # numpy takes both values from index -1 and the weight from there
+            lo = hi = last
+            t = x + 1
+        a, b = ordered[lo], ordered[hi]
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
 # resamples of a bootstrap interval, drawn from one fixed stream so that
 # the same values always give the same interval; with 2,001 of them the
 # 2.5th and 97.5th percentiles are the 51st smallest and largest means
@@ -156,14 +179,11 @@ def bootstrap_interval(values: Sequence[float]) -> list[float]:
     replacement, whose positions are the splitmix64 stream modulo
     len(values), in one (draws, len(values)) array. Two equally long value
     lists resample the same positions, so the interval of their
-    per-position differences is a paired one. (np.percentile would import
-    numpy.ma, another 17 ms.)"""
+    per-position differences is a paired one."""
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     draws = (splitmix64(BOOTSTRAP_DRAWS * n) % np.uint64(n)).astype(np.intp)
-    means = np.sort(values[draws.reshape(BOOTSTRAP_DRAWS, n)].mean(axis=1))
-    tail = (BOOTSTRAP_DRAWS - 1) // 40
-    return [float(means[tail]), float(means[-1 - tail])]
+    return percentiles(values[draws.reshape(BOOTSTRAP_DRAWS, n)].mean(axis=1), (2.5, 97.5))
 
 
 def split_queries(test: Dataset, t: float) -> list[tuple[int, float, set[int]]]:

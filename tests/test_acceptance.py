@@ -69,7 +69,7 @@ def test_3_projection_identities(capsys):
     params.time_context[:] = 0.0
     params.week_context[:] = 0.0
     vec = rng.uniform(-1.0, 1.0, 4)
-    projected, _ = _project_student_kernel(vec.copy(), 1234.5, 2, params)
+    projected = _project_student_kernel(vec.copy(), 1234.5, 2, params)
     student_identity = projected.tobytes() == vec.tobytes()
 
     u = rng.uniform(-1.0, 1.0, 4)

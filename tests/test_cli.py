@@ -14,7 +14,7 @@ import pytest
 from threadrec import cli, corpus, model, synth
 from threadrec.cli import (UsageError, main, parse_duration, read_config_file,
                            verify_manifest)
-from threadrec.recommend import bootstrap_interval, mean
+from threadrec.recommend import bootstrap_interval, mean, percentiles
 from threadrec.synth import SynthConfig
 from threadrec.train import TrainConfig, mean_event_gap
 
@@ -499,6 +499,14 @@ def test_train_leaves_numpy_ma_unloaded(pipeline):
     assert _modules_loaded_after([train], ("numpy.ma",)) == []
 
 
+def test_eval_leaves_numpy_ma_unloaded(pipeline):
+    # the bootstrap interval next to MAP is computed without np.percentile
+    evaluate = ["eval", "--data", str(pipeline["data"]), "--out", str(pipeline["root"] / "lean-ci"),
+                "--checkpoint", str(pipeline["run"] / "checkpoint.bin"), "--train-end", "2w",
+                "--test-end", "3w"]
+    assert _modules_loaded_after([evaluate], ("numpy.ma",)) == []
+
+
 @pytest.mark.parametrize("values", [
     [3.5], [0.1, 0.7], [0.1, 0.7, 0.3], [1 / 3, 2 / 7, 5 / 9], [0.25, 7.0, 0.25],
     np.random.default_rng(4).exponential(size=797).tolist(),
@@ -509,7 +517,7 @@ def test_percentiles_are_numpy_percentile(values):
     # results the other would round differently
     values = np.array(values)
     percents = np.arange(201) / 2
-    assert cli._percentiles(values, percents.tolist()) == np.percentile(values, percents).tolist()
+    assert percentiles(values, percents.tolist()) == np.percentile(values, percents).tolist()
 
 
 def test_usage_errors_exit_two(pipeline, tmp_path, capsys):
@@ -707,6 +715,46 @@ def test_runtime_errors_exit_one(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: schedule %s must be a JSON object, not list" % (bad / "schedule.json") in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_checkpoint_ablation_flags_must_be_booleans(pipeline, tmp_path, capsys):
+    # a flag that is present must be a JSON boolean: "false" is truthy and
+    # would rank without thread projection; an absent flag means false
+    magic, header, payload = (pipeline["run"] / "checkpoint.bin").read_bytes().split(b"\n", 2)
+    good = json.loads(header)
+    ckpt, out = tmp_path / "checkpoint.bin", tmp_path / "out"
+    argvs = (["eval", "--data", str(pipeline["data"]), "--out", str(out),
+              "--checkpoint", str(ckpt), "--train-end", "2w", "--test-end", "3w"],
+             ["recommend", "--data", str(pipeline["data"]), "--checkpoint", str(ckpt),
+              "--student", "0", "--at", "2w"])
+
+    absent = object()
+
+    def write(value):
+        config = {k: v for k, v in good["meta"]["config"].items() if k != "no_thread_projection"}
+        if value is not absent:
+            config["no_thread_projection"] = value
+        meta = {**good["meta"], "config": config}
+        ckpt.write_bytes(magic + b"\n" + json.dumps({**good, "meta": meta}).encode() + b"\n"
+                         + payload)
+
+    for value, shown in (("false", "'false'"), (1, "1"), (None, "None")):
+        write(value)
+        for argv in argvs:
+            assert main(argv) == 1, (argv[0], value)
+            err = capsys.readouterr().err
+            assert ("error: the checkpoint's config no_thread_projection must be true or "
+                    "false, not %s" % shown in err), (argv[0], value)
+            assert "Traceback" not in err and not out.exists()
+    ds = cli._load_dataset(pipeline["data"])
+    for value, expected in ((True, True), (False, False), (absent, False)):
+        write(value)
+        flags = cli._open_checkpoint(ckpt, ds, parse_duration("2w"), "--at")[4]
+        assert flags == model.AblationFlags(no_thread_projection=expected), value
+        for argv in argvs:
+            assert main(argv) == 0, (argv[0], value)
+        shutil.rmtree(out)
+    capsys.readouterr()
 
 
 def test_unreadable_inputs_name_their_file(pipeline, tmp_path, capsys):

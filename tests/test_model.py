@@ -68,11 +68,52 @@ def test_sigmoid_is_scipy_expit_bit_for_bit():
     edges = np.array([0.0, -0.0, 709.78, -709.78, 709.79, -709.79, 710.0, -710.0,
                       800.0, -800.0, 1e308, -1e308, np.inf, -np.inf, np.nan])
     assert np.array_equal(model._act(edges, "sigmoid"), expit(edges), equal_nan=True)
-    # a row holding a value whose exp(-v) overflows takes the checked path;
-    # without one, every value takes the vectorized one
+    # and so do rows that hold no value whose exp(-v) overflows
     fast = np.concatenate([x[x > -700.0], edges[~(edges < -709.78)]])
     assert np.array_equal(model._act(fast, "sigmoid"), expit(fast), equal_nan=True)
     assert np.array_equal(model._act(x, "tanh"), np.tanh(x))
+
+
+def _ref_sigmoid_checked(v):
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def _ref_act(x, kind):
+    """The activation as it was before the overflow mask: libm exp over the
+    whole tensor, rerun one element at a time when an entry overflows. Kept
+    as the reference the masked sigmoid must match bit for bit."""
+    if kind == "sigmoid":
+        try:
+            e = np.fromiter(map(math.exp, (-x).ravel().tolist()), np.float64, x.size)
+        except OverflowError:
+            return np.array([_ref_sigmoid_checked(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return (1.0 / (1.0 + e)).reshape(x.shape)
+    return np.tanh(x)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_sigmoid_matches_the_per_element_rerun_bit_for_bit():
+    top = model._EXP_MAX
+    assert math.isfinite(math.exp(top))
+    with pytest.raises(OverflowError):
+        math.exp(math.nextafter(top, math.inf))
+    # the largest course-small and paper-size t-batches have 72 and 746 rows
+    rng = np.random.default_rng(29)
+    for shape in ((1, 10), (72, 10), (746, 10)):
+        x = rng.standard_normal(shape) * 400.0
+        assert _same_bits(model._act(x, "sigmoid"), _ref_act(x, "sigmoid")), shape
+    # the threshold and its neighbours on both sides of zero, alone and
+    # together
+    near = [math.nextafter(top, 0.0), top, math.nextafter(top, math.inf)]
+    edges = np.array(near + [-v for v in near] + [math.inf, -math.inf, math.nan, 0.0, -0.0])
+    for x in [edges, edges.reshape(1, -1)] + [edges[i:i + 1] for i in range(len(edges))]:
+        assert _same_bits(model._act(x, "sigmoid"), _ref_act(x, "sigmoid")), x
 
 
 def test_update_single_weight_oracle():
@@ -132,7 +173,7 @@ def test_project_student_oracle():
     params = zero_params()
     params.time_context[:, 0] = [0.25, 0.0]
     params.week_context[:, 1] = [0.25, 0.0]
-    out, _ = model._project_student_kernel(np.array([1.0, 1.0]), 1.0, 1, params)
+    out = model._project_student_kernel(np.array([1.0, 1.0]), 1.0, 1, params)
     assert np.array_equal(out, [1.5, 1.0])
 
 
@@ -140,7 +181,7 @@ def test_project_student_zero_context_is_identity():
     rng = np.random.default_rng(7)
     params = zero_params()
     vec = rng.random(2)
-    out, _ = model._project_student_kernel(vec, 123.0, 0, params)
+    out = model._project_student_kernel(vec, 123.0, 0, params)
     assert np.array_equal(out, vec)
 
 
@@ -377,6 +418,36 @@ def test_frozen_embedding_ablations_keep_states(small_params):
                                         small_params.zero_grads(), flags)
     assert np.array_equal(u_new, store.student_vecs[batch.student])
     assert np.array_equal(p_new, store.thread_vecs[batch.thread])
+
+
+def test_batch_grads_past_the_sigmoid_overflow_match_the_per_element_rerun(monkeypatch):
+    # paper-size elapsed times (delta_student p99 5,978) put some cell
+    # pre-activations below -_EXP_MAX, where exp(-x) overflows
+    rng = np.random.default_rng(31)
+    params = ModelParams.init(rng, embed_dim=10, num_topics=9, num_weeks=10,
+                              num_students=40, num_threads=30)
+    batch, store = random_batch(rng, params)
+    batch.delta_student[:] = rng.uniform(0.0, 6000.0, len(batch.student))
+    batch.delta_thread[:] = rng.uniform(0.0, 6000.0, len(batch.thread))
+
+    def run():
+        grads = params.zero_grads()
+        losses, u_new, p_new = model.batch_grads(batch, store, params, grads)
+        dense = model.dense_grads(grads)
+        return [losses, u_new, p_new] + [dense[name] for name in TENSOR_NAMES]
+
+    got = run()
+    overflowed = []
+
+    def ref_act(x, kind):
+        overflowed.append(np.count_nonzero(-x > model._EXP_MAX))
+        return _ref_act(x, kind)
+
+    monkeypatch.setattr(model, "_act", ref_act)
+    want = run()
+    assert sum(overflowed) > 0
+    for name, a, b in zip(("losses", "u_new", "p_new") + TENSOR_NAMES, got, want):
+        assert _same_bits(a, b), name
 
 
 def test_batch_grads_write_a_reused_set_afresh(small_params):

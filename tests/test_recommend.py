@@ -71,7 +71,7 @@ def stacked_target_ranking(params, store, week_topics, course, index, candidates
             week = nearest_week_loop(store.student_last_theta[student], week_topics)
         else:
             week = course.week_of(t_query)
-        u_hat = model._project_student_kernel(u_vec, delta, week, params)[0]
+        u_hat = model._project_student_kernel(u_vec, delta, week, params)
     last_thread = int(store.student_last_thread[student])
     if last_thread < 0:
         q = model._predict_kernel(u_hat, student, np.zeros(d), -1, params)

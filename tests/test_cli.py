@@ -754,7 +754,6 @@ def test_checkpoint_ablation_flags_must_be_booleans(pipeline, tmp_path, capsys):
         for argv in argvs:
             assert main(argv) == 0, (argv[0], value)
         shutil.rmtree(out)
-    capsys.readouterr()
 
 
 def test_unreadable_inputs_name_their_file(pipeline, tmp_path, capsys):

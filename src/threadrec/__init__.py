@@ -13,20 +13,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AblationFlags", "CourseSchedule", "Dataset", "DynamicStateStore",
-    "EmptyDatasetError", "EvalReport", "GroundTruth", "IntegrityError",
-    "LdaModel", "ModelParams", "ParseError", "PostEvent", "SplitSpec",
-    "SynthConfig", "TrainConfig", "Vocabulary",
-    "algo_like", "average_precision", "baseline_pop", "baseline_rec",
-    "baseline_user_rec", "build_model_ranker", "build_vocabulary",
-    "course_topics", "evaluate", "event_queries", "excitation", "fit",
-    "generate", "gradient_check", "ingest_jsonl", "lda_fit", "lda_infer_batch",
-    "load_checkpoint", "load_schedule", "prepare_event_features", "preprocess",
-    "project_thread", "save_checkpoint", "split_by_time", "split_queries",
-    "t_batch", "term_frequency", "validate_dataset", "__version__",
-]
-
 _HOMES = {
     "corpus": ("CourseSchedule", "Dataset", "EmptyDatasetError", "IntegrityError",
                "ParseError", "PostEvent", "SplitSpec", "ingest_jsonl", "load_schedule",
@@ -42,6 +28,7 @@ _HOMES = {
     "train": ("TrainConfig", "fit", "gradient_check", "prepare_event_features", "t_batch"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME_OF) + ["__version__"]
 
 
 def __getattr__(name):

@@ -11,8 +11,8 @@ Every run writes a manifest.json into its output directory recording the
 command, the effective config, the seed, and sha256 checksums of inputs and
 outputs, so results can be audited later. Timing logs are listed in the
 manifest but not checksummed, since wall time varies between runs; the
-stage timings and, for train, the peak resident set are recorded but not
-checksummed either.
+stage timings and the peak resident set are recorded but not checksummed
+either.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad usage or config.
 """
@@ -85,11 +85,21 @@ def _positive(kind):
     return parse
 
 
+def _seed(value: str) -> int:
+    """argparse type: an integer seed, 0 or above, as numpy's generators take."""
+    if int(value) < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %s" % value)
+    return int(value)
+
+
+_seed.__name__ = "int"  # argparse names the type in its errors
+
+
 def read_config_file(path) -> dict[str, str]:
-    """Flat 'key = value' file in UTF-8; '#' starts a comment."""
+    """Flat 'key = value' file in UTF-8, a byte-order mark allowed; '#' starts a comment."""
     mapping: dict[str, str] = {}
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read config file %s: %s" % (path, exc))
     for line_no, line in enumerate(raw.splitlines(), start=1):
@@ -155,11 +165,10 @@ def _file_sha256(path: Path) -> str:
 def write_manifest(out_dir: Path, command: str, seed, config: dict,
                    inputs: list[Path], outputs: list[Path],
                    logs: list[Path], seconds: float, timings: dict[str, float],
-                   features: dict | None = None,
-                   peak_rss_mb: float | None = None) -> Path:
+                   features: dict | None = None) -> Path:
     """timings holds the seconds of each stage of the command; features, if
-    given, describes the event features it trained on, and peak_rss_mb the
-    process's peak resident set."""
+    given, describes the event features it trained on. peak_rss_mb is this
+    process's ru_maxrss, KB on Linux, in MB; a pool's workers are left out."""
     manifest = {
         "command": command,
         "seed": seed,
@@ -169,11 +178,10 @@ def write_manifest(out_dir: Path, command: str, seed, config: dict,
         "logs": [Path(p).name for p in logs],
         "seconds": round(seconds, 3),
         "timings": {name: round(value, 3) for name, value in timings.items()},
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     if features is not None:
         manifest["features"] = features
-    if peak_rss_mb is not None:
-        manifest["peak_rss_mb"] = round(peak_rss_mb, 1)
     path = out_dir / MANIFEST_FILE
     corpus.write_json(manifest, path)
     return path
@@ -230,8 +238,8 @@ def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
     checkpoint answers only for the course shape it was trained on. Its
     states hold every training post, so a query at or before the last of
     them would score posts the model has already seen.
-    Returns (params, store, week_topics, meta, flags), flags being the
-    ablation flags it was trained with."""
+    Returns (params, store, week_topics, train_end, flags), train_end being
+    the meta's and flags the ablation flags it was trained with."""
     from . import model
     params, store, week_topics, meta = model.load_checkpoint(path)
     for key in ("last_post_time", "train_end"):
@@ -256,7 +264,7 @@ def _open_checkpoint(path, ds: corpus.Dataset, t_query: float, flag: str):
     if last_post is not None and t_query <= last_post:
         raise UsageError("%s %r is at or before the checkpoint's last training post at %r"
                          % (flag, t_query, last_post))
-    return params, store, week_topics, meta, model.AblationFlags(**flags)
+    return params, store, week_topics, meta.get("train_end"), model.AblationFlags(**flags)
 
 
 def cmd_synth(args) -> int:
@@ -343,7 +351,6 @@ def cmd_train(args) -> int:
     params, store = train.fit(features, cfg, log_path=out / TRAIN_LOG_FILE,
                               trajectory_sink=sink)
     t_save = time.perf_counter()
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
     # the data enter by content, so the bytes do not depend on where it lives;
     # the last post time bounds the queries the trained states can answer
     meta = {"config": dataclasses.asdict(cfg), "train_end": train_end,
@@ -368,7 +375,7 @@ def cmd_train(args) -> int:
                                   recommend.percentiles(getattr(events, name), (50, 99, 100))))
     inputs = [data / n for n in DATA_FILES] + [Path(args.lda) / n for n in LDA_FILES]
     write_manifest(out, "train", cfg.seed, dataclasses.asdict(cfg), inputs, outputs, logs,
-                   time.perf_counter() - started, timings, coverage, peak_rss_mb)
+                   time.perf_counter() - started, timings, coverage)
     print("train: %d events, %d epochs -> %s" % (len(window.events), cfg.epochs, out))
     return 0
 
@@ -402,11 +409,10 @@ def cmd_eval(args) -> int:
     else:
         inputs.append(Path(args.checkpoint))
         t_load = time.perf_counter()
-        params, store, week_topics, meta, flags = _open_checkpoint(
+        params, store, week_topics, trained_to, flags = _open_checkpoint(
             args.checkpoint, ds, spec.train_end, "--train-end")
         t_rank = time.perf_counter()
         timings["load_checkpoint_s"] = t_rank - t_load
-        trained_to = meta.get("train_end")
         if trained_to is not None and trained_to != spec.train_end:
             raise UsageError("--train-end %r differs from the checkpoint's train_end %r"
                              % (spec.train_end, trained_to))
@@ -524,9 +530,8 @@ def cmd_recommend(args) -> int:
     from . import recommend
     t_query = parse_duration(args.at)
     ds = _load_dataset(args.data)
-    params, store, week_topics, meta, flags = _open_checkpoint(args.checkpoint, ds, t_query,
-                                                               "--at")
-    trained_to = meta.get("train_end")
+    params, store, week_topics, trained_to, flags = _open_checkpoint(args.checkpoint, ds,
+                                                                     t_query, "--at")
     if trained_to is not None and t_query < trained_to:
         # the trained states already hold the posts between the two times
         raise UsageError("--at %r is before the checkpoint's train_end %r"
@@ -558,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, overrides=True):
-        p.add_argument("--seed", type=int, help="base seed; each stage adds a fixed offset")
+        p.add_argument("--seed", type=_seed, help="base seed; each stage adds a fixed offset")
         if overrides:
             p.add_argument("--config", help="flat key = value config file")
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -640,19 +645,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except _runtime_failures() as exc:
+    except (OSError, ValueError) as exc:  # the package's own failures are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 1
-
-
-def _runtime_failures() -> tuple[type[Exception], ...]:
-    """What main reports as a runtime failure, exit 1: an OSError, a
-    ValueError (ParseError, IntegrityError, EmptyDatasetError and
-    EvaluationError are ValueErrors) and a diverged fit. Only a command
-    that has imported train can have raised the last, so it is looked up
-    and never imported."""
-    train = sys.modules.get(__package__ + ".train")
-    return (OSError, ValueError) + ((train.TrainingDiverged,) if train else ())
 
 
 def entry() -> None:

@@ -22,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from itertools import zip_longest
-from typing import Sequence
 
 import numpy as np
 
@@ -46,16 +45,6 @@ class AblationFlags:
     no_student_projection: bool = False
     no_thread_projection: bool = False
     no_text_features: bool = False
-
-    @classmethod
-    def from_names(cls, names: Sequence[str]) -> "AblationFlags":
-        unknown = [n for n in names if n not in cls.NAMES]
-        if unknown:
-            raise ValueError("unknown ablation flag(s): %s" % ", ".join(unknown))
-        return cls(**{n: True for n in names})
-
-    def active(self) -> list[str]:
-        return [n for n in self.NAMES if getattr(self, n)]
 
 
 # the flag names in field order, the one list every reader of the flags takes

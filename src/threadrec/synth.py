@@ -68,6 +68,8 @@ class SynthConfig:
                              "week_seconds, finite")
         if self.vocab_size < self.num_topics:
             raise ValueError("vocab_size must be at least num_topics")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def algo_like(scale: float = 1.0, seed: int = 0) -> SynthConfig:

@@ -78,13 +78,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.word_to_index)
 
-    @property
-    def index_to_word(self) -> list[str]:
-        inv = [""] * len(self.word_to_index)
-        for w, i in self.word_to_index.items():
-            inv[i] = w
-        return inv
-
 
 def build_vocabulary(docs: Iterable[Sequence[str]], min_count: int = 10) -> Vocabulary:
     """Count tokens across docs and keep words occurring at least min_count
@@ -505,11 +498,10 @@ def course_topics(
 # artifact files
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    inv = vocab.index_to_word
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "word", "count"])
-        for i, w in enumerate(inv):
+        for w, i in sorted(vocab.word_to_index.items(), key=lambda item: item[1]):
             writer.writerow([i, w, int(vocab.counts[i])])
 
 

@@ -50,7 +50,7 @@ from .model import (
 from .text import LdaModel, Vocabulary, lda_infer_batch, term_frequency
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(ValueError):
     """Raised when a loss or gradient stops being finite; the message names
     the epoch, batch, and post where it happened."""
 
@@ -90,6 +90,8 @@ class TrainConfig:
         check_hyperparameters(self)
         if self.topic_infer_iters < 2:
             raise ValueError("topic_infer_iters must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def flags(self) -> AblationFlags:
@@ -99,8 +101,9 @@ class TrainConfig:
 def ablation_variant(config: TrainConfig, name: str) -> TrainConfig:
     """Copy of config with the named ablation flag switched on. 'full'
     means no flag. An unknown name is an error."""
-    flags = AblationFlags.from_names([] if name == "full" else [name])  # validates
-    return replace(config, **{n: True for n in flags.active()})
+    if name not in ABLATION_VARIANTS:
+        raise ValueError("unknown ablation variant %r" % (name,))
+    return replace(config, **({} if name == "full" else {name: True}))
 
 
 ABLATION_VARIANTS = ("full",) + AblationFlags.NAMES

@@ -170,7 +170,6 @@ def test_train_outputs(pipeline):
     timings = manifest["timings"]
     assert set(timings) == {"ingest_s", "features_s", "fit_s", "save_s"}
     assert all(seconds >= 0 for seconds in timings.values())
-    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
     # excitation coverage is that of the features the run trained on
     coverage = manifest["features"]
     ds = cli._load_dataset(pipeline["data"])
@@ -402,6 +401,7 @@ def test_every_output_directory_holds_exactly_its_manifest(pipeline, tmp_path, c
                          (per_event_out, "eval"), (ablate_out, "ablate")):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0, out
         listed = set(manifest["outputs"]) | set(manifest["logs"]) | {"manifest.json"}
         assert {path.name for path in out.iterdir()} == listed, out
         assert verify_manifest(out / "manifest.json") == [], out
@@ -935,6 +935,28 @@ def test_durations_that_are_not_finite_exit_two(pipeline, tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def test_negative_seeds_exit_two_before_any_work(pipeline, tmp_path, capsys):
+    # numpy's generators refuse a negative seed only once the command has
+    # read its data; the refusal is bad usage, made before any work
+    data, lda = str(pipeline["data"]), str(pipeline["lda"])
+    out = tmp_path / "out"
+    split = ["--train-end", "2w", "--test-end", "3w"]
+    commands = {"synth": ["synth", "--out", str(out)] + SYNTH_ARGS,
+                "lda": ["lda", "--data", data, "--out", str(out)],
+                "train": ["train", "--data", data, "--lda", lda, "--out", str(out)],
+                "eval": ["eval", "--data", data, "--out", str(out), "--baseline", "pop"]
+                        + split,
+                "ablate": ["ablate", "--data", data, "--lda", lda, "--out", str(out)] + split}
+    for command, argv in commands.items():
+        assert main(argv + ["--seed", "-1"]) == 2, command
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err, command
+        assert not out.exists(), command
+    for command in ("synth", "train", "ablate"):
+        assert main(commands[command] + ["--set", "seed=-1"]) == 2, command
+        assert "error: seed must be >= 0" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
 def test_synth_settings_that_are_not_finite_exit_two(tmp_path, capsys):
     out = tmp_path / "out"
     for setting in ("week_seconds=nan", "week_seconds=inf", "reply_pull=nan",
@@ -992,6 +1014,21 @@ def test_a_diverged_fit_exits_one(pipeline, tmp_path, monkeypatch, capsys):
     assert main(["train", "--data", str(pipeline["data"]), "--lda", str(pipeline["lda"]),
                  "--out", str(tmp_path / "run"), "--train-end", "2w"]) == 1
     assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
+
+
+def test_a_real_divergence_exits_one_naming_the_post(pipeline, tmp_path, capsys):
+    # a learning rate this large overflows the parameters at the first step;
+    # in ablate the error comes back pickled from a worker of the pool
+    data, lda = str(pipeline["data"]), str(pipeline["lda"])
+    diverge = ["--train-end", "2w", "--set", "epochs=1", "--set", "learning_rate=1e300"]
+    for argv in (["train", "--data", data, "--lda", lda, "--out", str(tmp_path / "run")],
+                 ["ablate", "--data", data, "--lda", lda, "--out", str(tmp_path / "ablate"),
+                  "--test-end", "3w", "--jobs", "2"]):
+        assert main(argv + diverge) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert re.search(r"^error: non-finite loss at epoch 0 batch \d+ post \d+$",
+                         captured.err, re.M), captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_inputs_are_read_as_utf8_whatever_the_locale(pipeline, tmp_path):
@@ -1052,7 +1089,10 @@ def test_verify_manifest_names_a_missing_output(pipeline, tmp_path):
 
 def test_config_file_feeds_train(pipeline, tmp_path):
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("epochs = 2\nembed_dim = 4\nlearning_rate = 0.002\n")
+    # some editors start a UTF-8 file with a byte-order mark, which is not
+    # part of the first key
+    cfg.write_text("\ufeffepochs = 2\nembed_dim = 4\nlearning_rate = 0.002\n",
+                   encoding="utf-8")
     out = tmp_path / "run"
     assert main(["train", "--data", str(pipeline["data"]),
                  "--lda", str(pipeline["lda"]), "--out", str(out),

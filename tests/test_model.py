@@ -385,7 +385,7 @@ def test_loss_zero_at_perfect_prediction():
     proj = np.array([0.25, 0.5])
     bias = np.concatenate([np.eye(3)[1], proj])
     ev, store = loss_event(params, bias, np.ones(2), proj, 1)
-    frozen = AblationFlags.from_names(["no_dynamic_student", "no_dynamic_thread"])
+    frozen = AblationFlags(no_dynamic_student=True, no_dynamic_thread=True)
     value = batch_loss(ev, store, params, frozen)
     assert value == 0.0
 
@@ -393,27 +393,19 @@ def test_loss_zero_at_perfect_prediction():
 # ablation flags
 
 
-def test_ablation_flags_from_names():
-    flags = AblationFlags.from_names(["no_text_features"])
-    assert flags.no_text_features and not flags.no_dynamic_student
-    assert flags.active() == ["no_text_features"]
-    with pytest.raises(ValueError):
-        AblationFlags.from_names(["bogus"])
-
-
 def test_ablation_flags_change_forward_pass(small_params):
     rng = np.random.default_rng(10)
     batch, store = random_batch(rng, small_params)
     base = batch_loss(batch, store, small_params, AblationFlags())
     for name in AblationFlags.NAMES:
-        variant = batch_loss(batch, store, small_params, AblationFlags.from_names([name]))
+        variant = batch_loss(batch, store, small_params, AblationFlags(**{name: True}))
         assert variant != base, name
 
 
 def test_frozen_embedding_ablations_keep_states(small_params):
     rng = np.random.default_rng(11)
     batch, store = random_batch(rng, small_params)
-    flags = AblationFlags.from_names(["no_dynamic_student", "no_dynamic_thread"])
+    flags = AblationFlags(no_dynamic_student=True, no_dynamic_thread=True)
     _, u_new, p_new = model.batch_grads(batch, store, small_params,
                                         small_params.zero_grads(), flags)
     assert np.array_equal(u_new, store.student_vecs[batch.student])

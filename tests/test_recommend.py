@@ -137,10 +137,10 @@ def scored(course2):
 
 
 def flag_sets():
-    return [AblationFlags()] + [AblationFlags.from_names([n]) for n in AblationFlags.NAMES]
+    return [AblationFlags()] + [AblationFlags(**{n: True}) for n in AblationFlags.NAMES]
 
 
-@pytest.mark.parametrize("flags", flag_sets(), ids=lambda f: "+".join(f.active()) or "full")
+@pytest.mark.parametrize("flags", flag_sets(), ids=("full",) + AblationFlags.NAMES)
 @pytest.mark.parametrize("top_k", [None, 2])
 def test_scorer_matches_stacked_targets(scored, flags, top_k):
     params, store, week_topics, train_ds, _ = scored
@@ -156,7 +156,7 @@ def test_scorer_matches_stacked_targets(scored, flags, top_k):
         assert_same_ranking(rank(student), ref)
 
 
-@pytest.mark.parametrize("flags", flag_sets(), ids=lambda f: "+".join(f.active()) or "full")
+@pytest.mark.parametrize("flags", flag_sets(), ids=("full",) + AblationFlags.NAMES)
 def test_per_event_scorer_matches_stacked_targets(scored, flags):
     params, store, week_topics, train_ds, test_ds = scored
     merged = Dataset(train_ds.events + test_ds.events, 4, 6, train_ds.course,
@@ -179,7 +179,7 @@ def test_per_event_scorer_matches_stacked_targets(scored, flags):
     assert report.per_user_ap == {u: sum(v) / len(v) for u, v in sorted(expect.items())}
 
 
-@pytest.mark.parametrize("flags", flag_sets(), ids=lambda f: "+".join(f.active()) or "full")
+@pytest.mark.parametrize("flags", flag_sets(), ids=("full",) + AblationFlags.NAMES)
 def test_split_ranker_over_test_posts_matches_training_window_ranker(scored, flags):
     # posts after the ranker's time add no candidate and no history at it:
     # student 3 first posts on candidate thread 0 inside the test window
@@ -458,7 +458,7 @@ def test_ranker_with_ablations_runs(tiny_ds):
     for name in AblationFlags.NAMES:
         rank_fn = build_model_ranker(params, store, week_topics, tiny_ds,
                                      2 * WEEK,
-                                     flags=AblationFlags.from_names([name]))
+                                     flags=AblationFlags(**{name: True}))
         out = rank_fn(1)
         assert len(out.thread_ids) == 4
 

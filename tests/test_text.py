@@ -79,7 +79,6 @@ def test_build_vocabulary_min_count_and_order():
     vocab = text.build_vocabulary(docs, min_count=2)
     assert vocab.word_to_index == {"a": 0, "b": 1}
     assert list(vocab.counts) == [3, 3]
-    assert vocab.index_to_word == ["a", "b"]
 
 
 def test_build_vocabulary_empty_raises():

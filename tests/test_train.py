@@ -106,16 +106,15 @@ def test_config_refuses_non_finite_floats(value):
 def test_config_flags_property():
     cfg = TrainConfig(no_thread_projection=True)
     assert cfg.flags.no_thread_projection
-    assert cfg.flags.active() == ["no_thread_projection"]
+    assert cfg.flags == AblationFlags(no_thread_projection=True)
 
 
 def test_ablation_variant_builder():
     base = TrainConfig()
     cfg = train.ablation_variant(base, "no_student_projection")
-    assert cfg.no_student_projection and not base.no_student_projection
-    full = train.ablation_variant(base, "full")
-    assert full.flags.active() == []
-    with pytest.raises(ValueError):
+    assert cfg == replace(base, no_student_projection=True) and base == TrainConfig()
+    assert train.ablation_variant(base, "full") == base
+    with pytest.raises(ValueError, match="unknown ablation variant 'nope'"):
         train.ablation_variant(base, "nope")
     assert train.ABLATION_VARIANTS[0] == "full"
     assert len(train.ABLATION_VARIANTS) == 6
@@ -669,9 +668,8 @@ def test_features_match_dict_replay(name, request):
     assert_same_trackers(trackers, ref_store)
 
     snapshot = (copy.deepcopy(feats), copy.deepcopy(trackers))
-    for flags in [AblationFlags()] + [AblationFlags.from_names([n])
-                                      for n in AblationFlags.NAMES]:
-        run = replace(cfg, **{n: True for n in flags.active()})
+    for variant in train.ABLATION_VARIANTS:
+        run = train.ablation_variant(cfg, variant)
         _, store = train.fit(prepared, run)
         assert_same_trackers(store, reference_trackers(ds, ref_feats, time_scale,
                                                        lda.num_topics, run.epochs))
@@ -1091,7 +1089,7 @@ def sparse_ds(batch_ds):
                    thread_ids=list(range(40)))
 
 
-FLAG_SETS = [AblationFlags()] + [AblationFlags.from_names([n]) for n in AblationFlags.NAMES]
+FLAG_SETS = [AblationFlags()] + [AblationFlags(**{n: True}) for n in AblationFlags.NAMES]
 
 
 def _batched_features(ds):
@@ -1104,7 +1102,7 @@ def _batched_features(ds):
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
-@pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: "+".join(f.active()) or "full")
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=("full",) + AblationFlags.NAMES)
 def test_batch_grads_match_per_event_loop_bitwise(batch_ds, flags, activation):
     feats = _batched_features(batch_ds)[-1].events
     batches = [feats.take(b) for b in event_batches(batch_ds.events)]
@@ -1145,9 +1143,9 @@ def test_fit_matches_per_event_loop_bitwise(name, request, tmp_path):
     lda, vocab, week_topics, cfg, features = _batched_features(ds)
     log = tmp_path / "log.csv"
     clipped = 0
-    for flags in FLAG_SETS:
+    for variant in train.ABLATION_VARIANTS:
         for activation in ("sigmoid", "tanh"):
-            run = replace(cfg, activation=activation, **{n: True for n in flags.active()})
+            run = train.ablation_variant(replace(cfg, activation=activation), variant)
             params, store = train.fit(features, run, log_path=log)
             ref_params, ref_store, ref_losses = reference_fit(ds, features, run,
                                                               lda.num_topics)

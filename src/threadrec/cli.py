@@ -345,12 +345,12 @@ def cmd_train(args) -> int:
 
     t_features = time.perf_counter()
     features = _prepare_features(args.lda, window, cfg)
-    out = _out_dir(args)
     t_fit = time.perf_counter()
-    sink = [] if args.export_trajectories else None
-    params, store = train.fit(features, cfg, log_path=out / TRAIN_LOG_FILE,
-                              trajectory_sink=sink)
+    params, store, log, final = train.fit(features, cfg)
     t_save = time.perf_counter()
+    # a fit that fails leaves no output directory
+    out = _out_dir(args)
+    train.write_training_log(log, out / TRAIN_LOG_FILE)
     # the data enter by content, so the bytes do not depend on where it lives;
     # the last post time bounds the queries the trained states can answer
     meta = {"config": dataclasses.asdict(cfg), "train_end": train_end,
@@ -359,9 +359,8 @@ def cmd_train(args) -> int:
             "num_events": len(window.events)}
     model.save_checkpoint(out / CHECKPOINT_FILE, params, store, features.week_topics, meta)
     outputs = [out / CHECKPOINT_FILE]
-    logs = [out / TRAIN_LOG_FILE]
-    if sink is not None:
-        recommend.write_trajectories(sink, out / TRAJECTORIES_FILE)
+    if args.export_trajectories:
+        train.write_trajectories(final, out / TRAJECTORIES_FILE)
         outputs.append(out / TRAJECTORIES_FILE)
     timings = {"ingest_s": t_features - started, "features_s": t_fit - t_features,
                "fit_s": t_save - t_fit, "save_s": time.perf_counter() - t_save}
@@ -374,8 +373,8 @@ def cmd_train(args) -> int:
         coverage[name] = dict(zip(("p50", "p99", "max"),
                                   recommend.percentiles(getattr(events, name), (50, 99, 100))))
     inputs = [data / n for n in DATA_FILES] + [Path(args.lda) / n for n in LDA_FILES]
-    write_manifest(out, "train", cfg.seed, dataclasses.asdict(cfg), inputs, outputs, logs,
-                   time.perf_counter() - started, timings, coverage)
+    write_manifest(out, "train", cfg.seed, dataclasses.asdict(cfg), inputs, outputs,
+                   [out / TRAIN_LOG_FILE], time.perf_counter() - started, timings, coverage)
     print("train: %d events, %d epochs -> %s" % (len(window.events), cfg.epochs, out))
     return 0
 
@@ -450,7 +449,7 @@ def _ablate_job(job, shared=None):
     base_cfg, train_ds, queries, features, train_end, n_cutoff = shared or _ablate_inputs
     variant, seed = job
     cfg = train.ablation_variant(dataclasses.replace(base_cfg, seed=seed), variant)
-    params, store = train.fit(features, cfg)
+    params, store = train.fit(features, cfg)[:2]
     rank_fn = recommend.build_model_ranker(params, store, features.week_topics, train_ds,
                                            train_end, flags=cfg.flags)
     report = recommend.evaluate(rank_fn, queries, n_cutoff=n_cutoff, method=variant)
@@ -542,16 +541,16 @@ def cmd_recommend(args) -> int:
     except ValueError:
         raise UsageError("unknown student id %r" % (args.student,))
     rank_fn = recommend.build_model_ranker(params, store, week_topics, window,
-                                           t_query, flags=flags, top_k=args.top_k)
+                                           t_query, flags=flags)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         ranked = rank_fn(student)
-    if not all(map(math.isfinite, ranked.distances)):
+    thread_ids, distances = ranked.thread_ids[:args.top_k], ranked.distances[:args.top_k]
+    if not all(map(math.isfinite, distances)):
         # the student's projection overflows this far past its last post
         raise UsageError("--at %r is too far ahead: the distances to the threads "
                          "are not finite" % (args.at,))
     print("top threads for student %s at t=%s:" % (args.student, args.at))
-    for rank, (thread, dist) in enumerate(zip(ranked.thread_ids, ranked.distances),
-                                          start=1):
+    for rank, (thread, dist) in enumerate(zip(thread_ids, distances), start=1):
         print("%3d. thread %s  distance %.6f" % (rank, ds.thread_ids[thread], dist))
     return 0
 

@@ -195,7 +195,9 @@ def load_schedule(path) -> CourseSchedule:
             if fault:
                 raise ValueError("start_ts must be " + fault)
             bounds.append(float(wk["start_ts"]))
-            docs.append(preprocess(str(wk["text"])))
+            if not isinstance(wk["text"], str):
+                raise ValueError("text must be a string, not %r" % (wk["text"],))
+            docs.append(preprocess(wk["text"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("week %d malformed in schedule: %s" % (i, exc)) from None
     return CourseSchedule(docs, bounds)

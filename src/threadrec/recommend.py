@@ -16,7 +16,6 @@ excitation; every other candidate keeps its stored state.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Collection, Sequence
 
@@ -46,15 +45,12 @@ class RankedRecommendation:
     distances: list[float]
 
 
-def _rank_by_distance(q: np.ndarray, ids: np.ndarray, p_hat: np.ndarray,
-                      top_k: int | None = None) -> RankedRecommendation:
+def _rank_by_distance(q: np.ndarray, ids: np.ndarray, p_hat: np.ndarray) -> RankedRecommendation:
     """Order the candidate threads ids by the Euclidean distance from the
     prediction q to their targets [one-hot(c), p_hat[i]], where row i of
     p_hat is the projected state of thread ids[i]."""
     if len(ids) == 0:
         raise EvaluationError("no candidate threads to rank")
-    if top_k is not None and top_k < 1:
-        raise ValueError("top_k must be >= 1")
     n = q.shape[0] - p_hat.shape[1]
     head = q[:n] @ q[:n]
     diff = q[n:] - p_hat
@@ -62,8 +58,6 @@ def _rank_by_distance(q: np.ndarray, ids: np.ndarray, p_hat: np.ndarray,
     # the sum of squares is nonnegative; rounding must not make it negative
     dists = np.sqrt(np.maximum(sq, 0.0))
     order = np.lexsort((ids, dists))
-    if top_k is not None:
-        order = order[:top_k]
     return RankedRecommendation(ids[order].tolist(), dists[order].tolist())
 
 
@@ -205,10 +199,9 @@ def event_queries(test: Dataset) -> list[tuple[int, float, set[int]]]:
 # model ranker
 
 
-def build_model_ranker(params: ModelParams, store: DynamicStateStore,
-                       week_topics: np.ndarray, posts: Dataset,
-                       t_query: float, flags: AblationFlags = AblationFlags(),
-                       top_k: int | None = None) -> Callable[..., RankedRecommendation]:
+def build_model_ranker(params: ModelParams, store: DynamicStateStore, week_topics: np.ndarray,
+                       posts: Dataset, t_query: float, flags: AblationFlags = AblationFlags()
+                       ) -> Callable[..., RankedRecommendation]:
     """Ranking function rank(student, t=t_query) over the threads with a
     post before t_query. It projects the trained states, read from the store
     at call time, to t, and reads the interaction histories from the posts
@@ -238,7 +231,7 @@ def build_model_ranker(params: ModelParams, store: DynamicStateStore,
                 z = excitation(index.history(student, c, t), t,
                                params.post_decay, params.reply_decay, store.time_scale)
                 p_hat[i] = project_thread(u_vec, p_hat[i], z)
-        return _rank_by_distance(q, ids, p_hat, top_k)
+        return _rank_by_distance(q, ids, p_hat)
 
     return rank
 
@@ -288,16 +281,3 @@ def write_report_json(report: EvalReport, path) -> None:
     keyed by their dense index."""
     write_json({**asdict(report),
                 "per_user_ap": {str(u): ap for u, ap in report.per_user_ap.items()}}, path)
-
-
-def write_trajectories(rows: Sequence[tuple], path) -> None:
-    """CSV of embedding snapshots: kind, entity, timestamp, then one column
-    per embedding coordinate. rows, two per event of fit's final epoch, is
-    never empty: its first row sets the number of coordinates."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = len(rows[0]) - 3
-        writer.writerow(["kind", "entity", "timestamp"] + ["e%d" % i for i in range(dim)])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(float(row[2]))]
-                            + [repr(float(v)) for v in row[3:]])

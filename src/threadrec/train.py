@@ -303,26 +303,24 @@ def mean_state_norm(vecs: np.ndarray, seen: np.ndarray) -> float:
     return float(np.linalg.norm(vecs[seen], axis=1).mean())
 
 
-def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
-        trajectory_sink: list | None = None):
+def fit(features: PreparedFeatures, config: TrainConfig):
     """Train the model on the prepared features of a training window.
 
-    Returns (params, store) where store holds the dynamic states after the
-    final epoch, ready for ranking at later times. If log_path is given, a
-    CSV with one row per epoch (epoch, mean_loss, seconds, grad_norm_max,
-    clipped_batches, optimizer_seconds, stepped_rows, student_state_norm,
-    thread_state_norm, events_per_s) is written: the largest pre-clip
-    gradient norm of the epoch's batches, how many of them were clipped,
-    the part of the epoch's seconds spent clipping and in Adam steps, the
-    mean number of predictor rows those steps walked, the mean norm at
-    epoch end of the states of the students and of the threads the window
-    has seen, and the epoch's events per second.
-    If trajectory_sink is a list, rows (kind, entity, timestamp, *embedding)
-    are appended for every state write of the final epoch. Sweeps over
-    seeds, flags, embedding sizes or optimizer settings can share one
-    features object; a config whose FEATURE_SETTINGS differ from theirs
-    raises a ValueError naming the field. The returned store starts from a
-    copy of their trackers, and fit never writes into the features.
+    Returns (params, store, log, final). store holds the dynamic states
+    after the final epoch, ready for ranking at later times. log holds a
+    dict per epoch from each training-log column to its text: epoch,
+    mean_loss, seconds, grad_norm_max (the largest pre-clip gradient norm
+    of the epoch's batches), clipped_batches, optimizer_seconds (the part
+    of seconds spent clipping and in Adam steps), stepped_rows (the mean
+    number of predictor rows those steps walked), student_state_norm and
+    thread_state_norm (the mean norm at epoch end of the states of the
+    students and of the threads the window has seen) and events_per_s.
+    final holds the final epoch's state writes, a (batch, student_rows,
+    thread_rows) per t-batch in order, as batch_grads returned them.
+    Sweeps over seeds, flags, embedding sizes or optimizer settings can
+    share one features object; a config whose FEATURE_SETTINGS differ from
+    theirs raises a ValueError naming the field. The returned store starts
+    from a copy of their trackers, and fit never writes into the features.
     """
     for name in FEATURE_SETTINGS:
         if getattr(config, name) != getattr(features, name):
@@ -345,7 +343,7 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
     opt = Adam(params, config.learning_rate)
     grads = params.zero_grads()  # every batch writes the whole set afresh
 
-    log_rows = []
+    log = []
     # the trackers already hold the whole window and training never reads
     # them; only the embeddings restart from zero every epoch
     store = copy.deepcopy(trackers)
@@ -356,7 +354,7 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
             start = time.perf_counter()
             store.student_vecs = np.zeros((num_students, config.embed_dim))
             store.thread_vecs = np.zeros((num_threads, config.embed_dim))
-            collect = trajectory_sink is not None and epoch == config.epochs - 1
+            final = []
             epoch_loss, grad_norm_max, clipped, optimizer_seconds = 0.0, 0.0, 0, 0.0
             stepped_rows = 0
             for b, (batch, rows) in enumerate(zip(batches, reached)):
@@ -372,10 +370,7 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
                 # the values from the previous batch
                 store.student_vecs[batch.student] = u_new
                 store.thread_vecs[batch.thread] = p_new
-                if collect:
-                    for s, c, t, u, p in zip(batch.student.tolist(), batch.thread.tolist(),
-                                             batch.timestamp.tolist(), u_new, p_new):
-                        trajectory_sink += [("student", s, t, *u), ("thread", c, t, *p)]
+                final.append((batch, u_new, p_new))
 
                 step_start = time.perf_counter()
                 total, scale = clip_gradients(grads, config.clip_norm)
@@ -387,21 +382,40 @@ def fit(features: PreparedFeatures, config: TrainConfig, log_path=None,
                 optimizer_seconds += time.perf_counter() - step_start
                 stepped_rows += len(rows)
             seconds = time.perf_counter() - start
-            log_rows.append([epoch, repr(epoch_loss / len(feats)), "%.6f" % seconds,
-                             repr(float(grad_norm_max)), clipped, "%.6f" % optimizer_seconds,
-                             repr(stepped_rows / len(batches)),
-                             repr(mean_state_norm(store.student_vecs, store.student_seen)),
-                             repr(mean_state_norm(store.thread_vecs, store.thread_seen)),
-                             "%.1f" % (len(feats) / seconds)])
+            log.append({
+                "epoch": str(epoch), "mean_loss": repr(epoch_loss / len(feats)),
+                "seconds": "%.6f" % seconds, "grad_norm_max": repr(float(grad_norm_max)),
+                "clipped_batches": str(clipped), "optimizer_seconds": "%.6f" % optimizer_seconds,
+                "stepped_rows": repr(stepped_rows / len(batches)),
+                "student_state_norm": repr(mean_state_norm(store.student_vecs,
+                                                           store.student_seen)),
+                "thread_state_norm": repr(mean_state_norm(store.thread_vecs, store.thread_seen)),
+                "events_per_s": "%.1f" % (len(feats) / seconds)})
+    return params, store, log, final
 
-    if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "mean_loss", "seconds", "grad_norm_max", "clipped_batches",
-                             "optimizer_seconds", "stepped_rows", "student_state_norm",
-                             "thread_state_norm", "events_per_s"])
-            writer.writerows(log_rows)
-    return params, store
+
+def write_training_log(log: list[dict], path) -> None:
+    """CSV of fit's log, one row per epoch under a header of its keys."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(log[0]))
+        writer.writeheader()
+        writer.writerows(log)
+
+
+def write_trajectories(final: list[tuple], path) -> None:
+    """CSV of fit's final state writes in their t-batch order: per event a
+    student row and a thread row of kind, entity, timestamp and one column
+    per embedding coordinate."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        dim = final[0][1].shape[1]
+        writer.writerow(["kind", "entity", "timestamp"] + ["e%d" % i for i in range(dim)])
+        for batch, u_new, p_new in final:
+            for s, c, t, u, p in zip(batch.student.tolist(), batch.thread.tolist(),
+                                     map(repr, batch.timestamp.tolist()),
+                                     u_new.tolist(), p_new.tolist()):
+                writer.writerow(["student", s, t] + list(map(repr, u)))
+                writer.writerow(["thread", c, t] + list(map(repr, p)))
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def course_run():
         per_seed = []
         for seed in (0, 1, 2):
             cfg = train.ablation_variant(dataclasses.replace(base, seed=seed), variant)
-            params, store = train.fit(feats, cfg)
+            params, store = train.fit(feats, cfg)[:2]
             ranker = recommend.build_model_ranker(params, store, weeks, train_ds,
                                                   horizon, flags=cfg.flags)
             per_seed.append(recommend.evaluate(ranker, queries).map_at_n)

@@ -848,10 +848,16 @@ def test_synth_scale_needs_a_preset(tmp_path, capsys):
 
 def test_non_finite_inputs_exit_one_and_write_nothing(pipeline, tmp_path, capsys):
     # json reads NaN and Infinity; a post or a week at such a time is refused
-    # by line or week before any command writes
+    # by line or week before any command writes, as is a week whose text is
+    # a number, which str() would read as an empty week
     data = pipeline["data"]
     lines = (data / "posts.jsonl").read_text().splitlines()
     weeks = json.loads((data / "schedule.json").read_text())
+    bad_text = tmp_path / "schedule-text"
+    shutil.copytree(data, bad_text)
+    (bad_text / "schedule.json").write_text(json.dumps(
+        {"weeks": [weeks["weeks"][0], {**weeks["weeks"][1], "text": 12345}]}))
+    cases = [(bad_text, "week 1 malformed in schedule: text must be a string, not 12345")]
     for value in (float("nan"), float("inf")):
         bad_posts = tmp_path / ("posts-%s" % value)
         shutil.copytree(data, bad_posts)
@@ -863,20 +869,21 @@ def test_non_finite_inputs_exit_one_and_write_nothing(pipeline, tmp_path, capsys
         shutil.copytree(data, bad_weeks)
         weeks["weeks"][1]["start_ts"] = value
         (bad_weeks / "schedule.json").write_text(json.dumps(weeks))
-        for bad, message in ((bad_posts, "line 3: timestamp must be finite"),
-                             (bad_weeks, "week 1 malformed in schedule: start_ts must be finite")):
-            out = tmp_path / "out"
-            for argv in (["lda", "--data", str(bad), "--out", str(out)],
-                         ["train", "--data", str(bad), "--lda", str(pipeline["lda"]),
-                          "--out", str(out), "--set", "epochs=1"],
-                         ["eval", "--data", str(bad), "--out", str(out), "--baseline", "pop",
-                          "--train-end", "2w", "--test-end", "3w"],
-                         ["ablate", "--data", str(bad), "--lda", str(pipeline["lda"]),
-                          "--out", str(out), "--train-end", "2w", "--test-end", "3w",
-                          "--set", "epochs=1"]):
-                assert main(argv) == 1, argv
-                assert message in capsys.readouterr().err, argv
-                assert not out.exists(), argv
+        cases += [(bad_posts, "line 3: timestamp must be finite"),
+                  (bad_weeks, "week 1 malformed in schedule: start_ts must be finite")]
+    for bad, message in cases:
+        out = tmp_path / "out"
+        for argv in (["lda", "--data", str(bad), "--out", str(out)],
+                     ["train", "--data", str(bad), "--lda", str(pipeline["lda"]),
+                      "--out", str(out), "--set", "epochs=1"],
+                     ["eval", "--data", str(bad), "--out", str(out), "--baseline", "pop",
+                      "--train-end", "2w", "--test-end", "3w"],
+                     ["ablate", "--data", str(bad), "--lda", str(pipeline["lda"]),
+                      "--out", str(out), "--train-end", "2w", "--test-end", "3w",
+                      "--set", "epochs=1"]):
+            assert main(argv) == 1, argv
+            assert message in capsys.readouterr().err, argv
+            assert not out.exists(), argv
 
 
 def test_non_finite_numbers_end_in_an_error_line(tmp_path, capsys):
@@ -1029,6 +1036,8 @@ def test_a_real_divergence_exits_one_naming_the_post(pipeline, tmp_path, capsys)
         assert re.search(r"^error: non-finite loss at epoch 0 batch \d+ post \d+$",
                          captured.err, re.M), captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+        # the output directory is made only once every fit has succeeded
+        assert not Path(argv[argv.index("--out") + 1]).exists(), argv[0]
 
 
 def test_inputs_are_read_as_utf8_whatever_the_locale(pipeline, tmp_path):

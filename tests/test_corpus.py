@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,20 @@ def test_ingest_and_schedule_refuse_times_that_are_not_finite_numbers(tmp_path, 
     schedule.write_text(json.dumps(weeks))
     with pytest.raises(ValueError, match="week 0 malformed in schedule: start_ts must be "
                        + message):
+        corpus.load_schedule(schedule)
+
+
+@pytest.mark.parametrize("text", [12345, ["zqalj", "zqalk"], None])
+def test_load_schedule_refuses_a_week_text_that_is_not_a_string(tmp_path, text):
+    # str() would read a list as the tokens of its repr and a number as an
+    # empty week
+    schedule = tmp_path / "schedule.json"
+    write_weeks(schedule)
+    weeks = json.loads(schedule.read_text())
+    weeks["weeks"][1]["text"] = text
+    schedule.write_text(json.dumps(weeks))
+    with pytest.raises(ValueError, match=re.escape(
+            "week 1 malformed in schedule: text must be a string, not %r" % (text,))):
         corpus.load_schedule(schedule)
 
 

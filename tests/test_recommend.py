@@ -8,7 +8,7 @@ from threadrec.corpus import (Dataset, SplitSpec, ThreadEventIndex, events_befor
                               split_by_time)
 from threadrec.model import (AblationFlags, DynamicStateStore, ModelParams,
                              excitation, project_thread)
-from threadrec.recommend import (EvaluationError, _rank_by_distance,
+from threadrec.recommend import (EvaluationError, RankedRecommendation, _rank_by_distance,
                                  average_precision, baseline_pop, baseline_rec,
                                  baseline_user_rec, bootstrap_interval,
                                  build_model_ranker, evaluate, event_queries,
@@ -41,11 +41,12 @@ def test_rank_threads_breaks_ties_by_id():
 
 
 def test_rank_threads_top_k():
+    # every candidate comes back in order; recommend prints the first --top-k
     q = np.zeros(11)
     p_hat = np.arange(10.0).reshape(10, 1)
-    out = _rank_by_distance(q, np.arange(10), p_hat, top_k=3)
-    assert out.thread_ids == [0, 1, 2]
-    assert len(out.distances) == 3
+    out = _rank_by_distance(q, np.arange(10), p_hat)
+    assert out.thread_ids == list(range(10))
+    assert out.distances == pytest.approx([np.sqrt(1.0 + c * c) for c in range(10)])
 
 
 def test_rank_threads_empty_candidates_raise():
@@ -57,7 +58,7 @@ def test_rank_threads_empty_candidates_raise():
 
 
 def stacked_target_ranking(params, store, week_topics, course, index, candidates,
-                           student, t_query, flags, top_k=None):
+                           student, t_query, flags):
     """Reference: one dense [one-hot(c), p_hat_c] target per candidate, with
     excitation computed for every candidate, and distances by norm."""
     d, n = params.embed_dim, params.num_threads
@@ -92,7 +93,7 @@ def stacked_target_ranking(params, store, week_topics, course, index, candidates
         target[n:] = p_hat
         targets.append(target)
     dists = np.linalg.norm(np.stack(targets) - q, axis=1)
-    order = np.lexsort((ids, dists))[:top_k]
+    order = np.lexsort((ids, dists))
     return [int(ids[i]) for i in order], [float(dists[i]) for i in order]
 
 
@@ -141,19 +142,22 @@ def flag_sets():
 
 
 @pytest.mark.parametrize("flags", flag_sets(), ids=("full",) + AblationFlags.NAMES)
-@pytest.mark.parametrize("top_k", [None, 2])
-def test_scorer_matches_stacked_targets(scored, flags, top_k):
+@pytest.mark.parametrize("k", [None, 2])
+def test_scorer_matches_stacked_targets(scored, flags, k):
     params, store, week_topics, train_ds, _ = scored
     index = ThreadEventIndex(train_ds)
     # student 0 on thread 0 has both a later post and a reply by others
     hist = index.history(0, 0, WEEK)
     assert hist.post_times and hist.reply_times
-    rank = build_model_ranker(params, store, week_topics, train_ds, WEEK,
-                              flags=flags, top_k=top_k)
+    rank = build_model_ranker(params, store, week_topics, train_ds, WEEK, flags=flags)
     for student in range(4):
         ref = stacked_target_ranking(params, store, week_topics, train_ds.course,
-                                     index, [0, 1, 2, 3, 4], student, WEEK, flags, top_k)
-        assert_same_ranking(rank(student), ref)
+                                     index, [0, 1, 2, 3, 4], student, WEEK, flags)
+        got = rank(student)
+        assert len(got.thread_ids) == 5
+        # the whole ranking, and its first k as recommend prints them
+        head = RankedRecommendation(got.thread_ids[:k], got.distances[:k])
+        assert_same_ranking(head, (ref[0][:k], ref[1][:k]))
 
 
 @pytest.mark.parametrize("flags", flag_sets(), ids=("full",) + AblationFlags.NAMES)
@@ -207,11 +211,6 @@ def test_model_ranker_refuses_posts_with_no_thread_before_its_time(scored):
     params, store, week_topics, train_ds, _ = scored
     with pytest.raises(EvaluationError, match="no thread has a post before"):
         build_model_ranker(params, store, week_topics, train_ds, 100.0)
-
-
-def test_rank_threads_refuses_top_k_below_one():
-    with pytest.raises(ValueError, match="top_k must be >= 1"):
-        _rank_by_distance(np.zeros(3), np.array([0]), np.zeros((1, 2)), top_k=0)
 
 
 # queries
@@ -388,7 +387,7 @@ def _trained(tiny_ds):
                             for doc in tiny_ds.course.week_docs])
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
     features = train.prepare_event_features(tiny_ds, lda, vocab, week_topics, cfg)
-    params, store = train.fit(features, cfg)
+    params, store = train.fit(features, cfg)[:2]
     return params, store, week_topics
 
 
@@ -424,7 +423,7 @@ def test_model_ranker_full_evaluation_path(tiny_ds):
                             for doc in train_ds.course.week_docs])
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
     features = train.prepare_event_features(train_ds, lda, vocab, week_topics, cfg)
-    params, store = train.fit(features, cfg)
+    params, store = train.fit(features, cfg)[:2]
     rank_fn = build_model_ranker(params, store, week_topics, train_ds, WEEK)
     report = evaluate(rank_fn, split_queries(test_ds, WEEK), n_cutoff=5)
     assert 0.0 <= report.map_at_n <= 1.0
@@ -444,7 +443,7 @@ def test_per_event_evaluation(tiny_ds):
                             for doc in train_ds.course.week_docs])
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=0)
     features = train.prepare_event_features(train_ds, lda, vocab, week_topics, cfg)
-    params, store = train.fit(features, cfg)
+    params, store = train.fit(features, cfg)[:2]
     rank_fn = build_model_ranker(params, store, week_topics,
                                  events_before(tiny_ds, 2 * WEEK), WEEK)
     report = evaluate(rank_fn, event_queries(test_ds), n_cutoff=5, method="model-per-event")

@@ -1,4 +1,5 @@
 import copy
+import csv
 import os
 import tracemalloc
 from dataclasses import fields, replace
@@ -670,7 +671,7 @@ def test_features_match_dict_replay(name, request):
     snapshot = (copy.deepcopy(feats), copy.deepcopy(trackers))
     for variant in train.ABLATION_VARIANTS:
         run = train.ablation_variant(cfg, variant)
-        _, store = train.fit(prepared, run)
+        _, store = train.fit(prepared, run)[:2]
         assert_same_trackers(store, reference_trackers(ds, ref_feats, time_scale,
                                                        lda.num_topics, run.epochs))
     # six fits later the shared features are as they were prepared
@@ -683,7 +684,7 @@ def test_fit_ignores_learning_when_rate_is_tiny(tiny_ds):
     cfg = TrainConfig(epochs=2, embed_dim=3, learning_rate=1e-16,
                       topic_infer_iters=5, seed=1)
     features = _prepared(tiny_ds, cfg)
-    params, store = train.fit(features, cfg)
+    params, store = train.fit(features, cfg)[:2]
     rng = np.random.default_rng(cfg.seed)
     init = ModelParams.init(rng, 3, features.week_topics.shape[1], tiny_ds.course.num_weeks,
                             tiny_ds.num_students, tiny_ds.num_threads,
@@ -694,8 +695,8 @@ def test_fit_ignores_learning_when_rate_is_tiny(tiny_ds):
 
 def test_fit_is_deterministic(tiny_ds):
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5, seed=4)
-    a_params, a_store = train.fit(_prepared(tiny_ds, cfg), cfg)
-    b_params, b_store = train.fit(_prepared(tiny_ds, cfg), cfg)
+    a_params, a_store = train.fit(_prepared(tiny_ds, cfg), cfg)[:2]
+    b_params, b_store = train.fit(_prepared(tiny_ds, cfg), cfg)[:2]
     for name in TENSOR_NAMES:
         assert np.array_equal(a_params.tensor(name), b_params.tensor(name))
     assert np.array_equal(a_store.student_vecs, b_store.student_vecs)
@@ -710,8 +711,8 @@ def test_fit_accepts_precomputed_features(tiny_ds):
     for embed_dim in (3, 4):
         run = replace(cfg, embed_dim=embed_dim)
         own = train.prepare_event_features(tiny_ds, lda, vocab, week_topics, run)
-        a_params, a_store = train.fit(own, run)
-        b_params, b_store = train.fit(feats, run)
+        a_params, a_store = train.fit(own, run)[:2]
+        b_params, b_store = train.fit(feats, run)[:2]
         for name in TENSOR_NAMES:
             assert np.array_equal(a_params.tensor(name), b_params.tensor(name))
         assert b_store.student_vecs.shape == (3, embed_dim)
@@ -721,7 +722,7 @@ def test_fit_accepts_precomputed_features(tiny_ds):
 
 def test_fit_training_states_update(tiny_ds):
     cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5, seed=0)
-    params, store = train.fit(_prepared(tiny_ds, cfg), cfg)
+    params, store = train.fit(_prepared(tiny_ds, cfg), cfg)[:2]
     # every student and thread with a training post has been marked seen
     assert store.student_seen.all()
     assert list(store.thread_seen) == [True, True, True, True]
@@ -732,7 +733,7 @@ def test_fit_training_states_update(tiny_ds):
 def test_fit_frozen_states_under_full_dynamic_ablation(tiny_ds):
     cfg = TrainConfig(epochs=1, embed_dim=3, topic_infer_iters=5, seed=0,
                       no_dynamic_student=True, no_dynamic_thread=True)
-    params, store = train.fit(_prepared(tiny_ds, cfg), cfg)
+    params, store = train.fit(_prepared(tiny_ds, cfg), cfg)[:2]
     assert np.all(store.student_vecs == 0.0)
     assert np.all(store.thread_vecs == 0.0)
     assert store.student_seen.all()  # trackers still advance
@@ -741,36 +742,36 @@ def test_fit_frozen_states_under_full_dynamic_ablation(tiny_ds):
 def test_fit_writes_log(tmp_path, tiny_ds):
     cfg = TrainConfig(epochs=3, embed_dim=3, topic_infer_iters=5)
     features = _prepared(tiny_ds, cfg)
-    log = tmp_path / "log.csv"
-    _, store = train.fit(features, cfg, log_path=log)
-    lines = log.read_text().strip().splitlines()
-    assert lines[0] == ("epoch,mean_loss,seconds,grad_norm_max,clipped_batches,"
-                        "optimizer_seconds,stepped_rows,student_state_norm,"
-                        "thread_state_norm,events_per_s")
-    assert len(lines) == 4
-    float(lines[1].split(",")[1])  # parses back
+    _, store, log, _ = train.fit(features, cfg)
+    path = tmp_path / "log.csv"
+    train.write_training_log(log, path)
+    assert path.read_text().splitlines()[0] == (
+        "epoch,mean_loss,seconds,grad_norm_max,clipped_batches,optimizer_seconds,"
+        "stepped_rows,student_state_norm,thread_state_norm,events_per_s")
+    assert [row["epoch"] for row in log] == ["0", "1", "2"]
     rows = tiny_ds.num_students + tiny_ds.num_threads + 2 * cfg.embed_dim
-    for line in lines[1:]:
-        seconds, optimizer_seconds = float(line.split(",")[2]), float(line.split(",")[5])
+    for row in log:
+        assert all(isinstance(text, str) for text in row.values())
+        float(row["mean_loss"])  # parses back
+        seconds, optimizer_seconds = float(row["seconds"]), float(row["optimizer_seconds"])
         assert 0 <= optimizer_seconds <= seconds
-        assert 2 * cfg.embed_dim < float(line.split(",")[6]) <= rows
-        assert float(line.split(",")[9]) == pytest.approx(len(tiny_ds.events) / seconds,
-                                                          rel=1e-3, abs=0.1)
+        assert 2 * cfg.embed_dim < float(row["stepped_rows"]) <= rows
+        assert float(row["events_per_s"]) == pytest.approx(len(tiny_ds.events) / seconds,
+                                                           rel=1e-3, abs=0.1)
     # the last epoch's mean state norms are those of the returned store,
     # over the students and threads the window has seen
-    student_norm, thread_norm = lines[-1].split(",")[7:9]
-    for logged, vecs, seen in ((student_norm, store.student_vecs, store.student_seen),
-                               (thread_norm, store.thread_vecs, store.thread_seen)):
-        assert seen.any() and float(logged) > 0.0
-        assert float(logged) == pytest.approx(
+    for kind in ("student", "thread"):
+        vecs, seen = getattr(store, kind + "_vecs"), getattr(store, kind + "_seen")
+        logged = float(log[-1][kind + "_state_norm"])
+        assert seen.any() and logged > 0.0
+        assert logged == pytest.approx(
             np.mean([np.linalg.norm(vec) for vec in vecs[seen]]), rel=1e-12)
     # every batch's pre-clip norm exceeds a clip norm this small
     batches = len(event_batches(tiny_ds.events))
     for clip_norm, clipped in ((1e-9, batches), (0.0, 0)):
-        train.fit(features, replace(cfg, clip_norm=clip_norm), log_path=log)
-        for line in log.read_text().strip().splitlines()[1:]:
-            norm, count = line.split(",")[3:5]
-            assert float(norm) > 1e-9 and int(count) == clipped
+        for row in train.fit(features, replace(cfg, clip_norm=clip_norm))[2]:
+            assert float(row["grad_norm_max"]) > 1e-9
+            assert int(row["clipped_batches"]) == clipped
 
 
 def test_fit_allocates_one_gradient_set(tiny_ds, monkeypatch):
@@ -789,15 +790,34 @@ def test_fit_allocates_one_gradient_set(tiny_ds, monkeypatch):
     assert len(calls) == 1
 
 
-def test_fit_trajectory_sink(tiny_ds):
+def test_fit_returns_the_final_epoch_state_writes(tmp_path, tiny_ds):
     cfg = TrainConfig(epochs=2, embed_dim=3, topic_infer_iters=5)
-    sink = []
-    train.fit(_prepared(tiny_ds, cfg), cfg, trajectory_sink=sink)
-    # two rows (student, thread) per event, final epoch only
-    assert len(sink) == 2 * len(tiny_ds.events)
-    kinds = {row[0] for row in sink}
-    assert kinds == {"student", "thread"}
-    assert all(len(row) == 3 + 3 for row in sink)
+    features = _prepared(tiny_ds, cfg)
+    _, store, _, final = train.fit(features, cfg)
+    feats = features.events
+    order = event_batches(tiny_ds.events)
+    assert len(order) > 1 and len(final) == len(order)
+    for (batch, u_new, p_new), idx in zip(final, order):
+        assert batch.post_id.tolist() == feats.post_id[idx].tolist()
+        assert u_new.shape == p_new.shape == (len(idx), cfg.embed_dim)
+    # two rows per event in t-batch order, student then thread, at the
+    # batch's timestamps; each entity's last row is its returned state
+    path = tmp_path / "trajectories.csv"
+    train.write_trajectories(final, path)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["kind", "entity", "timestamp", "e0", "e1", "e2"]
+    expected = []
+    for i in np.concatenate(order):
+        t = repr(float(feats.timestamp[i]))
+        expected += [["student", str(feats.student[i]), t], ["thread", str(feats.thread[i]), t]]
+    assert [row[:3] for row in rows] == expected
+    last = {(row[0], row[1]): row[3:] for row in rows}
+    for kind, vecs in (("student", store.student_vecs), ("thread", store.thread_vecs)):
+        for entity, vec in enumerate(vecs):
+            if (kind, str(entity)) in last:
+                assert last[kind, str(entity)] == [repr(v) for v in vec.tolist()]
+    assert len(last) == store.student_seen.sum() + store.thread_seen.sum()
 
 
 def test_fit_raises_on_divergence(tiny_ds):
@@ -1138,29 +1158,27 @@ def test_batch_grads_match_per_event_loop_bitwise(batch_ds, flags, activation):
 
 
 @pytest.mark.parametrize("name", ["batch_ds", "replay_ds", "sparse_ds"])
-def test_fit_matches_per_event_loop_bitwise(name, request, tmp_path):
+def test_fit_matches_per_event_loop_bitwise(name, request):
     ds = request.getfixturevalue(name)
     lda, vocab, week_topics, cfg, features = _batched_features(ds)
-    log = tmp_path / "log.csv"
     clipped = 0
     for variant in train.ABLATION_VARIANTS:
         for activation in ("sigmoid", "tanh"):
             run = train.ablation_variant(replace(cfg, activation=activation), variant)
-            params, store = train.fit(features, run, log_path=log)
+            params, store, log, _ = train.fit(features, run)
             ref_params, ref_store, ref_losses = reference_fit(ds, features, run,
                                                               lda.num_topics)
             for tensor in TENSOR_NAMES:
                 assert np.array_equal(params.tensor(tensor), ref_params.tensor(tensor))
             for state in ("student_vecs", "thread_vecs") + TRACKERS:
                 assert np.array_equal(getattr(store, state), getattr(ref_store, state))
-            logged = [line.split(",") for line in log.read_text().splitlines()[1:]]
-            assert [row[1] for row in logged] == [repr(loss) for loss in ref_losses]
-            clipped += sum(int(row[4]) for row in logged)
+            assert [row["mean_loss"] for row in log] == [repr(loss) for loss in ref_losses]
+            clipped += sum(int(row["clipped_batches"]) for row in log)
             # every step moves the rows its batch reaches, and no more
             feats = features.events
             reached = [len(reference_rows(feats.student[b], feats.last_thread[b], params))
                        for b in event_batches(ds.events)]
-            assert float(logged[-1][6]) == sum(reached) / len(reached)
+            assert float(log[-1]["stepped_rows"]) == sum(reached) / len(reached)
             if name == "sparse_ds":
                 assert 2 * max(reached) < len(params.predictor)
     assert clipped > 0
@@ -1306,7 +1324,7 @@ class Lockstep:
         return got
 
 
-def test_fit_matches_dense_gradient_path_on_acceptance_course(tmp_path):
+def test_fit_matches_dense_gradient_path_on_acceptance_course():
     ds, _ = synth.generate(synth.algo_like(scale=0.1))
     docs = [ev.tokens for ev in ds.events] + ds.course.week_docs
     vocab = build_vocabulary(docs, min_count=10)
@@ -1315,8 +1333,7 @@ def test_fit_matches_dense_gradient_path_on_acceptance_course(tmp_path):
     cfg = TrainConfig(epochs=2, topic_infer_iters=4)
     features = train.prepare_event_features(ds, lda, vocab, course_topics(ds.course, lda, vocab),
                                             cfg)
-    log = tmp_path / "log.csv"
-    params, _ = train.fit(features, cfg, log_path=log)
+    params, _, log, _ = train.fit(features, cfg)
 
     feats = features.events
     init = ModelParams.init(np.random.default_rng(cfg.seed), cfg.embed_dim, lda.num_topics,
@@ -1339,8 +1356,7 @@ def test_fit_matches_dense_gradient_path_on_acceptance_course(tmp_path):
         mean_losses.append(epoch_loss / len(feats))
     for name in TENSOR_NAMES:
         assert np.array_equal(params.tensor(name), run.params.tensor(name)), name
-    logged = [line.split(",")[1] for line in log.read_text().splitlines()[1:]]
-    assert logged == [repr(loss) for loss in mean_losses]
+    assert [row["mean_loss"] for row in log] == [repr(loss) for loss in mean_losses]
 
 
 def _paper_batch(rng, params, size):
@@ -1414,7 +1430,7 @@ def test_fit_allocates_no_predictor_sized_gradient(batch_ds, monkeypatch):
     monkeypatch.setattr(Adam, "__init__", recorded)
     tracemalloc.start()
     try:
-        params, _ = train.fit(features, cfg)
+        params = train.fit(features, cfg)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

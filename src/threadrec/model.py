@@ -404,16 +404,14 @@ def predictor_rows(batch: EventFeatures, params: ModelParams) -> np.ndarray:
 
 
 def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelParams,
-                grads: dict | None, flags: AblationFlags = AblationFlags(),
-                rows: np.ndarray | None = None):
+                grads: dict | None, flags: AblationFlags = AblationFlags()):
     """Write the gradients of a t-batch's summed loss into grads, a gradient
     set the caller owns (ModelParams.zero_grads), and return (losses,
     student_rows, thread_rows): every event's loss and the new state pair
     it writes back. Every gradient, the predictor's RowGrad at the rows
     predictor_rows names, starts afresh at +0.0 and sums the batch's terms
-    as the dense gradient would, whatever grads held before. A caller that
-    steps the same batch again may pass those rows once computed. With
-    grads None the backward pass is skipped.
+    as the dense gradient would, whatever grads held before. With grads
+    None the backward pass is skipped.
 
     No student or thread appears twice in a t-batch, so its events run as
     the rows of one pass. The backward pass is hand derived. States
@@ -456,7 +454,7 @@ def batch_grads(batch: EventFeatures, store: DynamicStateStore, params: ModelPar
     g_q = _unit_rows(residual, norm_q)
     grads["predictor_bias"] += g_q.sum(axis=0)
     Wg = grads["predictor"]
-    Wg.start(predictor_rows(batch, params) if rows is None else rows)
+    Wg.start(predictor_rows(batch, params))
     rows, Wv = Wg.rows, Wg.values
     # one (events, n + d) product at a time: the summed outer products of
     # the two embedding blocks, without an (events, d, n + d) array; rows

@@ -49,8 +49,6 @@ def _rank_by_distance(q: np.ndarray, ids: np.ndarray, p_hat: np.ndarray) -> Rank
     """Order the candidate threads ids by the Euclidean distance from the
     prediction q to their targets [one-hot(c), p_hat[i]], where row i of
     p_hat is the projected state of thread ids[i]."""
-    if len(ids) == 0:
-        raise EvaluationError("no candidate threads to rank")
     n = q.shape[0] - p_hat.shape[1]
     head = q[:n] @ q[:n]
     diff = q[n:] - p_hat

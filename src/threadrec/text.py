@@ -286,48 +286,39 @@ def _lgamma(x: float) -> float:
     return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
 
 
-class _LogGammaTable:
-    """log Gamma(count + prior) over arrays of integer counts. Each count's
-    value is computed once, when a count that large first appears, and
-    read from the table after; the float64 of count + prior is the one
-    numpy forms for an int64 count array plus the prior."""
-
-    def __init__(self, prior: float):
-        self.prior = prior
-        self.values = np.zeros(0)
-
-    def __call__(self, counts: np.ndarray) -> np.ndarray:
-        have, need = len(self.values), int(counts.max()) + 1
-        if need > have:
-            prior = self.prior
-            grown = [_lgamma(c + prior) for c in range(have, need)]
-            self.values = np.concatenate([self.values, grown])
-        return self.values[counts]
+def _lgamma_table(largest: int, prior: float) -> np.ndarray:
+    """log Gamma(count + prior) for the counts 0 to largest; the float64 of
+    count + prior is the one numpy forms for an int64 count plus the
+    prior."""
+    return np.array([_lgamma(c + prior) for c in range(largest + 1)])
 
 
 class _JointLoglik:
     """log p(w, z) of a Gibbs state (Griffiths and Steyvers, PNAS 2004):
     log-gamma sums over the topic-word, topic and document-topic counts.
-    A table per prior turns each sum into a gather of the values
-    gammaln(counts + prior) would give, in the same shape, so the sums are
-    bit for bit those of the scipy formula. The document lengths, and with
-    them their term, are fixed for a fit."""
+    A table per prior, built once at the largest count of its kind a fit
+    can reach, turns each sum into a gather of the values gammaln(counts +
+    prior) would give, in the same shape, so the sums are bit for bit those
+    of the scipy formula. A word's count in a topic is at most that word's
+    token count, a document's at most its length and a topic's at most the
+    corpus token count. The document lengths, and with them their term,
+    are fixed for a fit."""
 
-    def __init__(self, lengths: np.ndarray, num_topics: int, vocab_size: int,
-                 alpha: float, beta: float):
+    def __init__(self, words: np.ndarray, lengths: np.ndarray, num_topics: int,
+                 vocab_size: int, alpha: float, beta: float):
         K, W, D = num_topics, vocab_size, len(lengths)
         self.topic_prior = K * (_lgamma(W * beta) - W * _lgamma(beta))
         self.doc_prior = D * (_lgamma(K * alpha) - K * _lgamma(alpha))
-        self.word = _LogGammaTable(beta)
-        self.topic = _LogGammaTable(W * beta)
-        self.doc = _LogGammaTable(alpha)
-        self.length_term = _LogGammaTable(K * alpha)(lengths).sum()
+        self.word = _lgamma_table(np.bincount(words).max(), beta)
+        self.topic = _lgamma_table(len(words), W * beta)
+        self.doc = _lgamma_table(lengths.max(), alpha)
+        self.length_term = _lgamma_table(lengths.max(), K * alpha)[lengths].sum()
 
     def __call__(self, n_dk: np.ndarray, n_kw: np.ndarray, n_k: np.ndarray) -> float:
         ll = self.topic_prior
-        ll += self.word(n_kw).sum() - self.topic(n_k).sum()
+        ll += self.word[n_kw].sum() - self.topic[n_k].sum()
         ll += self.doc_prior
-        ll += self.doc(n_dk).sum() - self.length_term
+        ll += self.doc[n_dk].sum() - self.length_term
         return float(ll)
 
 
@@ -369,7 +360,7 @@ def lda_fit(
 
     history = np.zeros(iters)
     alpha, beta = 50.0 / num_topics, 0.01
-    joint_loglik = _JointLoglik(lengths, num_topics, vocab_size, alpha, beta)
+    joint_loglik = _JointLoglik(words, lengths, num_topics, vocab_size, alpha, beta)
     setup = _sweep_setup(words, lengths, vocab_size, alpha, beta)
     for sweep in range(iters):
         uniforms = rng.random(len(words))
@@ -397,11 +388,13 @@ def lda_infer_batch(
     length draw the same numbers from one generator. With the topic-word
     matrix fixed, documents are independent, so all of them sample
     together, one token position at a time; sorted longest first, the
-    rows still sampling at a position are a prefix. The step is that of
-    _gibbs_sweep on float counts for all those rows at once: the weights
-    (n_dk + alpha) * topic_word[:, word] are summed left to right, and the
-    new topic is the number of the first K - 1 cumulative weights <= u
-    times the total, which is bisect_right clamped to the last topic."""
+    rows still sampling at a position are a prefix. The position-major
+    tables of words and topics are built once per call, and the step is
+    plain array operations over that prefix: that of _gibbs_sweep on float
+    counts, for all those rows at once. The weights (n_dk + alpha) *
+    topic_word[:, word] are summed left to right, and the new topic is the
+    number of the first K - 1 cumulative weights <= u times the total,
+    which is bisect_right clamped to the last topic."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     burn_in = iters // 2
@@ -437,36 +430,21 @@ def lda_infer_batch(
         n_dk[lo:hi] = np.bincount(z0, minlength=K)
         groups.append((lo, hi, L, rng))
 
-    # the views each position steps through, built once: its rows of the
-    # tables, its topic-word columns and, shared by the positions with as
-    # many rows, the prefixes of the counts and of the step's buffers
     uniforms = np.empty((L_max, D))
-    w, cum = np.empty((D, K)), np.empty((D, K))
-    x, k = np.empty(D), np.empty(D, dtype=np.intp)
-    below = np.empty((D, K - 1), dtype=bool)
-    prefixes = {m: (n_dk[:m], w[:m], cum[:m], cum[:m, -1], cum[:m, :-1], x[:m], x[:m, None],
-                    below[:m], k[:m], base[:m]) for m in set(active)}
-    steps = [(z[i, :m], word_topic[table[i, :m]], uniforms[i, :m], *prefixes[m])
-             for i, m in enumerate(active)]
     flat = n_dk.reshape(-1)
-    add, multiply, less_equal = np.add, np.multiply, np.less_equal
-    accumulate, reduce = np.add.accumulate, np.add.reduce
-
     denom = lengths + K * alpha
     theta_acc = np.zeros((D, K))
     for sweep in range(iters):
         # a sweep's uniforms are drawn as it starts, one vector per length
         for lo, hi, L, rng in groups:
             uniforms[:L, lo:hi] = rng.random(L)[:, None]
-        for zi, col, u, nd, wi, ci, total, head, xi, xcol, bi, ki, bs in steps:
+        for i, m in enumerate(active):
+            zi = z[i, :m]
             flat[zi] -= 1.0
-            add(nd, alpha, out=wi)
-            multiply(wi, col, out=wi)
-            accumulate(wi, axis=1, out=ci)
-            multiply(u, total, out=xi)
-            less_equal(head, xcol, out=bi)
-            reduce(bi, axis=1, dtype=np.intp, out=ki)
-            add(ki, bs, out=zi)
+            w = (n_dk[:m] + alpha) * word_topic.take(table[i, :m], axis=0)
+            cum = np.add.accumulate(w, axis=1)
+            x = uniforms[i, :m] * cum[:, -1]
+            zi[:] = (cum[:, :-1] <= x[:, None]).sum(axis=1) + base[:m]
             flat[zi] += 1.0
         if sweep >= burn_in:
             theta_acc += (n_dk + alpha) / denom[:, None]

@@ -7,12 +7,12 @@ entity and replaying batches in order preserves every per-entity timeline.
 model.batch_grads writes a batch's gradients in one pass, with the dynamic
 states entering the batch treated as constants, into the one gradient set
 of the fit, starting every gradient afresh. A batch reaches only the
-predictor rows model.predictor_rows names, which fit computes once per
-batch, so its predictor gradient is compact: those rows and a block of
-their values (model.RowGrad), in a buffer that grows to the largest
-batch's rows. A step is clip_gradients, then Adam.step, which applies the
-gradients to the parameters; both only read the set. Clipping sums the
-squares of the predictor gradient's rows only. Adam.step is lazy: it
+predictor rows model.predictor_rows names, which batch_grads names from
+the batch, so its predictor gradient is compact: those rows and a block
+of their values (model.RowGrad), in a buffer that grows to the largest
+batch's rows. A step is clip_gradients, then Adam.step, which applies
+the gradients to the parameters; both only read the set. Clipping sums
+the squares of the predictor gradient's rows only. Adam.step is lazy: it
 moves the predictor only at the batch's rows, a block of rows at a time,
 and the other tensors whole. Training holds three predictor-sized arrays
 (parameters, two moments); the moments sit on mappings of their own
@@ -45,7 +45,6 @@ from .model import (
     check_hyperparameters,
     dense_grads,
     excitation,
-    predictor_rows,
 )
 from .text import LdaModel, Vocabulary, lda_infer_batch, term_frequency
 
@@ -338,7 +337,6 @@ def fit(features: PreparedFeatures, config: TrainConfig):
     )
     batches = [feats.take(batch)
                for batch in t_batch(feats.student.tolist(), feats.thread.tolist())]
-    reached = [predictor_rows(batch, params) for batch in batches]  # the same every epoch
     flags = config.flags
     opt = Adam(params, config.learning_rate)
     grads = params.zero_grads()  # every batch writes the whole set afresh
@@ -357,8 +355,8 @@ def fit(features: PreparedFeatures, config: TrainConfig):
             final = []
             epoch_loss, grad_norm_max, clipped, optimizer_seconds = 0.0, 0.0, 0, 0.0
             stepped_rows = 0
-            for b, (batch, rows) in enumerate(zip(batches, reached)):
-                losses, u_new, p_new = batch_grads(batch, store, params, grads, flags, rows)
+            for b, batch in enumerate(batches):
+                losses, u_new, p_new = batch_grads(batch, store, params, grads, flags)
                 finite = np.isfinite(losses)
                 if not finite.all():
                     raise TrainingDiverged("non-finite loss at epoch %d batch %d post %d"
@@ -380,7 +378,7 @@ def fit(features: PreparedFeatures, config: TrainConfig):
                 clipped += 0 < config.clip_norm < total
                 opt.step(params, grads, scale)
                 optimizer_seconds += time.perf_counter() - step_start
-                stepped_rows += len(rows)
+                stepped_rows += len(grads["predictor"].rows)
             seconds = time.perf_counter() - start
             log.append({
                 "epoch": str(epoch), "mean_loss": repr(epoch_loss / len(feats)),
@@ -423,17 +421,14 @@ def write_trajectories(final: list[tuple], path) -> None:
 
 
 def gradient_check(params: ModelParams, batch: EventFeatures, store: DynamicStateStore,
-                   flags: AblationFlags = AblationFlags(),
-                   eps: float = 1e-5, analytic: dict | None = None) -> float:
-    """Compare the analytic gradients of a t-batch's summed loss against
-    central finite differences of that sum over every entry of every
-    tensor. Returns the maximum relative error. Pass analytic, a dict of
-    dense gradients (model.dense_grads), to check an externally supplied
-    gradient set instead of the model's own."""
-    if analytic is None:
-        grads = params.zero_grads()
-        batch_grads(batch, store, params, grads, flags)
-        analytic = dense_grads(grads)
+                   flags: AblationFlags = AblationFlags(), eps: float = 1e-5) -> float:
+    """Compare the analytic gradients of a t-batch's summed loss, those
+    model.batch_grads writes, against central finite differences of that
+    sum over every entry of every tensor. Returns the maximum relative
+    error."""
+    grads = params.zero_grads()
+    batch_grads(batch, store, params, grads, flags)
+    analytic = dense_grads(grads)
     worst = 0.0
     for name in TENSOR_NAMES:
         tensor = params.tensor(name)

@@ -49,11 +49,6 @@ def test_rank_threads_top_k():
     assert out.distances == pytest.approx([np.sqrt(1.0 + c * c) for c in range(10)])
 
 
-def test_rank_threads_empty_candidates_raise():
-    with pytest.raises(EvaluationError):
-        _rank_by_distance(np.zeros(2), np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
-
-
 # the closed-form scorer against the stacked-target ranker it replaced
 
 

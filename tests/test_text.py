@@ -457,10 +457,11 @@ def test_joint_loglik_is_the_scipy_formula_on_random_states():
                                  (7, 300, 60, 50.0 / 7, 0.01), (50, 900, 150, 1.0, 0.5)]:
         lengths = rng.integers(0, 300, size=D)
         lengths[0] = max(lengths[0], 1)
-        joint_loglik = text._JointLoglik(lengths, K, W, alpha, beta)
         doc_of = np.repeat(np.arange(D), lengths)
         words = rng.integers(0, W, size=len(doc_of))
-        # states of growing concentration, so the tables extend between calls
+        joint_loglik = text._JointLoglik(words, lengths, K, W, alpha, beta)
+        # states of growing concentration; the last puts every token in
+        # topic 0, which reaches the last entry of every table
         for spread in (K, max(K // 3, 1), 1):
             z = rng.integers(0, spread, size=len(doc_of))
             n_dk = np.zeros((D, K), dtype=np.int64)
